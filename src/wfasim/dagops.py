@@ -62,11 +62,15 @@ def _topological_order(
     return tuple(order)
 
 
-def validate_workflow(spec: WorkflowSpec) -> list[str]:
+def validate_workflow(
+    spec: WorkflowSpec, graphs: dict[str, WorkflowGraph] | None = None
+) -> list[str]:
     """Check a workflow spec, returning a list of issues (empty when valid).
 
     A valid workflow is a non-empty acyclic graph with exactly one entry task
-    and one exit task and no edge referencing an unknown task.
+    and one exit task and no edge referencing an unknown task. When
+    ``graphs`` is given, the graph built for a valid spec is stored there
+    under the workflow id, so the caller need not build it again.
     """
     issues: list[str] = []
     ids = [t.id for t in spec.tasks]
@@ -94,6 +98,8 @@ def validate_workflow(spec: WorkflowSpec) -> list[str]:
         issues.append("MultipleEntries(" + ",".join(sorted(entries)) + ")")
     if len(exits) > 1:
         issues.append("MultipleExits(" + ",".join(sorted(exits)) + ")")
+    if graphs is not None and not issues:
+        graphs[spec.id] = graph
     return issues
 
 

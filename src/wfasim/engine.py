@@ -222,8 +222,12 @@ class _Sim:
         preallocate: dict[str, dict[str, int]] | None,
         collect_plans: bool,
     ):
+        self.graphs: dict[str, WorkflowGraph] = {}
+        user_ids = {u.id for u in users}
         for wf in workflows:
-            issues = validate_workflow(wf)
+            issues = validate_workflow(wf, self.graphs)
+            if not issues and wf.user not in user_ids:
+                issues = [f"UnknownUser({wf.user})"]
             if issues:
                 raise WorkloadInvalid(wf.id, issues)
         self.system = system
@@ -232,7 +236,6 @@ class _Sim:
         self.seed = seed
         self.collect_plans = collect_plans
         self.state = SystemState(system, users)
-        self.graphs = {wf.id: WorkflowGraph(wf) for wf in workflows}
         self.specs = {wf.id: wf for wf in workflows}
         self.rng = random.Random(seed)
         self.heap: list[tuple[int, int, int, tuple]] = []
@@ -385,9 +388,8 @@ class _Sim:
         k = now // self.system.interval_s
         totals: dict[str, int] = {}
         per_type: dict[tuple[str, str], int] = {}
-        for r in self.state.resources:
-            if not r.reserved:
-                continue
+        held = self.state.reserved()
+        for r in held:
             user = r.user or ""
             totals[user] = totals.get(user, 0) + r.rtype.cost
             key = (user, r.rtype.id)
@@ -400,9 +402,8 @@ class _Sim:
         if winding_down:
             self.pending_snapshot.clear()
             return
-        for r in self.state.resources:
-            if r.reserved:
-                self.state.prolong(r, now)
+        for r in held:
+            self.state.prolong(r, now)
         for u in self.users:
             charge = totals.get(u.id, 0)
             if charge > u.budget:
@@ -519,7 +520,7 @@ class _Sim:
                      resource=rid, rtype=r.rtype.id, detail=f"runtime={runtime}")
 
     def reserved_total(self) -> int:
-        return sum(1 for r in self.state.resources if r.reserved)
+        return len(self.state.reserved())
 
     # -- main loop ---------------------------------------------------------------
 

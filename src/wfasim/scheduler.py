@@ -17,14 +17,15 @@ def dispatch_dynamic(state: SystemState, user: str, now: int) -> list[Assignment
     Tasks in dispatch order (priority desc, arrival asc, topological index
     asc) take the lowest-id idle resource first, regardless of type.
     """
-    idle = sorted(state.idle_resources(user), key=lambda r: r.id)
-    if not idle:
-        return []
-    eligible = state.eligible_tasks(user)
     out: list[Assignment] = []
-    for (wf_id, task_id), resource in zip(eligible, idle):
-        state.start_task(wf_id, task_id, resource, now)
-        out.append((wf_id, task_id, resource.id))
+    if state.next_eligible(user) is None:
+        return out
+    for resource in state.idle_resources(user):
+        ref = state.next_eligible(user)
+        if ref is None:
+            break
+        state.start_task(ref[0], ref[1], resource, now)
+        out.append((ref[0], ref[1], resource.id))
     return out
 
 
@@ -58,7 +59,7 @@ class PlanRunner:
         if not queues:
             return []
         out: list[Assignment] = []
-        for r in sorted(state.idle_resources(user), key=lambda r: r.id):
+        for r in state.idle_resources(user):
             q = queues.get(r.id)
             while q:
                 entry = q[0]

@@ -3,10 +3,25 @@
 The state object enforces the local invariants (a task starts only when
 eligible, a resource runs one task, Idle -> Down only at a billing boundary);
 the engine owns event ordering and billing on top of it.
+
+Queries are served from indexes that the transitions below keep up to date,
+so no query scans every machine or re-sorts every eligible task:
+
+- one heap of ``(order_key, ref)`` per user, pushed when a task becomes
+  eligible; entries of tasks that have since started are stale and are
+  skipped, or compacted away once they outnumber the live ones;
+- one set of machine ids per (user, type, state) for the reserved states,
+  and one set of free machine ids per type.
+
+Index invariant: only the ``SystemState`` transitions (``reserve``,
+``boot_complete``, ``start_task``, ``finish_task`` and ``release``) may
+change ``Resource.state`` or ``Resource.user``. A change made anywhere else
+leaves the indexes describing a machine that is no longer there.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .dagops import WorkflowGraph
@@ -21,6 +36,7 @@ from .model import (
 )
 
 TaskRef = tuple[str, str]  # (workflow id, task id)
+OrderKey = tuple[int, int, int, int]
 
 
 @dataclass
@@ -43,7 +59,7 @@ class WorkflowRun:
     def done(self) -> bool:
         return self.unfinished == 0
 
-    def order_key(self, task_id: str) -> tuple[int, int, int, int]:
+    def order_key(self, task_id: str) -> OrderKey:
         """Deterministic dispatch order: priority desc, arrival asc, then
         arrival sequence and topological index ascending."""
         return (
@@ -52,6 +68,9 @@ class WorkflowRun:
             self.seq,
             self.graph.topo_index[task_id],
         )
+
+
+_HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
 
 
 class SystemState:
@@ -68,10 +87,48 @@ class SystemState:
         self.runs: dict[str, WorkflowRun] = {}
         self.user_workflows: dict[str, list[str]] = {u.id: [] for u in users}
         self._running: dict[str, int] = {u.id: 0 for u in users}
-        self._eligible: dict[str, set[TaskRef]] = {u.id: set() for u in users}
+        self._eligible: dict[str, int] = {u.id: 0 for u in users}
+        self._heaps: dict[str, list[tuple[OrderKey, TaskRef]]] = {u.id: [] for u in users}
         self._arrival_seq = 0
+        self._open_runs = 0
+        self._type_ids = tuple(t.id for t in config.types)
+        # machine ids: user -> state -> type id -> ids, and type id -> free ids
+        self._pools: dict[str, dict[ResourceState, dict[str, set[int]]]] = {
+            u.id: {s: {t: set() for t in self._type_ids} for s in _HELD} for u in users
+        }
+        self._free: dict[str, set[int]] = {t: set() for t in self._type_ids}
+        for r in self.resources:
+            self._free[r.rtype.id].add(r.id)
+
+    def _move(self, resource: Resource, to: ResourceState) -> None:
+        """Set a machine's state and move its id to the matching pool."""
+        rtype_id = resource.rtype.id
+        if resource.state is ResourceState.DOWN:
+            self._free[rtype_id].remove(resource.id)
+        else:
+            self._pools[resource.user][resource.state][rtype_id].remove(resource.id)
+        if to is ResourceState.DOWN:
+            self._free[rtype_id].add(resource.id)
+        else:
+            self._pools[resource.user][to][rtype_id].add(resource.id)
+        resource.state = to
+
+    def _ids(
+        self, user: str, states: tuple[ResourceState, ...], rtype_id: str | None = None
+    ) -> list[Resource]:
+        pools = self._pools[user]
+        types = self._type_ids if rtype_id is None else (rtype_id,)
+        ids = [rid for s in states for t in types for rid in pools[s].get(t, ())]
+        ids.sort()
+        return [self.resources[rid] for rid in ids]
 
     # -- workflow lifecycle -------------------------------------------------
+
+    def _make_eligible(self, run: WorkflowRun, task_id: str) -> None:
+        run.status[task_id] = TaskStatus.ELIGIBLE
+        user = run.spec.user
+        self._eligible[user] += 1
+        heapq.heappush(self._heaps[user], (run.order_key(task_id), (run.spec.id, task_id)))
 
     def arrive(self, spec: WorkflowSpec, graph: WorkflowGraph | None = None) -> WorkflowRun:
         if spec.id in self.runs:
@@ -82,12 +139,13 @@ class SystemState:
         run = WorkflowRun(spec=spec, graph=graph, seq=self._arrival_seq)
         self._arrival_seq += 1
         run.unfinished = len(spec.tasks)
+        if run.unfinished:
+            self._open_runs += 1
         for tid in graph.topo_order:
             blocked = len(graph.parents[tid])
             run.blocked_parents[tid] = blocked
             if blocked == 0:
-                run.status[tid] = TaskStatus.ELIGIBLE
-                self._eligible[spec.user].add((spec.id, tid))
+                self._make_eligible(run, tid)
             else:
                 run.status[tid] = TaskStatus.PENDING
         self.runs[spec.id] = run
@@ -96,20 +154,28 @@ class SystemState:
 
     def start_task(self, wf_id: str, task_id: str, resource: Resource, now: int) -> None:
         run = self.runs[wf_id]
+        user = run.spec.user
         if run.status[task_id] is not TaskStatus.ELIGIBLE:
             raise ValueError(f"task {wf_id}/{task_id} not eligible")
-        if resource.state is not ResourceState.IDLE or resource.user != run.spec.user:
-            raise ValueError(f"resource {resource.id} not idle for {run.spec.user}")
+        if resource.state is not ResourceState.IDLE or resource.user != user:
+            raise ValueError(f"resource {resource.id} not idle for {user}")
         run.status[task_id] = TaskStatus.RUNNING
         run.task_start_s[task_id] = now
         run.task_resource[task_id] = resource.id
         if run.first_start_s is None:
             run.first_start_s = now
-        self._eligible[run.spec.user].discard((wf_id, task_id))
-        self._running[run.spec.user] += 1
-        resource.state = ResourceState.BUSY
+        self._eligible[user] -= 1
+        self._running[user] += 1
+        self._move(resource, ResourceState.BUSY)
         resource.running = (wf_id, task_id)
         resource.idle_since_s = None
+        # The started task's heap entry is now stale. A task started out of
+        # heap order leaves it buried, so compact once stale entries outnumber
+        # live ones; the heap then stays within twice the eligible count.
+        heap = self._heaps[user]
+        if len(heap) > 2 * self._eligible[user]:
+            heap[:] = [e for e in heap if self._is_eligible(e[1])]
+            heapq.heapify(heap)
 
     def finish_task(self, wf_id: str, task_id: str, now: int) -> list[TaskRef]:
         """Complete a running task; returns task refs that became eligible."""
@@ -121,88 +187,99 @@ class SystemState:
         run.unfinished -= 1
         if run.unfinished == 0:
             run.last_finish_s = now
+            self._open_runs -= 1
         self._running[run.spec.user] -= 1
         resource = self.resources[run.task_resource[task_id]]
-        resource.state = ResourceState.IDLE
+        self._move(resource, ResourceState.IDLE)
         resource.running = None
         resource.idle_since_s = now
         freed: list[TaskRef] = []
         for child in run.graph.children[task_id]:
             run.blocked_parents[child] -= 1
             if run.blocked_parents[child] == 0:
-                run.status[child] = TaskStatus.ELIGIBLE
-                self._eligible[run.spec.user].add((wf_id, child))
+                self._make_eligible(run, child)
                 freed.append((wf_id, child))
         return freed
 
     # -- queries ------------------------------------------------------------
 
+    def _is_eligible(self, ref: TaskRef) -> bool:
+        return self.runs[ref[0]].status[ref[1]] is TaskStatus.ELIGIBLE
+
     def eligible_tasks(self, user: str) -> list[TaskRef]:
         """Eligible tasks of a user in deterministic dispatch order."""
-        refs = self._eligible[user]
-        return sorted(refs, key=lambda ref: self.runs[ref[0]].order_key(ref[1]))
+        # order keys are unique, so sorting the entries never compares refs
+        return [ref for _key, ref in sorted(self._heaps[user]) if self._is_eligible(ref)]
+
+    def next_eligible(self, user: str) -> TaskRef | None:
+        """The user's first eligible task in dispatch order, or None."""
+        heap = self._heaps[user]
+        while heap:
+            ref = heap[0][1]
+            if self._is_eligible(ref):
+                return ref
+            heapq.heappop(heap)
+        return None
 
     def momentary_demand(self, user: str) -> int:
         """Running plus eligible task count: work the user could use now."""
-        return self._running[user] + len(self._eligible[user])
+        return self._running[user] + self._eligible[user]
 
     def running_count(self, user: str) -> int:
         return self._running[user]
 
     def supply(self, user: str) -> int:
-        return sum(1 for r in self.resources if r.reserved and r.user == user)
+        return sum(len(ids) for s in _HELD for ids in self._pools[user][s].values())
 
     def busy_count(self, user: str) -> int:
-        return sum(
-            1
-            for r in self.resources
-            if r.state is ResourceState.BUSY and r.user == user
-        )
+        return sum(len(ids) for ids in self._pools[user][ResourceState.BUSY].values())
 
     def allocated_cost(self, user: str) -> int:
-        return sum(r.rtype.cost for r in self.resources if r.reserved and r.user == user)
+        pools = self._pools[user]
+        return sum(
+            t.cost * len(pools[s][t.id]) for t in self.config.types for s in _HELD
+        )
 
     def counts_by_type(self, user: str) -> dict[str, dict[str, int]]:
         """Per-type reservation breakdown for one user.
 
         Returns {type id: {"allocated": n, "idle": n, "busy": n, "booting": n}}.
         """
-        out = {
-            t.id: {"allocated": 0, "idle": 0, "busy": 0, "booting": 0}
-            for t in self.config.types
-        }
-        for r in self.resources:
-            if not r.reserved or r.user != user:
-                continue
-            row = out[r.rtype.id]
-            row["allocated"] += 1
-            if r.state is ResourceState.IDLE:
-                row["idle"] += 1
-            elif r.state is ResourceState.BUSY:
-                row["busy"] += 1
-            elif r.state is ResourceState.BOOTING:
-                row["booting"] += 1
+        pools = self._pools[user]
+        out = {}
+        for t in self._type_ids:
+            idle = len(pools[ResourceState.IDLE][t])
+            busy = len(pools[ResourceState.BUSY][t])
+            booting = len(pools[ResourceState.BOOTING][t])
+            out[t] = {
+                "allocated": idle + busy + booting,
+                "idle": idle,
+                "busy": busy,
+                "booting": booting,
+            }
         return out
 
     def free_resources(self, rtype_id: str) -> list[Resource]:
         """Unreserved resources of one type, lowest id first."""
-        return [
-            r
-            for r in self.resources
-            if r.state is ResourceState.DOWN and r.rtype.id == rtype_id
-        ]
+        return [self.resources[rid] for rid in sorted(self._free.get(rtype_id, ()))]
 
     def idle_resources(self, user: str, rtype_id: str | None = None) -> list[Resource]:
-        return [
-            r
-            for r in self.resources
-            if r.state is ResourceState.IDLE
-            and r.user == user
-            and (rtype_id is None or r.rtype.id == rtype_id)
-        ]
+        """Idle resources of a user, optionally of one type, lowest id first."""
+        return self._ids(user, (ResourceState.IDLE,), rtype_id)
 
     def user_resources(self, user: str) -> list[Resource]:
-        return [r for r in self.resources if r.reserved and r.user == user]
+        """Reserved resources of a user, lowest id first."""
+        return self._ids(user, _HELD)
+
+    def reserved(self) -> list[Resource]:
+        """Every reserved resource, grouped by user, state and type."""
+        return [
+            self.resources[rid]
+            for pools in self._pools.values()
+            for by_type in pools.values()
+            for ids in by_type.values()
+            for rid in ids
+        ]
 
     def joint_dag(self, user: str) -> tuple[list[TaskRef], list[tuple[TaskRef, TaskRef]]]:
         """Unfinished tasks of the user's arrived workflows, with the
@@ -230,20 +307,22 @@ class SystemState:
     def reserve(self, resource: Resource, user: str, now: int) -> None:
         if resource.state is not ResourceState.DOWN:
             raise CapacityExceeded(f"resource {resource.id} is not free")
+        if user not in self.users:
+            raise KeyError(f"unknown user {user!r}")
         resource.user = user
         resource.billing_end_s = now + self.config.interval_s
         if self.config.boot_delay_s > 0:
-            resource.state = ResourceState.BOOTING
+            self._move(resource, ResourceState.BOOTING)
             resource.boot_ready_s = now + self.config.boot_delay_s
             resource.idle_since_s = None
         else:
-            resource.state = ResourceState.IDLE
+            self._move(resource, ResourceState.IDLE)
             resource.boot_ready_s = now
             resource.idle_since_s = now
 
     def boot_complete(self, resource: Resource, now: int) -> None:
         if resource.state is ResourceState.BOOTING:
-            resource.state = ResourceState.IDLE
+            self._move(resource, ResourceState.IDLE)
             resource.idle_since_s = now
 
     def release(self, resource: Resource, now: int) -> None:
@@ -254,7 +333,7 @@ class SystemState:
             raise ValueError(
                 f"resource {resource.id} released before its billing end"
             )
-        resource.state = ResourceState.DOWN
+        self._move(resource, ResourceState.DOWN)
         resource.user = None
         resource.billing_end_s = None
         resource.boot_ready_s = None
@@ -270,7 +349,7 @@ class SystemState:
 
     @property
     def all_done(self) -> bool:
-        return all(run.done for run in self.runs.values())
+        return self._open_runs == 0
 
 
 __all__ = ["SystemState", "TaskRef", "WorkflowRun"]

@@ -264,3 +264,12 @@ def test_mip_solve_over_limits_is_exit_code_3(tmp_path, capsys):
 def test_mip_missing_instance_file(tmp_path, capsys):
     assert main(["mip", "solve", "--instance", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_run_rejects_workflow_of_unlisted_user(tmp_path, capsys):
+    config = run_config(tmp_path, workload={
+        "genspec": genspec(count=4, users=["u1", "ghost"]),
+        "arrivals": {"utilization": 0.3},
+    })
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "UnknownUser(ghost)" in capsys.readouterr().err

@@ -3,8 +3,8 @@
 import pytest
 
 from conftest import chain_wf, small_only_system, two_type_system, users, wf
-from wfasim import engine
-from wfasim.model import BudgetViolation, CapacityExceeded
+from wfasim import dagops, engine
+from wfasim.model import BudgetViolation, CapacityExceeded, WorkloadInvalid
 from wfasim.policies import NonePolicy, PfaPolicy, PlfPolicy, ScfPolicy
 from wfasim.workload import WL1, generate_workload
 
@@ -208,3 +208,34 @@ def test_summary_has_external_shape():
     assert set(u1) == {"mean_slowdown", "median_slowdown", "cost", "elasticity"}
     assert set(u1["elasticity"]) == {"aU", "aO", "tU", "tO"}
     assert "pfa-ma" in doc["per_policy_runtime_stats"]
+
+
+def test_unknown_user_rejected_before_the_run():
+    ghost = wf("w1", [("a", {"small": 10})], user="ghost", arrival_s=30)
+    with pytest.raises(WorkloadInvalid) as err:
+        run([wf("w0", [("a", {"small": 10})]), ghost])
+    assert err.value.workflow_id == "w1"
+    assert err.value.issues == ["UnknownUser(ghost)"]
+
+
+def test_structural_issues_take_precedence_over_unknown_user():
+    cyclic = wf("w1", [("a", {"small": 1}), ("b", {"small": 1})],
+                edges=[("a", "b"), ("b", "a")], user="ghost")
+    with pytest.raises(WorkloadInvalid) as err:
+        run([cyclic])
+    assert err.value.issues == ["CycleDetected"]
+
+
+def test_each_workflow_graph_built_once(monkeypatch):
+    builds = []
+    original = dagops.WorkflowGraph.__init__
+
+    def counting(self, spec):
+        builds.append(spec.id)
+        original(self, spec)
+
+    monkeypatch.setattr(dagops.WorkflowGraph, "__init__", counting)
+    wfs = generate_workload(5, users=["u1"], rule=WL1, seed=3)
+    result = run(wfs, budget=20)
+    assert result.state.all_done
+    assert sorted(builds) == sorted(w.id for w in wfs)

@@ -92,6 +92,15 @@ def test_reserve_release_cycle_and_billing_window():
     assert r.user is None
 
 
+def test_reserve_for_unlisted_user_rejected_without_change():
+    state = SystemState(small_only_system(count=1), users(("u1", 10)))
+    r = state.resources[0]
+    with pytest.raises(KeyError):
+        state.reserve(r, "ghost", now=0)
+    assert r.state is ResourceState.DOWN and r.user is None
+    assert state.free_resources("small") == [r]
+
+
 def test_reserve_with_boot_delay():
     state = SystemState(small_only_system(count=1, boot_delay_s=10), users(("u1", 10)))
     r = state.resources[0]
