@@ -84,16 +84,16 @@ def parse_policy(doc: dict) -> Policy:
     _check_keys(doc, "policy", {"name"}, {"smoothing", "ma_depth", "alpha"})
     name = doc["name"]
     if name == "pfa":
-        smoothing = doc.get("smoothing", "ma")
-        if smoothing not in ("ma", "ewma"):
-            raise ConfigError(f"policy: unknown smoothing {smoothing!r}")
-        depth = int(doc.get("ma_depth", 10))
-        if depth < 1:
-            raise ConfigError("policy: ma_depth must be >= 1")
-        alpha = doc.get("alpha", "0.7")
-        if not 0 < float(alpha) < 1:
-            raise ConfigError("policy: alpha must be in (0, 1)")
-        return PfaPolicy(PfaConfig(smoothing=smoothing, ma_depth=depth, alpha=str(alpha)))
+        # PfaConfig owns the bounds; this only turns its errors into ConfigError
+        try:
+            config = PfaConfig(
+                smoothing=doc.get("smoothing", "ma"),
+                ma_depth=int(doc.get("ma_depth", 10)),
+                alpha=str(doc.get("alpha", "0.7")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"policy: {exc}") from exc
+        return PfaPolicy(config)
     extras = {"smoothing", "ma_depth", "alpha"} & set(doc)
     if extras:
         raise ConfigError(f"policy: keys {sorted(extras)} only apply to pfa")

@@ -25,6 +25,7 @@ from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, s
 from .model import (
     BudgetViolation,
     CapacityExceeded,
+    PreallocationInvalid,
     ResourceState,
     SystemConfig,
     UserConfig,
@@ -230,6 +231,15 @@ class _Sim:
                 issues = [f"UnknownUser({wf.user})"]
             if issues:
                 raise WorkloadInvalid(wf.id, issues)
+        type_ids = {t.id for t in system.types}
+        for uid in sorted(preallocate or {}):
+            if uid not in user_ids:
+                raise PreallocationInvalid(f"preallocation for unknown user {uid!r}")
+            unknown = sorted(set(preallocate[uid]) - type_ids)
+            if unknown:
+                raise PreallocationInvalid(
+                    f"preallocation for user {uid!r} names unknown types {unknown}"
+                )
         self.system = system
         self.users = users
         self.policy = policy

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dagops import WorkflowGraph, critical_path_length, ideal_makespan
+from .dagops import WorkflowGraph, critical_path_length, ideal_makespan, validate_workflow
 from .model import ModelError, WorkflowSpec, WorkloadInvalid, workflow_to_dict, workflow_from_dict
-from .dagops import validate_workflow
 
 
 class HorizonTooShort(ModelError):
@@ -168,10 +167,13 @@ def build_instance(
     users = {wf.user for wf in workflows}
     if len(users) > 1:
         raise ValueError("the model covers a single user's workload")
+    graphs: list[WorkflowGraph] = []  # in input order: ids are not checked for uniqueness
     for wf in workflows:
-        issues = validate_workflow(wf)
+        built: dict[str, WorkflowGraph] = {}
+        issues = validate_workflow(wf, built)
         if issues:
             raise WorkloadInvalid(wf.id, issues)
+        graphs.append(built[wf.id])
 
     res = tuple(
         MipResource(k + 1, rtype, cost) for k, (rtype, cost) in enumerate(resources)
@@ -180,8 +182,7 @@ def build_instance(
     wf_rows: list[MipWorkflow] = []
     index_of: dict[tuple[str, str], int] = {}
     specs = tuple(workflows)
-    for w, wf in enumerate(specs, start=1):
-        graph = WorkflowGraph(wf)
+    for w, (wf, graph) in enumerate(zip(specs, graphs), start=1):
         arrival_slot = wf.arrival_s // slot_s + 1
         slot_runtime = {
             tid: tuple(_slots(graph.tasks[tid].runtime_by_type[r.rtype], slot_s) for r in res)
@@ -235,29 +236,55 @@ def _interval_of(instance: MipInstance, t: int) -> int:
     return (t - 1) // instance.slots_per_billing + 1
 
 
+def _variable_grid(
+    instance: MipInstance,
+) -> tuple[dict[int, list[tuple[int, int, str]]], dict[int, list[list[str]]]]:
+    """Each task's start variables as (resource, start, name) rows, ordered
+    by resource then start, and the cover index: cover[k][slot] lists the
+    start variables whose run occupies that slot of resource k."""
+    x_by_task: dict[int, list[tuple[int, int, str]]] = {}
+    cover = {r.index: [[] for _ in range(instance.slots + 1)] for r in instance.resources}
+    for task in instance.tasks:
+        rows = x_by_task[task.index] = []
+        for r in instance.resources:
+            k = r.index
+            runtime = task.runtimes[k - 1]
+            by_slot = cover[k]
+            for t in _start_slots(instance, task, k):
+                name = f"x_{task.index}_{k}_{t}"
+                rows.append((k, t, name))
+                for slot in range(t, t + runtime):
+                    by_slot[slot].append(name)
+        if not rows:
+            raise HorizonTooShort(
+                f"task {task.wf_id}/{task.task_id} cannot finish within the horizon"
+            )
+    return x_by_task, cover
+
+
 # -- LP export ----------------------------------------------------------------
 
 
 def export_lp(instance: MipInstance) -> str:
     """Render the model as LP text (Maximize / Subject To / Bounds /
-    Generals / Binaries) that standard solvers accept."""
+    Generals / Binaries) that standard solvers accept.
+
+    The c2 and c4 rows read the cover index, which is filled in one forward
+    pass over tasks in index order and each task's starts in ascending
+    order. Every cover list is therefore ordered by task, then start, and a
+    c2 row merges a name's repeats at its first appearance, scanning the
+    interval's slots in order. The text depends on that order byte for byte.
+    """
     if not instance.tasks:
         raise ValueError("empty instance")
     T = instance.slots
     L = instance.slots_per_billing
     M = instance.billing_intervals
-    x_names: list[str] = []
-    x_by_task: dict[int, list[tuple[int, int, str]]] = {t.index: [] for t in instance.tasks}
-    for task in instance.tasks:
-        for r in instance.resources:
-            for t in _start_slots(instance, task, r.index):
-                name = f"x_{task.index}_{r.index}_{t}"
-                x_names.append(name)
-                x_by_task[task.index].append((r.index, t, name))
-        if not x_by_task[task.index]:
-            raise HorizonTooShort(
-                f"task {task.wf_id}/{task.task_id} cannot finish within the horizon"
-            )
+    x_by_task, cover = _variable_grid(instance)
+    # sum of t * x over a task's starts, shared by its c5 and c6 rows
+    start_sum = {
+        j: " ".join(f"+ {t} {name}" for _, t, name in rows) for j, rows in x_by_task.items()
+    }
 
     lines: list[str] = []
     lines.append(f"\\ {len(instance.tasks)} tasks, {len(instance.resources)} resources,")
@@ -280,20 +307,12 @@ def export_lp(instance: MipInstance) -> str:
         lines.append(f" c1_{task.index}: {terms} = 1")
 
     # busy-slot count per resource and billing interval
-    def covering(k: int, t: int) -> list[str]:
-        names = []
-        for task in instance.tasks:
-            runtime = task.runtimes[k - 1]
-            for r, tt, name in x_by_task[task.index]:
-                if r == k and tt >= max(1, t - runtime + 1) and tt <= t:
-                    names.append(name)
-        return names
-
     for r in instance.resources:
+        by_slot = cover[r.index]
         for m in range(1, M + 1):
             coef: dict[str, int] = {}
-            for t in range((m - 1) * L + 1, m * L + 1):
-                for name in covering(r.index, t):
+            for names in by_slot[(m - 1) * L + 1 : m * L + 1]:
+                for name in names:
                     coef[name] = coef.get(name, 0) + 1
             if coef:
                 lhs = " + ".join(
@@ -311,29 +330,23 @@ def export_lp(instance: MipInstance) -> str:
 
     # no overlap on any resource slot
     for r in instance.resources:
-        for t in range(1, T + 1):
-            terms = covering(r.index, t)
+        for t, terms in enumerate(cover[r.index][1:], start=1):
             if len(terms) > 1:
                 lines.append(f" c4_{r.index}_{t}: " + " + ".join(terms) + " <= 1")
 
     # parent finishes before child starts
     for task in instance.tasks:
         for p in task.parents:
-            child_terms = [f"+ {t} {name}" for _, t, name in x_by_task[task.index]]
             parent = instance.task(p)
-            parent_terms = [
-                f"- {t + parent.runtimes[k - 1]} {name}"
-                for k, t, name in x_by_task[p]
-            ]
-            lines.append(
-                f" c5_{task.index}_{p}: " + " ".join(child_terms + parent_terms) + " >= 0"
+            parent_terms = " ".join(
+                f"- {t + parent.runtimes[k - 1]} {name}" for k, t, name in x_by_task[p]
             )
+            lines.append(f" c5_{task.index}_{p}: {start_sum[task.index]} {parent_terms} >= 0")
 
     # no start before the workflow arrives
     for wf in instance.workflows:
         for j in wf.task_indices:
-            terms = " ".join(f"+ {t} {name}" for _, t, name in x_by_task[j])
-            lines.append(f" c6_{wf.index}_{j}: {terms} >= {wf.arrival_slot}")
+            lines.append(f" c6_{wf.index}_{j}: {start_sum[j]} >= {wf.arrival_slot}")
 
     # one completion slot per workflow
     for wf in instance.workflows:
@@ -365,7 +378,7 @@ def export_lp(instance: MipInstance) -> str:
     lines.append("Generals")
     lines.append(" " + " ".join(z_names))
     lines.append("Binaries")
-    binaries = list(x_names)
+    binaries = [name for rows in x_by_task.values() for _, _, name in rows]
     binaries += [f"y_{r.index}_{m}" for r in instance.resources for m in range(1, M + 1)]
     binaries += [f"u_{w.index}_{t}" for w in instance.workflows for t in range(1, T + 1)]
     for i in range(0, len(binaries), 8):
@@ -591,7 +604,8 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
 
     arrival = [instance.workflow(t.wf_index).arrival_slot for t in instance.tasks]
     min_rt = [min(t.runtimes) for t in instance.tasks]
-    wf_tasks = {wf.index: wf.task_indices for wf in instance.workflows}
+    wf_tasks = [(wf.earliest_completion, wf.task_indices) for wf in instance.workflows]
+    interval = [0] + [(t - 1) // L + 1 for t in range(1, T + 1)]  # slot -> interval
 
     busy = [0] * (V + 1)  # bitmask per resource, bit t-1 = slot t
     busy_in_interval = [[0] * (M + 1) for _ in range(V + 1)]
@@ -613,9 +627,9 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
                     start = max(start, est[p] + 1)
                 est[j] = start + min_rt[j - 1] - 1
         total = 0
-        for w, indices in wf_tasks.items():
+        for deadline, indices in wf_tasks:
             finish = max(est[j] for j in indices)
-            total += value_function(instance, w, finish)
+            total += 1 if finish <= deadline else deadline - finish  # value_function
         return total
 
     def dfs(j: int) -> None:
@@ -641,10 +655,8 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
                 mask = window << (t - 1)
                 if busy[k] & mask:
                     continue
-                m_lo = _interval_of(instance, t)
-                m_hi = _interval_of(instance, t + runtime - 1)
                 over = False
-                for m in range(m_lo, m_hi + 1):
+                for m in range(interval[t], interval[t + runtime - 1] + 1):
                     if busy_in_interval[k][m] == 0 and interval_cost[m] + r.cost > instance.budget:
                         over = True
                         break
@@ -652,7 +664,7 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
                     continue
                 busy[k] |= mask
                 for slot in range(t, t + runtime):
-                    m = _interval_of(instance, slot)
+                    m = interval[slot]
                     if busy_in_interval[k][m] == 0:
                         interval_cost[m] += r.cost
                     busy_in_interval[k][m] += 1
@@ -667,7 +679,7 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
                 del chosen[j]
                 ends[j] = 0
                 for slot in range(t, t + runtime):
-                    m = _interval_of(instance, slot)
+                    m = interval[slot]
                     busy_in_interval[k][m] -= 1
                     if busy_in_interval[k][m] == 0:
                         interval_cost[m] -= r.cost

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -46,6 +45,10 @@ class BudgetViolation(ModelError):
 
 class CapacityExceeded(ModelError):
     """An allocation request exceeded the configured type capacity."""
+
+
+class PreallocationInvalid(ModelError):
+    """A preallocation names a user or resource type the run does not have."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,9 +98,6 @@ class WorkflowSpec:
             raise ValueError(f"workflow {self.id!r}: priority must be in 0..9")
         if self.arrival_s < 0:
             raise ValueError(f"workflow {self.id!r}: arrival must be >= 0")
-
-    def task_map(self) -> dict[str, TaskSpec]:
-        return {t.id: t for t in self.tasks}
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ __all__ = [
     "BudgetTooSmall",
     "BudgetViolation",
     "CapacityExceeded",
-    "Fraction",
     "ModelError",
     "OverCommitted",
+    "PreallocationInvalid",
     "Resource",
     "ResourceState",
     "ResourceType",

@@ -49,10 +49,6 @@ class ExecutionPlan:
         timeline.append(entry)
         self.by_task[ref] = entry
 
-    def available_from(self, resource_id: int, default: int) -> int:
-        timeline = self.by_resource.get(resource_id)
-        return timeline[-1].end_s if timeline else default
-
     def has_tasks(self, resource_id: int) -> bool:
         return bool(self.by_resource.get(resource_id))
 
@@ -80,9 +76,6 @@ class Decision:
     plan: ExecutionPlan | None = None
     diagnostics: dict | None = None
     step_seconds: dict[str, float] = field(default_factory=dict)
-
-    def allocation_count(self) -> int:
-        return sum(len(ids) for ids in self.alloc.values())
 
 
 @dataclass

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..model import OverCommitted, ResourceState, ResourceType, TaskSpec
+from ..model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus
 from ..state import SystemState, TaskRef
 from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle
 
@@ -123,8 +123,6 @@ def build_plan(
             place(ref, now, candidates)
 
     # Phase 2: everything else, precedence permitting.
-    from ..model import TaskStatus
-
     for wf_id in workflow_order:
         run = state.runs[wf_id]
         if min(s.available_s for s in slots) >= horizon_s:
@@ -294,7 +292,6 @@ class ScfPolicy(Policy):
             raise OverCommitted(
                 f"user {user}: reserved cost {committed} over budget {budget}"
             )
-        from ..model import TaskStatus
 
         supply: dict[str, int] = {t.id: 0 for t in types}
         active = [w for w in state.user_workflows[user] if not state.runs[w].done]

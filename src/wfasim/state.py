@@ -225,9 +225,6 @@ class SystemState:
         """Running plus eligible task count: work the user could use now."""
         return self._running[user] + self._eligible[user]
 
-    def running_count(self, user: str) -> int:
-        return self._running[user]
-
     def supply(self, user: str) -> int:
         return sum(len(ids) for s in _HELD for ids in self._pools[user][s].values())
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import chain_wf
 from wfasim import mip
-from wfasim.cli import main
+from wfasim.cli import main, parse_policy
 from wfasim.model import load_workload
 
 SIZE_SMALL = {"log_median": 6, "log_sigma": 0.4, "min_tasks": 4, "max_tasks": 12}
@@ -181,6 +181,27 @@ def test_run_rejects_pfa_knobs_on_other_policies(tmp_path, capsys):
     config = run_config(tmp_path, policy={"name": "scf", "ma_depth": 4})
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "only apply to pfa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("knob, value", [("ma_depth", 0), ("alpha", 0), ("alpha", "0.999")])
+def test_parse_policy_accepts_pfa_bounds_at_their_edges(knob, value):
+    policy = parse_policy({"name": "pfa", knob: value})
+    assert str(getattr(policy.config, knob)) == str(value)
+
+
+@pytest.mark.parametrize(
+    "knob, value", [("ma_depth", -1), ("alpha", "-0.001"), ("alpha", 1), ("alpha", "x")]
+)
+def test_run_rejects_pfa_knob_past_its_bound(tmp_path, capsys, knob, value):
+    config = run_config(tmp_path, policy={"name": "pfa", knob: value})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy:") and "Traceback" not in err
+
+
+def test_run_accepts_pfa_ma_depth_zero(tmp_path):
+    config = run_config(tmp_path, policy={"name": "pfa", "ma_depth": 0}, replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_run_workload_needs_exactly_one_source(tmp_path, capsys):

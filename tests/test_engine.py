@@ -4,7 +4,12 @@ import pytest
 
 from conftest import chain_wf, small_only_system, two_type_system, users, wf
 from wfasim import dagops, engine
-from wfasim.model import BudgetViolation, CapacityExceeded, WorkloadInvalid
+from wfasim.model import (
+    BudgetViolation,
+    CapacityExceeded,
+    PreallocationInvalid,
+    WorkloadInvalid,
+)
 from wfasim.policies import NonePolicy, PfaPolicy, PlfPolicy, ScfPolicy
 from wfasim.workload import WL1, generate_workload
 
@@ -50,6 +55,18 @@ def test_prealloc_beyond_capacity_rejected():
     with pytest.raises(CapacityExceeded):
         run([w], system=small_only_system(count=1),
             policy=NonePolicy(), preallocate={"u1": {"small": 2}})
+
+
+def test_prealloc_for_unlisted_user_rejected_before_run():
+    w = wf("w1", [("a", {"small": 5})])
+    with pytest.raises(PreallocationInvalid, match="ghost"):
+        run([w], policy=NonePolicy(), preallocate={"ghost": {"small": 1}})
+
+
+def test_prealloc_of_unknown_type_rejected_before_run():
+    w = wf("w1", [("a", {"small": 5})])
+    with pytest.raises(PreallocationInvalid, match="xlarge"):
+        run([w], policy=NonePolicy(), preallocate={"u1": {"small": 1, "xlarge": 3}})
 
 
 def test_arrivals_respect_time():

@@ -2,12 +2,15 @@
 solution checking, and the bridge to simulated runs."""
 
 import dataclasses
+import hashlib
+import json
 import random
+import re
 
 import pytest
 
 from conftest import chain_wf, diamond_wf, users, wf
-from wfasim import engine
+from wfasim import dagops, engine
 from wfasim.dagops import ideal_makespan
 from wfasim.mip import (
     HorizonTooShort,
@@ -184,6 +187,20 @@ def test_horizon_validation():
         build_instance([spec], 5, 2, 1, [("small", 1)], horizon_slots=7)
     with pytest.raises(HorizonTooShort):
         build_instance([spec], 5, 2, 1, [("small", 1)], horizon_slots=4)
+
+
+def test_build_instance_builds_each_graph_once(monkeypatch):
+    builds = []
+    original = dagops.WorkflowGraph.__init__
+
+    def counting(self, spec):
+        builds.append(spec.id)
+        original(self, spec)
+
+    monkeypatch.setattr(dagops.WorkflowGraph, "__init__", counting)
+    d = diamond_wf("d", {"small": 5}, {"small": 5}, {"small": 5}, {"small": 5})
+    build_instance([d, chain_wf("c", [{"small": 5}] * 2)], 5, 2, 1, [("small", 1)])
+    assert builds == ["d", "c"]
 
 
 def test_build_rejects_bad_input():
@@ -527,3 +544,110 @@ def test_simulated_profit_never_beats_optimum():
         finishes = run_finishes(result)
         assert set(finishes) == {"a", "b"}
         assert realized_profit(inst, finishes) <= optimal.profit
+
+
+# -- golden LP text and solutions -----------------------------------------------
+#
+# SHA-256 digests of export_lp's text and of solve_exact's x, taken before
+# export_lp gained its cover index. Substring and lp_counts checks cannot see
+# a reordered row, term or variable, or a different optimum of equal profit;
+# these digests do. Update one only for a change that is meant to alter the
+# model's text or the solver's branching order, and say so in CHANGES.md.
+
+
+def wide_instance(seed):
+    """A diamond and a chain on 2 + 2 machines of unequal cost, with seeded
+    runtimes, arrivals, interval length and budget."""
+    rng = random.Random(seed)
+
+    def runtimes():
+        fast = rng.randint(1, 2)
+        return {"small": (fast + rng.randint(0, 2)) * 5, "large": fast * 5}
+
+    specs = [
+        diamond_wf("d", runtimes(), runtimes(), runtimes(), runtimes(),
+                   arrival_s=rng.choice([0, 5])),
+        chain_wf("c", [runtimes(), runtimes()], arrival_s=rng.choice([5, 10, 15])),
+    ]
+    return build_instance(
+        specs, slot_s=5, slots_per_billing=rng.choice([2, 3, 4]), budget=rng.randint(5, 8),
+        resources=[("small", 1), ("small", 1), ("large", 5), ("large", 5)],
+    )
+
+
+def golden_instances():
+    insts = {f"wide{seed}": wide_instance(seed) for seed in range(6)}
+    insts.update({f"random{seed}": random_instance(seed) for seed in (5, 14)})
+    return insts
+
+
+# name -> (SHA-256 of export_lp's text, SHA-256 of x as JSON)
+GOLDEN_MIP = {
+    "random14": (
+        "3906df4d5c131ac49f1b61eb5a2a7df80a4da4fbe849cdd73d62152f8740d0ff",
+        "e2442a866cbc6a9834895a7c5269584958b2144115f358599d9d31eee7d805f0",
+    ),
+    "random5": (
+        "12f8471eb27c6cddb9662407f15036d76d067b36570a98bc010bce0aa5a4fbf4",
+        "83d8924178ad02fbf42dc7cb774b3b6970e84c8b5002e76b85f390a63f1290b7",
+    ),
+    "wide0": (
+        "e1c365e9c3007907f74aab00ed47b352dd126f221929635dc550bc1007e2a759",
+        "062d17d5cf1a8de9a02fe44fd65824f805fe2239eefdd376ec5b1a748d392cdd",
+    ),
+    "wide1": (
+        "d990b66768ffb1a3edf8e5eee8506b5e6dfdee346a91075d24b6307a7270b111",
+        "93878f053b57c47325323201e313844eb14de90aab8503531c50ed5225eb6add",
+    ),
+    "wide2": (
+        "ff05c748005ca5275daab602171a7184b4dd7d2b3025966cd74b7f0eb2d22bef",
+        "712d5a27309ea28f41e108cbf2794ac497050d33920635889f2c607ebeef5f56",
+    ),
+    "wide3": (
+        "421100785f052109e17d34c4ad662090547929ef99f48186ea9f91e603d22ac5",
+        "d00649fbcb8a2b2ce5a95c6825c23554e2c035e05e485a4b0e3f19582415d429",
+    ),
+    "wide4": (
+        "74592b04ab70b7579ff1310795af54261b4bae826f444e0d4016b1bb850bdaf6",
+        "b0c8a912793b942aef321a3410c7da3c44964af9a13946f3eadb60182ab5fa70",
+    ),
+    "wide5": (
+        "c17c1f4167ded8616514bb82b5e290e2c583a436300a825059b6ffc6dbec3562",
+        "32331d6679380869cf5f6743391d9099fa1cc32ecc408c820f9baa78825bd596",
+    ),
+}
+
+
+def x_digest(sol):
+    return hashlib.sha256(json.dumps([list(row) for row in sol.x]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MIP))
+def test_lp_text_and_solution_match_golden_digests(name):
+    inst = golden_instances()[name]
+    lp_sha, x_sha = GOLDEN_MIP[name]
+    assert hashlib.sha256(export_lp(inst).encode()).hexdigest() == lp_sha
+    sol = solve_exact(inst)
+    assert check_solution(inst, sol) == []
+    assert x_digest(sol) == x_sha
+
+
+def test_golden_set_covers_every_row_shape():
+    insts = golden_instances()
+    assert set(insts) == set(GOLDEN_MIP)
+
+    def chained(inst):
+        return sum(any(inst.task(j).parents for j in w.task_indices) for w in inst.workflows)
+
+    def spans_boundary(inst, sol):
+        L = inst.slots_per_billing
+        return any((t - 1) // L != (t + inst.task(j).runtimes[k - 1] - 2) // L
+                   for j, k, t in sol.x)
+
+    assert any(chained(inst) >= 2 for inst in insts.values())
+    assert any(w.arrival_slot > 1 for inst in insts.values() for w in inst.workflows)
+    assert any(len({r.cost for r in inst.resources}) > 1 for inst in insts.values())
+    assert any(spans_boundary(inst, solve_exact(inst)) for inst in insts.values())
+    # a start variable counted twice in one busy-count row
+    assert any(re.search(r" c2_\d+_\d+: (.* )?[2-9] x_", export_lp(inst))
+               for inst in insts.values())
