@@ -88,7 +88,7 @@ def parse_policy(doc: dict) -> Policy:
         try:
             config = PfaConfig(
                 smoothing=doc.get("smoothing", "ma"),
-                ma_depth=int(doc.get("ma_depth", 10)),
+                ma_depth=doc.get("ma_depth", 10),
                 alpha=str(doc.get("alpha", "0.7")),
             )
         except (TypeError, ValueError) as exc:
@@ -211,11 +211,10 @@ def generate_from_spec(spec: dict) -> tuple[list, dict[str, list]]:
 
 
 def _replication(args: tuple) -> dict:
-    """One isolated replication; runs in a worker process under --jobs."""
-    (config, workflows, rep, seed, out_dir, collect_plans) = args
-    system = parse_system(config["system"])
-    users = parse_users(config["users"])
-    policy = parse_policy(config["policy"])
+    """One isolated replication; runs in a worker process under --jobs. The
+    policy is parsed here, so every replication starts with fresh policy state."""
+    (system, users, policy_doc, workflows, rep, seed, out_dir, collect_plans) = args
+    policy = parse_policy(policy_doc)
     result = engine.run(
         workflows, system, users, policy, seed=seed, collect_plans=collect_plans
     )
@@ -232,7 +231,7 @@ def _replication(args: tuple) -> dict:
     return {"replication": rep, "seed": seed, "summary": summary}
 
 
-def load_run_workload(config: dict, base: Path) -> list:
+def load_run_workload(config: dict, base: Path, system: SystemConfig) -> list:
     wl = config["workload"]
     _check_keys(wl, "workload", set(), {"file", "genspec", "arrivals"})
     if ("file" in wl) == ("genspec" in wl):
@@ -249,7 +248,6 @@ def load_run_workload(config: dict, base: Path) -> list:
         workflows, _ = generate_from_spec(spec)
     if "arrivals" in wl:
         _check_keys(wl["arrivals"], "workload.arrivals", {"utilization"}, {"capacity", "seed"})
-        system = parse_system(config["system"])
         capacity = int(wl["arrivals"].get("capacity", system.total_capacity()))
         workflows = engine.poisson_arrivals(
             workflows,
@@ -271,10 +269,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if config.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"config: schema must be {CONFIG_SCHEMA!r}")
-    parse_system(config["system"])
-    parse_users(config["users"])
-    parse_policy(config["policy"])
-    workflows = load_run_workload(config, config_path.parent)
+    system = parse_system(config["system"])
+    users = parse_users(config["users"])
+    parse_policy(config["policy"])  # reject a bad policy before any work
+    workflows = load_run_workload(config, config_path.parent, system)
     seed = config.get("seed", 0) if args.seed is None else args.seed
     reps = int(config.get("replications", 1))
     collect_plans = bool(config.get("collect_plans", False))
@@ -282,7 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = [
-        (config, workflows, rep, seed + rep, str(out), collect_plans)
+        (system, users, config["policy"], workflows, rep, seed + rep, str(out), collect_plans)
         for rep in range(reps)
     ]
     if args.jobs > 1 and reps > 1:

@@ -17,7 +17,7 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dagops import WorkflowGraph, ideal_makespan, validate_workflow
@@ -33,10 +33,9 @@ from .model import (
     WorkloadInvalid,
     min_runtime,
 )
-from .policies.base import Decision, Policy, PolicyView
-from .policies.pfa import IdleInfo, PfaObservation, ThroughputHistory
+from .policies.base import Decision, Policy, PolicyView, perfect_oracle
 from .scheduler import PlanRunner, dispatch_dynamic
-from .state import SystemState
+from .state import SystemState, UserFacade
 
 # event precedence at equal timestamps
 _FINISH, _BOOT, _WAKE, _ARRIVAL, _TICK, _BILLING = range(6)
@@ -197,16 +196,7 @@ def poisson_arrivals(
     out = []
     for wf in workflows:
         clock += rng.expovariate(rate)
-        out.append(
-            WorkflowSpec(
-                id=wf.id,
-                user=wf.user,
-                priority=wf.priority,
-                arrival_s=int(round(clock)),
-                tasks=wf.tasks,
-                edges=wf.edges,
-            )
-        )
+        out.append(replace(wf, arrival_s=int(round(clock))))
     return out
 
 
@@ -223,9 +213,15 @@ class _Sim:
         preallocate: dict[str, dict[str, int]] | None,
         collect_plans: bool,
     ):
+        user_ids: set[str] = set()
+        for u in users:
+            if u.id in user_ids:
+                raise ValueError(f"duplicate user id {u.id!r}")
+            user_ids.add(u.id)
         self.graphs: dict[str, WorkflowGraph] = {}
-        user_ids = {u.id for u in users}
         for wf in workflows:
+            if wf.id in self.graphs:
+                raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
             issues = validate_workflow(wf, self.graphs)
             if not issues and wf.user not in user_ids:
                 issues = [f"UnknownUser({wf.user})"]
@@ -251,17 +247,6 @@ class _Sim:
         self.heap: list[tuple[int, int, int, tuple]] = []
         self.push_seq = itertools.count()
         self.type_ids = [t.id for t in system.types]
-        window = 50
-        pcfg = getattr(policy, "config", None)
-        if pcfg is not None and hasattr(pcfg, "history_window"):
-            window = max(window, pcfg.history_window())
-        self.history = {
-            u.id: ThroughputHistory(self.type_ids, window) for u in users
-        }
-        self.completed = {u.id: {t: 0 for t in self.type_ids} for u in users}
-        self.interval_alloc = {
-            u.id: {t: 0 for t in self.type_ids} for u in users
-        }
         self.plan_runner = PlanRunner() if policy.mode == "plan" else None
         self.trace: list[tuple] = []
         self.snapshots: list[IntervalSnapshot] = []
@@ -330,7 +315,6 @@ class _Sim:
         rid = run.task_resource[task_id]
         rtype_id = self.state.resources[rid].rtype.id
         self.state.finish_task(wf_id, task_id, now)
-        self.completed[run.spec.user][rtype_id] += 1
         self.row(now, "finish", run.spec.user, workflow=wf_id, task=task_id,
                  resource=rid, rtype=rtype_id)
         if run.done:
@@ -351,13 +335,9 @@ class _Sim:
         k = now // self.system.interval_s
         self.tick_scheduled = False
         self.row(now, "tick", detail=f"interval={k}")
-        if self.state.all_done and self.arrivals_left == 0 and self.reserved_total() == 0:
+        if self.state.all_done and self.arrivals_left == 0 and not self.state.reserved():
             return
         self.ticks += 1
-        if k > 0:
-            for u in self.users:
-                self.history[u.id].record(self.completed[u.id], self.interval_alloc[u.id])
-                self.completed[u.id] = {t: 0 for t in self.type_ids}
         for u in self.users:
             self.pending_snapshot[u.id] = (
                 k,
@@ -382,14 +362,9 @@ class _Sim:
                 acted = True
             self.apply_decision(uid, decision, now, k)
         for u in self.users:
-            counts = self.state.counts_by_type(u.id)
-            self.interval_alloc[u.id] = {
-                t: counts[t]["allocated"] for t in self.type_ids
-            }
-        for u in self.users:
             self.dispatch(u.id, now)
         work_left = not (self.state.all_done and self.arrivals_left == 0)
-        if work_left or (self.reserved_total() > 0 and acted):
+        if work_left or (acted and self.state.reserved()):
             self.push(now + self.system.interval_s, _TICK, ())
             self.push(now + self.system.interval_s, _BILLING, ())
             self.tick_scheduled = True
@@ -436,48 +411,15 @@ class _Sim:
     # -- decision plumbing -----------------------------------------------------
 
     def build_view(self, uid: str, now: int, tick: int) -> PolicyView:
-        user = self.state.users[uid]
-        observation = None
-        if self.policy.needs_observation:
-            observation = self.build_observation(uid, now, tick)
         return PolicyView(
             now=now,
             tick=tick,
-            user=user,
+            user=self.state.users[uid],
             config=self.system,
             state=self.state,
-            oracle=lambda task, rtype_id: task.runtime_by_type[rtype_id],
+            oracle=perfect_oracle,
             rng=self.rng,
-            observation=observation,
-        )
-
-    def build_observation(self, uid: str, now: int, tick: int) -> PfaObservation:
-        counts = self.state.counts_by_type(uid)
-        allocated = {t: counts[t]["allocated"] for t in self.type_ids}
-        locked = {t: counts[t]["busy"] + counts[t]["booting"] for t in self.type_ids}
-        idle: dict[str, tuple[IdleInfo, ...]] = {}
-        free_ids: dict[str, tuple[int, ...]] = {}
-        for t in self.type_ids:
-            idle[t] = tuple(
-                IdleInfo(r.id, r.billing_end_s or 0, r.idle_since_s or 0)
-                for r in self.state.idle_resources(uid, t)
-            )
-            free_ids[t] = tuple(r.id for r in self.state.free_resources(t))
-        nodes, edges = self.state.joint_dag(uid)
-        user = self.state.users[uid]
-        return PfaObservation(
-            now=now,
-            tick=tick,
-            user_id=uid,
-            budget=user.budget,
-            types=tuple((tid, self.system.type_by_id(tid).cost) for tid in self.type_ids),
-            allocated=allocated,
-            locked=locked,
-            idle=idle,
-            free_ids=free_ids,
-            joint_nodes=tuple(nodes),
-            joint_edges=tuple(edges),
-            history=self.history[uid],
+            observation=UserFacade(self.state, uid),
         )
 
     def apply_decision(self, uid: str, decision: Decision, now: int, tick: int) -> None:
@@ -528,9 +470,6 @@ class _Sim:
             self.push(now + runtime, _FINISH, (wf_id, task_id))
             self.row(now, "start", uid, workflow=wf_id, task=task_id,
                      resource=rid, rtype=r.rtype.id, detail=f"runtime={runtime}")
-
-    def reserved_total(self) -> int:
-        return len(self.state.reserved())
 
     # -- main loop ---------------------------------------------------------------
 

@@ -167,13 +167,13 @@ def build_instance(
     users = {wf.user for wf in workflows}
     if len(users) > 1:
         raise ValueError("the model covers a single user's workload")
-    graphs: list[WorkflowGraph] = []  # in input order: ids are not checked for uniqueness
+    graphs: dict[str, WorkflowGraph] = {}
     for wf in workflows:
-        built: dict[str, WorkflowGraph] = {}
-        issues = validate_workflow(wf, built)
+        if wf.id in graphs:
+            raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
+        issues = validate_workflow(wf, graphs)
         if issues:
             raise WorkloadInvalid(wf.id, issues)
-        graphs.append(built[wf.id])
 
     res = tuple(
         MipResource(k + 1, rtype, cost) for k, (rtype, cost) in enumerate(resources)
@@ -182,7 +182,7 @@ def build_instance(
     wf_rows: list[MipWorkflow] = []
     index_of: dict[tuple[str, str], int] = {}
     specs = tuple(workflows)
-    for w, (wf, graph) in enumerate(zip(specs, graphs), start=1):
+    for w, (wf, graph) in enumerate(zip(specs, graphs.values()), start=1):
         arrival_slot = wf.arrival_s // slot_s + 1
         slot_runtime = {
             tid: tuple(_slots(graph.tasks[tid].runtime_by_type[r.rtype], slot_s) for r in res)

@@ -9,8 +9,7 @@ from typing import TYPE_CHECKING, Callable
 from ..model import SystemConfig, TaskSpec, UserConfig
 
 if TYPE_CHECKING:
-    from ..state import SystemState
-    from .pfa import PfaObservation
+    from ..state import SystemState, UserFacade
 
 # Perfect runtime estimates: the oracle returns the workload's true runtime.
 RuntimeOracle = Callable[[TaskSpec, str], int]
@@ -80,7 +79,8 @@ class Decision:
 
 @dataclass
 class PolicyView:
-    """Everything the engine exposes to one policy invocation."""
+    """Everything the engine exposes to one policy invocation. A feedback
+    policy reads the runtime-free ``observation``, not ``state`` or ``oracle``."""
 
     now: int
     tick: int
@@ -89,7 +89,7 @@ class PolicyView:
     state: "SystemState"
     oracle: RuntimeOracle
     rng: random.Random
-    observation: "PfaObservation | None" = None
+    observation: "UserFacade | None" = None
 
     @property
     def horizon_s(self) -> int:
@@ -106,7 +106,6 @@ class Policy:
 
     name = "base"
     mode = "dynamic"
-    needs_observation = False
 
     def decide(self, view: PolicyView) -> Decision:
         raise NotImplementedError

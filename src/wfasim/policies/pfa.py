@@ -3,8 +3,9 @@
 Chooses per-type resource counts for the next interval from two signals
 only: the user's historical task throughput per resource type, and the
 structure of the user's unfinished workflow DAG. The policy is deliberately
-blind to runtime estimates; everything it reads is in
-:class:`PfaObservation`, which carries no runtime information at all.
+blind to runtime estimates: it builds its :class:`PfaObservation`, which
+carries no runtime information at all, from the runtime-free user facade
+and the throughput history it keeps itself.
 
 All ratio arithmetic uses exact fractions so floor/ceil decisions never
 depend on float rounding.
@@ -115,6 +116,8 @@ class PfaConfig:
     def __post_init__(self) -> None:
         if self.smoothing not in ("ma", "ewma"):
             raise ValueError("smoothing must be 'ma' or 'ewma'")
+        if not isinstance(self.ma_depth, int) or isinstance(self.ma_depth, bool):
+            raise TypeError("ma_depth must be an int")
         if self.ma_depth < 0:
             raise ValueError("ma_depth must be >= 0")
         a = self.alpha_fraction()
@@ -130,10 +133,13 @@ class PfaConfig:
 
 @dataclass
 class PfaState:
-    """Carried between ticks: previous smoothed shares and lookahead depth."""
+    """Carried between ticks: previous smoothed shares and lookahead depth,
+    the throughput history, and the per-type finished counts last seen."""
 
     prev_shares: list[Fraction] | None = None
     prev_depth: int = 1
+    history: ThroughputHistory | None = None
+    finished: Mapping[str, int] = field(default_factory=dict)
 
 
 def equal_shares(n: int) -> list[Fraction]:
@@ -445,7 +451,6 @@ class PfaPolicy(Policy):
     """Throughput-profiled autoscaler with dynamic task placement."""
 
     mode = "dynamic"
-    needs_observation = True
 
     def __init__(self, config: PfaConfig | None = None):
         self.config = config or PfaConfig()
@@ -453,13 +458,54 @@ class PfaPolicy(Policy):
         self._carry: dict[str, PfaState] = {}
 
     def decide(self, view: PolicyView) -> Decision:
-        # Only the observation is consulted: the firewall against runtime
-        # knowledge is structural, not just a convention.
-        obs = view.observation
-        if obs is None:
-            raise ValueError("PFA requires an observation snapshot")
-        carry = self._carry.setdefault(obs.user_id, PfaState())
-        return pfa_decide(obs, self.config, carry)
+        # Only the runtime-free facade and the view's scalars are consulted:
+        # the firewall against runtime knowledge is structural.
+        if view.observation is None:
+            raise ValueError("PFA requires an observation facade")
+        t0 = time.perf_counter()
+        obs, carry = self.observe(view)
+        observe_s = time.perf_counter() - t0
+        decision = pfa_decide(obs, self.config, carry)
+        decision.step_seconds = {"observe": observe_s, **decision.step_seconds}
+        return decision
+
+    def observe(self, view: PolicyView) -> tuple[PfaObservation, PfaState]:
+        """Record the interval that just ended, then snapshot the user.
+
+        The carry starts fresh at tick 0. Later decisions record the tasks
+        finished since the previous one against the machines allocated now:
+        only applied decisions change allocations, so these were held
+        through the whole interval."""
+        facade = view.observation
+        type_ids = tuple(t.id for t in view.config.types)
+        counts = facade.counts_by_type()
+        allocated = {t: counts[t]["allocated"] for t in type_ids}
+        finished = facade.finished_by_type()
+        carry = self._carry.get(facade.user_id)
+        if carry is None or view.tick == 0:
+            history = ThroughputHistory(type_ids, self.config.history_window())
+            carry = self._carry[facade.user_id] = PfaState(history=history)
+        else:
+            carry.history.record(
+                {t: finished[t] - carry.finished[t] for t in type_ids}, allocated
+            )
+        carry.finished = finished
+        nodes, edges = facade.joint_dag()
+        obs = PfaObservation(
+            now=view.now,
+            tick=view.tick,
+            user_id=facade.user_id,
+            budget=view.user.budget,
+            types=tuple((t.id, t.cost) for t in view.config.types),
+            allocated=allocated,
+            locked={t: counts[t]["busy"] + counts[t]["booting"] for t in type_ids},
+            idle={t: tuple(IdleInfo._make(i) for i in facade.idle(t)) for t in type_ids},
+            free_ids={t: facade.free_ids(t) for t in type_ids},
+            joint_nodes=tuple(nodes),
+            joint_edges=tuple(edges),
+            history=carry.history,
+        )
+        return obs, carry
 
 
 __all__ = [

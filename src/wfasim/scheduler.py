@@ -79,8 +79,5 @@ class PlanRunner:
                 queues.pop(r.id, None)
         return out
 
-    def drop(self, user: str) -> None:
-        self._queues.pop(user, None)
-
 
 __all__ = ["Assignment", "PlanRunner", "dispatch_dynamic"]

@@ -11,7 +11,9 @@ so no query scans every machine or re-sorts every eligible task:
   eligible; entries of tasks that have since started are stale and are
   skipped, or compacted away once they outnumber the live ones;
 - one set of machine ids per (user, type, state) for the reserved states,
-  and one set of free machine ids per type.
+  and one set of free machine ids per type;
+- per user, the unfinished tasks with their edges in arrival, then
+  topological, order, and the finished-task count per type.
 
 Index invariant: only the ``SystemState`` transitions (``reserve``,
 ``boot_complete``, ``start_task``, ``finish_task`` and ``release``) may
@@ -89,8 +91,8 @@ class SystemState:
         self._running: dict[str, int] = {u.id: 0 for u in users}
         self._eligible: dict[str, int] = {u.id: 0 for u in users}
         self._heaps: dict[str, list[tuple[OrderKey, TaskRef]]] = {u.id: [] for u in users}
+        self._unfinished: dict[str, dict[TaskRef, tuple]] = {u.id: {} for u in users}
         self._arrival_seq = 0
-        self._open_runs = 0
         self._type_ids = tuple(t.id for t in config.types)
         # machine ids: user -> state -> type id -> ids, and type id -> free ids
         self._pools: dict[str, dict[ResourceState, dict[str, set[int]]]] = {
@@ -99,6 +101,7 @@ class SystemState:
         self._free: dict[str, set[int]] = {t: set() for t in self._type_ids}
         for r in self.resources:
             self._free[r.rtype.id].add(r.id)
+        self._finished = {u.id: dict.fromkeys(self._type_ids, 0) for u in users}
 
     def _move(self, resource: Resource, to: ResourceState) -> None:
         """Set a machine's state and move its id to the matching pool."""
@@ -139,9 +142,9 @@ class SystemState:
         run = WorkflowRun(spec=spec, graph=graph, seq=self._arrival_seq)
         self._arrival_seq += 1
         run.unfinished = len(spec.tasks)
-        if run.unfinished:
-            self._open_runs += 1
-        for tid in graph.topo_order:
+        refs = {tid: (spec.id, tid) for tid in graph.topo_order}
+        for tid, ref in refs.items():
+            self._unfinished[spec.user][ref] = tuple((ref, refs[c]) for c in graph.children[tid])
             blocked = len(graph.parents[tid])
             run.blocked_parents[tid] = blocked
             if blocked == 0:
@@ -187,9 +190,11 @@ class SystemState:
         run.unfinished -= 1
         if run.unfinished == 0:
             run.last_finish_s = now
-            self._open_runs -= 1
-        self._running[run.spec.user] -= 1
+        user = run.spec.user
+        self._running[user] -= 1
+        del self._unfinished[user][(wf_id, task_id)]
         resource = self.resources[run.task_resource[task_id]]
+        self._finished[user][resource.rtype.id] += 1
         self._move(resource, ResourceState.IDLE)
         resource.running = None
         resource.idle_since_s = now
@@ -285,19 +290,8 @@ class SystemState:
         Node and edge order is deterministic (arrival sequence, then
         topological index).
         """
-        nodes: list[TaskRef] = []
-        edges: list[tuple[TaskRef, TaskRef]] = []
-        for wf_id in self.user_workflows[user]:
-            run = self.runs[wf_id]
-            if run.done:
-                continue
-            for tid in run.graph.topo_order:
-                if run.status[tid] is TaskStatus.FINISHED:
-                    continue
-                nodes.append((wf_id, tid))
-                for child in run.graph.children[tid]:
-                    edges.append(((wf_id, tid), (wf_id, child)))
-        return nodes, edges
+        tasks = self._unfinished[user]
+        return list(tasks), [edge for edges in tasks.values() for edge in edges]
 
     # -- reservations -------------------------------------------------------
 
@@ -346,7 +340,39 @@ class SystemState:
 
     @property
     def all_done(self) -> bool:
-        return self._open_runs == 0
+        return not any(self._unfinished.values())
 
 
-__all__ = ["SystemState", "TaskRef", "WorkflowRun"]
+class UserFacade:
+    """Read-only view of one user's machines and unfinished work, in plain
+    ids and counts. Nothing on it leads to the runs, their specs or task
+    runtimes, so a policy that reads only this cannot use runtime knowledge."""
+
+    __slots__ = ("_state", "user_id")
+
+    def __init__(self, state: SystemState, user_id: str):
+        self._state = state
+        self.user_id = user_id
+
+    def counts_by_type(self) -> dict[str, dict[str, int]]:
+        return self._state.counts_by_type(self.user_id)
+
+    def idle(self, rtype_id: str) -> tuple[tuple[int, int, int], ...]:
+        """(id, billing end, idle since) of each idle machine, lowest id first."""
+        return tuple(
+            (r.id, r.billing_end_s or 0, r.idle_since_s or 0)
+            for r in self._state.idle_resources(self.user_id, rtype_id)
+        )
+
+    def free_ids(self, rtype_id: str) -> tuple[int, ...]:
+        return tuple(r.id for r in self._state.free_resources(rtype_id))
+
+    def joint_dag(self) -> tuple[list[TaskRef], list[tuple[TaskRef, TaskRef]]]:
+        return self._state.joint_dag(self.user_id)
+
+    def finished_by_type(self) -> dict[str, int]:
+        """Tasks finished so far, per type of the machine that ran them."""
+        return dict(self._state._finished[self.user_id])
+
+
+__all__ = ["SystemState", "TaskRef", "UserFacade", "WorkflowRun"]

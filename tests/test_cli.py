@@ -190,7 +190,9 @@ def test_parse_policy_accepts_pfa_bounds_at_their_edges(knob, value):
 
 
 @pytest.mark.parametrize(
-    "knob, value", [("ma_depth", -1), ("alpha", "-0.001"), ("alpha", 1), ("alpha", "x")]
+    "knob, value",
+    [("ma_depth", -1), ("ma_depth", 2.5), ("ma_depth", True),
+     ("alpha", "-0.001"), ("alpha", 1), ("alpha", "x")],
 )
 def test_run_rejects_pfa_knob_past_its_bound(tmp_path, capsys, knob, value):
     config = run_config(tmp_path, policy={"name": "pfa", knob: value})
@@ -294,3 +296,20 @@ def test_run_rejects_workflow_of_unlisted_user(tmp_path, capsys):
     })
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "UnknownUser(ghost)" in capsys.readouterr().err
+
+
+def test_run_rejects_duplicate_user_ids(tmp_path, capsys):
+    config = run_config(tmp_path, users=[{"id": "u1", "budget": 20}, {"id": "u1", "budget": 9}])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "duplicate user id 'u1'" in capsys.readouterr().err
+
+
+def test_run_rejects_duplicate_workflow_ids(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", genspec(count=2))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "wl.json")]) == 0
+    doc = json.loads((tmp_path / "wl.json").read_text())
+    doc["workflows"][1]["id"] = doc["workflows"][0]["id"]
+    write_json(tmp_path / "wl.json", doc)
+    config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "DuplicateWorkflow" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Simulation engine: event order, billing, determinism, conservation."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from conftest import chain_wf, small_only_system, two_type_system, users, wf
@@ -10,7 +13,8 @@ from wfasim.model import (
     PreallocationInvalid,
     WorkloadInvalid,
 )
-from wfasim.policies import NonePolicy, PfaPolicy, PlfPolicy, ScfPolicy
+from wfasim.policies import NonePolicy, PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
+from wfasim.policies import pfa as pfa_module
 from wfasim.workload import WL1, generate_workload
 
 
@@ -256,3 +260,53 @@ def test_each_workflow_graph_built_once(monkeypatch):
     result = run(wfs, budget=20)
     assert result.state.all_done
     assert sorted(builds) == sorted(w.id for w in wfs)
+
+
+def test_duplicate_workflow_id_rejected_before_the_run():
+    first = wf("w1", [("a", {"small": 10})])
+    later = wf("w1", [("b", {"small": 20})], arrival_s=30)
+    with pytest.raises(WorkloadInvalid) as err:
+        run([first, later])
+    assert err.value.workflow_id == "w1"
+    assert err.value.issues == ["DuplicateWorkflow"]
+
+
+def test_duplicate_user_id_rejected_before_the_run():
+    w = wf("w1", [("a", {"small": 10})])
+    with pytest.raises(ValueError, match="duplicate user id 'u1'"):
+        engine.run([w], two_type_system(), users(("u1", 10), ("u1", 20)), PfaPolicy())
+
+
+def test_reused_pfa_policy_repeats_its_run():
+    # the policy's carry (EWMA shares and depth, throughput history) starts
+    # fresh at tick 0, so a second run does not inherit the first run's end
+    wfs = generate_workload(6, users=["u1", "u2"], rule=WL1, seed=3)
+    sysc = two_type_system()
+    uu = users(("u1", 30), ("u2", 30))
+    policy = PfaPolicy(PfaConfig(smoothing="ewma"))
+    a = engine.run(wfs, sysc, uu, policy, seed=4)
+    b = engine.run(wfs, sysc, uu, policy, seed=4)
+    assert a.trace == b.trace
+    assert a.diagnostics == b.diagnostics
+
+
+def test_engine_imports_nothing_from_pfa():
+    # the engine hands every policy the same runtime-free facade; PFA's
+    # internals stay behind the policy interface
+    imported = []  # absolute module and module.name paths
+    for node in ast.walk(ast.parse(Path(engine.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "wfasim" + ("." + module if module else "")
+            imported += [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert "wfasim.state.UserFacade" in imported  # the walk sees relative imports
+    from_pfa = [
+        name for name in imported
+        if name == "wfasim.policies.pfa"
+        or name.startswith("wfasim.policies.pfa.")
+        or name.rpartition(".")[2] in pfa_module.__all__
+    ]
+    assert from_pfa == []

@@ -13,18 +13,25 @@ import pytest
 
 from conftest import two_type_system, users
 from wfasim import engine
-from wfasim.policies import PfaPolicy, PlfPolicy, ScfPolicy
+from wfasim.policies import PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
 from wfasim.workload import WL1, generate_workload
 
 # SHA-256 of trace.csv followed by snapshots.csv
 GOLDEN = {
     "pfa-ma": "b5110941eafeccf1486fe348e76ceb979f3a2c033c35a767b190f2c5e6419cfd",
+    "pfa-ewma": "c2907867d23d7f9149ebfc9bbc6b06225c5e50915e9b438b954082f127c77af1",
     "plf": "a260a7bfe5b95628fe3d3af268ca54eb78825ccb15d71845c4dd1c8e66625d9d",
     "scf": "e09bd7191c5cd883ff1e57cab2a84a4bcc2e0ce4309d6ebb70ba4d360cb83937",
 }
 
 
-@pytest.mark.parametrize("make", [PfaPolicy, PlfPolicy, ScfPolicy], ids=lambda m: m().name)
+def pfa_ewma():
+    return PfaPolicy(PfaConfig(smoothing="ewma"))
+
+
+@pytest.mark.parametrize(
+    "make", [PfaPolicy, pfa_ewma, PlfPolicy, ScfPolicy], ids=lambda m: m().name
+)
 def test_fixed_run_output_bytes_match_golden_digest(make, tmp_path):
     # 36 workflows (2750 tasks), 2 users, 6 + 6 machines with a boot delay,
     # at utilization 0.6 so tasks queue and several machines idle at once

@@ -220,6 +220,16 @@ def test_build_rejects_bad_input():
         build_instance([loop], 5, 2, 1, [("small", 1)])
 
 
+def test_build_rejects_duplicate_workflow_ids():
+    # realized_profit and compare look finishes up by workflow id
+    one = wf("same", [("t", {"small": 5})])
+    two = wf("same", [("u", {"small": 10})], arrival_s=5)
+    with pytest.raises(WorkloadInvalid) as err:
+        build_instance([one, two], 5, 2, 1, [("small", 1)])
+    assert err.value.workflow_id == "same"
+    assert err.value.issues == ["DuplicateWorkflow"]
+
+
 # -- LP text ------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chain_wf, two_type_system, users
 from wfasim.model import BudgetTooSmall
 from wfasim.policies.base import PolicyView
 from wfasim.policies.pfa import (
@@ -33,6 +34,7 @@ from wfasim.policies.pfa import (
     smooth_shares_ma,
     tba_propagate,
 )
+from wfasim.state import SystemState, UserFacade
 
 TYPES = (("small", 1), ("large", 5))
 
@@ -406,6 +408,9 @@ def test_policy_names_and_config_validation():
         PfaConfig(smoothing="bogus")
     with pytest.raises(ValueError):
         PfaConfig(alpha="1.5")
+    for depth in (2.5, True, "3"):
+        with pytest.raises(TypeError):
+            PfaConfig(ma_depth=depth)
 
 
 def test_observation_structurally_excludes_runtimes():
@@ -414,6 +419,74 @@ def test_observation_structurally_excludes_runtimes():
         "now", "tick", "user_id", "budget", "types", "allocated", "locked",
         "idle", "free_ids", "joint_nodes", "joint_edges", "history",
     }
+
+
+def test_user_facade_exposes_only_runtime_free_queries():
+    public = {name for name in dir(UserFacade) if not name.startswith("_")}
+    assert public == {
+        "user_id", "counts_by_type", "idle", "free_ids", "joint_dag", "finished_by_type",
+    }
+    # slots only: no instance dict to hang a path to runs or runtimes on
+    assert UserFacade.__slots__ == ("_state", "user_id")
+    assert not hasattr(UserFacade(None, "u1"), "__dict__")
+
+    state = SystemState(two_type_system(small=2, large=1), users(("u1", 12)))
+    state.arrive(chain_wf("w1", [{"small": 5, "large": 2}] * 2))
+    state.reserve(state.resources[0], "u1", now=0)
+    state.start_task("w1", "t0", state.resources[0], now=0)
+    state.finish_task("w1", "t0", now=5)
+    facade = UserFacade(state, "u1")
+    answers = [
+        facade.counts_by_type(), facade.idle("small"), facade.free_ids("small"),
+        facade.joint_dag(), facade.finished_by_type(),
+    ]
+
+    def leaves(x):
+        if isinstance(x, dict):
+            return [leaf for k, v in x.items() for leaf in leaves(k) + leaves(v)]
+        if isinstance(x, (list, tuple)):
+            return [leaf for v in x for leaf in leaves(v)]
+        return [x]
+
+    assert {type(leaf) for a in answers for leaf in leaves(a)} == {int, str}
+    assert facade.idle("small") == ((0, 60, 5),)
+    assert facade.free_ids("small") == (1,)
+    assert facade.joint_dag() == ([("w1", "t1")], [])
+    assert facade.finished_by_type() == {"small": 1, "large": 0}
+
+
+def facade_view(state, tick, now):
+    # no state, oracle or rng: the policy must decide from the facade alone
+    return PolicyView(
+        now=now, tick=tick, user=state.users["u1"], config=state.config, state=None,
+        oracle=None, rng=None, observation=UserFacade(state, "u1"),
+    )
+
+
+def test_policy_records_finished_delta_against_current_allocation():
+    state = SystemState(two_type_system(), users(("u1", 12)))
+    state.arrive(chain_wf("w1", [{"small": 5, "large": 2}] * 3))
+    policy = PfaPolicy()
+    first = policy.decide(facade_view(state, tick=0, now=0))
+    assert "observe" in first.step_seconds
+    assert policy._carry["u1"].history is not None
+    assert len(policy._carry["u1"].history) == 0  # nothing recorded at tick 0
+    small = state.resources[:2]  # machines 0 and 1 are small
+    for r in small:
+        state.reserve(r, "u1", now=0)
+    state.start_task("w1", "t0", small[0], now=0)
+    state.finish_task("w1", "t0", now=5)
+    policy.decide(facade_view(state, tick=1, now=60))
+    # one task finished on small while two small machines were held
+    assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]
+    state.start_task("w1", "t1", small[1], now=60)
+    state.finish_task("w1", "t1", now=65)
+    policy.decide(facade_view(state, tick=2, now=120))
+    assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]
+    assert len(policy._carry["u1"].history) == 2
+    # a new run starts at tick 0 with a fresh carry
+    policy.decide(facade_view(state, tick=0, now=0))
+    assert len(policy._carry["u1"].history) == 0
 
 
 # -- invariants over randomized inputs ----------------------------------------------

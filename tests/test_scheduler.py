@@ -113,13 +113,3 @@ def test_install_replaces_previous_plan():
     runner.install("u1", plan_of((0, "w1", "a", 50, 60)))
     runner.install("u1", plan_of((0, "w1", "a", 0, 10)))
     assert runner.dispatch(state, "u1", now=0) == [("w1", "a", 0)]
-
-
-def test_drop_clears_user_queues():
-    w = wf("w1", [("a", {"small": 10, "large": 10})])
-    state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
-    runner = PlanRunner()
-    runner.install("u1", plan_of((0, "w1", "a", 0, 10)))
-    runner.drop("u1")
-    assert runner.dispatch(state, "u1", now=0) == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import chain_wf, diamond_wf, small_only_system, two_type_system, users, wf
 from wfasim.model import ResourceState, TaskStatus
 from wfasim.scheduler import dispatch_dynamic
-from wfasim.state import SystemState
+from wfasim.state import SystemState, UserFacade
 
 USERS = ("u1", "u2")
 TYPES = ("small", "large")
@@ -56,6 +56,27 @@ def brute_eligible(state, user):
     return sorted(refs, key=lambda ref: state.runs[ref[0]].order_key(ref[1]))
 
 
+def brute_joint_dag(state, user):
+    nodes, edges = [], []
+    for wf_id in state.user_workflows[user]:
+        run = state.runs[wf_id]
+        for tid in run.graph.topo_order:
+            if run.status[tid] is not TaskStatus.FINISHED:
+                nodes.append((wf_id, tid))
+                edges += [((wf_id, tid), (wf_id, c)) for c in run.graph.children[tid]]
+    return nodes, edges
+
+
+def brute_finished(state, user):
+    counts = dict.fromkeys(TYPES, 0)
+    for wf_id in state.user_workflows[user]:
+        run = state.runs[wf_id]
+        for tid, status in run.status.items():
+            if status is TaskStatus.FINISHED:
+                counts[state.resources[run.task_resource[tid]].rtype.id] += 1
+    return counts
+
+
 def check_queries(state):
     for t in TYPES:
         free = [r for r in state.resources if r.state is ResourceState.DOWN and r.rtype.id == t]
@@ -91,6 +112,8 @@ def check_queries(state):
             for status in state.runs[wf_id].status.values()
         )
         assert state.momentary_demand(u) == running + len(eligible)
+        assert state.joint_dag(u) == brute_joint_dag(state, u)
+        assert UserFacade(state, u).finished_by_type() == brute_finished(state, u)
         # popping the heap yields the live tasks in dispatch order, and stale
         # entries never outnumber live ones
         heap = list(state._heaps[u])
