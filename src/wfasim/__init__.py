@@ -29,7 +29,6 @@ from .model import (
 )
 from .policies import (
     Decision,
-    NonePolicy,
     PfaConfig,
     PfaPolicy,
     PlfPolicy,
@@ -49,7 +48,6 @@ __all__ = [
     "ElasticityReport",
     "IntervalSnapshot",
     "ModelError",
-    "NonePolicy",
     "OverCommitted",
     "PfaConfig",
     "PfaPolicy",

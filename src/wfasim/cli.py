@@ -35,7 +35,7 @@ from .model import (
     load_workload,
     save_workload,
 )
-from .policies import NonePolicy, PfaConfig, PfaPolicy, PlfPolicy, Policy, ScfPolicy
+from .policies import PfaConfig, PfaPolicy, PlfPolicy, Policy, ScfPolicy
 
 CONFIG_SCHEMA = "wfasim-config-1"
 GENSPEC_SCHEMA = "wfasim-genspec-1"
@@ -101,8 +101,6 @@ def parse_policy(doc: dict) -> Policy:
         return PlfPolicy()
     if name == "scf":
         return ScfPolicy()
-    if name == "none":
-        return NonePolicy()
     raise ConfigError(f"policy: unknown name {name!r}")
 
 

@@ -24,8 +24,6 @@ from .dagops import WorkflowGraph, ideal_makespan, validate_workflow
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
 from .model import (
     BudgetViolation,
-    CapacityExceeded,
-    PreallocationInvalid,
     ResourceState,
     SystemConfig,
     UserConfig,
@@ -210,7 +208,6 @@ class _Sim:
         users: list[UserConfig],
         policy: Policy,
         seed: int,
-        preallocate: dict[str, dict[str, int]] | None,
         collect_plans: bool,
     ):
         user_ids: set[str] = set()
@@ -227,15 +224,6 @@ class _Sim:
                 issues = [f"UnknownUser({wf.user})"]
             if issues:
                 raise WorkloadInvalid(wf.id, issues)
-        type_ids = {t.id for t in system.types}
-        for uid in sorted(preallocate or {}):
-            if uid not in user_ids:
-                raise PreallocationInvalid(f"preallocation for unknown user {uid!r}")
-            unknown = sorted(set(preallocate[uid]) - type_ids)
-            if unknown:
-                raise PreallocationInvalid(
-                    f"preallocation for user {uid!r} names unknown types {unknown}"
-                )
         self.system = system
         self.users = users
         self.policy = policy
@@ -266,19 +254,6 @@ class _Sim:
         self.push(0, _TICK, ())
         self.push(0, _BILLING, ())
         self.tick_scheduled = True
-        if preallocate:
-            for uid in sorted(preallocate):
-                for rtype_id in self.type_ids:
-                    count = preallocate[uid].get(rtype_id, 0)
-                    free = self.state.free_resources(rtype_id)
-                    if count > len(free):
-                        raise CapacityExceeded(
-                            f"preallocation of {count} x {rtype_id} exceeds capacity"
-                        )
-                    for r in free[:count]:
-                        self.state.reserve(r, uid, 0)
-                        self.row(0, "allocate", uid, resource=r.id, rtype=rtype_id,
-                                 detail="preallocated")
 
     # -- plumbing ------------------------------------------------------------
 
@@ -513,11 +488,13 @@ def run(
     users: list[UserConfig],
     policy: Policy,
     seed: int = 0,
-    preallocate: dict[str, dict[str, int]] | None = None,
     collect_plans: bool = False,
 ) -> RunResult:
-    """Simulate a workload to completion under one autoscaling policy."""
-    sim = _Sim(workflows, system, users, policy, seed, preallocate, collect_plans)
+    """Simulate a workload to completion under one autoscaling policy.
+
+    Machines are reserved only when the engine applies a policy decision,
+    and each reservation is checked against the user's budget there."""
+    sim = _Sim(workflows, system, users, policy, seed, collect_plans)
     return sim.run()
 
 

@@ -47,10 +47,6 @@ class CapacityExceeded(ModelError):
     """An allocation request exceeded the configured type capacity."""
 
 
-class PreallocationInvalid(ModelError):
-    """A preallocation names a user or resource type the run does not have."""
-
-
 @dataclass(frozen=True, slots=True)
 class ResourceType:
     """A reservable machine class with a fixed per-interval price."""
@@ -149,10 +145,6 @@ class SystemConfig:
     def total_capacity(self) -> int:
         return sum(self.capacity.get(t.id, 0) for t in self.types)
 
-    def max_interval_cost(self) -> int:
-        """Cost of reserving every configured resource for one interval."""
-        return sum(t.cost * self.capacity.get(t.id, 0) for t in self.types)
-
 
 class ResourceState(Enum):
     DOWN = "down"
@@ -245,7 +237,6 @@ __all__ = [
     "CapacityExceeded",
     "ModelError",
     "OverCommitted",
-    "PreallocationInvalid",
     "Resource",
     "ResourceState",
     "ResourceType",

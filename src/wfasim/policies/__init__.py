@@ -1,13 +1,12 @@
 """Autoscaling policies: profiled feedback, per-workflow budgeting, scaled supply."""
 
-from .base import Decision, ExecutionPlan, NonePolicy, PlanEntry, Policy, PolicyView
+from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView
 from .pfa import PfaConfig, PfaPolicy
 from .plan import PlfPolicy, ScfPolicy, build_plan
 
 __all__ = [
     "Decision",
     "ExecutionPlan",
-    "NonePolicy",
     "PfaConfig",
     "PfaPolicy",
     "PlanEntry",

@@ -111,20 +111,9 @@ class Policy:
         raise NotImplementedError
 
 
-class NonePolicy(Policy):
-    """No autoscaling: keeps whatever is preallocated, never reacts."""
-
-    name = "none"
-    mode = "dynamic"
-
-    def decide(self, view: PolicyView) -> Decision:
-        return Decision()
-
-
 __all__ = [
     "Decision",
     "ExecutionPlan",
-    "NonePolicy",
     "PlanEntry",
     "Policy",
     "PolicyView",

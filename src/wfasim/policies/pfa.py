@@ -95,7 +95,6 @@ class PfaObservation:
     budget: int
     types: tuple[tuple[str, int], ...]  # (type id, cost per interval)
     allocated: Mapping[str, int]  # reserved count per type
-    locked: Mapping[str, int]  # busy + booting per type (not releasable)
     idle: Mapping[str, tuple[IdleInfo, ...]]  # idle resources per type
     free_ids: Mapping[str, tuple[int, ...]]  # unreserved resource ids per type
     joint_nodes: tuple[TaskRef, ...]
@@ -498,7 +497,6 @@ class PfaPolicy(Policy):
             budget=view.user.budget,
             types=tuple((t.id, t.cost) for t in view.config.types),
             allocated=allocated,
-            locked={t: counts[t]["busy"] + counts[t]["booting"] for t in type_ids},
             idle={t: tuple(IdleInfo._make(i) for i in facade.idle(t)) for t in type_ids},
             free_ids={t: facade.free_ids(t) for t in type_ids},
             joint_nodes=tuple(nodes),

@@ -51,10 +51,8 @@ class WorkflowRun:
     status: dict[str, TaskStatus] = field(default_factory=dict)
     blocked_parents: dict[str, int] = field(default_factory=dict)
     unfinished: int = 0
-    first_start_s: int | None = None
     last_finish_s: int | None = None
     task_start_s: dict[str, int] = field(default_factory=dict)
-    task_finish_s: dict[str, int] = field(default_factory=dict)
     task_resource: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -165,8 +163,6 @@ class SystemState:
         run.status[task_id] = TaskStatus.RUNNING
         run.task_start_s[task_id] = now
         run.task_resource[task_id] = resource.id
-        if run.first_start_s is None:
-            run.first_start_s = now
         self._eligible[user] -= 1
         self._running[user] += 1
         self._move(resource, ResourceState.BUSY)
@@ -186,7 +182,6 @@ class SystemState:
         if run.status[task_id] is not TaskStatus.RUNNING:
             raise ValueError(f"task {wf_id}/{task_id} not running")
         run.status[task_id] = TaskStatus.FINISHED
-        run.task_finish_s[task_id] = now
         run.unfinished -= 1
         if run.unfinished == 0:
             run.last_finish_s = now

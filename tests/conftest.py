@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from wfasim.model import ResourceType, SystemConfig, TaskSpec, UserConfig, WorkflowSpec
+from wfasim.policies import Decision, Policy
 
 SMALL = ResourceType("small", 1)
 LARGE = ResourceType("large", 5)
@@ -49,3 +50,20 @@ def diamond_wf(wf_id, entry, left, right, exit_, **kw) -> WorkflowSpec:
 
 def users(*pairs) -> list[UserConfig]:
     return [UserConfig(uid, budget) for uid, budget in pairs]
+
+
+class HoldPolicy(Policy):
+    """Reserves the lowest free ids of each type at tick 0, then never acts.
+
+    counts: {type id: machines to hold}."""
+
+    name = "hold"
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def decide(self, view):
+        if view.tick != 0:
+            return Decision()
+        free = view.observation.free_ids
+        return Decision(alloc={t: list(free(t)[:n]) for t, n in self.counts.items()})

@@ -405,7 +405,7 @@ def _run_with_oracle_scale(policy, scale: int):
     user_cfg = [UserConfig("u1", 40), UserConfig("u2", 40)]
     workload = generate_workload(16, users=["u1", "u2"], rule=WL1, seed=7)
     workload = engine.poisson_arrivals(workload, 0.3, 16, 7)
-    sim = engine._Sim(list(workload), system, user_cfg, policy, 7, False, False)
+    sim = engine._Sim(list(workload), system, user_cfg, policy, 7, collect_plans=False)
     if scale != 1:
         original = sim.build_view
 

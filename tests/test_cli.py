@@ -201,6 +201,13 @@ def test_run_rejects_pfa_knob_past_its_bound(tmp_path, capsys, knob, value):
     assert err.startswith("error: policy:") and "Traceback" not in err
 
 
+def test_run_rejects_unknown_policy_name(tmp_path, capsys):
+    # a policy that never reserves a machine would never finish this workload
+    config = run_config(tmp_path, policy={"name": "none"})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown name 'none'" in capsys.readouterr().err
+
+
 def test_run_accepts_pfa_ma_depth_zero(tmp_path):
     config = run_config(tmp_path, policy={"name": "pfa", "ma_depth": 0}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0

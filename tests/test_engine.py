@@ -5,15 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import chain_wf, small_only_system, two_type_system, users, wf
+from conftest import HoldPolicy, chain_wf, small_only_system, two_type_system, users, wf
 from wfasim import dagops, engine
-from wfasim.model import (
-    BudgetViolation,
-    CapacityExceeded,
-    PreallocationInvalid,
-    WorkloadInvalid,
-)
-from wfasim.policies import NonePolicy, PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
+from wfasim.model import BudgetViolation, WorkloadInvalid
+from wfasim.policies import PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
 from wfasim.policies import pfa as pfa_module
 from wfasim.workload import WL1, generate_workload
 
@@ -26,7 +21,7 @@ def run(workflows, system=None, budget=100, policy=None, **kw):
 
 
 def test_empty_workload_traces_only_ticks_and_charges_nothing():
-    result = run([], policy=NonePolicy())
+    result = run([], policy=HoldPolicy({"small": 1}))
     assert result.state.all_done
     assert {row[1] for row in result.trace} == {"tick"}
     assert result.cost_series["u1"] == []
@@ -35,8 +30,7 @@ def test_empty_workload_traces_only_ticks_and_charges_nothing():
 
 def test_preallocated_single_task_finishes_at_runtime():
     w = wf("w1", [("a", {"small": 40})], arrival_s=0)
-    result = run([w], system=small_only_system(count=1),
-                 policy=NonePolicy(), preallocate={"u1": {"small": 1}})
+    result = run([w], system=small_only_system(count=1), policy=HoldPolicy({"small": 1}))
     finis = [row for row in result.trace if row[1] == "finish"]
     assert len(finis) == 1
     assert finis[0][0] == 40  # arrival 0 + runtime 40
@@ -45,38 +39,18 @@ def test_preallocated_single_task_finishes_at_runtime():
 
 
 def test_preallocated_chain_runs_back_to_back_and_stops_charging():
-    # 40+40+30 = 110 s on one machine: intervals [0,60) and [60,120) are
-    # charged, after which the resource is still held but the run ends
+    # 40+40+30 = 110 s on one machine held from tick 0: intervals [0,60)
+    # and [60,120) are charged, after which the resource is still held but
+    # the run ends
     w = chain_wf("w1", [{"small": 40}, {"small": 40}, {"small": 30}])
-    result = run([w], system=small_only_system(count=1),
-                 policy=NonePolicy(), preallocate={"u1": {"small": 1}})
+    result = run([w], system=small_only_system(count=1), policy=HoldPolicy({"small": 1}))
     assert result.state.runs["w1"].last_finish_s == 110
     assert result.cost_series["u1"] == [1, 1]
 
 
-def test_prealloc_beyond_capacity_rejected():
-    w = wf("w1", [("a", {"small": 5})])
-    with pytest.raises(CapacityExceeded):
-        run([w], system=small_only_system(count=1),
-            policy=NonePolicy(), preallocate={"u1": {"small": 2}})
-
-
-def test_prealloc_for_unlisted_user_rejected_before_run():
-    w = wf("w1", [("a", {"small": 5})])
-    with pytest.raises(PreallocationInvalid, match="ghost"):
-        run([w], policy=NonePolicy(), preallocate={"ghost": {"small": 1}})
-
-
-def test_prealloc_of_unknown_type_rejected_before_run():
-    w = wf("w1", [("a", {"small": 5})])
-    with pytest.raises(PreallocationInvalid, match="xlarge"):
-        run([w], policy=NonePolicy(), preallocate={"u1": {"small": 1, "xlarge": 3}})
-
-
 def test_arrivals_respect_time():
     w = wf("w1", [("a", {"small": 10})], arrival_s=90)
-    result = run([w], system=small_only_system(count=1),
-                 policy=NonePolicy(), preallocate={"u1": {"small": 1}})
+    result = run([w], system=small_only_system(count=1), policy=HoldPolicy({"small": 1}))
     arrive = next(row for row in result.trace if row[1] == "arrive")
     start = next(row for row in result.trace if row[1] == "start")
     assert arrive[0] == 90
@@ -310,3 +284,24 @@ def test_engine_imports_nothing_from_pfa():
         or name.rpartition(".")[2] in pfa_module.__all__
     ]
     assert from_pfa == []
+
+
+def test_only_applied_decisions_reserve_machines():
+    # every reservation passes the budget check in apply_decision; no other
+    # code path in the package reserves a machine
+    package = Path(engine.__file__).parent
+    callers = []  # (module, enclosing class.function) of each .reserve( call
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).with_suffix("").as_posix()
+
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = scope + (node.name,)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "reserve"):
+                callers.append((module, ".".join(scope)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), ())
+    assert callers == [("engine", "_Sim.apply_decision")]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import chain_wf, small_only_system, two_type_system, users, wf
+from conftest import HoldPolicy, chain_wf, small_only_system, two_type_system, users, wf
 from wfasim.dagops import WorkflowGraph
 from wfasim.model import (
     CapacityExceeded,
@@ -28,7 +28,6 @@ def test_system_config_helpers():
     sys_cfg = two_type_system(small=3, large=2, interval_s=60)
     assert sys_cfg.type_by_id("large").cost == 5
     assert sys_cfg.total_capacity() == 5
-    assert sys_cfg.max_interval_cost() == 3 * 1 + 2 * 5
 
 
 def test_min_runtime_is_fastest_choice():
@@ -58,12 +57,11 @@ def test_workflow_json_round_trip(tmp_path):
 
 def test_cyclic_workflow_rejected_when_run(tmp_path):
     from wfasim import engine
-    from wfasim.policies import NonePolicy
 
     w = wf("bad", [("a", {"small": 1}), ("b", {"small": 1})],
            edges=[("a", "b"), ("b", "a")])
     with pytest.raises(WorkloadInvalid) as err:
-        engine.run([w], two_type_system(), users(("u1", 10)), NonePolicy())
+        engine.run([w], two_type_system(), users(("u1", 10)), HoldPolicy({"small": 1}))
     assert "bad" in str(err.value)
 
 

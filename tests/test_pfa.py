@@ -73,7 +73,6 @@ def observation(
         budget=budget,
         types=TYPES,
         allocated=allocated or {},
-        locked={},
         idle=idle_map,
         free_ids={
             "small": tuple(range(100, 100 + free_small)),
@@ -416,7 +415,7 @@ def test_policy_names_and_config_validation():
 def test_observation_structurally_excludes_runtimes():
     fields = {f.name for f in dataclasses.fields(PfaObservation)}
     assert fields == {
-        "now", "tick", "user_id", "budget", "types", "allocated", "locked",
+        "now", "tick", "user_id", "budget", "types", "allocated",
         "idle", "free_ids", "joint_nodes", "joint_edges", "history",
     }
 
