@@ -2,10 +2,11 @@
 
 Event kinds at the same timestamp process in a fixed precedence: task
 finishes release resources first, boots complete, plan wakes and arrivals
-follow, then the autoscaling tick runs every user's policy, and the billing
-boundary settles charges last. Billing periods equal the autoscaling
-interval, so every reserved resource reaches its billing end exactly at a
-tick.
+follow, and the autoscaling tick runs last. Billing periods equal the
+autoscaling interval, so every reserved resource reaches its billing end
+exactly at a tick, and the tick itself charges the interval it opens: there
+is no separate billing event. An interval is charged exactly when a next
+tick is scheduled.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .scheduler import PlanRunner, dispatch_dynamic
 from .state import SystemState, UserFacade
 
 # event precedence at equal timestamps
-_FINISH, _BOOT, _WAKE, _ARRIVAL, _TICK, _BILLING = range(6)
+_FINISH, _BOOT, _WAKE, _ARRIVAL, _TICK = range(5)
 
 TRACE_COLUMNS = (
     "time_s",
@@ -70,14 +71,20 @@ class RunResult:
     state: SystemState
     trace: list[tuple]
     snapshots: list[IntervalSnapshot]
-    cost_series: dict[str, list[int]]
-    charge_rows: list[tuple]  # (interval, user, rtype, count, amount)
     decision_log: list[DecisionRecord]
     diagnostics: list[dict]
     plan_rows: list[dict]
     ticks: int
 
     # -- metric helpers ----------------------------------------------------
+
+    @property
+    def cost_series(self) -> dict[str, list[int]]:
+        """Per user, the charge of each billed interval in order."""
+        out: dict[str, list[int]] = {u.id: [] for u in self.users}
+        for s in self.snapshots:
+            out[s.user].append(s.allocated_cost)
+        return out
 
     def slowdowns(self) -> dict[str, list[float]]:
         out: dict[str, list[float]] = {u.id: [] for u in self.users}
@@ -92,7 +99,6 @@ class RunResult:
 
     def demand_supply(self, user: str) -> tuple[list[int], list[int]]:
         rows = [s for s in self.snapshots if s.user == user]
-        rows.sort(key=lambda s: s.interval)
         return [s.demand for s in rows], [s.supply for s in rows]
 
     def elasticity_reports(self) -> dict[str, ElasticityReport]:
@@ -238,22 +244,16 @@ class _Sim:
         self.plan_runner = PlanRunner() if policy.mode == "plan" else None
         self.trace: list[tuple] = []
         self.snapshots: list[IntervalSnapshot] = []
-        self.pending_snapshot: dict[str, tuple[int, int, int, int]] = {}
-        self.cost_series: dict[str, list[int]] = {u.id: [] for u in users}
-        self.charge_rows: list[tuple] = []
         self.decision_log: list[DecisionRecord] = []
         self.diagnostics: list[dict] = []
         self.plan_rows: list[dict] = []
         self.arrivals_left = len(workflows)
         self.ticks = 0
-        self.tick_scheduled = False
         self.wake_times: set[tuple[str, int]] = set()
 
         for wf in workflows:
             self.push(wf.arrival_s, _ARRIVAL, (wf.id,))
         self.push(0, _TICK, ())
-        self.push(0, _BILLING, ())
-        self.tick_scheduled = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -308,18 +308,18 @@ class _Sim:
 
     def on_tick(self, now: int) -> None:
         k = now // self.system.interval_s
-        self.tick_scheduled = False
         self.row(now, "tick", detail=f"interval={k}")
         if self.state.all_done and self.arrivals_left == 0 and not self.state.reserved():
             return
         self.ticks += 1
-        for u in self.users:
-            self.pending_snapshot[u.id] = (
-                k,
+        before = {
+            u.id: (
                 self.state.momentary_demand(u.id),
                 self.state.supply(u.id),
                 self.state.busy_count(u.id),
             )
+            for u in self.users
+        }
         order = [u.id for u in self.users]
         self.rng.shuffle(order)
         acted = False
@@ -339,49 +339,24 @@ class _Sim:
         for u in self.users:
             self.dispatch(u.id, now)
         work_left = not (self.state.all_done and self.arrivals_left == 0)
-        if work_left or (acted and self.state.reserved()):
-            self.push(now + self.system.interval_s, _TICK, ())
-            self.push(now + self.system.interval_s, _BILLING, ())
-            self.tick_scheduled = True
-
-    def on_billing(self, now: int) -> None:
-        k = now // self.system.interval_s
-        totals: dict[str, int] = {}
-        per_type: dict[tuple[str, str], int] = {}
-        held = self.state.reserved()
-        for r in held:
-            user = r.user or ""
-            totals[user] = totals.get(user, 0) + r.rtype.cost
-            key = (user, r.rtype.id)
-            per_type[key] = per_type.get(key, 0) + 1
-        winding_down = (
-            self.state.all_done
-            and self.arrivals_left == 0
-            and (not totals or not self.tick_scheduled)
-        )
-        if winding_down:
-            self.pending_snapshot.clear()
-            return
-        for r in held:
+        if not (work_left or (acted and self.state.reserved())):
+            return  # the run ends here, so this interval is not billed
+        self.push(now + self.system.interval_s, _TICK, ())
+        for r in self.state.reserved():
             self.state.prolong(r, now)
         for u in self.users:
-            charge = totals.get(u.id, 0)
+            charge = self.state.allocated_cost(u.id)
             if charge > u.budget:
                 raise BudgetViolation(
                     f"interval {k}: user {u.id} charged {charge} over budget {u.budget}"
                 )
-            self.cost_series[u.id].append(charge)
-            pend = self.pending_snapshot.pop(u.id, None)
-            if pend is not None:
-                ki, demand, supply, busy = pend
-                self.snapshots.append(
-                    IntervalSnapshot(ki, u.id, demand, supply, busy, charge)
-                )
-        for (user, rtype_id), count in sorted(per_type.items()):
-            cost = self.system.type_by_id(rtype_id).cost * count
-            self.charge_rows.append((k, user, rtype_id, count, cost))
-            self.row(now, "charge", user, rtype=rtype_id,
-                     detail=f"count={count};amount={cost}")
+            self.snapshots.append(IntervalSnapshot(k, u.id, *before[u.id], charge))
+        for uid in sorted(before):
+            for rtype_id, count in sorted(self.state.counts_by_type(uid).items()):
+                if count:
+                    cost = self.system.type_by_id(rtype_id).cost * count
+                    self.row(now, "charge", uid, rtype=rtype_id,
+                             detail=f"count={count};amount={cost}")
 
     # -- decision plumbing -----------------------------------------------------
 
@@ -463,8 +438,6 @@ class _Sim:
                 self.on_arrival(when, *data)
             elif rank == _TICK:
                 self.on_tick(when)
-            elif rank == _BILLING:
-                self.on_billing(when)
         return RunResult(
             system=self.system,
             users=self.users,
@@ -473,8 +446,6 @@ class _Sim:
             state=self.state,
             trace=self.trace,
             snapshots=self.snapshots,
-            cost_series=self.cost_series,
-            charge_rows=self.charge_rows,
             decision_log=self.decision_log,
             diagnostics=self.diagnostics,
             plan_rows=self.plan_rows,

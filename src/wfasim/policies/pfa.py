@@ -145,14 +145,6 @@ def equal_shares(n: int) -> list[Fraction]:
     return [Fraction(1, n) for _ in range(n)]
 
 
-def instant_shares(tau: Sequence[Fraction]) -> list[Fraction]:
-    """Normalize per-type throughput to shares; all zero when idle."""
-    total = sum(tau)
-    if total == 0:
-        return [Fraction(0) for _ in tau]
-    return [t / total for t in tau]
-
-
 def _lag_window(history: ThroughputHistory, depth: int) -> list[_HistoryEntry]:
     """History entries for lags 0..depth, stopping where history runs out."""
     entries = []
@@ -190,9 +182,9 @@ def smooth_shares_ewma(
     shares whenever any type had no throughput in the interval that just
     ended (including the cold start)."""
     entry = history._entry(0)
-    if entry is None or any(t == 0 for t in entry.tau):
+    if entry is None or entry.shares is None or any(t == 0 for t in entry.tau):
         return equal_shares(n_types)
-    current = entry.shares if entry.shares is not None else instant_shares(entry.tau)
+    current = entry.shares
     if prev is None:
         prev = equal_shares(n_types)
     return [alpha * p + (1 - alpha) * c for p, c in zip(prev, current)]
@@ -477,8 +469,7 @@ class PfaPolicy(Policy):
         through the whole interval."""
         facade = view.observation
         type_ids = tuple(t.id for t in view.config.types)
-        counts = facade.counts_by_type()
-        allocated = {t: counts[t]["allocated"] for t in type_ids}
+        allocated = facade.counts_by_type()
         finished = facade.finished_by_type()
         carry = self._carry.get(facade.user_id)
         if carry is None or view.tick == 0:
@@ -514,7 +505,6 @@ __all__ = [
     "PfaState",
     "ThroughputHistory",
     "equal_shares",
-    "instant_shares",
     "lookahead_depth_ewma",
     "lookahead_depth_ma",
     "pfa_decide",

@@ -321,7 +321,7 @@ class ScfPolicy(Policy):
         t0 = time.perf_counter()
         have = state.counts_by_type(user)
         wanted = {
-            t.id: max(0, scaled[t.id] - have[t.id]["allocated"]) for t in types
+            t.id: max(0, scaled[t.id] - have[t.id]) for t in types
         }
         alloc = _pick_new_resources(state, wanted, budget - committed, types)
         steps["allocate"] = time.perf_counter() - t0

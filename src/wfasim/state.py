@@ -2,7 +2,8 @@
 
 The state object enforces the local invariants (a task starts only when
 eligible, a resource runs one task, Idle -> Down only at a billing boundary);
-the engine owns event ordering and billing on top of it.
+the engine owns event ordering on top of it, and bills each interval from
+the pools below.
 
 Queries are served from indexes that the transitions below keep up to date,
 so no query scans every machine or re-sorts every eligible task:
@@ -237,24 +238,10 @@ class SystemState:
             t.cost * len(pools[s][t.id]) for t in self.config.types for s in _HELD
         )
 
-    def counts_by_type(self, user: str) -> dict[str, dict[str, int]]:
-        """Per-type reservation breakdown for one user.
-
-        Returns {type id: {"allocated": n, "idle": n, "busy": n, "booting": n}}.
-        """
+    def counts_by_type(self, user: str) -> dict[str, int]:
+        """{type id: machines the user holds of that type}, every type."""
         pools = self._pools[user]
-        out = {}
-        for t in self._type_ids:
-            idle = len(pools[ResourceState.IDLE][t])
-            busy = len(pools[ResourceState.BUSY][t])
-            booting = len(pools[ResourceState.BOOTING][t])
-            out[t] = {
-                "allocated": idle + busy + booting,
-                "idle": idle,
-                "busy": busy,
-                "booting": booting,
-            }
-        return out
+        return {t: sum(len(pools[s][t]) for s in _HELD) for t in self._type_ids}
 
     def free_resources(self, rtype_id: str) -> list[Resource]:
         """Unreserved resources of one type, lowest id first."""
@@ -349,7 +336,7 @@ class UserFacade:
         self._state = state
         self.user_id = user_id
 
-    def counts_by_type(self) -> dict[str, dict[str, int]]:
+    def counts_by_type(self) -> dict[str, int]:
         return self._state.counts_by_type(self.user_id)
 
     def idle(self, rtype_id: str) -> tuple[tuple[int, int, int], ...]:

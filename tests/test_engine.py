@@ -126,6 +126,32 @@ def test_snapshots_pair_demand_with_interval_charge():
     assert first.allocated_cost == result.cost_series["u1"][0]
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [PfaPolicy, lambda: PfaPolicy(PfaConfig(smoothing="ewma")), PlfPolicy, ScfPolicy],
+    ids=["pfa-ma", "pfa-ewma", "plf", "scf"],
+)
+def test_trace_charges_match_snapshots(policy):
+    # every tick but the last opens a billed interval, and the interval's
+    # charge rows in the trace add up to the snapshot's charge
+    wfs = generate_workload(8, users=["u1", "u2"], rule=WL1, seed=3)
+    system = two_type_system(boot_delay_s=7)
+    result = engine.run(wfs, system, users(("u1", 12), ("u2", 20)), policy(), seed=5)
+    ticks = [int(r[7].removeprefix("interval=")) for r in result.trace if r[1] == "tick"]
+    assert ticks == sorted(set(ticks))
+    assert {s.interval for s in result.snapshots} == set(ticks[:-1])
+    charged: dict[tuple[int, str], int] = {}
+    for r in result.trace:
+        if r[1] == "charge":
+            amount = int(r[7].partition("amount=")[2])
+            key = (r[0] // system.interval_s, r[2])
+            charged[key] = charged.get(key, 0) + amount
+    assert charged
+    for s in result.snapshots:
+        assert charged.pop((s.interval, s.user), 0) == s.allocated_cost
+    assert charged == {}
+
+
 def test_decision_log_counts_ticks_per_user():
     wfs = generate_workload(4, users=["u1"], rule=WL1, seed=9)
     result = run(wfs, budget=20)

@@ -201,8 +201,8 @@ def test_counts_by_type_buckets():
     state.reserve(s1, "u1", now=0)
     state.start_task("w1", "a", s0, now=0)
     counts = state.counts_by_type("u1")
-    assert counts["small"] == {"allocated": 2, "idle": 1, "busy": 1, "booting": 0}
-    assert counts["large"] == {"allocated": 0, "idle": 0, "busy": 0, "booting": 0}
+    assert counts == {"small": 2, "large": 0}
+    assert state.idle_resources("u1") == [s1]
     assert state.allocated_cost("u1") == 2
     assert state.supply("u1") == 2
     assert state.busy_count("u1") == 1

@@ -23,7 +23,6 @@ from wfasim.policies.pfa import (
     PfaState,
     ThroughputHistory,
     equal_shares,
-    instant_shares,
     lookahead_depth_ewma,
     lookahead_depth_ma,
     pfa_decide,
@@ -117,14 +116,6 @@ def test_history_window_is_bounded():
 
 
 # -- share smoothing -------------------------------------------------------------
-
-
-def test_instant_shares_normalize():
-    assert instant_shares([F(1), F(3)]) == [F(1, 4), F(3, 4)]
-
-
-def test_instant_shares_all_zero_when_idle():
-    assert instant_shares([F(0), F(0)]) == [F(0), F(0)]
 
 
 def test_ma_averages_retained_intervals():

@@ -94,15 +94,9 @@ def check_queries(state):
         assert state.supply(u) == len(mine)
         assert state.busy_count(u) == len(held(state, u, (ResourceState.BUSY,)))
         assert state.allocated_cost(u) == sum(r.rtype.cost for r in mine)
-        counts = state.counts_by_type(u)
-        for t in TYPES:
-            of_type = [r for r in mine if r.rtype.id == t]
-            assert counts[t] == {
-                "allocated": len(of_type),
-                "idle": sum(r.state is ResourceState.IDLE for r in of_type),
-                "busy": sum(r.state is ResourceState.BUSY for r in of_type),
-                "booting": sum(r.state is ResourceState.BOOTING for r in of_type),
-            }
+        assert state.counts_by_type(u) == {
+            t: sum(r.rtype.id == t for r in mine) for t in TYPES
+        }
         eligible = brute_eligible(state, u)
         assert state.eligible_tasks(u) == eligible
         assert state.next_eligible(u) == (eligible[0] if eligible else None)
