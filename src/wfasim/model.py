@@ -152,6 +152,11 @@ class ResourceState(Enum):
     IDLE = "idle"
     BUSY = "busy"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality, and it is computed in C rather than by
+    # Enum.__hash__ on every pool lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Resource:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..model import SystemConfig, TaskSpec, UserConfig
 
@@ -19,9 +19,11 @@ def perfect_oracle(task: TaskSpec, rtype_id: str) -> int:
     return task.runtime_by_type[rtype_id]
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One planned placement: a task occupies a resource for [start, end)."""
+class PlanEntry(NamedTuple):
+    """One planned placement: a task occupies a resource for [start, end).
+
+    A named tuple, not a dataclass: a planner makes one per placed task on
+    every tick, and a tuple is built several times faster."""
 
     resource_id: int
     wf_id: str

@@ -7,8 +7,10 @@ blind to runtime estimates: it builds its :class:`PfaObservation`, which
 carries no runtime information at all, from the runtime-free user facade
 and the throughput history it keeps itself.
 
-All ratio arithmetic uses exact fractions so floor/ceil decisions never
-depend on float rounding.
+All ratio arithmetic is exact, so floor/ceil decisions never depend on float
+rounding. Inside a decision a vector of ratios is a list of integer
+numerators over one shared positive denominator (a ``_Ratios`` pair); the
+public helpers take and return :class:`~fractions.Fraction` values.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..model import BudgetTooSmall
 from .base import Decision, Policy, PolicyView
 
 TaskRef = tuple[str, str]
+_Ratios = tuple[list[int], int]  # (numerators, common denominator > 0)
 
 
 class IdleInfo(NamedTuple):
@@ -35,12 +39,32 @@ class IdleInfo(NamedTuple):
 
 
 class _HistoryEntry(NamedTuple):
-    """One finished interval: raw throughput row plus derived values that are
-    fixed the moment the interval ends (total, normalized shares)."""
+    """One finished interval, fixed the moment it ends: the throughput of
+    type i is ``tau[i] / den``, and ``total`` is ``sum(tau)``. When the total
+    is positive, ``tau[i] / total`` is the type's instant share."""
 
-    tau: tuple[Fraction, ...]
-    total: Fraction
-    shares: tuple[Fraction, ...] | None  # None when the interval was idle
+    tau: tuple[int, ...]
+    den: int
+    total: int
+
+
+def _ceil_div(num: int, den: int) -> int:
+    return -(-num // den)
+
+
+def _ratios(values: Iterable[Fraction | int]) -> _Ratios:
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _fractions(ratios: _Ratios) -> list[Fraction]:
+    nums, den = ratios
+    return [Fraction(n, den) for n in nums]
+
+
+def _equal(n: int) -> _Ratios:
+    return [1] * n, n
 
 
 class ThroughputHistory:
@@ -58,14 +82,13 @@ class ThroughputHistory:
         self._rows: deque[_HistoryEntry] = deque(maxlen=window)
 
     def record(self, completed: Mapping[str, int], allocated: Mapping[str, int]) -> None:
-        row = []
-        for t in self.type_ids:
-            n = int(allocated.get(t, 0))
-            row.append(Fraction(int(completed.get(t, 0)), n) if n > 0 else Fraction(0))
-        tau = tuple(row)
-        total = sum(tau, Fraction(0))
-        shares = tuple(t / total for t in tau) if total > 0 else None
-        self._rows.append(_HistoryEntry(tau, total, shares))
+        held = [int(allocated.get(t, 0)) for t in self.type_ids]
+        den = math.lcm(*(n for n in held if n > 0))
+        tau = tuple(
+            int(completed.get(t, 0)) * (den // n) if n > 0 else 0
+            for t, n in zip(self.type_ids, held)
+        )
+        self._rows.append(_HistoryEntry(tau, den, sum(tau)))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -75,6 +98,10 @@ class ThroughputHistory:
             return None
         return self._rows[-1 - lag]
 
+    def _recent(self, depth: int) -> list[_HistoryEntry]:
+        """Entries for lags 0..depth, stopping where history runs out."""
+        return list(islice(reversed(self._rows), depth + 1))
+
     def throughput(self, lag: int = 0) -> list[Fraction] | None:
         """Tasks completed per allocated resource at the given lag.
 
@@ -82,12 +109,17 @@ class ThroughputHistory:
         None when the history does not reach back that far.
         """
         entry = self._entry(lag)
-        return None if entry is None else list(entry.tau)
+        return None if entry is None else [Fraction(t, entry.den) for t in entry.tau]
 
 
 @dataclass(frozen=True)
 class PfaObservation:
-    """Everything the autoscaler may look at. No runtimes, by construction."""
+    """Everything the autoscaler may look at. No runtimes, by construction.
+
+    The unfinished DAG is seen from its frontier: the tasks with no
+    unfinished parent (running ones included), each task's children, and
+    each task's count of unfinished parents. Idle machines and free ids are
+    read per type, and only for the types a decision acts on."""
 
     now: int
     tick: int
@@ -95,10 +127,11 @@ class PfaObservation:
     budget: int
     types: tuple[tuple[str, int], ...]  # (type id, cost per interval)
     allocated: Mapping[str, int]  # reserved count per type
-    idle: Mapping[str, tuple[IdleInfo, ...]]  # idle resources per type
-    free_ids: Mapping[str, tuple[int, ...]]  # unreserved resource ids per type
-    joint_nodes: tuple[TaskRef, ...]
-    joint_edges: tuple[tuple[TaskRef, TaskRef], ...]
+    idle: Callable[[str], Iterable[tuple[int, int, int]]]  # IdleInfo fields, per type
+    free_ids: Callable[[str], Sequence[int]]  # unreserved ids of a type, lowest first
+    frontier: tuple[TaskRef, ...]
+    children: Callable[[TaskRef], Sequence[TaskRef]]
+    unfinished_parents: Callable[[TaskRef], int]
     history: ThroughputHistory
 
 
@@ -135,7 +168,7 @@ class PfaState:
     """Carried between ticks: previous smoothed shares and lookahead depth,
     the throughput history, and the per-type finished counts last seen."""
 
-    prev_shares: list[Fraction] | None = None
+    prev_shares: _Ratios | None = None
     prev_depth: int = 1
     history: ThroughputHistory | None = None
     finished: Mapping[str, int] = field(default_factory=dict)
@@ -145,25 +178,20 @@ def equal_shares(n: int) -> list[Fraction]:
     return [Fraction(1, n) for _ in range(n)]
 
 
-def _lag_window(history: ThroughputHistory, depth: int) -> list[_HistoryEntry]:
-    """History entries for lags 0..depth, stopping where history runs out."""
-    entries = []
-    for lag in range(depth + 1):
-        entry = history._entry(lag)
-        if entry is None:
-            break
-        entries.append(entry)
-    return entries
-
-
-def _smooth_shares_ma(window: list[_HistoryEntry], n_types: int) -> list[Fraction]:
-    retained = [e.shares for e in window if e.shares is not None]
+def _smooth_ma(window: list[_HistoryEntry], n_types: int) -> _Ratios:
+    retained = [e for e in window if e.total > 0]
     if not retained:
-        return equal_shares(n_types)
-    sums = [sum(shares[i] for shares in retained) for i in range(n_types)]
-    if any(s == 0 for s in sums):
-        return equal_shares(n_types)
-    return [s / len(retained) for s in sums]
+        return _equal(n_types)
+    # sum of tau[i] / total over the retained entries, over their lcm
+    den = math.lcm(*(e.total for e in retained))
+    sums = [0] * n_types
+    for e in retained:
+        scale = den // e.total
+        for i, t in enumerate(e.tau):
+            sums[i] += t * scale
+    if 0 in sums:
+        return _equal(n_types)
+    return sums, den * len(retained)
 
 
 def smooth_shares_ma(
@@ -172,7 +200,24 @@ def smooth_shares_ma(
     """Average the instant shares over intervals within the lookback that had
     any throughput. If no interval qualifies, or any type never appears with
     throughput in the retained set, every type gets an equal share."""
-    return _smooth_shares_ma(_lag_window(history, depth), n_types)
+    return _fractions(_smooth_ma(history._recent(depth), n_types))
+
+
+def _smooth_ewma(
+    entry: _HistoryEntry | None, prev: _Ratios | None, alpha: Fraction, n_types: int
+) -> _Ratios:
+    if entry is None or 0 in entry.tau:
+        return _equal(n_types)
+    a, b = alpha.numerator, alpha.denominator
+    prev_nums, prev_den = prev if prev is not None else _equal(n_types)
+    # a/b * p/prev_den + (b-a)/b * t/total, over b * prev_den * total
+    nums = [
+        a * p * entry.total + (b - a) * t * prev_den
+        for p, t in zip(prev_nums, entry.tau)
+    ]
+    den = b * prev_den * entry.total
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
 
 
 def smooth_shares_ewma(
@@ -181,13 +226,24 @@ def smooth_shares_ewma(
     """Exponentially weighted update of the share vector. Falls back to equal
     shares whenever any type had no throughput in the interval that just
     ended (including the cold start)."""
-    entry = history._entry(0)
-    if entry is None or entry.shares is None or any(t == 0 for t in entry.tau):
-        return equal_shares(n_types)
-    current = entry.shares
-    if prev is None:
-        prev = equal_shares(n_types)
-    return [alpha * p + (1 - alpha) * c for p, c in zip(prev, current)]
+    prev_ratios = None if prev is None else _ratios(prev)
+    return _fractions(_smooth_ewma(history._entry(0), prev_ratios, alpha, n_types))
+
+
+def _profile(
+    shares: _Ratios, costs: Sequence[int], budget: int
+) -> tuple[list[int], int, list[int], int]:
+    """(cost-weighted share numerators, their sum, counts, total count)."""
+    if budget < max(costs):
+        raise BudgetTooSmall(f"budget {budget} below max type cost {max(costs)}")
+    weighted = [q * s for q, s in zip(costs, shares[0])]
+    denom = sum(weighted)
+    if denom == 0:
+        counts = [0] * len(weighted)
+    else:
+        # floor(budget * (w / denom) / q)
+        counts = [budget * w // (denom * q) for w, q in zip(weighted, costs)]
+    return weighted, denom, counts, sum(counts)
 
 
 def profile_supply(
@@ -198,16 +254,50 @@ def profile_supply(
     Returns (budget fractions, affordable instance counts, total count).
     Requires the budget to cover at least one instance of the priciest type.
     """
-    if budget < max(costs):
-        raise BudgetTooSmall(f"budget {budget} below max type cost {max(costs)}")
-    weighted = [q * s for q, s in zip(costs, shares)]
-    denom = sum(weighted)
-    if denom == 0:
-        fractions = [Fraction(0) for _ in shares]
-    else:
-        fractions = [w / denom for w in weighted]
-    counts = [int(budget * f / q) for f, q in zip(fractions, costs)]
-    return fractions, counts, sum(counts)
+    weighted, denom, counts, total = _profile(_ratios(shares), costs, budget)
+    fractions = [Fraction(w, denom) if denom else Fraction(0) for w in weighted]
+    return fractions, counts, total
+
+
+def tba_walk(
+    frontier: Sequence[TaskRef],
+    children: Callable[[TaskRef], Iterable[TaskRef]],
+    unfinished_parents: Callable[[TaskRef], int],
+    depth: int | None,
+) -> tuple[int, int, list[int]]:
+    """Token-based demand assessment, walking only the waves it counts.
+
+    Tokens start on the frontier (tasks with no unfinished parents; this
+    includes tasks currently running) as wave 1. Each following wave covers
+    tasks whose parents all hold tokens: a task joins once its local copy of
+    the unfinished-parent count falls to zero. Stops after ``depth`` waves,
+    or at exhaustion when depth is None. Nothing beyond the last counted wave
+    is read, and no in-degree table is built.
+
+    Returns (total tokenized, peak wave size, wave sizes).
+    """
+    if depth is not None and depth < 1:
+        return 0, 0, []
+    waves: list[int] = []
+    left: dict[TaskRef, int] = {}  # decremented copies of the parent counts
+    wave = frontier
+    while wave:
+        waves.append(len(wave))
+        if len(waves) == depth:
+            break
+        nxt: list[TaskRef] = []
+        for ref in wave:
+            for child in children(ref):
+                count = left.get(child)
+                if count is None:
+                    count = unfinished_parents(child)
+                count -= 1
+                if count == 0:
+                    nxt.append(child)
+                else:
+                    left[child] = count
+        wave = nxt
+    return sum(waves), max(waves, default=0), waves
 
 
 def tba_propagate(
@@ -215,48 +305,29 @@ def tba_propagate(
     edges: Sequence[tuple[TaskRef, TaskRef]],
     depth: int | None,
 ) -> tuple[int, int, list[int]]:
-    """Token-based demand assessment over the joint unfinished DAG.
-
-    Tokens start on the frontier (tasks with no unfinished parents; this
-    includes tasks currently running) as wave 1. Each following wave covers
-    tasks whose parents all hold tokens. Stops after ``depth`` waves, or at
-    exhaustion when depth is None.
-
-    Returns (total tokenized, peak wave size, wave sizes).
-    """
-    if depth is not None and depth < 1:
-        return 0, 0, []
-    indeg = {n: 0 for n in nodes}
+    """Token-based demand assessment over an explicit DAG: derives the
+    frontier, children and in-degrees from the edge list and runs
+    :func:`tba_walk`, the walk PFA runs on the user's unfinished DAG."""
+    indeg = dict.fromkeys(nodes, 0)
     children: dict[TaskRef, list[TaskRef]] = {}
     for a, b in edges:
         indeg[b] += 1
         children.setdefault(a, []).append(b)
     frontier = [n for n in nodes if indeg[n] == 0]
-    waves: list[int] = []
-    while frontier and (depth is None or len(waves) < depth):
-        waves.append(len(frontier))
-        nxt: list[TaskRef] = []
-        for n in frontier:
-            for c in children.get(n, ()):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    nxt.append(c)
-        frontier = nxt
-    return sum(waves), max(waves, default=0), waves
+    return tba_walk(frontier, lambda n: children.get(n, ()), indeg.__getitem__, depth)
 
 
-def _lookahead_depth_ma(
-    window: list[_HistoryEntry],
-) -> tuple[int | None, list[Fraction], Fraction]:
-    values: list[Fraction] = []
-    total = Fraction(0)
-    for entry in window:
-        if entry.total > 0:
-            values.extend(entry.tau)
-            total += entry.total
-    if not values or total == 0:
-        return None, values, total
-    return math.ceil(total / len(values)), values, total
+def _lookahead_ma(window: list[_HistoryEntry]) -> tuple[int | None, tuple[int, int] | None]:
+    """(depth, mean) from the mean of every per-type throughput in the
+    intervals that had any; the mean is a (numerator, denominator) pair, and
+    both are None when there is no such value."""
+    retained = [e for e in window if e.total > 0]
+    if not retained:
+        return None, None
+    den = math.lcm(*(e.den for e in retained))
+    num = sum(e.total * (den // e.den) for e in retained)
+    den *= sum(len(e.tau) for e in retained)
+    return _ceil_div(num, den), (num, den)
 
 
 def lookahead_depth_ma(
@@ -268,8 +339,20 @@ def lookahead_depth_ma(
     any throughput. Returns (depth, collected values); depth is None
     (unbounded) when nothing was collected.
     """
-    result, values, _total = _lookahead_depth_ma(_lag_window(history, depth))
-    return result, values
+    window = history._recent(depth)
+    values = [Fraction(t, e.den) for e in window if e.total > 0 for t in e.tau]
+    return _lookahead_ma(window)[0], values
+
+
+def _lookahead_ewma(
+    entry: _HistoryEntry | None, prev_depth: int, alpha: Fraction
+) -> tuple[int | None, tuple[int, int] | None]:
+    if entry is None or entry.total == 0:
+        return None, None
+    num, den = entry.total, entry.den * len(entry.tau)  # the mean throughput
+    a, b = alpha.numerator, alpha.denominator
+    # ceil(a/b * prev_depth + (b-a)/b * num/den)
+    return _ceil_div(a * prev_depth * den + (b - a) * num, b * den), (num, den)
 
 
 def lookahead_depth_ewma(
@@ -280,11 +363,14 @@ def lookahead_depth_ewma(
     Returns (depth, mean current throughput); both None-ish on an idle
     interval, where the depth is unbounded.
     """
-    entry = history._entry(0)
-    if entry is None or entry.total == 0:
-        return None, None
-    mean = entry.total / len(entry.tau)
-    return math.ceil(alpha * prev_depth + (1 - alpha) * mean), mean
+    depth, mean = _lookahead_ewma(history._entry(0), prev_depth, alpha)
+    return depth, None if mean is None else Fraction(*mean)
+
+
+def _predict(theta: int, peak: int, mean: tuple[int, int] | None) -> int:
+    if mean is None or mean[0] == 0:
+        return peak
+    return _ceil_div(theta * mean[1], mean[0])
 
 
 def predict_demand(theta: int, peak: int, mean_throughput: Fraction | None) -> int:
@@ -293,9 +379,10 @@ def predict_demand(theta: int, peak: int, mean_throughput: Fraction | None) -> i
     Divides the tokenized task count by the mean per-resource throughput;
     with no throughput signal, falls back to the peak wave size (level of
     parallelism)."""
-    if mean_throughput is None or mean_throughput == 0:
-        return peak
-    return math.ceil(Fraction(theta) / mean_throughput)
+    mean = None if mean_throughput is None else (
+        mean_throughput.numerator, mean_throughput.denominator
+    )
+    return _predict(theta, peak, mean)
 
 
 def reconcile_profile(
@@ -318,8 +405,7 @@ def reconcile_profile(
     if total == predicted:
         return counts
     if total > predicted:
-        factor = Fraction(predicted, total)
-        return [math.ceil(factor * c) for c in counts]
+        return [_ceil_div(predicted * c, total) for c in counts]
 
     order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
     spent = sum(c * q for c, q in zip(counts, costs))
@@ -357,26 +443,28 @@ def pfa_decide(
     steps: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    alpha = config.alpha_fraction()
     if config.smoothing == "ma":
-        window = _lag_window(obs.history, config.ma_depth)
-        shares = _smooth_shares_ma(window, n)
+        window = obs.history._recent(config.ma_depth)
+        shares = _smooth_ma(window, n)
     else:
-        shares = smooth_shares_ewma(obs.history, carry.prev_shares, alpha, n)
+        alpha = config.alpha_fraction()
+        entry = obs.history._entry(0)
+        shares = _smooth_ewma(entry, carry.prev_shares, alpha, n)
     steps["smooth"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fractions, counts, total = profile_supply(shares, costs, obs.budget)
+    weighted, denom, counts, total = _profile(shares, costs, obs.budget)
     steps["profile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if config.smoothing == "ma":
-        depth, tau_values, tau_total = _lookahead_depth_ma(window)
-        mean_tp = tau_total / len(tau_values) if tau_values and tau_total else None
+        depth, mean = _lookahead_ma(window)
     else:
-        depth, mean_tp = lookahead_depth_ewma(obs.history, carry.prev_depth, alpha)
-    theta, peak, _waves = tba_propagate(obs.joint_nodes, obs.joint_edges, depth)
-    predicted = predict_demand(theta, peak, mean_tp)
+        depth, mean = _lookahead_ewma(entry, carry.prev_depth, alpha)
+    theta, peak, _waves = tba_walk(
+        obs.frontier, obs.children, obs.unfinished_parents, depth
+    )
+    predicted = _predict(theta, peak, mean)
     steps["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -388,26 +476,28 @@ def pfa_decide(
     kept: dict[str, int] = {}
     for i, tid in enumerate(type_ids):
         have = obs.allocated.get(tid, 0)
+        kept[tid] = have
         surplus = have - final[i]
-        releasable = [r for r in obs.idle.get(tid, ()) if r.billing_end_s <= obs.now]
-        if surplus > 0 and releasable:
+        if surplus <= 0:
+            continue
+        releasable = [
+            r for r in map(IdleInfo._make, obs.idle(tid)) if r.billing_end_s <= obs.now
+        ]
+        if releasable:
             releasable.sort(key=lambda r: (r.billing_end_s, r.idle_since_s, r.resource_id))
-            chosen = releasable[: min(surplus, len(releasable))]
+            chosen = releasable[:surplus]
             dealloc.extend(r.resource_id for r in chosen)
             kept[tid] = have - len(chosen)
-        else:
-            kept[tid] = have
 
     alloc: dict[str, list[int]] = {}
     running_cost = sum(kept[tid] * q for tid, q in obs.types)
     for i in sorted(range(n), key=lambda i: (costs[i], i)):
         tid = type_ids[i]
-        want = max(0, final[i] - kept[tid])
+        want = final[i] - kept[tid]
         if want <= 0:
             continue
-        pool = list(obs.free_ids.get(tid, ()))
         picked: list[int] = []
-        for rid in pool:
+        for rid in obs.free_ids(tid):
             if len(picked) >= want or running_cost + costs[i] > obs.budget:
                 break
             picked.append(rid)
@@ -421,11 +511,13 @@ def pfa_decide(
     if depth is not None:
         carry.prev_depth = depth
 
+    share_nums, share_den = shares
     diagnostics = {
         "t": obs.tick,
         "user": obs.user_id,
-        "rho": [float(s) for s in shares],
-        "nu": [float(f) for f in fractions],
+        # int / int rounds correctly, as float(Fraction) does
+        "rho": [s / share_den for s in share_nums],
+        "nu": [w / denom if denom else 0.0 for w in weighted],
         "mu_hat": counts,
         "mu_tilde": total,
         "zeta": depth,
@@ -480,7 +572,6 @@ class PfaPolicy(Policy):
                 {t: finished[t] - carry.finished[t] for t in type_ids}, allocated
             )
         carry.finished = finished
-        nodes, edges = facade.joint_dag()
         obs = PfaObservation(
             now=view.now,
             tick=view.tick,
@@ -488,10 +579,11 @@ class PfaPolicy(Policy):
             budget=view.user.budget,
             types=tuple((t.id, t.cost) for t in view.config.types),
             allocated=allocated,
-            idle={t: tuple(IdleInfo._make(i) for i in facade.idle(t)) for t in type_ids},
-            free_ids={t: facade.free_ids(t) for t in type_ids},
-            joint_nodes=tuple(nodes),
-            joint_edges=tuple(edges),
+            idle=facade.idle,
+            free_ids=facade.free_ids,
+            frontier=facade.frontier(),
+            children=facade.children,
+            unfinished_parents=facade.unfinished_parents,
             history=carry.history,
         )
         return obs, carry
@@ -514,4 +606,5 @@ __all__ = [
     "smooth_shares_ewma",
     "smooth_shares_ma",
     "tba_propagate",
+    "tba_walk",
 ]

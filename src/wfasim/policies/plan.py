@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus
@@ -33,13 +32,23 @@ def fastest_type(
     return best
 
 
-@dataclass
-class _Slot:
-    """A resource as the planner sees it: type plus next-free time."""
+_FINISHED = TaskStatus.FINISHED
 
-    id: int
-    rtype_id: str
-    available_s: int
+
+def earliest_slot(
+    available: list[int], ready_s: int, horizon_s: int
+) -> tuple[int, int] | None:
+    """(position, start) of the slot where a task ready at ``ready_s``
+    starts first, the lowest position among ties, or None when no start
+    falls before the horizon. A slot's start is ``max(ready_s, free time)``.
+    """
+    earliest = min(available)
+    if earliest >= ready_s:
+        start, i = earliest, available.index(earliest)
+    else:  # some slot is free by ready_s: the lowest such position wins
+        start = ready_s
+        i = next(i for i, free_s in enumerate(available) if free_s <= ready_s)
+    return None if start >= horizon_s else (i, start)
 
 
 def build_plan(
@@ -64,9 +73,14 @@ def build_plan(
 
     ``extra_resources`` lists (id, type) of allocations decided this tick but
     not applied yet; they become available after the boot delay.
+
+    Neither phase visits a finished task: the first visits only the typed
+    tasks, the second only unfinished ones. Each placement reads a flat list
+    of next-free times, all slots' or one type's, with C-level ``min`` and
+    ``index`` (see :func:`earliest_slot`).
     """
     plan = ExecutionPlan()
-    slots: list[_Slot] = []
+    slots: list[tuple[int, str, int]] = []  # (id, type id, next free time)
     for r in state.user_resources(user):
         if r.state is ResourceState.BUSY and r.running is not None:
             wf_id, task_id = r.running
@@ -74,75 +88,84 @@ def build_plan(
             start = run.task_start_s[task_id]
             end = start + oracle(run.graph.tasks[task_id], r.rtype.id)
             plan.add(PlanEntry(r.id, wf_id, task_id, start, end, pinned=True))
-            slots.append(_Slot(r.id, r.rtype.id, end))
+            slots.append((r.id, r.rtype.id, end))
         elif r.state is ResourceState.BOOTING:
-            slots.append(_Slot(r.id, r.rtype.id, max(now, r.boot_ready_s or now)))
+            slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s or now)))
         elif r.state is ResourceState.IDLE:
-            slots.append(_Slot(r.id, r.rtype.id, now))
+            slots.append((r.id, r.rtype.id, now))
     boot_ready = now + state.config.boot_delay_s
     for rid, rtype_id in extra_resources:
-        slots.append(_Slot(rid, rtype_id, boot_ready))
-    slots.sort(key=lambda s: s.id)
+        slots.append((rid, rtype_id, boot_ready))
     if not slots:
         return plan
+    slots.sort()
+    slot_ids = [s[0] for s in slots]
+    slot_types = [s[1] for s in slots]
+    available = [s[2] for s in slots]
+    # per type: positions in the flat lists, and the same next-free times
+    by_type: dict[str, tuple[list[int], list[int]]] = {}
+    local: list[int] = []  # position of each slot in its type's list
+    for pos, (_rid, rtype_id, free_s) in enumerate(slots):
+        positions, times = by_type.setdefault(rtype_id, ([], []))
+        local.append(len(positions))
+        positions.append(pos)
+        times.append(free_s)
 
-    placed: set[TaskRef] = set(plan.by_task)
-
-    def place(ref: TaskRef, ready_s: int, candidates: list[_Slot]) -> bool:
-        best: _Slot | None = None
-        best_start = horizon_s
-        for slot in candidates:
-            start = max(ready_s, slot.available_s)
-            if start < best_start:
-                best, best_start = slot, start
-        if best is None:
-            return False
-        wf_id, task_id = ref
+    def place(wf_id: str, task_id: str, ready_s: int, rtype_id: str | None) -> None:
+        """Put a task on the candidate with the earliest start before the
+        horizon, if any: all slots, or the slots of one type."""
+        times = available if rtype_id is None else by_type[rtype_id][1]
+        found = earliest_slot(times, ready_s, horizon_s)
+        if found is None:
+            return
+        i, start = found
+        if rtype_id is None:
+            pos, rtype_id = i, slot_types[i]
+        else:
+            pos = by_type[rtype_id][0][i]
         run = state.runs[wf_id]
-        end = best_start + oracle(run.graph.tasks[task_id], best.rtype_id)
-        plan.add(PlanEntry(best.id, wf_id, task_id, best_start, end))
-        best.available_s = end
-        placed.add(ref)
-        return True
+        end = start + oracle(run.graph.tasks[task_id], rtype_id)
+        plan.add(PlanEntry(slot_ids[pos], wf_id, task_id, start, end))
+        available[pos] = end
+        by_type[rtype_id][1][local[pos]] = end
 
-    by_type: dict[str, list[_Slot]] = {}
-    for slot in slots:
-        by_type.setdefault(slot.rtype_id, []).append(slot)
+    # Phase 1: tasks that bought a specific type go onto that type, in
+    # workflow order and topological order within a workflow.
+    runs = state.runs
+    if typed:
+        rank = {wf_id: k for k, wf_id in enumerate(workflow_order)}
 
-    # Phase 1: tasks that bought a specific type go onto that type.
-    for wf_id in workflow_order:
-        run = state.runs[wf_id]
-        for task_id in run.graph.topo_order:
-            ref = (wf_id, task_id)
-            rtype_id = typed.get(ref)
-            if rtype_id is None or ref in placed:
-                continue
-            candidates = by_type.get(rtype_id)
-            if not candidates:
-                continue  # no such resource; falls through to phase 2
-            place(ref, now, candidates)
+        def typed_order(ref: TaskRef) -> tuple[int, int]:
+            return rank[ref[0]], runs[ref[0]].graph.topo_index[ref[1]]
+
+        for ref in sorted((ref for ref in typed if ref[0] in rank), key=typed_order):
+            rtype_id = typed[ref]
+            if rtype_id in by_type and ref not in plan.by_task:
+                place(ref[0], ref[1], now, rtype_id)
+            # a type with no resource falls through to phase 2
 
     # Phase 2: everything else, precedence permitting.
+    unfinished = state.unfinished_tasks(user)
+    planned = plan.by_task
     for wf_id in workflow_order:
-        run = state.runs[wf_id]
-        if min(s.available_s for s in slots) >= horizon_s:
+        if min(available) >= horizon_s:
             break
-        for task_id in run.graph.topo_order:
-            ref = (wf_id, task_id)
-            if run.status[task_id] is TaskStatus.FINISHED or ref in placed:
+        run = runs[wf_id]
+        status, parents = run.status, run.graph.parents
+        for task_id in unfinished.get(wf_id, ()):
+            if (wf_id, task_id) in planned:
                 continue
             ready = now
-            plannable = True
-            for parent in run.graph.parents[task_id]:
-                if run.status[parent] is TaskStatus.FINISHED:
+            for parent in parents[task_id]:
+                if status[parent] is _FINISHED:
                     continue
-                entry = plan.by_task.get((wf_id, parent))
+                entry = planned.get((wf_id, parent))
                 if entry is None:
-                    plannable = False
                     break
-                ready = max(ready, entry.end_s)
-            if plannable:
-                place(ref, ready, slots)
+                if entry.end_s > ready:
+                    ready = entry.end_s
+            else:
+                place(wf_id, task_id, ready, None)
     return plan
 
 
@@ -206,7 +229,7 @@ class PlfPolicy(Policy):
                 f"user {user}: reserved cost {committed} over budget {budget}"
             )
         remaining = budget - committed
-        active = [w for w in state.user_workflows[user] if not state.runs[w].done]
+        active = list(state.unfinished_tasks(user))
         shares: dict[str, Fraction] = {}
         if active:
             weights = {w: state.runs[w].spec.priority for w in active}
@@ -294,16 +317,14 @@ class ScfPolicy(Policy):
             )
 
         supply: dict[str, int] = {t.id: 0 for t in types}
-        active = [w for w in state.user_workflows[user] if not state.runs[w].done]
-        for wf_id in active:
+        unfinished = state.unfinished_tasks(user)
+        active = list(unfinished)
+        for wf_id, task_ids in unfinished.items():
             run = state.runs[wf_id]
             sums: dict[str, int] = {}
-            for task_id in run.graph.topo_order:
-                status = run.status[task_id]
-                if status is TaskStatus.FINISHED:
-                    continue
+            for task_id in task_ids:
                 task = run.graph.tasks[task_id]
-                if status is TaskStatus.RUNNING:
+                if run.status[task_id] is TaskStatus.RUNNING:
                     rtype_id = state.resources[run.task_resource[task_id]].rtype.id
                     left = run.task_start_s[task_id] + view.oracle(task, rtype_id) - now
                     sums[rtype_id] = sums.get(rtype_id, 0) + max(1, left)
@@ -392,6 +413,7 @@ __all__ = [
     "PlfPolicy",
     "ScfPolicy",
     "build_plan",
+    "earliest_slot",
     "fastest_type",
     "scf_scale_supply",
 ]

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .model import ResourceState, TaskStatus
+from .model import TaskStatus
 from .policies.base import ExecutionPlan, PlanEntry
-from .state import SystemState, TaskRef
+from .state import SystemState
 
 Assignment = tuple[str, str, int]  # (workflow id, task id, resource id)
 
@@ -59,24 +59,23 @@ class PlanRunner:
         if not queues:
             return []
         out: list[Assignment] = []
-        for r in state.idle_resources(user):
-            q = queues.get(r.id)
+        # only idle machines with a queue can start anything
+        for rid in state.idle_ids(user, queues.keys()):
+            q = queues[rid]
             while q:
                 entry = q[0]
                 if entry.start_s > now:
                     break
-                ref: TaskRef = (entry.wf_id, entry.task_id)
-                run = state.runs[ref[0]]
-                if run.status[ref[1]] is TaskStatus.ELIGIBLE:
-                    state.start_task(ref[0], ref[1], r, now)
-                    out.append((ref[0], ref[1], r.id))
+                if state.runs[entry.wf_id].status[entry.task_id] is TaskStatus.ELIGIBLE:
+                    state.start_task(entry.wf_id, entry.task_id, state.resources[rid], now)
+                    out.append((entry.wf_id, entry.task_id, rid))
                     q.popleft()
                     break
                 # Overdue but not runnable (a parent overran) or already
                 # handled: drop the entry, the next tick replans the task.
                 q.popleft()
-            if q is not None and not q:
-                queues.pop(r.id, None)
+            if not q:
+                del queues[rid]
         return out
 
 

@@ -13,8 +13,14 @@ so no query scans every machine or re-sorts every eligible task:
   skipped, or compacted away once they outnumber the live ones;
 - one set of machine ids per (user, type, state) for the reserved states,
   and one set of free machine ids per type;
-- per user, the unfinished tasks with their edges in arrival, then
-  topological, order, and the finished-task count per type.
+- per user, the unfinished tasks with their unfinished children in arrival,
+  then topological, order; the frontier, which is the unfinished tasks with
+  no unfinished parent (eligible or running); and the finished-task count
+  per type.
+
+Each task's count of unfinished parents is ``WorkflowRun.blocked_parents``.
+With the children lists and the frontier, that is all a token walk over the
+user's unfinished DAG needs, so no query has to build the joint DAG.
 
 Index invariant: only the ``SystemState`` transitions (``reserve``,
 ``boot_complete``, ``start_task``, ``finish_task`` and ``release``) may
@@ -26,6 +32,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
+from typing import AbstractSet
 
 from .dagops import WorkflowGraph
 from .model import (
@@ -90,7 +99,11 @@ class SystemState:
         self._running: dict[str, int] = {u.id: 0 for u in users}
         self._eligible: dict[str, int] = {u.id: 0 for u in users}
         self._heaps: dict[str, list[tuple[OrderKey, TaskRef]]] = {u.id: [] for u in users}
-        self._unfinished: dict[str, dict[TaskRef, tuple]] = {u.id: {} for u in users}
+        # user -> unfinished task -> its children (all unfinished too)
+        self._unfinished: dict[str, dict[TaskRef, tuple[TaskRef, ...]]] = {
+            u.id: {} for u in users
+        }
+        self._frontier: dict[str, dict[TaskRef, None]] = {u.id: {} for u in users}
         self._arrival_seq = 0
         self._type_ids = tuple(t.id for t in config.types)
         # machine ids: user -> state -> type id -> ids, and type id -> free ids
@@ -130,7 +143,9 @@ class SystemState:
         run.status[task_id] = TaskStatus.ELIGIBLE
         user = run.spec.user
         self._eligible[user] += 1
-        heapq.heappush(self._heaps[user], (run.order_key(task_id), (run.spec.id, task_id)))
+        ref = (run.spec.id, task_id)
+        self._frontier[user][ref] = None
+        heapq.heappush(self._heaps[user], (run.order_key(task_id), ref))
 
     def arrive(self, spec: WorkflowSpec, graph: WorkflowGraph | None = None) -> WorkflowRun:
         if spec.id in self.runs:
@@ -143,7 +158,7 @@ class SystemState:
         run.unfinished = len(spec.tasks)
         refs = {tid: (spec.id, tid) for tid in graph.topo_order}
         for tid, ref in refs.items():
-            self._unfinished[spec.user][ref] = tuple((ref, refs[c]) for c in graph.children[tid])
+            self._unfinished[spec.user][ref] = tuple(refs[c] for c in graph.children[tid])
             blocked = len(graph.parents[tid])
             run.blocked_parents[tid] = blocked
             if blocked == 0:
@@ -189,6 +204,7 @@ class SystemState:
         user = run.spec.user
         self._running[user] -= 1
         del self._unfinished[user][(wf_id, task_id)]
+        del self._frontier[user][(wf_id, task_id)]
         resource = self.resources[run.task_resource[task_id]]
         self._finished[user][resource.rtype.id] += 1
         self._move(resource, ResourceState.IDLE)
@@ -265,15 +281,38 @@ class SystemState:
             for rid in ids
         ]
 
+    def idle_ids(self, user: str, among: AbstractSet[int]) -> list[int]:
+        """The ids in ``among`` that are idle machines of the user, lowest first."""
+        out: list[int] = []
+        for ids in self._pools[user][ResourceState.IDLE].values():
+            out.extend(among & ids)
+        out.sort()
+        return out
+
+    def unfinished_tasks(self, user: str) -> dict[str, list[str]]:
+        """{workflow id: its unfinished task ids in topological order} for the
+        user's active workflows, in arrival order."""
+        return {
+            wf_id: [ref[1] for ref in refs]
+            for wf_id, refs in groupby(self._unfinished[user], itemgetter(0))
+        }
+
+    def frontier(self, user: str) -> tuple[TaskRef, ...]:
+        """The user's unfinished tasks with no unfinished parent: every
+        eligible and every running task."""
+        return tuple(self._frontier[user])
+
     def joint_dag(self, user: str) -> tuple[list[TaskRef], list[tuple[TaskRef, TaskRef]]]:
         """Unfinished tasks of the user's arrived workflows, with the
         precedence edges among them, as one combined DAG.
 
         Node and edge order is deterministic (arrival sequence, then
-        topological index).
+        topological index). This is the explicit form of what ``frontier``,
+        the children lists and ``WorkflowRun.blocked_parents`` describe; no
+        policy needs it built.
         """
         tasks = self._unfinished[user]
-        return list(tasks), [edge for edges in tasks.values() for edge in edges]
+        return list(tasks), [(ref, c) for ref, children in tasks.items() for c in children]
 
     # -- reservations -------------------------------------------------------
 
@@ -349,8 +388,18 @@ class UserFacade:
     def free_ids(self, rtype_id: str) -> tuple[int, ...]:
         return tuple(r.id for r in self._state.free_resources(rtype_id))
 
-    def joint_dag(self) -> tuple[list[TaskRef], list[tuple[TaskRef, TaskRef]]]:
-        return self._state.joint_dag(self.user_id)
+    def frontier(self) -> tuple[TaskRef, ...]:
+        """Unfinished tasks with no unfinished parent, running ones included."""
+        return self._state.frontier(self.user_id)
+
+    def children(self, ref: TaskRef) -> tuple[TaskRef, ...]:
+        """The children of one unfinished task."""
+        return self._state._unfinished[self.user_id][ref]
+
+    def unfinished_parents(self, ref: TaskRef) -> int:
+        """How many parents of one unfinished task are unfinished."""
+        return self._state.runs[ref[0]].blocked_parents[ref[1]]
+
 
     def finished_by_type(self) -> dict[str, int]:
         """Tasks finished so far, per type of the machine that ran them."""

@@ -6,6 +6,7 @@ definitions before implementation; the derivations are inlined as comments.
 
 import dataclasses
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,15 @@ def observation(
     for info in idle:
         idle_map.setdefault(info[3], ())
         idle_map[info[3]] = idle_map[info[3]] + (IdleInfo(info[0], info[1], info[2]),)
+    free = {
+        "small": tuple(range(100, 100 + free_small)),
+        "large": tuple(range(300, 300 + free_large)),
+    }
+    parents = dict.fromkeys(nodes, 0)
+    children = {n: [] for n in nodes}
+    for a, b in edges:
+        parents[b] += 1
+        children[a].append(b)
     return PfaObservation(
         now=now,
         tick=tick,
@@ -72,13 +82,11 @@ def observation(
         budget=budget,
         types=TYPES,
         allocated=allocated or {},
-        idle=idle_map,
-        free_ids={
-            "small": tuple(range(100, 100 + free_small)),
-            "large": tuple(range(300, 300 + free_large)),
-        },
-        joint_nodes=tuple(nodes),
-        joint_edges=tuple(edges),
+        idle=lambda t: idle_map.get(t, ()),
+        free_ids=lambda t: free.get(t, ()),
+        frontier=tuple(n for n in nodes if parents[n] == 0),
+        children=children.__getitem__,
+        unfinished_parents=parents.__getitem__,
         history=hist or history(),
     )
 
@@ -371,7 +379,7 @@ def test_ewma_carry_flows_between_decisions():
     h = history(((2, 2), (1, 1)))
     obs = observation(nodes=nodes, hist=h, budget=12)
     pfa_decide(obs, PfaConfig(smoothing="ewma"), carry)
-    assert carry.prev_shares == [F(1, 2), F(1, 2)]
+    assert carry.prev_shares == ([1, 1], 2)  # (1/2, 1/2)
     assert carry.prev_depth == 2  # ceil(0.7*1 + 0.3*2)
 
     # an idle interval leaves the depth carry at its last finite value
@@ -406,29 +414,31 @@ def test_policy_names_and_config_validation():
 def test_observation_structurally_excludes_runtimes():
     fields = {f.name for f in dataclasses.fields(PfaObservation)}
     assert fields == {
-        "now", "tick", "user_id", "budget", "types", "allocated",
-        "idle", "free_ids", "joint_nodes", "joint_edges", "history",
+        "now", "tick", "user_id", "budget", "types", "allocated", "idle", "free_ids",
+        "frontier", "children", "unfinished_parents", "history",
     }
 
 
 def test_user_facade_exposes_only_runtime_free_queries():
     public = {name for name in dir(UserFacade) if not name.startswith("_")}
     assert public == {
-        "user_id", "counts_by_type", "idle", "free_ids", "joint_dag", "finished_by_type",
+        "user_id", "counts_by_type", "idle", "free_ids", "finished_by_type",
+        "frontier", "children", "unfinished_parents",
     }
     # slots only: no instance dict to hang a path to runs or runtimes on
     assert UserFacade.__slots__ == ("_state", "user_id")
     assert not hasattr(UserFacade(None, "u1"), "__dict__")
 
     state = SystemState(two_type_system(small=2, large=1), users(("u1", 12)))
-    state.arrive(chain_wf("w1", [{"small": 5, "large": 2}] * 2))
+    state.arrive(chain_wf("w1", [{"small": 5, "large": 2}] * 3))
     state.reserve(state.resources[0], "u1", now=0)
     state.start_task("w1", "t0", state.resources[0], now=0)
     state.finish_task("w1", "t0", now=5)
     facade = UserFacade(state, "u1")
     answers = [
         facade.counts_by_type(), facade.idle("small"), facade.free_ids("small"),
-        facade.joint_dag(), facade.finished_by_type(),
+        facade.finished_by_type(), facade.frontier(), facade.children(("w1", "t1")),
+        facade.unfinished_parents(("w1", "t2")),
     ]
 
     def leaves(x):
@@ -441,7 +451,9 @@ def test_user_facade_exposes_only_runtime_free_queries():
     assert {type(leaf) for a in answers for leaf in leaves(a)} == {int, str}
     assert facade.idle("small") == ((0, 60, 5),)
     assert facade.free_ids("small") == (1,)
-    assert facade.joint_dag() == ([("w1", "t1")], [])
+    assert facade.frontier() == (("w1", "t1"),)
+    assert facade.children(("w1", "t1")) == (("w1", "t2"),)
+    assert facade.unfinished_parents(("w1", "t2")) == 1
     assert facade.finished_by_type() == {"small": 1, "large": 0}
 
 
@@ -577,3 +589,85 @@ def test_share_vectors_are_distributions(records):
 def test_equal_share_fallback_on_empty_history():
     assert smooth_shares_ma(history(), 10, 3) == equal_shares(3)
     assert smooth_shares_ewma(history(), None, F(7, 10), 3) == equal_shares(3)
+
+
+# -- integer arithmetic against a Fraction reference ---------------------------------
+
+
+def fraction_reference(rows, smoothing, ma_depth, prev_shares, prev_depth, budget, costs):
+    """The decision's numbers computed with Fractions throughout: rows are
+    (completed, allocated) pairs, oldest first. Returns the diagnostics the
+    policy reports, and the shares and depth it carries forward."""
+    taus = [
+        [F(c, a) if a > 0 else F(0) for c, a in zip(completed, allocated)]
+        for completed, allocated in rows
+    ]
+    n = len(costs)
+    alpha = F(7, 10)
+    equal = [F(1, n)] * n
+    mean = None
+    if smoothing == "ma":
+        window = [t for t in reversed(taus)][: ma_depth + 1]
+        retained = [[x / sum(t) for x in t] for t in window if sum(t) > 0]
+        sums = [sum(s[i] for s in retained) for i in range(n)]
+        shares = equal if not retained or 0 in sums else [x / len(retained) for x in sums]
+        values = [x for t in window if sum(t) > 0 for x in t]
+        if values:
+            mean = sum(values) / len(values)
+        depth = None if mean is None else math.ceil(mean)
+    else:
+        tau = taus[-1] if taus else None
+        if tau is None or 0 in tau:
+            shares = equal
+        else:
+            current = [x / sum(tau) for x in tau]
+            shares = [alpha * p + (1 - alpha) * c for p, c in zip(prev_shares or equal, current)]
+        if tau is not None and sum(tau) > 0:
+            mean = sum(tau) / len(tau)
+        depth = None if mean is None else math.ceil(alpha * prev_depth + (1 - alpha) * mean)
+    weighted = [q * s for q, s in zip(costs, shares)]
+    nu = [w / sum(weighted) for w in weighted]
+    counts = [int(budget * f / q) for f, q in zip(nu, costs)]
+    return {
+        "rho": [float(s) for s in shares], "nu": [float(f) for f in nu],
+        "mu_hat": counts, "zeta": depth, "mean": mean,
+    }, shares, depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)),
+            st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        ),
+        max_size=14,
+    ),
+    smoothing=st.sampled_from(["ma", "ewma"]),
+    ma_depth=st.integers(0, 12),
+    theta_tasks=st.integers(0, 9),
+    budget=st.integers(5, 40),
+)
+def test_integer_arithmetic_matches_fraction_reference(
+    rows, smoothing, ma_depth, theta_tasks, budget
+):
+    # one decision after each recorded interval, carrying state forward as
+    # the policy does; every floor, ceil and reported float must agree
+    config = PfaConfig(smoothing=smoothing, ma_depth=ma_depth)
+    carry = PfaState()
+    prev_shares, prev_depth = None, 1
+    nodes = [("w1", f"t{i}") for i in range(theta_tasks)]
+    for k in range(len(rows) + 1):
+        obs = observation(nodes=nodes, hist=history(*rows[:k]), budget=budget)
+        got = pfa_decide(obs, config, carry).diagnostics
+        want, prev_shares, depth = fraction_reference(
+            rows[:k], smoothing, ma_depth, prev_shares, prev_depth, budget, [1, 5]
+        )
+        if depth is not None:
+            prev_depth = depth
+        for key in ("rho", "nu", "mu_hat", "zeta"):
+            assert got[key] == want[key], key
+        mean = want["mean"]
+        assert got["sigma"] == (
+            got["lambda"] if not mean else math.ceil(F(got["theta"]) / mean)
+        )

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_wf, two_type_system, users, wf
 from wfasim.model import OverCommitted, ResourceType, TaskSpec, UserConfig
@@ -11,6 +13,7 @@ from wfasim.policies.plan import (
     PlfPolicy,
     ScfPolicy,
     build_plan,
+    earliest_slot,
     fastest_type,
     scf_scale_supply,
 )
@@ -55,6 +58,42 @@ def test_fastest_type_full_tie_goes_to_config_order():
     types = (ResourceType("a", 2), ResourceType("b", 2))
     task = TaskSpec("t", {"a": 3, "b": 3})
     assert fastest_type(task, types, perfect_oracle).id == "a"
+
+
+# -- placement -------------------------------------------------------------------
+
+
+def linear_scan(available, ready_s, horizon_s):
+    """The planner's original placement rule, kept as the reference: the
+    first slot, in position order, with the smallest start before the
+    horizon."""
+    best, best_start = None, horizon_s
+    for i, free_s in enumerate(available):
+        start = max(ready_s, free_s)
+        if start < best_start:
+            best, best_start = i, start
+    return None if best is None else (best, best_start)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    # few distinct values, so free times tie with each other and with ready
+    available=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+    ready_s=st.integers(0, 14),
+    horizon_s=st.integers(0, 14),
+)
+def test_earliest_slot_matches_linear_scan(available, ready_s, horizon_s):
+    assert earliest_slot(available, ready_s, horizon_s) == linear_scan(
+        available, ready_s, horizon_s
+    )
+
+
+def test_earliest_slot_past_horizon_and_ties():
+    assert earliest_slot([60, 70, 60], 0, 60) is None  # every slot past the horizon
+    assert earliest_slot([5, 5], 70, 60) is None  # ready past the horizon
+    assert earliest_slot([9, 3, 3], 0, 60) == (1, 3)  # earliest, lowest position
+    assert earliest_slot([9, 3, 1], 4, 60) == (1, 4)  # free by ready: lowest position
+    assert earliest_slot([9, 4, 1], 4, 60) == (1, 4)
 
 
 # -- planner ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import chain_wf, diamond_wf, small_only_system, two_type_system, users, wf
 from wfasim.model import ResourceState, TaskStatus
+from wfasim.policies.pfa import tba_propagate, tba_walk
 from wfasim.scheduler import dispatch_dynamic
 from wfasim.state import SystemState, UserFacade
 
@@ -89,6 +90,8 @@ def check_queries(state):
         assert state.idle_resources(u) == idle
         for t in TYPES:
             assert state.idle_resources(u, t) == [r for r in idle if r.rtype.id == t]
+        some = {r.id for r in state.resources if r.id % 2}
+        assert state.idle_ids(u, some) == [r.id for r in idle if r.id % 2]
         mine = held(state, u)
         assert state.user_resources(u) == mine
         assert state.supply(u) == len(mine)
@@ -107,6 +110,26 @@ def check_queries(state):
         )
         assert state.momentary_demand(u) == running + len(eligible)
         assert state.joint_dag(u) == brute_joint_dag(state, u)
+        assert state.unfinished_tasks(u) == {
+            wf_id: [t for t in run.graph.topo_order if run.status[t] is not TaskStatus.FINISHED]
+            for wf_id in state.user_workflows[u]
+            if not (run := state.runs[wf_id]).done
+        }
+        frontier = {
+            (wf_id, tid)
+            for wf_id in state.user_workflows[u]
+            for tid, status in state.runs[wf_id].status.items()
+            if status in (TaskStatus.ELIGIBLE, TaskStatus.RUNNING)
+        }
+        assert set(state.frontier(u)) == frontier
+        assert len(state.frontier(u)) == len(frontier)
+        # the frontier walk PFA runs counts the same waves as the explicit
+        # walk over the joint DAG, at every depth
+        facade = UserFacade(state, u)
+        for depth in (*range(1, 9), None):
+            assert tba_walk(
+                facade.frontier(), facade.children, facade.unfinished_parents, depth
+            ) == tba_propagate(*state.joint_dag(u), depth)
         assert UserFacade(state, u).finished_by_type() == brute_finished(state, u)
         # popping the heap yields the live tasks in dispatch order, and stale
         # entries never outnumber live ones
