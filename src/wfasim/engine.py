@@ -221,6 +221,7 @@ class _Sim:
             if u.id in user_ids:
                 raise ValueError(f"duplicate user id {u.id!r}")
             user_ids.add(u.id)
+        type_ids = {t.id for t in system.types}
         self.graphs: dict[str, WorkflowGraph] = {}
         for wf in workflows:
             if wf.id in self.graphs:
@@ -228,6 +229,11 @@ class _Sim:
             issues = validate_workflow(wf, self.graphs)
             if not issues and wf.user not in user_ids:
                 issues = [f"UnknownUser({wf.user})"]
+            if not issues:
+                # a runtime on a type the system lacks would enter the ideal
+                # makespan; a task need not name every type the system has
+                named = set().union(*(task.runtime_by_type for task in wf.tasks))
+                issues = [f"UnknownType({t})" for t in sorted(named - type_ids)]
             if issues:
                 raise WorkloadInvalid(wf.id, issues)
         self.system = system
@@ -236,9 +242,10 @@ class _Sim:
         self.seed = seed
         self.collect_plans = collect_plans
         self.state = SystemState(system, users)
+        self.task_runs = self.state.task_runs
         self.specs = {wf.id: wf for wf in workflows}
         self.rng = random.Random(seed)
-        self.heap: list[tuple[int, int, int, tuple]] = []
+        self.heap: list[tuple[int, int, int, object]] = []
         self.push_seq = itertools.count()
         self.type_ids = [t.id for t in system.types]
         self.plan_runner = PlanRunner() if policy.mode == "plan" else None
@@ -252,12 +259,12 @@ class _Sim:
         self.wake_times: set[tuple[str, int]] = set()
 
         for wf in workflows:
-            self.push(wf.arrival_s, _ARRIVAL, (wf.id,))
-        self.push(0, _TICK, ())
+            self.push(wf.arrival_s, _ARRIVAL, wf.id)
+        self.push(0, _TICK, None)
 
     # -- plumbing ------------------------------------------------------------
 
-    def push(self, when: int, rank: int, data: tuple) -> None:
+    def push(self, when: int, rank: int, data: object) -> None:
         if when < self.state.clock:
             raise AssertionError("event scheduled in the past")
         heapq.heappush(self.heap, (when, rank, next(self.push_seq), data))
@@ -285,17 +292,20 @@ class _Sim:
                  detail=f"priority={spec.priority};tasks={len(spec.tasks)}")
         self.dispatch(spec.user, now)
 
-    def on_finish(self, now: int, wf_id: str, task_id: str) -> None:
-        run = self.state.runs[wf_id]
-        rid = run.task_resource[task_id]
+    def on_finish(self, now: int, h: int) -> None:
+        run = self.task_runs[h]
+        i = h - run.base
+        rid = run.task_resource[i]
         rtype_id = self.state.resources[rid].rtype.id
-        self.state.finish_task(wf_id, task_id, now)
-        self.row(now, "finish", run.spec.user, workflow=wf_id, task=task_id,
-                 resource=rid, rtype=rtype_id)
+        self.state.finish_task(h, now)
+        spec = run.spec
+        self.trace.append(
+            (now, "finish", spec.user, spec.id, run.graph.topo_order[i], rid, rtype_id, "")
+        )
         if run.done:
-            self.row(now, "workflow_done", run.spec.user, workflow=wf_id,
-                     detail=f"arrival={run.spec.arrival_s}")
-        self.dispatch(run.spec.user, now)
+            self.trace.append((now, "workflow_done", spec.user, spec.id, "", "", "",
+                               f"arrival={spec.arrival_s}"))
+        self.dispatch(spec.user, now)
 
     def on_boot(self, now: int, rid: int) -> None:
         r = self.state.resources[rid]
@@ -390,13 +400,13 @@ class _Sim:
                 self.state.reserve(r, uid, now)
                 self.row(now, "allocate", uid, resource=rid, rtype=rtype_id)
                 if self.system.boot_delay_s > 0:
-                    self.push(now + self.system.boot_delay_s, _BOOT, (rid,))
+                    self.push(now + self.system.boot_delay_s, _BOOT, rid)
         if decision.plan is not None and self.plan_runner is not None:
-            wake_times = self.plan_runner.install(uid, decision.plan)
+            wake_times = self.plan_runner.install(self.state, uid, decision.plan)
             for when in wake_times:
                 if when > now and (uid, when) not in self.wake_times:
                     self.wake_times.add((uid, when))
-                    self.push(when, _WAKE, (uid,))
+                    self.push(when, _WAKE, uid)
             if self.collect_plans:
                 for e in decision.plan.entries():
                     self.plan_rows.append(
@@ -414,12 +424,15 @@ class _Sim:
             assignments = self.plan_runner.dispatch(self.state, uid, now)
         else:
             assignments = dispatch_dynamic(self.state, uid, now)
-        for wf_id, task_id, rid in assignments:
-            r = self.state.resources[rid]
-            runtime = self.graphs[wf_id].tasks[task_id].runtime_by_type[r.rtype.id]
-            self.push(now + runtime, _FINISH, (wf_id, task_id))
-            self.row(now, "start", uid, workflow=wf_id, task=task_id,
-                     resource=rid, rtype=r.rtype.id, detail=f"runtime={runtime}")
+        resources, trace = self.state.resources, self.trace
+        for h, rid in assignments:
+            run = self.task_runs[h]
+            task_id = run.graph.topo_order[h - run.base]
+            rtype_id = resources[rid].rtype.id
+            runtime = run.graph.tasks[task_id].runtime_by_type[rtype_id]
+            self.push(now + runtime, _FINISH, h)
+            trace.append((now, "start", uid, run.spec.id, task_id, rid, rtype_id,
+                          f"runtime={runtime}"))
 
     # -- main loop ---------------------------------------------------------------
 
@@ -428,14 +441,14 @@ class _Sim:
             when, rank, _seq, data = heapq.heappop(self.heap)
             self.state.clock = when
             if rank == _FINISH:
-                self.on_finish(when, *data)
+                self.on_finish(when, data)
             elif rank == _BOOT:
-                self.on_boot(when, *data)
+                self.on_boot(when, data)
             elif rank == _WAKE:
-                self.wake_times.discard((data[0], when))
-                self.dispatch(data[0], when)
+                self.wake_times.discard((data, when))
+                self.dispatch(data, when)
             elif rank == _ARRIVAL:
-                self.on_arrival(when, *data)
+                self.on_arrival(when, data)
             elif rank == _TICK:
                 self.on_tick(when)
         return RunResult(

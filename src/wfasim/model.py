@@ -174,7 +174,7 @@ class Resource:
     billing_end_s: int | None = None
     boot_ready_s: int | None = None
     idle_since_s: int | None = None
-    running: tuple[str, str] | None = None  # (workflow id, task id)
+    running: int | None = None  # handle of the running task
 
     @property
     def reserved(self) -> bool:

@@ -21,12 +21,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..model import BudgetTooSmall
 from .base import Decision, Policy, PolicyView
 
-TaskRef = tuple[str, str]
+TaskRef = Hashable  # a task handle from the user facade, or any DAG node id
 _Ratios = tuple[list[int], int]  # (numerators, common denominator > 0)
 
 

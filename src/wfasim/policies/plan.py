@@ -8,12 +8,13 @@ how supply is sized and in what order workflows enter the plan.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from fractions import Fraction
 
 from ..model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus
-from ..state import SystemState, TaskRef
+from ..state import SystemState
 from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle
 
 
@@ -30,9 +31,6 @@ def fastest_type(
             best, best_key = rt, key
     assert best is not None
     return best
-
-
-_FINISHED = TaskStatus.FINISHED
 
 
 def earliest_slot(
@@ -58,36 +56,43 @@ def build_plan(
     horizon_s: int,
     oracle: RuntimeOracle,
     workflow_order: list[str],
-    typed: dict[TaskRef, str],
+    typed: dict[int, str],
     extra_resources: list[tuple[int, str]],
 ) -> ExecutionPlan:
     """Consolidate tasks onto the user's resources for the next interval.
 
-    Running tasks are pinned where they are. Tasks with an assigned type go
-    to the earliest-available resource of that type. Every other task (and
-    any typed task whose type has no resource) is then placed, workflow by
-    workflow in the given order and in topological order within a workflow,
-    on the resource giving the earliest start; a task enters the plan only
-    when all its parents are finished or already planned. Placement stops
-    contributing entries once a task could not start before the horizon.
+    Running tasks are pinned where they are. Eligible tasks with an
+    assigned type (keyed by task handle) go to the earliest-available
+    resource of that type. Every other task (and any typed task whose type
+    has no resource) is then placed, workflow by workflow in the given order
+    and in topological order within a workflow, on the resource giving the
+    earliest start; a task enters the plan only when all its parents are
+    finished or already planned. Placement stops contributing entries once a
+    task could not start before the horizon.
 
     ``extra_resources`` lists (id, type) of allocations decided this tick but
     not applied yet; they become available after the boot delay.
 
-    Neither phase visits a finished task: the first visits only the typed
-    tasks, the second only unfinished ones. Each placement reads a flat list
-    of next-free times, all slots' or one type's, with C-level ``min`` and
-    ``index`` (see :func:`earliest_slot`).
+    Neither phase visits a task it cannot plan: the first visits only the
+    typed tasks, the second walks each workflow from its frontier and
+    reaches a task only once all its unfinished parents are in the plan.
+    Each placement reads a flat list of next-free times, all slots' or one
+    type's, with C-level ``min`` and ``index`` (see :func:`earliest_slot`).
     """
     plan = ExecutionPlan()
+    runs = state.task_runs
+    planned: dict[int, int] = {}  # task handle -> planned end
     slots: list[tuple[int, str, int]] = []  # (id, type id, next free time)
     for r in state.user_resources(user):
         if r.state is ResourceState.BUSY and r.running is not None:
-            wf_id, task_id = r.running
-            run = state.runs[wf_id]
-            start = run.task_start_s[task_id]
+            h = r.running
+            run = runs[h]
+            i = h - run.base
+            task_id = run.graph.topo_order[i]
+            start = run.task_start_s[i]
             end = start + oracle(run.graph.tasks[task_id], r.rtype.id)
-            plan.add(PlanEntry(r.id, wf_id, task_id, start, end, pinned=True))
+            plan.add(PlanEntry(r.id, run.spec.id, task_id, start, end, pinned=True))
+            planned[h] = end
             slots.append((r.id, r.rtype.id, end))
         elif r.state is ResourceState.BOOTING:
             slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s or now)))
@@ -111,61 +116,74 @@ def build_plan(
         positions.append(pos)
         times.append(free_s)
 
-    def place(wf_id: str, task_id: str, ready_s: int, rtype_id: str | None) -> None:
+    def place(h: int, ready_s: int, rtype_id: str | None) -> int | None:
         """Put a task on the candidate with the earliest start before the
-        horizon, if any: all slots, or the slots of one type."""
+        horizon, if any: all slots, or the slots of one type. Returns the
+        planned end, or None when nothing starts before the horizon."""
         times = available if rtype_id is None else by_type[rtype_id][1]
         found = earliest_slot(times, ready_s, horizon_s)
         if found is None:
-            return
+            return None
         i, start = found
         if rtype_id is None:
             pos, rtype_id = i, slot_types[i]
         else:
             pos = by_type[rtype_id][0][i]
-        run = state.runs[wf_id]
+        run = runs[h]
+        task_id = run.graph.topo_order[h - run.base]
         end = start + oracle(run.graph.tasks[task_id], rtype_id)
-        plan.add(PlanEntry(slot_ids[pos], wf_id, task_id, start, end))
+        plan.add(PlanEntry(slot_ids[pos], run.spec.id, task_id, start, end))
+        planned[h] = end
         available[pos] = end
         by_type[rtype_id][1][local[pos]] = end
+        return end
 
     # Phase 1: tasks that bought a specific type go onto that type, in
     # workflow order and topological order within a workflow.
-    runs = state.runs
     if typed:
         rank = {wf_id: k for k, wf_id in enumerate(workflow_order)}
-
-        def typed_order(ref: TaskRef) -> tuple[int, int]:
-            return rank[ref[0]], runs[ref[0]].graph.topo_index[ref[1]]
-
-        for ref in sorted((ref for ref in typed if ref[0] in rank), key=typed_order):
-            rtype_id = typed[ref]
-            if rtype_id in by_type and ref not in plan.by_task:
-                place(ref[0], ref[1], now, rtype_id)
+        for _k, h in sorted(
+            (rank[runs[h].spec.id], h) for h in typed if runs[h].spec.id in rank
+        ):
+            rtype_id = typed[h]
+            if rtype_id in by_type and h not in planned:
+                place(h, now, rtype_id)
             # a type with no resource falls through to phase 2
 
-    # Phase 2: everything else, precedence permitting.
-    unfinished = state.unfinished_tasks(user)
-    planned = plan.by_task
+    # Phase 2: everything else, precedence permitting. Each workflow is
+    # walked from its frontier in topological order: a min-heap of handles,
+    # where a child is pushed once its last unfinished parent is planned.
+    # A child's index exceeds its parents', so tasks leave the heap in
+    # topological order, and a task is reached exactly when a scan in
+    # topological order would find all its parents finished or planned.
+    fronts: dict[str, list[int]] = {}
+    for h in state.frontier(user):
+        fronts.setdefault(runs[h].spec.id, []).append(h)
     for wf_id in workflow_order:
         if min(available) >= horizon_s:
             break
-        run = runs[wf_id]
-        status, parents = run.status, run.graph.parents
-        for task_id in unfinished.get(wf_id, ()):
-            if (wf_id, task_id) in planned:
-                continue
-            ready = now
-            for parent in parents[task_id]:
-                if status[parent] is _FINISHED:
+        heap = fronts.get(wf_id)
+        if not heap:
+            continue
+        heapq.heapify(heap)
+        blocked, base = runs[heap[0]].blocked_parents, runs[heap[0]].base
+        left: dict[int, int] = {}  # children's parents still to be planned
+        ready: dict[int, int] = {}  # children's latest planned parent end
+        while heap:
+            h = heapq.heappop(heap)
+            end = planned.get(h)
+            if end is None:
+                end = place(h, ready.get(h, now), None)
+                if end is None:
                     continue
-                entry = planned.get((wf_id, parent))
-                if entry is None:
-                    break
-                if entry.end_s > ready:
-                    ready = entry.end_s
-            else:
-                place(wf_id, task_id, ready, None)
+            for c in state.children(h):
+                if end > ready.get(c, now):
+                    ready[c] = end
+                count = left.get(c, blocked[c - base]) - 1
+                if count == 0:
+                    heapq.heappush(heap, c)
+                else:
+                    left[c] = count
     return plan
 
 
@@ -242,22 +260,23 @@ class PlfPolicy(Policy):
         steps["distribute"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        typed: dict[TaskRef, str] = {}
-        skipped: list[tuple[TaskRef, ResourceType]] = []
-        for ref in state.eligible_tasks(user):
-            wf_id, task_id = ref
-            task = state.runs[wf_id].graph.tasks[task_id]
+        typed: dict[int, str] = {}
+        skipped: list[tuple[int, ResourceType]] = []
+        for h in state.eligible_tasks(user):
+            run = state.task_runs[h]
+            wf_id = run.spec.id
+            task = run.graph.tasks[run.graph.topo_order[h - run.base]]
             rt = fastest_type(task, view.config.types, view.oracle)
             if shares[wf_id] >= rt.cost:
                 shares[wf_id] -= rt.cost
-                typed[ref] = rt.id
+                typed[h] = rt.id
             else:
-                skipped.append((ref, rt))
+                skipped.append((h, rt))
         pool = sum(shares.values(), Fraction(0))
-        for ref, rt in skipped:
+        for h, rt in skipped:
             if pool >= rt.cost:
                 pool -= rt.cost
-                typed[ref] = rt.id
+                typed[h] = rt.id
         steps["supply"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -319,14 +338,16 @@ class ScfPolicy(Policy):
         supply: dict[str, int] = {t.id: 0 for t in types}
         unfinished = state.unfinished_tasks(user)
         active = list(unfinished)
-        for wf_id, task_ids in unfinished.items():
+        for wf_id, handles in unfinished.items():
             run = state.runs[wf_id]
+            tasks, order = run.graph.tasks, run.graph.topo_order
             sums: dict[str, int] = {}
-            for task_id in task_ids:
-                task = run.graph.tasks[task_id]
-                if run.status[task_id] is TaskStatus.RUNNING:
-                    rtype_id = state.resources[run.task_resource[task_id]].rtype.id
-                    left = run.task_start_s[task_id] + view.oracle(task, rtype_id) - now
+            for h in handles:
+                i = h - run.base
+                task = tasks[order[i]]
+                if run.status[i] is TaskStatus.RUNNING:
+                    rtype_id = state.resources[run.task_resource[i]].rtype.id
+                    left = run.task_start_s[i] + view.oracle(task, rtype_id) - now
                     sums[rtype_id] = sums.get(rtype_id, 0) + max(1, left)
                 else:
                     rt = fastest_type(task, types, view.oracle)

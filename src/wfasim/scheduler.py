@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from .model import TaskStatus
-from .policies.base import ExecutionPlan, PlanEntry
+from .policies.base import ExecutionPlan
 from .state import SystemState
 
-Assignment = tuple[str, str, int]  # (workflow id, task id, resource id)
+Assignment = tuple[int, int]  # (task handle, resource id)
 
 
 def dispatch_dynamic(state: SystemState, user: str, now: int) -> list[Assignment]:
@@ -17,15 +16,23 @@ def dispatch_dynamic(state: SystemState, user: str, now: int) -> list[Assignment
     Tasks in dispatch order (priority desc, arrival asc, topological index
     asc) take the lowest-id idle resource first, regardless of type.
     """
+    h = state.next_eligible(user)
+    if h is None:
+        return []
+    resources = state.resources
+    if state.eligible_count(user) == 1:
+        rid = state.lowest_idle(user)
+        if rid is None:
+            return []
+        state.start_task(h, resources[rid], now)
+        return [(h, rid)]
     out: list[Assignment] = []
-    if state.next_eligible(user) is None:
-        return out
-    for resource in state.idle_resources(user):
-        ref = state.next_eligible(user)
-        if ref is None:
+    for rid in state.idle_ids(user):
+        state.start_task(h, resources[rid], now)
+        out.append((h, rid))
+        h = state.next_eligible(user)
+        if h is None:
             break
-        state.start_task(ref[0], ref[1], resource, now)
-        out.append((ref[0], ref[1], resource.id))
     return out
 
 
@@ -39,18 +46,22 @@ class PlanRunner:
     """
 
     def __init__(self) -> None:
-        self._queues: dict[str, dict[int, deque[PlanEntry]]] = {}
+        # user -> resource id -> (start, task handle) in timeline order
+        self._queues: dict[str, dict[int, deque[tuple[int, int]]]] = {}
 
-    def install(self, user: str, plan: ExecutionPlan) -> list[int]:
+    def install(self, state: SystemState, user: str, plan: ExecutionPlan) -> list[int]:
         """Replace the user's plan; returns future start times needing wakes."""
-        queues: dict[int, deque[PlanEntry]] = {}
+        queues: dict[int, deque[tuple[int, int]]] = {}
         wakes: set[int] = set()
         for rid in sorted(plan.by_resource):
-            pending = deque(e for e in plan.by_resource[rid] if not e.pinned)
+            pending = deque(
+                (e.start_s, state.handle(e.wf_id, e.task_id))
+                for e in plan.by_resource[rid] if not e.pinned
+            )
             if pending:
                 queues[rid] = pending
-                for e in pending:
-                    wakes.add(e.start_s)
+                for start_s, _h in pending:
+                    wakes.add(start_s)
         self._queues[user] = queues
         return sorted(wakes)
 
@@ -63,17 +74,17 @@ class PlanRunner:
         for rid in state.idle_ids(user, queues.keys()):
             q = queues[rid]
             while q:
-                entry = q[0]
-                if entry.start_s > now:
+                start_s, h = q[0]
+                if start_s > now:
                     break
-                if state.runs[entry.wf_id].status[entry.task_id] is TaskStatus.ELIGIBLE:
-                    state.start_task(entry.wf_id, entry.task_id, state.resources[rid], now)
-                    out.append((entry.wf_id, entry.task_id, rid))
-                    q.popleft()
-                    break
-                # Overdue but not runnable (a parent overran) or already
-                # handled: drop the entry, the next tick replans the task.
+                # Started now, or overdue but not runnable (a parent overran)
+                # or already handled: either way the entry is consumed, and
+                # the next tick replans a dropped task.
                 q.popleft()
+                if state.is_eligible(h):
+                    state.start_task(h, state.resources[rid], now)
+                    out.append((h, rid))
+                    break
             if not q:
                 del queues[rid]
         return out

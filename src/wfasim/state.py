@@ -5,22 +5,35 @@ eligible, a resource runs one task, Idle -> Down only at a billing boundary);
 the engine owns event ordering on top of it, and bills each interval from
 the pools below.
 
+Tasks are addressed by int handles. At arrival a workflow's run gets a base,
+the number of tasks that arrived before it, and its task at topological
+index ``i`` gets the handle ``base + i``. Handles are dense and ascend in
+arrival, then topological, order; ``SystemState.task_runs[h]`` is the run of
+task ``h``. Each run holds its per-task records in lists indexed by
+topological index: status, count of unfinished parents, start time and
+machine id. String ids stay at the edges: the trace, plan entries and the
+outputs name tasks by ``(workflow id, task id)``, and ``handle`` and ``ref``
+convert between the two.
+
 Queries are served from indexes that the transitions below keep up to date,
-so no query scans every machine or re-sorts every eligible task:
+so no query scans every machine or re-sorts every eligible task. Each user
+has one ``UserIndex`` record holding:
 
-- one heap of ``(order_key, ref)`` per user, pushed when a task becomes
-  eligible; entries of tasks that have since started are stale and are
-  skipped, or compacted away once they outnumber the live ones;
-- one set of machine ids per (user, type, state) for the reserved states,
-  and one set of free machine ids per type;
-- per user, the unfinished tasks with their unfinished children in arrival,
-  then topological, order; the frontier, which is the unfinished tasks with
-  no unfinished parent (eligible or running); and the finished-task count
-  per type.
+- a heap of ``(-priority, arrival, handle)`` entries, pushed when a task
+  becomes eligible. Handles ascend with arrival sequence and topological
+  index, so this is dispatch order. Entries of tasks that have since
+  started are stale and are skipped, or compacted away once they outnumber
+  the live ones;
+- the running and eligible task counts;
+- the unfinished tasks with their unfinished children, in handle order, and
+  the frontier: the unfinished tasks with no unfinished parent (eligible or
+  running);
+- one set of machine ids per (state, type) for the reserved states;
+- the finished-task count per type.
 
-Each task's count of unfinished parents is ``WorkflowRun.blocked_parents``.
-With the children lists and the frontier, that is all a token walk over the
-user's unfinished DAG needs, so no query has to build the joint DAG.
+Free machine ids are kept per type. With the children lists, the frontier
+and the per-run parent counts, a token walk over the user's unfinished DAG
+needs no joint DAG built.
 
 Index invariant: only the ``SystemState`` transitions (``reserve``,
 ``boot_complete``, ``start_task``, ``finish_task`` and ``release``) may
@@ -31,9 +44,7 @@ leaves the indexes describing a machine that is no longer there.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, repeat
 from typing import AbstractSet
 
 from .dagops import WorkflowGraph
@@ -48,39 +59,56 @@ from .model import (
 )
 
 TaskRef = tuple[str, str]  # (workflow id, task id)
-OrderKey = tuple[int, int, int, int]
+
+_HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
+_IDLE, _BUSY = ResourceState.IDLE, ResourceState.BUSY
+_ELIGIBLE, _RUNNING = TaskStatus.ELIGIBLE, TaskStatus.RUNNING
 
 
-@dataclass
+class UserIndex:
+    """One user's share of the indexes (see the module docstring)."""
+
+    __slots__ = ("heap", "running", "eligible", "unfinished", "frontier", "pools", "finished")
+
+    def __init__(self, type_ids: tuple[str, ...]):
+        self.heap: list[tuple[int, int, int]] = []
+        self.running = 0
+        self.eligible = 0
+        self.unfinished: dict[int, tuple[int, ...]] = {}  # task -> its children
+        self.frontier: dict[int, None] = {}
+        self.pools: dict[ResourceState, dict[str, set[int]]] = {
+            s: {t: set() for t in type_ids} for s in _HELD
+        }
+        self.finished = dict.fromkeys(type_ids, 0)
+
+
 class WorkflowRun:
-    """Execution record of one arrived workflow."""
+    """Execution record of one arrived workflow. Per-task lists are indexed
+    by topological index, that is by handle minus ``base``."""
 
-    spec: WorkflowSpec
-    graph: WorkflowGraph
-    seq: int  # arrival sequence number, deterministic tie-break
-    status: dict[str, TaskStatus] = field(default_factory=dict)
-    blocked_parents: dict[str, int] = field(default_factory=dict)
-    unfinished: int = 0
-    last_finish_s: int | None = None
-    task_start_s: dict[str, int] = field(default_factory=dict)
-    task_resource: dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "spec", "graph", "seq", "base", "user_index", "status", "blocked_parents",
+        "task_start_s", "task_resource", "unfinished", "last_finish_s",
+    )
+
+    def __init__(self, spec: WorkflowSpec, graph: WorkflowGraph, seq: int, base: int,
+                 user_index: UserIndex):
+        n = len(graph.topo_order)
+        self.spec = spec
+        self.graph = graph
+        self.seq = seq  # arrival sequence number, deterministic tie-break
+        self.base = base
+        self.user_index = user_index
+        self.status = [TaskStatus.PENDING] * n
+        self.blocked_parents = [len(graph.parents[t]) for t in graph.topo_order]
+        self.task_start_s = [0] * n
+        self.task_resource = [-1] * n
+        self.unfinished = n
+        self.last_finish_s: int | None = None
 
     @property
     def done(self) -> bool:
         return self.unfinished == 0
-
-    def order_key(self, task_id: str) -> OrderKey:
-        """Deterministic dispatch order: priority desc, arrival asc, then
-        arrival sequence and topological index ascending."""
-        return (
-            -self.spec.priority,
-            self.spec.arrival_s,
-            self.seq,
-            self.graph.topo_index[task_id],
-        )
-
-
-_HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
 
 
 class SystemState:
@@ -95,25 +123,13 @@ class SystemState:
             for _ in range(config.capacity.get(rtype.id, 0)):
                 self.resources.append(Resource(id=len(self.resources), rtype=rtype))
         self.runs: dict[str, WorkflowRun] = {}
-        self.user_workflows: dict[str, list[str]] = {u.id: [] for u in users}
-        self._running: dict[str, int] = {u.id: 0 for u in users}
-        self._eligible: dict[str, int] = {u.id: 0 for u in users}
-        self._heaps: dict[str, list[tuple[OrderKey, TaskRef]]] = {u.id: [] for u in users}
-        # user -> unfinished task -> its children (all unfinished too)
-        self._unfinished: dict[str, dict[TaskRef, tuple[TaskRef, ...]]] = {
-            u.id: {} for u in users
-        }
-        self._frontier: dict[str, dict[TaskRef, None]] = {u.id: {} for u in users}
+        self.task_runs: list[WorkflowRun] = []  # handle -> its run
         self._arrival_seq = 0
         self._type_ids = tuple(t.id for t in config.types)
-        # machine ids: user -> state -> type id -> ids, and type id -> free ids
-        self._pools: dict[str, dict[ResourceState, dict[str, set[int]]]] = {
-            u.id: {s: {t: set() for t in self._type_ids} for s in _HELD} for u in users
-        }
+        self._index = {u.id: UserIndex(self._type_ids) for u in users}
         self._free: dict[str, set[int]] = {t: set() for t in self._type_ids}
         for r in self.resources:
             self._free[r.rtype.id].add(r.id)
-        self._finished = {u.id: dict.fromkeys(self._type_ids, 0) for u in users}
 
     def _move(self, resource: Resource, to: ResourceState) -> None:
         """Set a machine's state and move its id to the matching pool."""
@@ -121,31 +137,40 @@ class SystemState:
         if resource.state is ResourceState.DOWN:
             self._free[rtype_id].remove(resource.id)
         else:
-            self._pools[resource.user][resource.state][rtype_id].remove(resource.id)
+            self._index[resource.user].pools[resource.state][rtype_id].remove(resource.id)
         if to is ResourceState.DOWN:
             self._free[rtype_id].add(resource.id)
         else:
-            self._pools[resource.user][to][rtype_id].add(resource.id)
+            self._index[resource.user].pools[to][rtype_id].add(resource.id)
         resource.state = to
 
     def _ids(
         self, user: str, states: tuple[ResourceState, ...], rtype_id: str | None = None
     ) -> list[Resource]:
-        pools = self._pools[user]
+        pools = self._index[user].pools
         types = self._type_ids if rtype_id is None else (rtype_id,)
         ids = [rid for s in states for t in types for rid in pools[s].get(t, ())]
         ids.sort()
         return [self.resources[rid] for rid in ids]
 
+    # -- handles ------------------------------------------------------------
+
+    def handle(self, wf_id: str, task_id: str) -> int:
+        run = self.runs[wf_id]
+        return run.base + run.graph.topo_index[task_id]
+
+    def ref(self, h: int) -> TaskRef:
+        run = self.task_runs[h]
+        return run.spec.id, run.graph.topo_order[h - run.base]
+
     # -- workflow lifecycle -------------------------------------------------
 
-    def _make_eligible(self, run: WorkflowRun, task_id: str) -> None:
-        run.status[task_id] = TaskStatus.ELIGIBLE
-        user = run.spec.user
-        self._eligible[user] += 1
-        ref = (run.spec.id, task_id)
-        self._frontier[user][ref] = None
-        heapq.heappush(self._heaps[user], (run.order_key(task_id), ref))
+    @staticmethod
+    def _make_eligible(run: WorkflowRun, rec: UserIndex, h: int) -> None:
+        run.status[h - run.base] = _ELIGIBLE
+        rec.eligible += 1
+        rec.frontier[h] = None
+        heapq.heappush(rec.heap, (-run.spec.priority, run.spec.arrival_s, h))
 
     def arrive(self, spec: WorkflowSpec, graph: WorkflowGraph | None = None) -> WorkflowRun:
         if spec.id in self.runs:
@@ -153,110 +178,122 @@ class SystemState:
         if spec.user not in self.users:
             raise KeyError(f"unknown user {spec.user!r}")
         graph = graph or WorkflowGraph(spec)
-        run = WorkflowRun(spec=spec, graph=graph, seq=self._arrival_seq)
+        rec = self._index[spec.user]
+        base = len(self.task_runs)
+        run = WorkflowRun(spec, graph, self._arrival_seq, base, rec)
         self._arrival_seq += 1
-        run.unfinished = len(spec.tasks)
-        refs = {tid: (spec.id, tid) for tid in graph.topo_order}
-        for tid, ref in refs.items():
-            self._unfinished[spec.user][ref] = tuple(refs[c] for c in graph.children[tid])
-            blocked = len(graph.parents[tid])
-            run.blocked_parents[tid] = blocked
-            if blocked == 0:
-                self._make_eligible(run, tid)
-            else:
-                run.status[tid] = TaskStatus.PENDING
+        order, index = graph.topo_order, graph.topo_index
+        self.task_runs.extend(repeat(run, len(order)))
+        for i, tid in enumerate(order):
+            rec.unfinished[base + i] = tuple(base + index[c] for c in graph.children[tid])
+            if run.blocked_parents[i] == 0:
+                self._make_eligible(run, rec, base + i)
         self.runs[spec.id] = run
-        self.user_workflows[spec.user].append(spec.id)
         return run
 
-    def start_task(self, wf_id: str, task_id: str, resource: Resource, now: int) -> None:
-        run = self.runs[wf_id]
-        user = run.spec.user
-        if run.status[task_id] is not TaskStatus.ELIGIBLE:
-            raise ValueError(f"task {wf_id}/{task_id} not eligible")
-        if resource.state is not ResourceState.IDLE or resource.user != user:
-            raise ValueError(f"resource {resource.id} not idle for {user}")
-        run.status[task_id] = TaskStatus.RUNNING
-        run.task_start_s[task_id] = now
-        run.task_resource[task_id] = resource.id
-        self._eligible[user] -= 1
-        self._running[user] += 1
-        self._move(resource, ResourceState.BUSY)
-        resource.running = (wf_id, task_id)
+    def start_task(self, h: int, resource: Resource, now: int) -> None:
+        run = self.task_runs[h]
+        i = h - run.base
+        if run.status[i] is not _ELIGIBLE:
+            raise ValueError(f"task {'/'.join(self.ref(h))} not eligible")
+        if resource.state is not _IDLE or resource.user != run.spec.user:
+            raise ValueError(f"resource {resource.id} not idle for {run.spec.user}")
+        run.status[i] = _RUNNING
+        run.task_start_s[i] = now
+        run.task_resource[i] = rid = resource.id
+        rec = run.user_index
+        rec.eligible -= 1
+        rec.running += 1
+        pools, rtype_id = rec.pools, resource.rtype.id
+        pools[_IDLE][rtype_id].remove(rid)
+        pools[_BUSY][rtype_id].add(rid)
+        resource.state = _BUSY
+        resource.running = h
         resource.idle_since_s = None
         # The started task's heap entry is now stale. A task started out of
         # heap order leaves it buried, so compact once stale entries outnumber
         # live ones; the heap then stays within twice the eligible count.
-        heap = self._heaps[user]
-        if len(heap) > 2 * self._eligible[user]:
-            heap[:] = [e for e in heap if self._is_eligible(e[1])]
+        heap = rec.heap
+        if len(heap) > 2 * rec.eligible:
+            heap[:] = [e for e in heap if self.is_eligible(e[2])]
             heapq.heapify(heap)
 
-    def finish_task(self, wf_id: str, task_id: str, now: int) -> list[TaskRef]:
-        """Complete a running task; returns task refs that became eligible."""
-        run = self.runs[wf_id]
-        if run.status[task_id] is not TaskStatus.RUNNING:
-            raise ValueError(f"task {wf_id}/{task_id} not running")
-        run.status[task_id] = TaskStatus.FINISHED
+    def finish_task(self, h: int, now: int) -> None:
+        """Complete a running task; its children whose last unfinished
+        parent it was become eligible."""
+        run = self.task_runs[h]
+        i = h - run.base
+        if run.status[i] is not _RUNNING:
+            raise ValueError(f"task {'/'.join(self.ref(h))} not running")
+        run.status[i] = TaskStatus.FINISHED
         run.unfinished -= 1
         if run.unfinished == 0:
             run.last_finish_s = now
-        user = run.spec.user
-        self._running[user] -= 1
-        del self._unfinished[user][(wf_id, task_id)]
-        del self._frontier[user][(wf_id, task_id)]
-        resource = self.resources[run.task_resource[task_id]]
-        self._finished[user][resource.rtype.id] += 1
-        self._move(resource, ResourceState.IDLE)
+        rec = run.user_index
+        rec.running -= 1
+        children = rec.unfinished.pop(h)
+        del rec.frontier[h]
+        resource = self.resources[run.task_resource[i]]
+        rid, rtype_id = resource.id, resource.rtype.id
+        rec.finished[rtype_id] += 1
+        pools = rec.pools
+        pools[_BUSY][rtype_id].remove(rid)
+        pools[_IDLE][rtype_id].add(rid)
+        resource.state = _IDLE
         resource.running = None
         resource.idle_since_s = now
-        freed: list[TaskRef] = []
-        for child in run.graph.children[task_id]:
-            run.blocked_parents[child] -= 1
-            if run.blocked_parents[child] == 0:
-                self._make_eligible(run, child)
-                freed.append((wf_id, child))
-        return freed
+        blocked, base = run.blocked_parents, run.base
+        for c in children:
+            blocked[c - base] -= 1
+            if blocked[c - base] == 0:
+                self._make_eligible(run, rec, c)
 
     # -- queries ------------------------------------------------------------
 
-    def _is_eligible(self, ref: TaskRef) -> bool:
-        return self.runs[ref[0]].status[ref[1]] is TaskStatus.ELIGIBLE
+    def is_eligible(self, h: int) -> bool:
+        run = self.task_runs[h]
+        return run.status[h - run.base] is _ELIGIBLE
 
-    def eligible_tasks(self, user: str) -> list[TaskRef]:
+    def eligible_tasks(self, user: str) -> list[int]:
         """Eligible tasks of a user in deterministic dispatch order."""
-        # order keys are unique, so sorting the entries never compares refs
-        return [ref for _key, ref in sorted(self._heaps[user]) if self._is_eligible(ref)]
+        # handles are unique, so sorting the entries compares ints only
+        return [e[2] for e in sorted(self._index[user].heap) if self.is_eligible(e[2])]
 
-    def next_eligible(self, user: str) -> TaskRef | None:
+    def next_eligible(self, user: str) -> int | None:
         """The user's first eligible task in dispatch order, or None."""
-        heap = self._heaps[user]
+        heap, runs = self._index[user].heap, self.task_runs
         while heap:
-            ref = heap[0][1]
-            if self._is_eligible(ref):
-                return ref
+            h = heap[0][2]
+            run = runs[h]
+            if run.status[h - run.base] is _ELIGIBLE:
+                return h
             heapq.heappop(heap)
         return None
 
+    def eligible_count(self, user: str) -> int:
+        return self._index[user].eligible
+
     def momentary_demand(self, user: str) -> int:
         """Running plus eligible task count: work the user could use now."""
-        return self._running[user] + self._eligible[user]
+        rec = self._index[user]
+        return rec.running + rec.eligible
 
     def supply(self, user: str) -> int:
-        return sum(len(ids) for s in _HELD for ids in self._pools[user][s].values())
+        pools = self._index[user].pools
+        return sum(len(ids) for s in _HELD for ids in pools[s].values())
 
     def busy_count(self, user: str) -> int:
-        return sum(len(ids) for ids in self._pools[user][ResourceState.BUSY].values())
+        return sum(len(ids) for ids in self._index[user].pools[_BUSY].values())
 
     def allocated_cost(self, user: str) -> int:
-        pools = self._pools[user]
+        pools = self._index[user].pools
         return sum(
             t.cost * len(pools[s][t.id]) for t in self.config.types for s in _HELD
         )
 
     def counts_by_type(self, user: str) -> dict[str, int]:
         """{type id: machines the user holds of that type}, every type."""
-        pools = self._pools[user]
+        pools = self._index[user].pools
         return {t: sum(len(pools[s][t]) for s in _HELD) for t in self._type_ids}
 
     def free_resources(self, rtype_id: str) -> list[Resource]:
@@ -265,7 +302,7 @@ class SystemState:
 
     def idle_resources(self, user: str, rtype_id: str | None = None) -> list[Resource]:
         """Idle resources of a user, optionally of one type, lowest id first."""
-        return self._ids(user, (ResourceState.IDLE,), rtype_id)
+        return self._ids(user, (_IDLE,), rtype_id)
 
     def user_resources(self, user: str) -> list[Resource]:
         """Reserved resources of a user, lowest id first."""
@@ -275,44 +312,59 @@ class SystemState:
         """Every reserved resource, grouped by user, state and type."""
         return [
             self.resources[rid]
-            for pools in self._pools.values()
-            for by_type in pools.values()
+            for rec in self._index.values()
+            for by_type in rec.pools.values()
             for ids in by_type.values()
             for rid in ids
         ]
 
-    def idle_ids(self, user: str, among: AbstractSet[int]) -> list[int]:
-        """The ids in ``among`` that are idle machines of the user, lowest first."""
+    def idle_ids(self, user: str, among: AbstractSet[int] | None = None) -> list[int]:
+        """Ids of the user's idle machines, only those in ``among`` if given,
+        lowest first."""
         out: list[int] = []
-        for ids in self._pools[user][ResourceState.IDLE].values():
-            out.extend(among & ids)
+        for ids in self._index[user].pools[_IDLE].values():
+            out.extend(ids if among is None else among & ids)
         out.sort()
         return out
 
-    def unfinished_tasks(self, user: str) -> dict[str, list[str]]:
-        """{workflow id: its unfinished task ids in topological order} for the
+    def lowest_idle(self, user: str) -> int | None:
+        """The id of the user's lowest idle machine, or None."""
+        return min((min(ids) for ids in self._index[user].pools[_IDLE].values() if ids),
+                   default=None)
+
+    def unfinished_tasks(self, user: str) -> dict[str, list[int]]:
+        """{workflow id: its unfinished tasks in topological order} for the
         user's active workflows, in arrival order."""
         return {
-            wf_id: [ref[1] for ref in refs]
-            for wf_id, refs in groupby(self._unfinished[user], itemgetter(0))
+            run.spec.id: list(hs)
+            for run, hs in groupby(self._index[user].unfinished, self.task_runs.__getitem__)
         }
 
-    def frontier(self, user: str) -> tuple[TaskRef, ...]:
+    def frontier(self, user: str) -> tuple[int, ...]:
         """The user's unfinished tasks with no unfinished parent: every
         eligible and every running task."""
-        return tuple(self._frontier[user])
+        return tuple(self._index[user].frontier)
 
-    def joint_dag(self, user: str) -> tuple[list[TaskRef], list[tuple[TaskRef, TaskRef]]]:
+    def children(self, h: int) -> tuple[int, ...]:
+        """The children of one unfinished task."""
+        return self.task_runs[h].user_index.unfinished[h]
+
+    def unfinished_parents(self, h: int) -> int:
+        """How many parents of one unfinished task are unfinished."""
+        run = self.task_runs[h]
+        return run.blocked_parents[h - run.base]
+
+    def joint_dag(self, user: str) -> tuple[list[int], list[tuple[int, int]]]:
         """Unfinished tasks of the user's arrived workflows, with the
         precedence edges among them, as one combined DAG.
 
         Node and edge order is deterministic (arrival sequence, then
         topological index). This is the explicit form of what ``frontier``,
-        the children lists and ``WorkflowRun.blocked_parents`` describe; no
-        policy needs it built.
+        ``children`` and ``unfinished_parents`` describe; no policy needs it
+        built.
         """
-        tasks = self._unfinished[user]
-        return list(tasks), [(ref, c) for ref, children in tasks.items() for c in children]
+        tasks = self._index[user].unfinished
+        return list(tasks), [(h, c) for h, children in tasks.items() for c in children]
 
     # -- reservations -------------------------------------------------------
 
@@ -328,18 +380,18 @@ class SystemState:
             resource.boot_ready_s = now + self.config.boot_delay_s
             resource.idle_since_s = None
         else:
-            self._move(resource, ResourceState.IDLE)
+            self._move(resource, _IDLE)
             resource.boot_ready_s = now
             resource.idle_since_s = now
 
     def boot_complete(self, resource: Resource, now: int) -> None:
         if resource.state is ResourceState.BOOTING:
-            self._move(resource, ResourceState.IDLE)
+            self._move(resource, _IDLE)
             resource.idle_since_s = now
 
     def release(self, resource: Resource, now: int) -> None:
         """Deallocate an idle resource at its billing boundary."""
-        if resource.state is not ResourceState.IDLE:
+        if resource.state is not _IDLE:
             raise ValueError(f"resource {resource.id} not idle")
         if resource.billing_end_s is None or resource.billing_end_s > now:
             raise ValueError(
@@ -361,13 +413,14 @@ class SystemState:
 
     @property
     def all_done(self) -> bool:
-        return not any(self._unfinished.values())
+        return not any(rec.unfinished for rec in self._index.values())
 
 
 class UserFacade:
     """Read-only view of one user's machines and unfinished work, in plain
     ids and counts. Nothing on it leads to the runs, their specs or task
-    runtimes, so a policy that reads only this cannot use runtime knowledge."""
+    runtimes, so a policy that reads only this cannot use runtime knowledge.
+    Tasks are named by their int handles."""
 
     __slots__ = ("_state", "user_id")
 
@@ -388,22 +441,21 @@ class UserFacade:
     def free_ids(self, rtype_id: str) -> tuple[int, ...]:
         return tuple(r.id for r in self._state.free_resources(rtype_id))
 
-    def frontier(self) -> tuple[TaskRef, ...]:
+    def frontier(self) -> tuple[int, ...]:
         """Unfinished tasks with no unfinished parent, running ones included."""
         return self._state.frontier(self.user_id)
 
-    def children(self, ref: TaskRef) -> tuple[TaskRef, ...]:
+    def children(self, h: int) -> tuple[int, ...]:
         """The children of one unfinished task."""
-        return self._state._unfinished[self.user_id][ref]
+        return self._state.children(h)
 
-    def unfinished_parents(self, ref: TaskRef) -> int:
+    def unfinished_parents(self, h: int) -> int:
         """How many parents of one unfinished task are unfinished."""
-        return self._state.runs[ref[0]].blocked_parents[ref[1]]
-
+        return self._state.unfinished_parents(h)
 
     def finished_by_type(self) -> dict[str, int]:
         """Tasks finished so far, per type of the machine that ran them."""
-        return dict(self._state._finished[self.user_id])
+        return dict(self._state._index[self.user_id].finished)
 
 
 __all__ = ["SystemState", "TaskRef", "UserFacade", "WorkflowRun"]

@@ -305,6 +305,17 @@ def test_run_rejects_workflow_of_unlisted_user(tmp_path, capsys):
     assert "UnknownUser(ghost)" in capsys.readouterr().err
 
 
+def test_run_rejects_runtime_on_unknown_type(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", genspec(count=2))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "wl.json")]) == 0
+    doc = json.loads((tmp_path / "wl.json").read_text())
+    doc["workflows"][1]["tasks"][0]["runtimes"]["huge"] = 1
+    write_json(tmp_path / "wl.json", doc)
+    config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "UnknownType(huge)" in capsys.readouterr().err
+
+
 def test_run_rejects_duplicate_user_ids(tmp_path, capsys):
     config = run_config(tmp_path, users=[{"id": "u1", "budget": 20}, {"id": "u1", "budget": 9}])
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

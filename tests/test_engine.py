@@ -247,6 +247,23 @@ def test_structural_issues_take_precedence_over_unknown_user():
     assert err.value.issues == ["CycleDetected"]
 
 
+def test_runtime_on_unknown_type_rejected_before_the_run():
+    # a runtime on a type the system lacks would set the ideal makespan:
+    # 5 s on "huge" would halve it and double every slowdown
+    task = {"small": 100, "large": 10}
+    assert run([wf("w1", [("a", task)])]).mean_slowdown() == 10.0
+    with pytest.raises(WorkloadInvalid) as err:
+        engine._Sim([wf("w0", [("a", task)]), wf("w1", [("a", {**task, "huge": 5})])],
+                    two_type_system(), users(("u1", 100)), PfaPolicy(), 0, False)
+    assert err.value.workflow_id == "w1"
+    assert err.value.issues == ["UnknownType(huge)"]
+
+
+def test_small_only_tasks_run_on_a_two_type_system():
+    result = run([chain_wf("w1", [{"small": 10}, {"small": 5}])], budget=10)
+    assert result.state.all_done
+
+
 def test_each_workflow_graph_built_once(monkeypatch):
     builds = []
     original = dagops.WorkflowGraph.__init__

@@ -133,19 +133,23 @@ def test_task_lifecycle_and_eligibility_order():
     state.arrive(w1)
     state.arrive(w2)
 
+    def eligible():
+        return [state.ref(h) for h in state.eligible_tasks("u1")]
+
     # higher priority first, then arrival, then intra-workflow topology
-    assert state.eligible_tasks("u1") == [("w2", "a"), ("w1", "t0")]
+    assert eligible() == [("w2", "a"), ("w1", "t0")]
     assert state.momentary_demand("u1") == 2
 
     r = state.resources[0]
     state.reserve(r, "u1", now=10)
-    state.start_task("w2", "a", r, now=10)
+    state.start_task(state.handle("w2", "a"), r, now=10)
     assert r.state is ResourceState.BUSY
+    assert r.running == state.handle("w2", "a")
     assert state.momentary_demand("u1") == 2  # running + eligible
-    assert state.eligible_tasks("u1") == [("w1", "t0")]
+    assert eligible() == [("w1", "t0")]
 
-    freed = state.finish_task("w2", "a", now=14)
-    assert freed == []  # no children
+    state.finish_task(state.handle("w2", "a"), now=14)
+    assert eligible() == [("w1", "t0")]  # no children freed
     assert r.state is ResourceState.IDLE
     assert r.idle_since_s == 14
     assert state.runs["w2"].done
@@ -157,28 +161,29 @@ def test_finish_unblocks_children():
     state.arrive(chain_wf("w1", [{"small": 5}, {"small": 5}]))
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
-    state.start_task("w1", "t0", r, now=0)
-    freed = state.finish_task("w1", "t0", now=5)
-    assert freed == [("w1", "t1")]
-    assert state.eligible_tasks("u1") == [("w1", "t1")]
+    state.start_task(state.handle("w1", "t0"), r, now=0)
+    state.finish_task(state.handle("w1", "t0"), now=5)
+    assert [state.ref(h) for h in state.eligible_tasks("u1")] == [("w1", "t1")]
 
 
 def test_joint_dag_spans_unfinished_tasks_of_all_workflows():
     state = SystemState(two_type_system(), users(("u1", 100)))
     state.arrive(chain_wf("w1", [{"small": 5}, {"small": 5}]))
     state.arrive(wf("w2", [("a", {"small": 4})]))
+    t0, t1, a = state.handle("w1", "t0"), state.handle("w1", "t1"), state.handle("w2", "a")
+    assert [state.ref(h) for h in (t0, t1, a)] == [("w1", "t0"), ("w1", "t1"), ("w2", "a")]
     nodes, edges = state.joint_dag("u1")
-    assert set(nodes) == {("w1", "t0"), ("w1", "t1"), ("w2", "a")}
-    assert edges == [(("w1", "t0"), ("w1", "t1"))]
+    assert nodes == [t0, t1, a]  # arrival, then topological, order
+    assert edges == [(t0, t1)]
 
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
-    state.start_task("w1", "t0", r, now=0)
+    state.start_task(t0, r, now=0)
     nodes, _ = state.joint_dag("u1")
-    assert ("w1", "t0") in nodes  # running still unfinished
-    state.finish_task("w1", "t0", now=5)
+    assert t0 in nodes  # running still unfinished
+    state.finish_task(t0, now=5)
     nodes, edges = state.joint_dag("u1")
-    assert ("w1", "t0") not in nodes
+    assert t0 not in nodes
     assert edges == []
 
 
@@ -190,7 +195,7 @@ def test_user_isolation():
     state.reserve(r, "u1", now=0)
     assert state.idle_resources("u2") == []
     with pytest.raises(ValueError):
-        state.start_task("w2", "a", r, now=0)
+        state.start_task(state.handle("w2", "a"), r, now=0)
 
 
 def test_counts_by_type_buckets():
@@ -199,7 +204,7 @@ def test_counts_by_type_buckets():
     s0, s1 = state.resources[0], state.resources[1]
     state.reserve(s0, "u1", now=0)
     state.reserve(s1, "u1", now=0)
-    state.start_task("w1", "a", s0, now=0)
+    state.start_task(state.handle("w1", "a"), s0, now=0)
     counts = state.counts_by_type("u1")
     assert counts == {"small": 2, "large": 0}
     assert state.idle_resources("u1") == [s1]

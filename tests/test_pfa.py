@@ -432,13 +432,14 @@ def test_user_facade_exposes_only_runtime_free_queries():
     state = SystemState(two_type_system(small=2, large=1), users(("u1", 12)))
     state.arrive(chain_wf("w1", [{"small": 5, "large": 2}] * 3))
     state.reserve(state.resources[0], "u1", now=0)
-    state.start_task("w1", "t0", state.resources[0], now=0)
-    state.finish_task("w1", "t0", now=5)
+    t0, t1, t2 = (state.handle("w1", t) for t in ("t0", "t1", "t2"))
+    state.start_task(t0, state.resources[0], now=0)
+    state.finish_task(t0, now=5)
     facade = UserFacade(state, "u1")
     answers = [
         facade.counts_by_type(), facade.idle("small"), facade.free_ids("small"),
-        facade.finished_by_type(), facade.frontier(), facade.children(("w1", "t1")),
-        facade.unfinished_parents(("w1", "t2")),
+        facade.finished_by_type(), facade.frontier(), facade.children(t1),
+        facade.unfinished_parents(t2),
     ]
 
     def leaves(x):
@@ -451,9 +452,9 @@ def test_user_facade_exposes_only_runtime_free_queries():
     assert {type(leaf) for a in answers for leaf in leaves(a)} == {int, str}
     assert facade.idle("small") == ((0, 60, 5),)
     assert facade.free_ids("small") == (1,)
-    assert facade.frontier() == (("w1", "t1"),)
-    assert facade.children(("w1", "t1")) == (("w1", "t2"),)
-    assert facade.unfinished_parents(("w1", "t2")) == 1
+    assert facade.frontier() == (t1,)
+    assert facade.children(t1) == (t2,)
+    assert facade.unfinished_parents(t2) == 1
     assert facade.finished_by_type() == {"small": 1, "large": 0}
 
 
@@ -476,13 +477,13 @@ def test_policy_records_finished_delta_against_current_allocation():
     small = state.resources[:2]  # machines 0 and 1 are small
     for r in small:
         state.reserve(r, "u1", now=0)
-    state.start_task("w1", "t0", small[0], now=0)
-    state.finish_task("w1", "t0", now=5)
+    state.start_task(state.handle("w1", "t0"), small[0], now=0)
+    state.finish_task(state.handle("w1", "t0"), now=5)
     policy.decide(facade_view(state, tick=1, now=60))
     # one task finished on small while two small machines were held
     assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]
-    state.start_task("w1", "t1", small[1], now=60)
-    state.finish_task("w1", "t1", now=65)
+    state.start_task(state.handle("w1", "t1"), small[1], now=60)
+    state.finish_task(state.handle("w1", "t1"), now=65)
     policy.decide(facade_view(state, tick=2, now=120))
     assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]
     assert len(policy._carry["u1"].history) == 2

@@ -1,5 +1,6 @@
 """Plan-based policies: planner, budget-per-workflow, and plan scaling."""
 
+import heapq
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_wf, two_type_system, users, wf
-from wfasim.model import OverCommitted, ResourceType, TaskSpec, UserConfig
-from wfasim.policies.base import PolicyView, perfect_oracle
+from wfasim.model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus, UserConfig
+from wfasim.policies.base import ExecutionPlan, PlanEntry, PolicyView, perfect_oracle
 from wfasim.policies.plan import (
     PlfPolicy,
     ScfPolicy,
@@ -108,7 +109,7 @@ def test_typed_tasks_chain_on_one_resource():
     plan = build_plan(
         state, "u1", now=0, horizon_s=60, oracle=perfect_oracle,
         workflow_order=["w1"],
-        typed={("w1", "a"): "small", ("w1", "b"): "small"},
+        typed={state.handle("w1", "a"): "small", state.handle("w1", "b"): "small"},
         extra_resources=[],
     )
     by_task = {(e.wf_id, e.task_id): e for e in plan.entries()}
@@ -144,7 +145,7 @@ def test_planner_pins_running_tasks():
     state = make_state([w])
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
-    state.start_task("w1", "t0", r, now=0)
+    state.start_task(state.handle("w1", "t0"), r, now=0)
     plan = build_plan(state, "u1", now=10, horizon_s=70, oracle=perfect_oracle,
                       workflow_order=["w1"], typed={}, extra_resources=[])
     by_task = {(e.wf_id, e.task_id): e for e in plan.entries()}
@@ -170,7 +171,7 @@ def test_typed_task_with_absent_type_planned_in_second_phase():
     state = make_state([w])
     state.reserve(state.resources[0], "u1", now=0)  # a small machine
     plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"],
-                      typed={("w1", "a"): "large"}, extra_resources=[])
+                      typed={state.handle("w1", "a"): "large"}, extra_resources=[])
     entry = plan.entries()[0]
     assert entry.resource_id == 0
     assert entry.end_s - entry.start_s == 10  # ran on small after all
@@ -183,6 +184,116 @@ def test_planner_places_on_earliest_available_lowest_id():
     state.reserve(state.resources[1], "u1", now=0)
     plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"], {}, [])
     assert plan.entries()[0].resource_id == 1
+
+
+def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, extra_resources):
+    """The planner before its frontier walk, kept as the reference: the same
+    slots and phase 1, then a phase 2 that scans every unfinished task of
+    each workflow in topological order and places those whose parents are
+    all finished or planned."""
+    plan = ExecutionPlan()
+    slots = []
+    for r in state.user_resources(user):
+        if r.state is ResourceState.BUSY:
+            wf_id, task_id = state.ref(r.running)
+            run = state.runs[wf_id]
+            start = run.task_start_s[run.graph.topo_index[task_id]]
+            end = start + oracle(run.graph.tasks[task_id], r.rtype.id)
+            plan.add(PlanEntry(r.id, wf_id, task_id, start, end, pinned=True))
+            slots.append((r.id, r.rtype.id, end))
+        elif r.state is ResourceState.BOOTING:
+            slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s)))
+        else:
+            slots.append((r.id, r.rtype.id, now))
+    slots += [(rid, rtype_id, now + state.config.boot_delay_s) for rid, rtype_id in extra_resources]
+    if not slots:
+        return plan
+    slots.sort()
+    available = {s[0]: s[2] for s in slots}
+
+    def place(wf_id, task_id, ready_s, rtype_id):
+        candidates = [s for s in slots if rtype_id is None or s[1] == rtype_id]
+        found = earliest_slot([available[s[0]] for s in candidates], ready_s, horizon_s)
+        if found is not None:
+            rid, slot_type, _free = candidates[found[0]]
+            end = found[1] + oracle(state.runs[wf_id].graph.tasks[task_id], slot_type)
+            plan.add(PlanEntry(rid, wf_id, task_id, found[1], end))
+            available[rid] = end
+
+    rank = {wf_id: k for k, wf_id in enumerate(workflow_order)}
+    for h in sorted((h for h in typed if state.ref(h)[0] in rank),
+                    key=lambda h: (rank[state.ref(h)[0]], h)):
+        if any(s[1] == typed[h] for s in slots) and state.ref(h) not in plan.by_task:
+            place(*state.ref(h), now, typed[h])
+    for wf_id in workflow_order:
+        if min(available.values()) >= horizon_s:
+            break
+        run = state.runs[wf_id]
+        for task_id in run.graph.topo_order:
+            i = run.graph.topo_index[task_id]
+            if run.status[i] is TaskStatus.FINISHED or (wf_id, task_id) in plan.by_task:
+                continue
+            ready = now
+            for parent in run.graph.parents[task_id]:
+                if run.status[run.graph.topo_index[parent]] is TaskStatus.FINISHED:
+                    continue
+                entry = plan.by_task.get((wf_id, parent))
+                if entry is None:
+                    break
+                ready = max(ready, entry.end_s)
+            else:
+                place(wf_id, task_id, ready, None)
+    return plan
+
+
+@st.composite
+def random_dags(draw):
+    """Workflows of up to 9 tasks with random edges; task ids are shuffled
+    against creation order, so topological order is not id order."""
+    specs = []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 9))
+        ids = draw(st.permutations([f"t{i}" for i in range(n)]))
+        edges = [(ids[a], ids[b]) for b in range(n) for a in range(b)
+                 if draw(st.booleans())]
+        runtimes = st.fixed_dictionaries({"small": st.integers(1, 40), "large": st.integers(1, 40)})
+        tasks = [(tid, draw(runtimes)) for tid in ids]
+        specs.append(wf(f"w{k}", tasks, edges, priority=draw(st.integers(0, 2))))
+    return specs
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=random_dags(), boot_delay_s=st.sampled_from((0, 7)), data=st.data())
+def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
+    system = two_type_system(small=3, large=3, interval_s=60, boot_delay_s=boot_delay_s)
+    state = make_state(specs, system=system)
+    now = 0
+    for _ in range(data.draw(st.integers(0, 25), label="steps")):
+        now += data.draw(st.sampled_from((0, 5, 20)), label="advance")
+        res = state.resources
+        op = data.draw(st.sampled_from(("reserve", "boot", "start", "finish")), label="op")
+        if op == "reserve" and (free := [r for r in res if not r.reserved]):
+            state.reserve(data.draw(st.sampled_from(free)), "u1", now)
+        elif op == "boot" and (booting := [r for r in res if r.state is ResourceState.BOOTING]):
+            state.boot_complete(data.draw(st.sampled_from(booting)), now)
+        elif op == "start" and (idle := state.idle_resources("u1")) and state.eligible_tasks("u1"):
+            h = data.draw(st.sampled_from(state.eligible_tasks("u1")))
+            state.start_task(h, data.draw(st.sampled_from(idle)), now)
+        elif op == "finish" and (busy := [r for r in res if r.state is ResourceState.BUSY]):
+            state.finish_task(data.draw(st.sampled_from(busy)).running, now)
+    order = data.draw(st.permutations(list(state.unfinished_tasks("u1"))), label="order")
+    typed = {
+        h: data.draw(st.sampled_from(("small", "large")))
+        for h in data.draw(st.lists(st.sampled_from(state.eligible_tasks("u1") or [None]),
+                                    unique=True), label="typed")
+        if h is not None
+    }
+    free = [(r.id, r.rtype.id) for r in state.resources if not r.reserved]
+    extra = data.draw(st.lists(st.sampled_from(free or [None]), unique=True, max_size=2))
+    extra = [e for e in extra if e is not None]
+    horizon_s = now + data.draw(st.sampled_from((30, 60, 120)), label="horizon")
+    args = (state, "u1", now, horizon_s, perfect_oracle, order, typed, extra)
+    assert build_plan(*args).entries() == scan_build_plan(*args).entries()
 
 
 # -- budget-per-workflow policy ------------------------------------------------------
@@ -331,7 +442,7 @@ def test_running_task_counted_at_actual_type_and_remaining_time():
     state = make_state([w])
     large = next(r for r in state.resources if r.rtype.id == "large")
     state.reserve(large, "u1", now=0)
-    state.start_task("w1", "a", large, now=0)
+    state.start_task(state.handle("w1", "a"), large, now=0)
     decision = ScfPolicy().decide(view_for(state, budget=12, now=30))
     # 20 s left on the large it actually occupies
     assert decision.diagnostics["supply"] == {"small": 0, "large": 1}

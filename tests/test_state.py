@@ -1,8 +1,10 @@
 """Indexed state: every index-backed query agrees with a full scan.
 
 Random sequences of state transitions run over small systems; after every
-step each query is compared with a brute-force scan of ``state.resources``
-and of the arrived workflows.
+step each query, the handle tables, the per-run lists and the per-user
+records are compared with a brute-force scan of ``state.resources``, of the
+arrived workflows and of the test's own record of what it started and
+finished.
 """
 
 import heapq
@@ -47,38 +49,93 @@ def held(state, user, states=(ResourceState.BOOTING, ResourceState.IDLE, Resourc
     return [r for r in state.resources if r.state in states and r.user == user]
 
 
-def brute_eligible(state, user):
-    refs = [
-        (wf_id, tid)
-        for wf_id in state.user_workflows[user]
-        for tid, status in state.runs[wf_id].status.items()
-        if status is TaskStatus.ELIGIBLE
-    ]
-    return sorted(refs, key=lambda ref: state.runs[ref[0]].order_key(ref[1]))
-
-
-def brute_joint_dag(state, user):
-    nodes, edges = [], []
-    for wf_id in state.user_workflows[user]:
-        run = state.runs[wf_id]
+def brute_status(state, finished, running):
+    """Every arrived task's status from first principles: finished or
+    running where the test made it so, otherwise eligible once all its
+    parents have finished."""
+    out = {}
+    for wf_id, run in state.runs.items():
         for tid in run.graph.topo_order:
-            if run.status[tid] is not TaskStatus.FINISHED:
-                nodes.append((wf_id, tid))
-                edges += [((wf_id, tid), (wf_id, c)) for c in run.graph.children[tid]]
+            ref = (wf_id, tid)
+            if ref in finished:
+                out[ref] = TaskStatus.FINISHED
+            elif ref in running:
+                out[ref] = TaskStatus.RUNNING
+            elif all((wf_id, p) in finished for p in run.graph.parents[tid]):
+                out[ref] = TaskStatus.ELIGIBLE
+            else:
+                out[ref] = TaskStatus.PENDING
+    return out
+
+
+def of_user(state, user, status, wanted):
+    """Refs of the user's tasks whose status is in ``wanted``, in arrival,
+    then topological, order."""
+    return [
+        ref for ref, s in status.items()
+        if s in wanted and state.runs[ref[0]].spec.user == user
+    ]
+
+
+def brute_eligible(state, user, status):
+    def key(ref):
+        run = state.runs[ref[0]]
+        return (-run.spec.priority, run.spec.arrival_s, run.seq,
+                run.graph.topo_index[ref[1]])
+
+    return sorted(of_user(state, user, status, (TaskStatus.ELIGIBLE,)), key=key)
+
+
+def brute_joint_dag(state, user, status):
+    nodes = of_user(state, user, status,
+                    (TaskStatus.PENDING, TaskStatus.ELIGIBLE, TaskStatus.RUNNING))
+    edges = [(ref, (ref[0], c)) for ref in nodes
+             for c in state.runs[ref[0]].graph.children[ref[1]]]
     return nodes, edges
 
 
-def brute_finished(state, user):
+def brute_finished(state, user, status, finished):
     counts = dict.fromkeys(TYPES, 0)
-    for wf_id in state.user_workflows[user]:
-        run = state.runs[wf_id]
-        for tid, status in run.status.items():
-            if status is TaskStatus.FINISHED:
-                counts[state.resources[run.task_resource[tid]].rtype.id] += 1
+    for ref in of_user(state, user, status, (TaskStatus.FINISHED,)):
+        counts[state.resources[finished[ref]].rtype.id] += 1
     return counts
 
 
-def check_queries(state):
+def check_handles(state):
+    """Handles are dense, ascend in arrival then topological order, and
+    convert to and from (workflow id, task id) through one lookup each."""
+    base = 0
+    for wf_id, run in sorted(state.runs.items(), key=lambda item: item[1].seq):
+        assert run.base == base
+        for i, tid in enumerate(run.graph.topo_order):
+            h = base + i
+            assert state.task_runs[h] is run
+            assert state.handle(wf_id, tid) == h
+            assert state.ref(h) == (wf_id, tid)
+        base += len(run.graph.topo_order)
+    assert len(state.task_runs) == base
+
+
+def check_queries(state, finished, running):
+    """``finished`` and ``running`` map the refs the test finished, and the
+    ones it started and has not finished, to the machine ids they ran on."""
+    check_handles(state)
+    refs = lambda hs: [state.ref(h) for h in hs]  # noqa: E731
+    status = brute_status(state, finished, running)
+    for wf_id, run in state.runs.items():
+        for i, tid in enumerate(run.graph.topo_order):
+            ref = (wf_id, tid)
+            assert run.status[i] is status[ref]
+            assert run.blocked_parents[i] == sum(
+                (wf_id, p) not in finished for p in run.graph.parents[tid]
+            )
+            if ref in finished or ref in running:
+                assert run.task_resource[i] == finished.get(ref, running.get(ref))
+        assert run.unfinished == sum(status[(wf_id, t)] is not TaskStatus.FINISHED
+                                     for t in run.graph.topo_order)
+    for ref, rid in running.items():
+        assert state.resources[rid].running == state.handle(*ref)
+        assert state.resources[rid].state is ResourceState.BUSY
     for t in TYPES:
         free = [r for r in state.resources if r.state is ResourceState.DOWN and r.rtype.id == t]
         assert state.free_resources(t) == free
@@ -90,6 +147,8 @@ def check_queries(state):
         assert state.idle_resources(u) == idle
         for t in TYPES:
             assert state.idle_resources(u, t) == [r for r in idle if r.rtype.id == t]
+        assert state.idle_ids(u) == [r.id for r in idle]
+        assert state.lowest_idle(u) == (idle[0].id if idle else None)
         some = {r.id for r in state.resources if r.id % 2}
         assert state.idle_ids(u, some) == [r.id for r in idle if r.id % 2]
         mine = held(state, u)
@@ -100,29 +159,37 @@ def check_queries(state):
         assert state.counts_by_type(u) == {
             t: sum(r.rtype.id == t for r in mine) for t in TYPES
         }
-        eligible = brute_eligible(state, u)
-        assert state.eligible_tasks(u) == eligible
-        assert state.next_eligible(u) == (eligible[0] if eligible else None)
-        running = sum(
-            status is TaskStatus.RUNNING
-            for wf_id in state.user_workflows[u]
-            for status in state.runs[wf_id].status.values()
-        )
-        assert state.momentary_demand(u) == running + len(eligible)
-        assert state.joint_dag(u) == brute_joint_dag(state, u)
-        assert state.unfinished_tasks(u) == {
-            wf_id: [t for t in run.graph.topo_order if run.status[t] is not TaskStatus.FINISHED]
-            for wf_id in state.user_workflows[u]
-            if not (run := state.runs[wf_id]).done
-        }
-        frontier = {
-            (wf_id, tid)
-            for wf_id in state.user_workflows[u]
-            for tid, status in state.runs[wf_id].status.items()
-            if status in (TaskStatus.ELIGIBLE, TaskStatus.RUNNING)
-        }
-        assert set(state.frontier(u)) == frontier
+        eligible = brute_eligible(state, u, status)
+        assert refs(state.eligible_tasks(u)) == eligible
+        assert state.eligible_count(u) == len(eligible)
+        assert state.next_eligible(u) == (state.handle(*eligible[0]) if eligible else None)
+        n_running = len(of_user(state, u, status, (TaskStatus.RUNNING,)))
+        assert state.momentary_demand(u) == n_running + len(eligible)
+        nodes, edges = state.joint_dag(u)
+        assert (refs(nodes), [(state.ref(a), state.ref(b)) for a, b in edges]) == \
+            brute_joint_dag(state, u, status)
+        unfinished = {}
+        for ref in brute_joint_dag(state, u, status)[0]:
+            unfinished.setdefault(ref[0], []).append(ref[1])
+        assert {w: [state.ref(h)[1] for h in hs]
+                for w, hs in state.unfinished_tasks(u).items()} == unfinished
+        assert list(state.unfinished_tasks(u)) == list(unfinished)
+        frontier = of_user(state, u, status, (TaskStatus.ELIGIBLE, TaskStatus.RUNNING))
+        assert sorted(refs(state.frontier(u))) == sorted(frontier)
         assert len(state.frontier(u)) == len(frontier)
+        # the per-user record agrees with the scans
+        rec = state._index[u]
+        assert rec.running == n_running
+        assert rec.eligible == len(eligible)
+        assert rec.finished == brute_finished(state, u, status, finished)
+        assert refs(rec.unfinished) == brute_joint_dag(state, u, status)[0]
+        for h, children in rec.unfinished.items():
+            wf_id, tid = state.ref(h)
+            assert refs(children) == [(wf_id, c) for c in state.runs[wf_id].graph.children[tid]]
+        assert sorted(refs(rec.frontier)) == sorted(frontier)
+        for rs in (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY):
+            for t in TYPES:
+                assert rec.pools[rs][t] == {r.id for r in held(state, u, (rs,)) if r.rtype.id == t}
         # the frontier walk PFA runs counts the same waves as the explicit
         # walk over the joint DAG, at every depth
         facade = UserFacade(state, u)
@@ -130,11 +197,11 @@ def check_queries(state):
             assert tba_walk(
                 facade.frontier(), facade.children, facade.unfinished_parents, depth
             ) == tba_propagate(*state.joint_dag(u), depth)
-        assert UserFacade(state, u).finished_by_type() == brute_finished(state, u)
+        assert facade.finished_by_type() == rec.finished
         # popping the heap yields the live tasks in dispatch order, and stale
         # entries never outnumber live ones
-        heap = list(state._heaps[u])
-        popped = [heapq.heappop(heap)[1] for _ in range(len(heap))]
+        heap = list(rec.heap)
+        popped = refs(heapq.heappop(heap)[2] for _ in range(len(heap)))
         assert [ref for ref in popped if ref in eligible] == eligible
         assert len(popped) <= 2 * len(eligible)
     assert state.all_done == all(run.done for run in state.runs.values())
@@ -153,12 +220,15 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
                              boot_delay_s=boot_delay_s)
     state = SystemState(system, users(("u1", 100), ("u2", 100)))
     pending = [make_workflow(i, *args) for i, args in enumerate(specs)]
+    finished: dict = {}  # ref -> machine id it ran on
+    running: dict = {}
     now = 0
-    check_queries(state)
+    check_queries(state, finished, running)
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         now += data.draw(st.sampled_from((0, 0, 30)), label="advance")
         op = data.draw(st.sampled_from(OPS), label="op")
         res = state.resources
+        status = brute_status(state, finished, running)
         if op == "arrive" and pending:
             state.arrive(pending.pop(0))
         elif op == "reserve":
@@ -176,25 +246,28 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             pairs = [
                 (ref, r)
                 for u in USERS
-                for ref in brute_eligible(state, u)
+                for ref in brute_eligible(state, u, status)
                 for r in held(state, u, (ResourceState.IDLE,))
             ]
             if pairs:
-                (wf_id, tid), r = data.draw(st.sampled_from(pairs))
-                state.start_task(wf_id, tid, r, now)
+                ref, r = data.draw(st.sampled_from(pairs))
+                state.start_task(state.handle(*ref), r, now)
+                running[ref] = r.id
         elif op == "dispatch":
             u = data.draw(st.sampled_from(USERS))
             expected = [
-                (wf_id, tid, r.id)
-                for (wf_id, tid), r in zip(brute_eligible(state, u),
-                                           held(state, u, (ResourceState.IDLE,)))
+                (ref, r.id)
+                for ref, r in zip(brute_eligible(state, u, status),
+                                  held(state, u, (ResourceState.IDLE,)))
             ]
-            assert dispatch_dynamic(state, u, now) == expected
+            got = [(state.ref(h), rid) for h, rid in dispatch_dynamic(state, u, now)]
+            assert got == expected
+            running.update(expected)
         elif op == "finish":
-            running = [r.running for r in res if r.state is ResourceState.BUSY]
             if running:
-                wf_id, tid = data.draw(st.sampled_from(running))
-                state.finish_task(wf_id, tid, now)
+                ref = data.draw(st.sampled_from(sorted(running)))
+                state.finish_task(state.handle(*ref), now)
+                finished[ref] = running.pop(ref)
         elif op == "release":
             due = [
                 r for r in res
@@ -202,7 +275,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             ]
             if due:
                 state.release(data.draw(st.sampled_from(due)), now)
-        check_queries(state)
+        check_queries(state, finished, running)
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,8 +291,9 @@ def test_out_of_order_starts_keep_dispatch_order(priorities, started):
         state.reserve(r, "u1", 0)
     idle = state.idle_resources("u1")
     for i in sorted(started):
-        state.start_task(f"w{i}", "a", idle.pop(), 0)
-    expected = brute_eligible(state, "u1")
-    assert [(w, t) for w, t, _ in dispatch_dynamic(state, "u1", 0)] == expected
+        state.start_task(state.handle(f"w{i}", "a"), idle.pop(), 0)
+    status = brute_status(state, {}, {(f"w{i}", "a") for i in started})
+    expected = brute_eligible(state, "u1", status)
+    assert [state.ref(h) for h, _ in dispatch_dynamic(state, "u1", 0)] == expected
     assert [f"w{i}" for i in sorted(range(10), key=lambda i: -priorities[i])
             if i not in started] == [w for w, _ in expected]
