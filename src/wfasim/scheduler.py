@@ -20,12 +20,6 @@ def dispatch_dynamic(state: SystemState, user: str, now: int) -> list[Assignment
     if h is None:
         return []
     resources = state.resources
-    if state.eligible_count(user) == 1:
-        rid = state.lowest_idle(user)
-        if rid is None:
-            return []
-        state.start_task(h, resources[rid], now)
-        return [(h, rid)]
     out: list[Assignment] = []
     for rid in state.idle_ids(user):
         state.start_task(h, resources[rid], now)

@@ -61,7 +61,9 @@ from .model import (
 TaskRef = tuple[str, str]  # (workflow id, task id)
 
 _HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
-_IDLE, _BUSY = ResourceState.IDLE, ResourceState.BUSY
+# Module constants: reading a member off the Enum class costs several
+# times a global read, and the transitions below run once per event.
+_DOWN, _IDLE, _BUSY = ResourceState.DOWN, ResourceState.IDLE, ResourceState.BUSY
 _ELIGIBLE, _RUNNING = TaskStatus.ELIGIBLE, TaskStatus.RUNNING
 
 
@@ -134,11 +136,11 @@ class SystemState:
     def _move(self, resource: Resource, to: ResourceState) -> None:
         """Set a machine's state and move its id to the matching pool."""
         rtype_id = resource.rtype.id
-        if resource.state is ResourceState.DOWN:
+        if resource.state is _DOWN:
             self._free[rtype_id].remove(resource.id)
         else:
             self._index[resource.user].pools[resource.state][rtype_id].remove(resource.id)
-        if to is ResourceState.DOWN:
+        if to is _DOWN:
             self._free[rtype_id].add(resource.id)
         else:
             self._index[resource.user].pools[to][rtype_id].add(resource.id)
@@ -200,14 +202,11 @@ class SystemState:
             raise ValueError(f"resource {resource.id} not idle for {run.spec.user}")
         run.status[i] = _RUNNING
         run.task_start_s[i] = now
-        run.task_resource[i] = rid = resource.id
+        run.task_resource[i] = resource.id
         rec = run.user_index
         rec.eligible -= 1
         rec.running += 1
-        pools, rtype_id = rec.pools, resource.rtype.id
-        pools[_IDLE][rtype_id].remove(rid)
-        pools[_BUSY][rtype_id].add(rid)
-        resource.state = _BUSY
+        self._move(resource, _BUSY)
         resource.running = h
         resource.idle_since_s = None
         # The started task's heap entry is now stale. A task started out of
@@ -234,12 +233,8 @@ class SystemState:
         children = rec.unfinished.pop(h)
         del rec.frontier[h]
         resource = self.resources[run.task_resource[i]]
-        rid, rtype_id = resource.id, resource.rtype.id
-        rec.finished[rtype_id] += 1
-        pools = rec.pools
-        pools[_BUSY][rtype_id].remove(rid)
-        pools[_IDLE][rtype_id].add(rid)
-        resource.state = _IDLE
+        rec.finished[resource.rtype.id] += 1
+        self._move(resource, _IDLE)
         resource.running = None
         resource.idle_since_s = now
         blocked, base = run.blocked_parents, run.base
@@ -269,9 +264,6 @@ class SystemState:
                 return h
             heapq.heappop(heap)
         return None
-
-    def eligible_count(self, user: str) -> int:
-        return self._index[user].eligible
 
     def momentary_demand(self, user: str) -> int:
         """Running plus eligible task count: work the user could use now."""
@@ -326,11 +318,6 @@ class SystemState:
             out.extend(ids if among is None else among & ids)
         out.sort()
         return out
-
-    def lowest_idle(self, user: str) -> int | None:
-        """The id of the user's lowest idle machine, or None."""
-        return min((min(ids) for ids in self._index[user].pools[_IDLE].values() if ids),
-                   default=None)
 
     def unfinished_tasks(self, user: str) -> dict[str, list[int]]:
         """{workflow id: its unfinished tasks in topological order} for the

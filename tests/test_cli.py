@@ -316,6 +316,20 @@ def test_run_rejects_runtime_on_unknown_type(tmp_path, capsys):
     assert "UnknownType(huge)" in capsys.readouterr().err
 
 
+def test_mip_compare_rejects_runtime_on_a_type_the_instance_lacks(tmp_path, capsys):
+    # The instance holds only small machines. Solving ignores the large
+    # runtimes, but compare simulates on a system of the instance's types,
+    # and the engine rejects a runtime on a type that system lacks.
+    spec = chain_wf("c2", [{"small": 10, "large": 5}] * 2)
+    inst = mip.build_instance([spec], 5, 2, 6, [("small", 1), ("small", 1)])
+    path = tmp_path / "inst.json"
+    mip.save_instance(inst, path)
+    assert main(["mip", "solve", "--instance", str(path)]) == 0
+    assert main(["mip", "compare", "--instance", str(path)]) == 2
+    assert "UnknownType(large)" in capsys.readouterr().err
+    assert not path.with_suffix(".compare.csv").exists()
+
+
 def test_run_rejects_duplicate_user_ids(tmp_path, capsys):
     config = run_config(tmp_path, users=[{"id": "u1", "budget": 20}, {"id": "u1", "budget": 9}])
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

@@ -148,7 +148,6 @@ def check_queries(state, finished, running):
         for t in TYPES:
             assert state.idle_resources(u, t) == [r for r in idle if r.rtype.id == t]
         assert state.idle_ids(u) == [r.id for r in idle]
-        assert state.lowest_idle(u) == (idle[0].id if idle else None)
         some = {r.id for r in state.resources if r.id % 2}
         assert state.idle_ids(u, some) == [r.id for r in idle if r.id % 2]
         mine = held(state, u)
@@ -161,7 +160,6 @@ def check_queries(state, finished, running):
         }
         eligible = brute_eligible(state, u, status)
         assert refs(state.eligible_tasks(u)) == eligible
-        assert state.eligible_count(u) == len(eligible)
         assert state.next_eligible(u) == (state.handle(*eligible[0]) if eligible else None)
         n_running = len(of_user(state, u, status, (TaskStatus.RUNNING,)))
         assert state.momentary_demand(u) == n_running + len(eligible)
