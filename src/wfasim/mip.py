@@ -167,11 +167,17 @@ def build_instance(
     users = {wf.user for wf in workflows}
     if len(users) > 1:
         raise ValueError("the model covers a single user's workload")
+    listed = {rtype for rtype, _cost in resources}
     graphs: dict[str, WorkflowGraph] = {}
     for wf in workflows:
         if wf.id in graphs:
             raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
         issues = validate_workflow(wf, graphs)
+        if not issues:
+            # each task needs a runtime on every listed type; one on an
+            # extra type is ignored
+            missing = set().union(*(listed.difference(t.runtime_by_type) for t in wf.tasks))
+            issues = [f"MissingType({t})" for t in sorted(missing)]
         if issues:
             raise WorkloadInvalid(wf.id, issues)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..model import SystemConfig, TaskSpec, UserConfig
 
@@ -17,6 +17,32 @@ RuntimeOracle = Callable[[TaskSpec, str], int]
 
 def perfect_oracle(task: TaskSpec, rtype_id: str) -> int:
     return task.runtime_by_type[rtype_id]
+
+
+def pick_free(
+    free_ids: Callable[[str], Iterable[int]],
+    types: Sequence[tuple[str, int]],
+    wanted: Mapping[str, int],
+    headroom: int,
+) -> dict[str, list[int]]:
+    """The machines a decision reserves: for each (type id, cost) in the
+    given order, the lowest free ids up to the wanted count, while the cost
+    of what is picked stays within the budget headroom."""
+    alloc: dict[str, list[int]] = {}
+    spend = 0
+    for tid, cost in types:
+        want = wanted.get(tid, 0)
+        if want <= 0:
+            continue
+        picked: list[int] = []
+        for rid in free_ids(tid):
+            if len(picked) >= want or spend + cost > headroom:
+                break
+            picked.append(rid)
+            spend += cost
+        if picked:
+            alloc[tid] = picked
+    return alloc
 
 
 class PlanEntry(NamedTuple):
@@ -121,4 +147,5 @@ __all__ = [
     "PolicyView",
     "RuntimeOracle",
     "perfect_oracle",
+    "pick_free",
 ]

@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..model import BudgetTooSmall
-from .base import Decision, Policy, PolicyView
+from .base import Decision, Policy, PolicyView, pick_free
 
 TaskRef = Hashable  # a task handle from the user facade, or any DAG node id
 _Ratios = tuple[list[int], int]  # (numerators, common denominator > 0)
@@ -489,21 +489,13 @@ def pfa_decide(
             dealloc.extend(r.resource_id for r in chosen)
             kept[tid] = have - len(chosen)
 
-    alloc: dict[str, list[int]] = {}
-    running_cost = sum(kept[tid] * q for tid, q in obs.types)
-    for i in sorted(range(n), key=lambda i: (costs[i], i)):
-        tid = type_ids[i]
-        want = final[i] - kept[tid]
-        if want <= 0:
-            continue
-        picked: list[int] = []
-        for rid in obs.free_ids(tid):
-            if len(picked) >= want or running_cost + costs[i] > obs.budget:
-                break
-            picked.append(rid)
-            running_cost += costs[i]
-        if picked:
-            alloc[tid] = picked
+    # cheapest first; the stable sort keeps equal-cost types in config order
+    alloc = pick_free(
+        obs.free_ids,
+        sorted(obs.types, key=lambda t: t[1]),
+        {tid: final[i] - kept[tid] for i, tid in enumerate(type_ids)},
+        obs.budget - sum(kept[tid] * q for tid, q in obs.types),
+    )
     steps["apply"] = time.perf_counter() - t0
 
     # carry smoothing state forward

@@ -11,11 +11,12 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 from ..model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus
 from ..state import SystemState
-from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle
+from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle, pick_free
 
 
 def fastest_type(
@@ -196,30 +197,43 @@ def _release_candidates(state: SystemState, user: str, now: int, plan: Execution
     return sorted(out)
 
 
-def _pick_new_resources(
-    state: SystemState,
+def _headroom(state: SystemState, user: str, budget: int) -> int:
+    """Budget left after the user's reservations."""
+    committed = state.allocated_cost(user)
+    if committed > budget:
+        raise OverCommitted(f"user {user}: reserved cost {committed} over budget {budget}")
+    return budget - committed
+
+
+def _plan_decision(
+    view: PolicyView,
     wanted: dict[str, int],
-    budget_headroom: int,
-    types: tuple[ResourceType, ...],
-) -> dict[str, list[int]]:
-    """Select free resource ids for the wanted per-type counts, cheapest type
-    first, never exceeding the budget headroom."""
-    alloc: dict[str, list[int]] = {}
-    spend = 0
-    for rt in sorted(types, key=lambda t: (t.cost, t.id)):
-        want = wanted.get(rt.id, 0)
-        if want <= 0:
-            continue
-        free = state.free_resources(rt.id)
-        picked: list[int] = []
-        for r in free:
-            if len(picked) >= want or spend + rt.cost > budget_headroom:
-                break
-            picked.append(r.id)
-            spend += rt.cost
-        if picked:
-            alloc[rt.id] = picked
-    return alloc
+    headroom: int,
+    order: list[str],
+    typed: dict[int, str],
+    steps: dict[str, float],
+    diagnostics: dict,
+) -> Decision:
+    """The tail of a planner's decision: reserve free machines for the
+    wanted per-type counts, cheapest type first (ties to the lower type id);
+    plan the interval on the user's machines plus these, with workflows in
+    the given order; and release the idle machines at their billing end
+    that the plan leaves empty."""
+    state, user, now = view.state, view.user.id, view.now
+    t0 = time.perf_counter()
+    types = [(t.id, t.cost) for t in sorted(view.config.types, key=lambda t: (t.cost, t.id))]
+    alloc = pick_free(view.observation.free_ids, types, wanted, headroom)
+    steps["allocate"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    extra = [(rid, rtype_id) for rtype_id, rids in alloc.items() for rid in rids]
+    plan = build_plan(state, user, now, view.horizon_s, view.oracle, order, typed, extra)
+    steps["plan"] = time.perf_counter() - t0
+    diagnostics.update(
+        t=view.tick, user=user, alloc={k: len(v) for k, v in alloc.items()}, planned=len(plan)
+    )
+    return Decision(alloc=alloc, dealloc=_release_candidates(state, user, now, plan),
+                    plan=plan, diagnostics=diagnostics, step_seconds=steps)
 
 
 class PlfPolicy(Policy):
@@ -236,17 +250,11 @@ class PlfPolicy(Policy):
     mode = "plan"
 
     def decide(self, view: PolicyView) -> Decision:
-        state, user, now = view.state, view.user.id, view.now
-        budget = view.user.budget
+        state, user = view.state, view.user.id
         steps: dict[str, float] = {}
 
         t0 = time.perf_counter()
-        committed = state.allocated_cost(user)
-        if committed > budget:
-            raise OverCommitted(
-                f"user {user}: reserved cost {committed} over budget {budget}"
-            )
-        remaining = budget - committed
+        remaining = _headroom(state, user, view.user.budget)
         active = list(state.unfinished_tasks(user))
         shares: dict[str, Fraction] = {}
         if active:
@@ -277,37 +285,13 @@ class PlfPolicy(Policy):
             if pool >= rt.cost:
                 pool -= rt.cost
                 typed[h] = rt.id
+        wanted = Counter(typed.values())
         steps["supply"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        wanted: dict[str, int] = {}
-        for rtype_id in typed.values():
-            wanted[rtype_id] = wanted.get(rtype_id, 0) + 1
-        alloc = _pick_new_resources(state, wanted, remaining, view.config.types)
-        steps["allocate"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         order = list(active)
         view.rng.shuffle(order)
-        extra = [
-            (rid, rtype_id) for rtype_id, rids in alloc.items() for rid in rids
-        ]
-        plan = build_plan(
-            state, user, now, view.horizon_s, view.oracle, order, typed, extra
-        )
-        steps["plan"] = time.perf_counter() - t0
-
-        dealloc = _release_candidates(state, user, now, plan)
-        diagnostics = {
-            "t": view.tick,
-            "user": user,
-            "typed": len(typed),
-            "alloc": {k: len(v) for k, v in alloc.items()},
-            "planned": len(plan),
-            "pool_left": float(pool) if active else 0.0,
-        }
-        return Decision(alloc=alloc, dealloc=dealloc, plan=plan,
-                        diagnostics=diagnostics, step_seconds=steps)
+        diagnostics = {"typed": len(typed), "pool_left": float(pool) if active else 0.0}
+        return _plan_decision(view, wanted, remaining, order, typed, steps, diagnostics)
 
 
 class ScfPolicy(Policy):
@@ -329,11 +313,7 @@ class ScfPolicy(Policy):
         steps: dict[str, float] = {}
 
         t0 = time.perf_counter()
-        committed = state.allocated_cost(user)
-        if committed > budget:
-            raise OverCommitted(
-                f"user {user}: reserved cost {committed} over budget {budget}"
-            )
+        headroom = _headroom(state, user, budget)
 
         supply: dict[str, int] = {t.id: 0 for t in types}
         unfinished = state.unfinished_tasks(user)
@@ -358,17 +338,10 @@ class ScfPolicy(Policy):
 
         t0 = time.perf_counter()
         scaled = scf_scale_supply(supply, types, budget)
+        have = state.counts_by_type(user)
+        wanted = {t.id: scaled[t.id] - have[t.id] for t in types}
         steps["scale"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        have = state.counts_by_type(user)
-        wanted = {
-            t.id: max(0, scaled[t.id] - have[t.id]) for t in types
-        }
-        alloc = _pick_new_resources(state, wanted, budget - committed, types)
-        steps["allocate"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         order = sorted(
             active,
             key=lambda w: (
@@ -377,25 +350,8 @@ class ScfPolicy(Policy):
                 state.runs[w].seq,
             ),
         )
-        extra = [
-            (rid, rtype_id) for rtype_id, rids in alloc.items() for rid in rids
-        ]
-        plan = build_plan(
-            state, user, now, view.horizon_s, view.oracle, order, {}, extra
-        )
-        steps["plan"] = time.perf_counter() - t0
-
-        dealloc = _release_candidates(state, user, now, plan)
-        diagnostics = {
-            "t": view.tick,
-            "user": user,
-            "supply": supply,
-            "scaled": scaled,
-            "alloc": {k: len(v) for k, v in alloc.items()},
-            "planned": len(plan),
-        }
-        return Decision(alloc=alloc, dealloc=dealloc, plan=plan,
-                        diagnostics=diagnostics, step_seconds=steps)
+        diagnostics = {"supply": supply, "scaled": scaled}
+        return _plan_decision(view, wanted, headroom, order, {}, steps, diagnostics)
 
 
 def scf_scale_supply(

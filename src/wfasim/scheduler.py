@@ -64,9 +64,10 @@ class PlanRunner:
         if not queues:
             return []
         out: list[Assignment] = []
-        # only idle machines with a queue can start anything
-        for rid in state.idle_ids(user, queues.keys()):
-            q = queues[rid]
+        for rid in state.idle_ids(user):
+            q = queues.get(rid)
+            if q is None:  # nothing planned on this machine
+                continue
             while q:
                 start_s, h = q[0]
                 if start_s > now:

@@ -24,7 +24,7 @@ has one ``UserIndex`` record holding:
   index, so this is dispatch order. Entries of tasks that have since
   started are stale and are skipped, or compacted away once they outnumber
   the live ones;
-- the running and eligible task counts;
+- the eligible task count;
 - the unfinished tasks with their unfinished children, in handle order, and
   the frontier: the unfinished tasks with no unfinished parent (eligible or
   running);
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import groupby, repeat
-from typing import AbstractSet
 
 from .dagops import WorkflowGraph
 from .model import (
@@ -70,11 +69,10 @@ _ELIGIBLE, _RUNNING = TaskStatus.ELIGIBLE, TaskStatus.RUNNING
 class UserIndex:
     """One user's share of the indexes (see the module docstring)."""
 
-    __slots__ = ("heap", "running", "eligible", "unfinished", "frontier", "pools", "finished")
+    __slots__ = ("heap", "eligible", "unfinished", "frontier", "pools", "finished")
 
     def __init__(self, type_ids: tuple[str, ...]):
         self.heap: list[tuple[int, int, int]] = []
-        self.running = 0
         self.eligible = 0
         self.unfinished: dict[int, tuple[int, ...]] = {}  # task -> its children
         self.frontier: dict[int, None] = {}
@@ -205,7 +203,6 @@ class SystemState:
         run.task_resource[i] = resource.id
         rec = run.user_index
         rec.eligible -= 1
-        rec.running += 1
         self._move(resource, _BUSY)
         resource.running = h
         resource.idle_since_s = None
@@ -229,7 +226,6 @@ class SystemState:
         if run.unfinished == 0:
             run.last_finish_s = now
         rec = run.user_index
-        rec.running -= 1
         children = rec.unfinished.pop(h)
         del rec.frontier[h]
         resource = self.resources[run.task_resource[i]]
@@ -267,8 +263,7 @@ class SystemState:
 
     def momentary_demand(self, user: str) -> int:
         """Running plus eligible task count: work the user could use now."""
-        rec = self._index[user]
-        return rec.running + rec.eligible
+        return len(self._index[user].frontier)
 
     def supply(self, user: str) -> int:
         pools = self._index[user].pools
@@ -310,12 +305,11 @@ class SystemState:
             for rid in ids
         ]
 
-    def idle_ids(self, user: str, among: AbstractSet[int] | None = None) -> list[int]:
-        """Ids of the user's idle machines, only those in ``among`` if given,
-        lowest first."""
+    def idle_ids(self, user: str) -> list[int]:
+        """Ids of the user's idle machines, lowest first."""
         out: list[int] = []
         for ids in self._index[user].pools[_IDLE].values():
-            out.extend(ids if among is None else among & ids)
+            out.extend(ids)
         out.sort()
         return out
 

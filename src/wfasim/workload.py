@@ -88,14 +88,10 @@ def second_type_rule(name: str) -> SecondTypeRule:
 
 # -- DAG recipes -----------------------------------------------------------
 # Each builder returns edges over node indices 0..n-1 where node 0 is the
-# single entry and node n-1 the single exit.
+# single entry and node n-1 the single exit, for n >= 4.
 
 
 def _fan_reduce(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    if n == 1:
-        return []
-    if n <= 3:
-        return [(i, i + 1) for i in range(n - 1)]
     middle = n - 2
     agg = max(1, int(round(middle * float(rng.uniform(0.1, 0.3)))))
     if agg >= middle:
@@ -113,10 +109,6 @@ def _fan_reduce(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
 
 
 def _layered_pipelines(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    if n == 1:
-        return []
-    if n <= 3:
-        return [(i, i + 1) for i in range(n - 1)]
     middle = n - 2
     width = int(rng.integers(2, max(3, min(12, middle // 2 + 1)) + 1))
     layers: list[list[int]] = []
@@ -144,10 +136,6 @@ def _layered_pipelines(n: int, rng: np.random.Generator) -> list[tuple[int, int]
 
 
 def _wide_join(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    if n == 1:
-        return []
-    if n <= 3:
-        return [(i, i + 1) for i in range(n - 1)]
     middle = n - 2
     edges = []
     nxt = 1
@@ -184,6 +172,8 @@ class DagRecipe:
     def build(self, n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
         if n < 1:
             raise ValueError("workflow needs at least one task")
+        if n <= 3:  # too small for a family's shape: a chain
+            return [(i, i + 1) for i in range(n - 1)]
         return _BUILDERS[self.family](n, rng)
 
 

@@ -330,6 +330,15 @@ def test_mip_compare_rejects_runtime_on_a_type_the_instance_lacks(tmp_path, caps
     assert not path.with_suffix(".compare.csv").exists()
 
 
+def test_mip_rejects_task_without_runtime_on_a_listed_type(instance_path, capsys):
+    doc = json.loads(instance_path.read_text())
+    del doc["workflows"][0]["tasks"][1]["runtimes"]["large"]
+    instance_path.write_text(json.dumps(doc))
+    assert main(["mip", "export", "--instance", str(instance_path)]) == 2
+    assert "MissingType(large)" in capsys.readouterr().err
+    assert not instance_path.with_suffix(".lp").exists()
+
+
 def test_run_rejects_duplicate_user_ids(tmp_path, capsys):
     config = run_config(tmp_path, users=[{"id": "u1", "budget": 20}, {"id": "u1", "budget": 9}])
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

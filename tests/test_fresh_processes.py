@@ -43,9 +43,10 @@ def numbers(x):
     return [x] if isinstance(x, (int, float)) and not isinstance(x, bool) else []
 
 
-def test_traced_benchmark_run_ends_in_a_finite_result():
+@pytest.mark.parametrize("workload", ["grid-feedback", "grid-planning"])
+def test_traced_benchmark_run_ends_in_a_finite_result(workload):
     proc = subprocess.run(
-        [sys.executable, "wfbench/run.py", "--workload", "grid-feedback",
+        [sys.executable, "wfbench/run.py", "--workload", workload,
          "--seed", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -230,6 +230,17 @@ def test_build_rejects_duplicate_workflow_ids():
     assert err.value.issues == ["DuplicateWorkflow"]
 
 
+def test_build_rejects_task_without_runtime_on_a_listed_type():
+    spec = chain_wf("c2", [{"small": 10, "large": 5}, {"small": 10}])
+    with pytest.raises(WorkloadInvalid) as err:
+        build_instance([spec], 5, 2, 6, [("small", 1), ("large", 5)])
+    assert err.value.workflow_id == "c2"
+    assert err.value.issues == ["MissingType(large)"]
+    # a runtime on a type the instance does not list is ignored
+    inst = build_instance([spec], 5, 2, 6, [("small", 1)])
+    assert [t.runtimes for t in inst.tasks] == [(2,), (2,)]
+
+
 # -- LP text ------------------------------------------------------------------
 
 

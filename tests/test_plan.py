@@ -18,7 +18,7 @@ from wfasim.policies.plan import (
     fastest_type,
     scf_scale_supply,
 )
-from wfasim.state import SystemState
+from wfasim.state import SystemState, UserFacade
 
 SYS = two_type_system(small=8, large=4, interval_s=60)
 
@@ -39,6 +39,7 @@ def view_for(state, budget, now=0, seed=0, system=SYS):
         state=state,
         oracle=perfect_oracle,
         rng=random.Random(seed),
+        observation=UserFacade(state, "u1"),
     )
 
 

@@ -148,8 +148,6 @@ def check_queries(state, finished, running):
         for t in TYPES:
             assert state.idle_resources(u, t) == [r for r in idle if r.rtype.id == t]
         assert state.idle_ids(u) == [r.id for r in idle]
-        some = {r.id for r in state.resources if r.id % 2}
-        assert state.idle_ids(u, some) == [r.id for r in idle if r.id % 2]
         mine = held(state, u)
         assert state.user_resources(u) == mine
         assert state.supply(u) == len(mine)
@@ -177,7 +175,7 @@ def check_queries(state, finished, running):
         assert len(state.frontier(u)) == len(frontier)
         # the per-user record agrees with the scans
         rec = state._index[u]
-        assert rec.running == n_running
+        assert len(rec.frontier) == n_running + len(eligible)
         assert rec.eligible == len(eligible)
         assert rec.finished == brute_finished(state, u, status, finished)
         assert refs(rec.unfinished) == brute_joint_dag(state, u, status)[0]
