@@ -26,6 +26,7 @@ from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, s
 from .model import (
     BudgetViolation,
     ResourceState,
+    Stalled,
     SystemConfig,
     UserConfig,
     WorkflowSpec,
@@ -222,6 +223,7 @@ class _Sim:
                 raise ValueError(f"duplicate user id {u.id!r}")
             user_ids.add(u.id)
         type_ids = {t.id for t in system.types}
+        held_types = {t for t in type_ids if system.capacity.get(t, 0) > 0}
         self.graphs: dict[str, WorkflowGraph] = {}
         for wf in workflows:
             if wf.id in self.graphs:
@@ -231,9 +233,16 @@ class _Sim:
                 issues = [f"UnknownUser({wf.user})"]
             if not issues:
                 # a runtime on a type the system lacks would enter the ideal
-                # makespan; a task need not name every type the system has
+                # makespan
                 named = set().union(*(task.runtime_by_type for task in wf.tasks))
                 issues = [f"UnknownType({t})" for t in sorted(named - type_ids)]
+            if not issues:
+                # every task needs a runtime on each type it may be placed
+                # on; a type with no machines needs none
+                missing = set().union(
+                    *(held_types.difference(task.runtime_by_type) for task in wf.tasks)
+                )
+                issues = [f"MissingType({t})" for t in sorted(missing)]
             if issues:
                 raise WorkloadInvalid(wf.id, issues)
         self.system = system
@@ -319,7 +328,8 @@ class _Sim:
     def on_tick(self, now: int) -> None:
         k = now // self.system.interval_s
         self.row(now, "tick", detail=f"interval={k}")
-        if self.state.all_done and self.arrivals_left == 0 and not self.state.reserved():
+        held = self.state.reserved()
+        if self.state.all_done and self.arrivals_left == 0 and not held:
             return
         self.ticks += 1
         before = {
@@ -349,10 +359,18 @@ class _Sim:
         for u in self.users:
             self.dispatch(u.id, now)
         work_left = not (self.state.all_done and self.arrivals_left == 0)
-        if not (work_left or (acted and self.state.reserved())):
+        held_before, held = held, self.state.reserved()
+        if not (work_left or (acted and held)):
             return  # the run ends here, so this interval is not billed
+        if work_left and not held_before and not held and not self.heap:
+            # Nothing runs, boots, wakes or arrives, and no machine was held
+            # before or after the decisions, so the next tick would find the
+            # state this one found. A machine held at the start may have been
+            # released after another user had decided: that gets a new tick.
+            raise Stalled(f"interval {k}: work remains, but no machine is held "
+                          "and no event is pending")
         self.push(now + self.system.interval_s, _TICK, ())
-        for r in self.state.reserved():
+        for r in held:
             self.state.prolong(r, now)
         for u in self.users:
             charge = self.state.allocated_cost(u.id)

@@ -47,6 +47,11 @@ class CapacityExceeded(ModelError):
     """An allocation request exceeded the configured type capacity."""
 
 
+class Stalled(ModelError):
+    """Work remains, but no machine is held and no event is pending, so no
+    later tick can see a different state."""
+
+
 @dataclass(frozen=True, slots=True)
 class ResourceType:
     """A reservable machine class with a fixed per-interval price."""
@@ -67,6 +72,8 @@ class TaskSpec:
     runtime_by_type: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        if not self.runtime_by_type:
+            raise ValueError(f"task {self.id!r}: needs a runtime on at least one type")
         for rtype, seconds in self.runtime_by_type.items():
             if not isinstance(seconds, int) or seconds < 1:
                 raise ValueError(

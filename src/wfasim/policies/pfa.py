@@ -30,14 +30,6 @@ TaskRef = Hashable  # a task handle from the user facade, or any DAG node id
 _Ratios = tuple[list[int], int]  # (numerators, common denominator > 0)
 
 
-class IdleInfo(NamedTuple):
-    """Release candidate: an idle resource and its billing position."""
-
-    resource_id: int
-    billing_end_s: int
-    idle_since_s: int
-
-
 class _HistoryEntry(NamedTuple):
     """One finished interval, fixed the moment it ends: the throughput of
     type i is ``tau[i] / den``, and ``total`` is ``sum(tau)``. When the total
@@ -127,7 +119,7 @@ class PfaObservation:
     budget: int
     types: tuple[tuple[str, int], ...]  # (type id, cost per interval)
     allocated: Mapping[str, int]  # reserved count per type
-    idle: Callable[[str], Iterable[tuple[int, int, int]]]  # IdleInfo fields, per type
+    idle: Callable[[str], Iterable[tuple[int, int, int]]]  # (id, billing end, idle since)
     free_ids: Callable[[str], Sequence[int]]  # unreserved ids of a type, lowest first
     frontier: tuple[TaskRef, ...]
     children: Callable[[TaskRef], Sequence[TaskRef]]
@@ -330,23 +322,10 @@ def _lookahead_ma(window: list[_HistoryEntry]) -> tuple[int | None, tuple[int, i
     return _ceil_div(num, den), (num, den)
 
 
-def lookahead_depth_ma(
-    history: ThroughputHistory, depth: int
-) -> tuple[int | None, list[Fraction]]:
-    """Wave lookahead depth from the mean historical throughput.
-
-    Collects every per-type throughput value from lookback intervals that had
-    any throughput. Returns (depth, collected values); depth is None
-    (unbounded) when nothing was collected.
-    """
-    window = history._recent(depth)
-    values = [Fraction(t, e.den) for e in window if e.total > 0 for t in e.tau]
-    return _lookahead_ma(window)[0], values
-
-
 def _lookahead_ewma(
     entry: _HistoryEntry | None, prev_depth: int, alpha: Fraction
 ) -> tuple[int | None, tuple[int, int] | None]:
+    """(EWMA depth, mean) of the newest interval; both None when it had none."""
     if entry is None or entry.total == 0:
         return None, None
     num, den = entry.total, entry.den * len(entry.tau)  # the mean throughput
@@ -355,34 +334,11 @@ def _lookahead_ewma(
     return _ceil_div(a * prev_depth * den + (b - a) * num, b * den), (num, den)
 
 
-def lookahead_depth_ewma(
-    history: ThroughputHistory, prev_depth: int, alpha: Fraction
-) -> tuple[int | None, Fraction | None]:
-    """Exponentially weighted lookahead depth.
-
-    Returns (depth, mean current throughput); both None-ish on an idle
-    interval, where the depth is unbounded.
-    """
-    depth, mean = _lookahead_ewma(history._entry(0), prev_depth, alpha)
-    return depth, None if mean is None else Fraction(*mean)
-
-
 def _predict(theta: int, peak: int, mean: tuple[int, int] | None) -> int:
-    if mean is None or mean[0] == 0:
+    """Demand: tokenized tasks over the mean throughput, else the peak wave."""
+    if mean is None:
         return peak
     return _ceil_div(theta * mean[1], mean[0])
-
-
-def predict_demand(theta: int, peak: int, mean_throughput: Fraction | None) -> int:
-    """Expected concurrent resource demand for the next interval.
-
-    Divides the tokenized task count by the mean per-resource throughput;
-    with no throughput signal, falls back to the peak wave size (level of
-    parallelism)."""
-    mean = None if mean_throughput is None else (
-        mean_throughput.numerator, mean_throughput.denominator
-    )
-    return _predict(theta, peak, mean)
 
 
 def reconcile_profile(
@@ -480,14 +436,11 @@ def pfa_decide(
         surplus = have - final[i]
         if surplus <= 0:
             continue
-        releasable = [
-            r for r in map(IdleInfo._make, obs.idle(tid)) if r.billing_end_s <= obs.now
-        ]
-        if releasable:
-            releasable.sort(key=lambda r: (r.billing_end_s, r.idle_since_s, r.resource_id))
-            chosen = releasable[:surplus]
-            dealloc.extend(r.resource_id for r in chosen)
-            kept[tid] = have - len(chosen)
+        chosen = sorted(
+            (end, since, rid) for rid, end, since in obs.idle(tid) if end <= obs.now
+        )[:surplus]
+        dealloc.extend(rid for _end, _since, rid in chosen)
+        kept[tid] = have - len(chosen)
 
     # cheapest first; the stable sort keeps equal-cost types in config order
     alloc = pick_free(
@@ -582,17 +535,13 @@ class PfaPolicy(Policy):
 
 
 __all__ = [
-    "IdleInfo",
     "PfaConfig",
     "PfaObservation",
     "PfaPolicy",
     "PfaState",
     "ThroughputHistory",
     "equal_shares",
-    "lookahead_depth_ewma",
-    "lookahead_depth_ma",
     "pfa_decide",
-    "predict_demand",
     "profile_supply",
     "reconcile_profile",
     "smooth_shares_ewma",

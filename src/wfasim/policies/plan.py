@@ -18,15 +18,23 @@ from ..model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskSt
 from ..state import SystemState
 from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle, pick_free
 
+# module constants: reading a member off the Enum class is several times slower
+_BOOTING, _IDLE, _BUSY = ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY
+_RUNNING = TaskStatus.RUNNING
+
 
 def fastest_type(
     task: TaskSpec, types: tuple[ResourceType, ...], oracle: RuntimeOracle
 ) -> ResourceType:
     """Type with the smallest runtime; ties go to the cheaper type, then to
-    the earlier type in the configured order."""
+    the earlier type in the configured order. A type the task names no
+    runtime on is skipped: the engine accepts that only when the system
+    holds no machines of it."""
     best = None
     best_key = None
     for idx, rt in enumerate(types):
+        if rt.id not in task.runtime_by_type:
+            continue
         key = (oracle(task, rt.id), rt.cost, idx)
         if best_key is None or key < best_key:
             best, best_key = rt, key
@@ -85,7 +93,7 @@ def build_plan(
     planned: dict[int, int] = {}  # task handle -> planned end
     slots: list[tuple[int, str, int]] = []  # (id, type id, next free time)
     for r in state.user_resources(user):
-        if r.state is ResourceState.BUSY and r.running is not None:
+        if r.state is _BUSY and r.running is not None:
             h = r.running
             run = runs[h]
             i = h - run.base
@@ -95,9 +103,9 @@ def build_plan(
             plan.add(PlanEntry(r.id, run.spec.id, task_id, start, end, pinned=True))
             planned[h] = end
             slots.append((r.id, r.rtype.id, end))
-        elif r.state is ResourceState.BOOTING:
+        elif r.state is _BOOTING:
             slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s or now)))
-        elif r.state is ResourceState.IDLE:
+        elif r.state is _IDLE:
             slots.append((r.id, r.rtype.id, now))
     boot_ready = now + state.config.boot_delay_s
     for rid, rtype_id in extra_resources:
@@ -325,7 +333,7 @@ class ScfPolicy(Policy):
             for h in handles:
                 i = h - run.base
                 task = tasks[order[i]]
-                if run.status[i] is TaskStatus.RUNNING:
+                if run.status[i] is _RUNNING:
                     rtype_id = state.resources[run.task_resource[i]].rtype.id
                     left = run.task_start_s[i] + view.oracle(task, rtype_id) - now
                     sums[rtype_id] = sums.get(rtype_id, 0) + max(1, left)
@@ -347,7 +355,7 @@ class ScfPolicy(Policy):
             key=lambda w: (
                 -state.runs[w].spec.priority,
                 state.runs[w].spec.arrival_s,
-                state.runs[w].seq,
+                state.runs[w].base,
             ),
         )
         diagnostics = {"supply": supply, "scaled": scaled}

@@ -64,6 +64,7 @@ _HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
 # times a global read, and the transitions below run once per event.
 _DOWN, _IDLE, _BUSY = ResourceState.DOWN, ResourceState.IDLE, ResourceState.BUSY
 _ELIGIBLE, _RUNNING = TaskStatus.ELIGIBLE, TaskStatus.RUNNING
+_FINISHED = TaskStatus.FINISHED
 
 
 class UserIndex:
@@ -87,17 +88,16 @@ class WorkflowRun:
     by topological index, that is by handle minus ``base``."""
 
     __slots__ = (
-        "spec", "graph", "seq", "base", "user_index", "status", "blocked_parents",
+        "spec", "graph", "base", "user_index", "status", "blocked_parents",
         "task_start_s", "task_resource", "unfinished", "last_finish_s",
     )
 
-    def __init__(self, spec: WorkflowSpec, graph: WorkflowGraph, seq: int, base: int,
+    def __init__(self, spec: WorkflowSpec, graph: WorkflowGraph, base: int,
                  user_index: UserIndex):
         n = len(graph.topo_order)
         self.spec = spec
         self.graph = graph
-        self.seq = seq  # arrival sequence number, deterministic tie-break
-        self.base = base
+        self.base = base  # first handle; ascends in arrival order
         self.user_index = user_index
         self.status = [TaskStatus.PENDING] * n
         self.blocked_parents = [len(graph.parents[t]) for t in graph.topo_order]
@@ -124,7 +124,6 @@ class SystemState:
                 self.resources.append(Resource(id=len(self.resources), rtype=rtype))
         self.runs: dict[str, WorkflowRun] = {}
         self.task_runs: list[WorkflowRun] = []  # handle -> its run
-        self._arrival_seq = 0
         self._type_ids = tuple(t.id for t in config.types)
         self._index = {u.id: UserIndex(self._type_ids) for u in users}
         self._free: dict[str, set[int]] = {t: set() for t in self._type_ids}
@@ -180,8 +179,7 @@ class SystemState:
         graph = graph or WorkflowGraph(spec)
         rec = self._index[spec.user]
         base = len(self.task_runs)
-        run = WorkflowRun(spec, graph, self._arrival_seq, base, rec)
-        self._arrival_seq += 1
+        run = WorkflowRun(spec, graph, base, rec)
         order, index = graph.topo_order, graph.topo_index
         self.task_runs.extend(repeat(run, len(order)))
         for i, tid in enumerate(order):
@@ -221,7 +219,7 @@ class SystemState:
         i = h - run.base
         if run.status[i] is not _RUNNING:
             raise ValueError(f"task {'/'.join(self.ref(h))} not running")
-        run.status[i] = TaskStatus.FINISHED
+        run.status[i] = _FINISHED
         run.unfinished -= 1
         if run.unfinished == 0:
             run.last_finish_s = now

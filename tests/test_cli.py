@@ -339,6 +339,25 @@ def test_mip_rejects_task_without_runtime_on_a_listed_type(instance_path, capsys
     assert not instance_path.with_suffix(".lp").exists()
 
 
+def test_run_rejects_task_without_runtime_on_a_held_type(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", genspec(count=2))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "wl.json")]) == 0
+    doc = json.loads((tmp_path / "wl.json").read_text())
+    del doc["workflows"][1]["tasks"][0]["runtimes"]["large"]
+    write_json(tmp_path / "wl.json", doc)
+    config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "MissingType(large)" in capsys.readouterr().err
+
+
+def test_run_that_cannot_progress_exits_2(tmp_path, capsys):
+    # with budget 0 the planner never reserves a machine, and nothing else
+    # can happen once every workflow has arrived
+    config = run_config(tmp_path, users=[{"id": "u1", "budget": 0}], replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "no machine is held and no event is pending" in capsys.readouterr().err
+
+
 def test_run_rejects_duplicate_user_ids(tmp_path, capsys):
     config = run_config(tmp_path, users=[{"id": "u1", "budget": 20}, {"id": "u1", "budget": 9}])
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

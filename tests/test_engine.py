@@ -1,13 +1,25 @@
 """Simulation engine: event order, billing, determinism, conservation."""
 
 import ast
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import HoldPolicy, chain_wf, small_only_system, two_type_system, users, wf
 from wfasim import dagops, engine
-from wfasim.model import BudgetViolation, WorkloadInvalid
+from wfasim.model import (
+    BudgetTooSmall,
+    BudgetViolation,
+    ResourceType,
+    Stalled,
+    SystemConfig,
+    UserConfig,
+    WorkloadInvalid,
+)
 from wfasim.policies import PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
 from wfasim.policies import pfa as pfa_module
 from wfasim.workload import WL1, generate_workload
@@ -234,7 +246,7 @@ def test_summary_has_external_shape():
 def test_unknown_user_rejected_before_the_run():
     ghost = wf("w1", [("a", {"small": 10})], user="ghost", arrival_s=30)
     with pytest.raises(WorkloadInvalid) as err:
-        run([wf("w0", [("a", {"small": 10})]), ghost])
+        run([wf("w0", [("a", {"small": 10, "large": 5})]), ghost])
     assert err.value.workflow_id == "w1"
     assert err.value.issues == ["UnknownUser(ghost)"]
 
@@ -259,8 +271,20 @@ def test_runtime_on_unknown_type_rejected_before_the_run():
     assert err.value.issues == ["UnknownType(huge)"]
 
 
-def test_small_only_tasks_run_on_a_two_type_system():
-    result = run([chain_wf("w1", [{"small": 10}, {"small": 5}])], budget=10)
+def test_task_without_runtime_on_a_held_type_rejected_before_the_run():
+    # dynamic dispatch may pair a task with an idle machine of any type the
+    # user holds, and the planners ask the oracle for every type
+    small_only = chain_wf("w1", [{"small": 10}, {"small": 5}])
+    with pytest.raises(WorkloadInvalid) as err:
+        run([chain_wf("w0", [{"small": 10, "large": 5}]), small_only], budget=10)
+    assert err.value.workflow_id == "w1"
+    assert err.value.issues == ["MissingType(large)"]
+
+
+@pytest.mark.parametrize("policy", [PfaPolicy, PlfPolicy, ScfPolicy])
+def test_type_without_machines_needs_no_runtime(policy):
+    small_only = chain_wf("w1", [{"small": 10}, {"small": 5}])
+    result = run([small_only], system=two_type_system(large=0), budget=10, policy=policy())
     assert result.state.all_done
 
 
@@ -280,7 +304,7 @@ def test_each_workflow_graph_built_once(monkeypatch):
 
 
 def test_duplicate_workflow_id_rejected_before_the_run():
-    first = wf("w1", [("a", {"small": 10})])
+    first = wf("w1", [("a", {"small": 10, "large": 5})])
     later = wf("w1", [("b", {"small": 20})], arrival_s=30)
     with pytest.raises(WorkloadInvalid) as err:
         run([first, later])
@@ -348,3 +372,124 @@ def test_only_applied_decisions_reserve_machines():
 
         visit(ast.parse(path.read_text()), ())
     assert callers == [("engine", "_Sim.apply_decision")]
+
+
+# -- termination: every run finishes or stops with a typed error ------------------
+
+
+class Hang(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise Hang in the main thread once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise Hang(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+POLICIES = {
+    "pfa-ma": PfaPolicy,
+    "pfa-ewma": lambda: PfaPolicy(PfaConfig(smoothing="ewma")),
+    "plf": PlfPolicy,
+    "scf": ScfPolicy,
+}
+ONE_TASK = [{"small": 100, "large": 10}]
+
+
+@pytest.mark.parametrize(
+    "policy, budget, machines, error",
+    [
+        ("plf", 3, 4, Stalled),
+        ("scf", 3, 4, Stalled),
+        ("pfa-ma", 3, 4, BudgetTooSmall),
+        ("plf", 0, 8, Stalled),
+        ("scf", 0, 8, Stalled),
+        ("pfa-ma", 0, 8, BudgetTooSmall),
+        ("plf", 10, 0, Stalled),
+        ("scf", 10, 0, Stalled),
+        ("pfa-ma", 10, 0, Stalled),
+    ],
+)
+def test_run_that_cannot_progress_stops_with_a_typed_error(policy, budget, machines, error):
+    # budget 3 or 0 buys no machine of the 10 s type; at zero capacity there
+    # is no machine at all
+    system = two_type_system(small=machines, large=machines)
+    with time_limit(3), pytest.raises(error):
+        run([chain_wf("w1", ONE_TASK)], system=system, budget=budget,
+            policy=POLICIES[policy]())
+
+
+def test_stall_guard_gives_a_machine_released_mid_tick_another_tick():
+    # u1 holds the only machine and finishes at 10 s; u2's work arrives at
+    # 30 s. At tick 1, u1 releases the machine at its billing end. When u2
+    # decided first, it found no free machine, so nothing is held after the
+    # decisions and no event is pending, yet u2 can take the machine at tick 2.
+    system = small_only_system(count=1)
+    workflows = [chain_wf("w0", [{"small": 10}]),
+                 chain_wf("w1", [{"small": 10}], user="u2", arrival_s=30)]
+    late = []
+    for seed in range(8):
+        with time_limit(3):
+            result = engine.run(workflows, system, users(("u1", 1), ("u2", 1)),
+                                PfaPolicy(), seed=seed)
+        assert result.state.all_done
+        allocations = [(row[0], row[2]) for row in result.trace if row[1] == "allocate"]
+        if (120, "u2") in allocations:
+            late.append(seed)
+    assert late  # some seed shuffled u2 ahead of u1 at tick 1
+
+
+@st.composite
+def small_system_run(draw):
+    """1-2 types with 0-3 machines each, 1-2 users with budgets 0-12, and
+    0-3 chains of 1-3 tasks. A task sometimes omits a type."""
+    types = [ResourceType("small", draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        types.append(ResourceType("large", draw(st.integers(1, 6))))
+    system = SystemConfig(
+        types=tuple(types),
+        capacity={t.id: draw(st.integers(0, 3)) for t in types},
+        interval_s=60,
+        boot_delay_s=draw(st.sampled_from([0, 7])),
+    )
+    user_ids = ["u1", "u2"][: draw(st.integers(1, 2))]
+    budgets = [UserConfig(u, draw(st.integers(0, 12))) for u in user_ids]
+    workflows = []
+    for k in range(draw(st.sampled_from([1, 2, 3, 0]))):
+        runtimes = []
+        for _ in range(draw(st.integers(1, 3))):
+            task = {t.id: draw(st.integers(1, 90)) for t in types}
+            if len(task) > 1 and draw(st.integers(0, 4)) == 0:
+                del task[draw(st.sampled_from(sorted(task)))]
+            runtimes.append(task)
+        workflows.append(chain_wf(
+            f"w{k}", runtimes, user=draw(st.sampled_from(user_ids)),
+            arrival_s=draw(st.integers(0, 150)),
+        ))
+    policy = draw(st.sampled_from(sorted(POLICIES)))
+    return workflows, system, budgets, policy
+
+
+# No shrinking: a hang costs a whole alarm per attempt, and the drawn inputs
+# are small enough to read as they are.
+@settings(max_examples=200, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(small_system_run(), st.integers(0, 3))
+def test_every_run_finishes_or_stops_with_a_typed_error(case, seed):
+    workflows, system, budgets, policy = case
+    with time_limit(3):
+        try:
+            result = engine.run(workflows, system, budgets, POLICIES[policy](), seed=seed)
+        except (WorkloadInvalid, BudgetTooSmall, Stalled):
+            return
+    assert result.state.all_done

@@ -35,6 +35,12 @@ def test_min_runtime_is_fastest_choice():
     assert min_runtime(task) == 4
 
 
+def test_task_without_any_runtime_rejected():
+    # such a task could run nowhere, and it has no fastest runtime
+    with pytest.raises(ValueError, match="needs a runtime"):
+        TaskSpec("t", {})
+
+
 def test_workflow_json_round_trip(tmp_path):
     w = chain_wf("w1", [{"small": 3, "large": 1}, {"small": 2, "large": 2}],
                  user="alice", priority=7, arrival_s=30)

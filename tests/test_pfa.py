@@ -17,17 +17,13 @@ from conftest import chain_wf, two_type_system, users
 from wfasim.model import BudgetTooSmall
 from wfasim.policies.base import PolicyView
 from wfasim.policies.pfa import (
-    IdleInfo,
     PfaConfig,
     PfaObservation,
     PfaPolicy,
     PfaState,
     ThroughputHistory,
     equal_shares,
-    lookahead_depth_ewma,
-    lookahead_depth_ma,
     pfa_decide,
-    predict_demand,
     profile_supply,
     reconcile_profile,
     smooth_shares_ewma,
@@ -63,9 +59,8 @@ def observation(
     tick=0,
 ):
     idle_map = {}
-    for info in idle:
-        idle_map.setdefault(info[3], ())
-        idle_map[info[3]] = idle_map[info[3]] + (IdleInfo(info[0], info[1], info[2]),)
+    for rid, billing_end, idle_since, rtype in idle:
+        idle_map.setdefault(rtype, []).append((rid, billing_end, idle_since))
     free = {
         "small": tuple(range(100, 100 + free_small)),
         "large": tuple(range(300, 300 + free_large)),
@@ -95,6 +90,24 @@ def chain_nodes(n, wf_id="w1"):
     nodes = [(wf_id, f"t{i}") for i in range(n)]
     edges = [(nodes[i], nodes[i + 1]) for i in range(n - 1)]
     return nodes, edges
+
+
+def chains(*lengths):
+    """One chain per length, each its own workflow."""
+    nodes, edges = [], []
+    for k, n in enumerate(lengths):
+        more_nodes, more_edges = chain_nodes(n, f"w{k}")
+        nodes += more_nodes
+        edges += more_edges
+    return nodes, edges
+
+
+def decide(hist, dag=((), ()), smoothing="ma", carry=None):
+    """The diagnostics of one decision with a lookback of 5 intervals."""
+    nodes, edges = dag
+    obs = observation(nodes=nodes, edges=edges, hist=hist)
+    config = PfaConfig(smoothing=smoothing, ma_depth=5)
+    return pfa_decide(obs, config, carry or PfaState()).diagnostics
 
 
 # -- throughput history ----------------------------------------------------------
@@ -242,49 +255,62 @@ def test_tba_empty_dag():
 
 
 def test_depth_ma_worked_example():
-    # collected throughputs {2, 4}: mean 3, ceiling 3
+    # collected throughputs {2, 4}: mean 3, ceiling 3; nine independent tasks
+    # form one wave, and 9 / 3 machines serve them
     h = history(((2, 4), (1, 1)))
-    depth, values = lookahead_depth_ma(h, depth=5)
-    assert depth == 3
-    assert sorted(values) == [F(2), F(4)]
+    d = decide(h, chains(*[1] * 9))
+    assert (d["zeta"], d["theta"], d["sigma"]) == (3, 9, 3)
 
 
 def test_depth_ma_unbounded_when_no_signal():
-    assert lookahead_depth_ma(history(), depth=5) == (None, [])
-    h = history(((0, 0), (1, 1)))
-    assert lookahead_depth_ma(h, depth=5)[0] is None
+    assert decide(history())["zeta"] is None
+    assert decide(history(((0, 0), (1, 1))))["zeta"] is None
 
 
 def test_depth_ma_fractional_mean_rounds_up():
     # values {1, 2}: mean 3/2, ceiling 2
     h = history(((1, 2), (1, 1)))
-    assert lookahead_depth_ma(h, depth=5)[0] == 2
+    assert decide(h)["zeta"] == 2
 
 
 def test_depth_ewma_blend():
-    # previous depth 1, current mean (2+4)/2 = 3: ceil(0.7 + 0.9) = 2
+    # previous depth 1, current mean (2+4)/2 = 3: ceil(0.7 + 0.9) = 2; nine
+    # independent tasks over the mean of 3 need 3 machines
     h = history(((2, 4), (1, 1)))
-    depth, mean = lookahead_depth_ewma(h, prev_depth=1, alpha=F(7, 10))
-    assert depth == 2
-    assert mean == F(3)
+    d = decide(h, chains(*[1] * 9), smoothing="ewma")
+    assert (d["zeta"], d["theta"], d["sigma"]) == (2, 9, 3)
 
 
 def test_depth_ewma_idle_interval_is_unbounded():
     h = history(((0, 0), (2, 2)))
-    assert lookahead_depth_ewma(h, prev_depth=4, alpha=F(7, 10)) == (None, None)
+    carry = PfaState(prev_depth=4)
+    assert decide(h, smoothing="ewma", carry=carry)["zeta"] is None
+    assert carry.prev_depth == 4
 
 
 # -- demand prediction and reconciliation ------------------------------------------
 
 
 def test_predict_demand_divides_by_throughput():
-    assert predict_demand(theta=8, peak=3, mean_throughput=F(2)) == 4
-    assert predict_demand(theta=7, peak=3, mean_throughput=F(2)) == 4  # ceil
+    # throughputs {2, 2}: mean 2 and depth 2; four 2-task chains tokenize
+    # two waves of 4, so theta 8 needs 8 / 2 = 4 machines
+    h = history(((2, 2), (1, 1)))
+    d = decide(h, chains(2, 2, 2, 2))
+    assert (d["zeta"], d["theta"], d["lambda"], d["sigma"]) == (2, 8, 4, 4)
+    # waves of 4 and 3: theta 7 needs ceil(7 / 2) = 4
+    d = decide(h, chains(2, 2, 2, 1))
+    assert (d["theta"], d["lambda"], d["sigma"]) == (7, 4, 4)
 
 
 def test_predict_demand_falls_back_to_peak():
-    assert predict_demand(theta=8, peak=3, mean_throughput=None) == 3
-    assert predict_demand(theta=8, peak=3, mean_throughput=F(0)) == 3
+    # no interval had throughput: the walk runs to exhaustion over waves of
+    # 3, 1 and 1, and demand is the peak wave
+    dag = chains(3, 1, 1)
+    for smoothing in ("ma", "ewma"):
+        d = decide(history(), dag, smoothing=smoothing)
+        assert (d["theta"], d["lambda"], d["sigma"]) == (5, 3, 3)
+        d = decide(history(((0, 0), (1, 1))), dag, smoothing=smoothing)
+        assert (d["theta"], d["lambda"], d["sigma"]) == (5, 3, 3)
 
 
 def test_reconcile_scale_down():

@@ -62,6 +62,13 @@ def test_fastest_type_full_tie_goes_to_config_order():
     assert fastest_type(task, types, perfect_oracle).id == "a"
 
 
+def test_fastest_type_skips_types_the_task_has_no_runtime_on():
+    # the engine accepts such a task only when the system has no machines of
+    # the type, and the oracle has no runtime to give for it
+    task = TaskSpec("t", {"small": 4})
+    assert fastest_type(task, SYS.types, perfect_oracle).id == "small"
+
+
 # -- placement -------------------------------------------------------------------
 
 

@@ -80,7 +80,7 @@ def of_user(state, user, status, wanted):
 def brute_eligible(state, user, status):
     def key(ref):
         run = state.runs[ref[0]]
-        return (-run.spec.priority, run.spec.arrival_s, run.seq,
+        return (-run.spec.priority, run.spec.arrival_s, run.base,
                 run.graph.topo_index[ref[1]])
 
     return sorted(of_user(state, user, status, (TaskStatus.ELIGIBLE,)), key=key)
@@ -105,7 +105,7 @@ def check_handles(state):
     """Handles are dense, ascend in arrival then topological order, and
     convert to and from (workflow id, task id) through one lookup each."""
     base = 0
-    for wf_id, run in sorted(state.runs.items(), key=lambda item: item[1].seq):
+    for wf_id, run in state.runs.items():  # insertion order is arrival order
         assert run.base == base
         for i, tid in enumerate(run.graph.topo_order):
             h = base + i
