@@ -34,12 +34,10 @@ from wfasim.workload import (
 
 def level_profile(spec) -> list[int]:
     """Tasks per depth level, a cheap fingerprint of the DAG's shape."""
-    graph = WorkflowGraph(spec)
-    level = {}
-    for task_id in graph.topo_order:
-        parents = graph.parents.get(task_id, ())
-        level[task_id] = 1 + max((level[p] for p in parents), default=-1)
-    counts = collections.Counter(level.values())
+    level: list[int] = []  # by topological index
+    for parents in WorkflowGraph(spec).parents:
+        level.append(1 + max((level[p] for p in parents), default=-1))
+    counts = collections.Counter(level)
     return [counts[i] for i in range(max(counts) + 1)]
 
 

@@ -197,8 +197,6 @@ def generate_from_spec(spec: dict) -> tuple[list, dict[str, list]]:
                     combined.append(v[i])
     if spec["arrivals"]:
         arr = spec["arrivals"]
-        if arr["capacity"] < 1:
-            raise ConfigError("genspec.arrivals: capacity must be >= 1 for gen")
         combined = engine.poisson_arrivals(
             combined, arr["utilization"], arr["capacity"], arr["seed"]
         )

@@ -1,65 +1,67 @@
-"""Structural operations on workflow DAGs.
+"""Workflow DAGs, compiled once per run into int-indexed graphs.
 
-Kept dependency-free and deterministic: topological order breaks ties by task
-id, so every derived ordering (eligibility, planning, token waves) is stable
-across runs and platforms.
+Topological order breaks ties by task id, so every derived ordering
+(eligibility, planning, token waves) is stable across runs and platforms.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import heapq
+from typing import Sequence
 
-from .model import TaskSpec, WorkflowSpec, ZeroIdealMakespan, min_runtime
+from .model import WorkflowSpec, ZeroIdealMakespan
 
 
 class WorkflowGraph:
-    """Parsed view of a workflow spec: parent/child maps and topological order.
+    """A workflow spec compiled by topological index: task ``i`` is the
+    ``i``-th of ``topo_order`` (Kahn's algorithm, smallest id first among the
+    ready tasks). ``tasks[i]`` is its spec, ``parents[i]`` and ``children[i]``
+    are tuples of indexes in edge order, and ``ideal_s`` is the critical path
+    with every task on its fastest type.
 
     Construction does not validate; call :func:`validate_workflow` first when
-    the spec comes from outside. A graph built from an invalid spec may raise.
+    the spec comes from outside. A cyclic spec gets only the part of
+    ``topo_order`` that no cycle blocks.
     """
 
-    __slots__ = ("spec", "tasks", "parents", "children", "topo_order", "topo_index")
+    __slots__ = ("spec", "tasks", "parents", "children", "topo_order", "topo_index", "ideal_s")
 
     def __init__(self, spec: WorkflowSpec):
         self.spec = spec
-        self.tasks: dict[str, TaskSpec] = {t.id: t for t in spec.tasks}
-        parents: dict[str, list[str]] = {t.id: [] for t in spec.tasks}
-        children: dict[str, list[str]] = {t.id: [] for t in spec.tasks}
+        by_id = {t.id: t for t in spec.tasks}
+        succ: dict[str, list[str]] = {tid: [] for tid in by_id}
+        indeg = dict.fromkeys(by_id, 0)
         for p, c in spec.edges:
-            parents[c].append(p)
-            children[p].append(c)
-        self.parents = {k: tuple(v) for k, v in parents.items()}
-        self.children = {k: tuple(v) for k, v in children.items()}
-        self.topo_order = _topological_order(self.parents, self.children)
-        self.topo_index = {tid: i for i, tid in enumerate(self.topo_order)}
-
-    def entries(self) -> list[str]:
-        return [tid for tid, ps in self.parents.items() if not ps]
-
-    def exits(self) -> list[str]:
-        return [tid for tid, cs in self.children.items() if not cs]
-
-
-def _topological_order(
-    parents: dict[str, tuple[str, ...]], children: dict[str, tuple[str, ...]]
-) -> tuple[str, ...]:
-    """Kahn's algorithm, smallest task id first among the ready set."""
-    indeg = {tid: len(ps) for tid, ps in parents.items()}
-    ready = sorted(tid for tid, d in indeg.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        tid = ready.pop(0)
-        order.append(tid)
-        inserted = False
-        for child in children[tid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                ready.append(child)
-                inserted = True
-        if inserted:
-            ready.sort()
-    return tuple(order)
+            succ[p].append(c)
+            indeg[c] += 1
+        ready = [tid for tid, d in indeg.items() if not d]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            tid = heapq.heappop(ready)
+            order.append(tid)
+            for c in succ[tid]:
+                indeg[c] -= 1
+                if not indeg[c]:
+                    heapq.heappush(ready, c)
+        self.topo_order = tuple(order)
+        self.topo_index = index = {tid: i for i, tid in enumerate(order)}
+        self.tasks = self.parents = self.children = ()
+        self.ideal_s = 0
+        if len(order) < len(by_id):
+            return  # a cycle blocks the rest
+        parents: list[list[int]] = [[] for _ in order]
+        children: list[list[int]] = [[] for _ in order]
+        for p, c in spec.edges:
+            i, j = index[p], index[c]
+            children[i].append(j)
+            parents[j].append(i)
+        self.tasks = tuple([by_id[tid] for tid in order])
+        self.parents = tuple(map(tuple, parents))
+        self.children = tuple(map(tuple, children))
+        self.ideal_s = critical_path_length(
+            self, [min(t.runtime_by_type.values()) for t in self.tasks]
+        )
 
 
 def validate_workflow(
@@ -69,7 +71,7 @@ def validate_workflow(
 
     A valid workflow is a non-empty acyclic graph with exactly one entry task
     and one exit task and no edge referencing an unknown task. When
-    ``graphs`` is given, the graph built for a valid spec is stored there
+    ``graphs`` is given, the graph compiled for a valid spec is stored there
     under the workflow id, so the caller need not build it again.
     """
     issues: list[str] = []
@@ -92,8 +94,8 @@ def validate_workflow(
     if len(graph.topo_order) != len(known):
         issues.append("CycleDetected")
         return issues
-    entries = graph.entries()
-    exits = graph.exits()
+    entries = [graph.topo_order[i] for i, ps in enumerate(graph.parents) if not ps]
+    exits = [graph.topo_order[i] for i, cs in enumerate(graph.children) if not cs]
     if len(entries) > 1:
         issues.append("MultipleEntries(" + ",".join(sorted(entries)) + ")")
     if len(exits) > 1:
@@ -103,13 +105,16 @@ def validate_workflow(
     return issues
 
 
-def critical_path_length(graph: WorkflowGraph, weight: Callable[[TaskSpec], int]) -> int:
-    """Length of the longest path where each task contributes ``weight(task)``."""
-    finish: dict[str, int] = {}
-    for tid in graph.topo_order:
-        ready = max((finish[p] for p in graph.parents[tid]), default=0)
-        finish[tid] = ready + weight(graph.tasks[tid])
-    return max(finish.values(), default=0)
+def critical_path_length(graph: WorkflowGraph, weights: Sequence[int]) -> int:
+    """Length of the longest path where task ``i`` contributes ``weights[i]``."""
+    finish: list[int] = []
+    for weight, ps in zip(weights, graph.parents):
+        start = 0
+        for p in ps:
+            if finish[p] > start:
+                start = finish[p]
+        finish.append(start + weight)
+    return max(finish, default=0)
 
 
 def ideal_makespan(spec: WorkflowSpec | WorkflowGraph) -> int:
@@ -117,13 +122,12 @@ def ideal_makespan(spec: WorkflowSpec | WorkflowGraph) -> int:
 
     The baseline for slowdown: the shortest possible makespan on unlimited
     resources with zero waiting. Raises :class:`ZeroIdealMakespan` when the
-    workflow has no tasks.
+    workflow has no tasks or a cycle.
     """
     graph = spec if isinstance(spec, WorkflowGraph) else WorkflowGraph(spec)
-    length = critical_path_length(graph, min_runtime)
-    if length <= 0:
+    if graph.ideal_s <= 0:
         raise ZeroIdealMakespan(graph.spec.id)
-    return length
+    return graph.ideal_s
 
 
 __all__ = [

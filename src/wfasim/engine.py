@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dagops import WorkflowGraph, ideal_makespan, validate_workflow
+from .dagops import WorkflowGraph, validate_workflow
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
 from .model import (
     BudgetViolation,
@@ -89,12 +89,11 @@ class RunResult:
 
     def slowdowns(self) -> dict[str, list[float]]:
         out: dict[str, list[float]] = {u.id: [] for u in self.users}
-        for wf_id, run in self.state.runs.items():
+        for run in self.state.runs.values():
             if run.last_finish_s is None:
                 continue
-            ideal = ideal_makespan(run.graph)
             out[run.spec.user].append(
-                slowdown(run.spec.arrival_s, run.last_finish_s, ideal)
+                slowdown(run.spec.arrival_s, run.last_finish_s, run.graph.ideal_s)
             )
         return out
 
@@ -188,8 +187,13 @@ def poisson_arrivals(
 
     The arrival rate is utilization * capacity / mean total fastest-runtime
     per workflow, so on average the submitted work keeps the given fraction
-    of the system busy. Times round to whole seconds.
+    of the system busy. Times round to whole seconds. The rate must be
+    positive: a finite utilization above 0 and a capacity of at least 1.
     """
+    if not 0 < utilization < float("inf"):  # NaN fails both comparisons
+        raise ValueError(f"arrivals: utilization must be a finite number > 0, got {utilization}")
+    if capacity < 1:
+        raise ValueError(f"arrivals: capacity must be >= 1, got {capacity}")
     if not workflows:
         return []
     mean_work = statistics.fmean(
@@ -224,11 +228,11 @@ class _Sim:
             user_ids.add(u.id)
         type_ids = {t.id for t in system.types}
         held_types = {t for t in type_ids if system.capacity.get(t, 0) > 0}
-        self.graphs: dict[str, WorkflowGraph] = {}
+        graphs: dict[str, WorkflowGraph] = {}
         for wf in workflows:
-            if wf.id in self.graphs:
+            if wf.id in graphs:
                 raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
-            issues = validate_workflow(wf, self.graphs)
+            issues = validate_workflow(wf, graphs)
             if not issues and wf.user not in user_ids:
                 issues = [f"UnknownUser({wf.user})"]
             if not issues:
@@ -252,7 +256,6 @@ class _Sim:
         self.collect_plans = collect_plans
         self.state = SystemState(system, users)
         self.task_runs = self.state.task_runs
-        self.specs = {wf.id: wf for wf in workflows}
         self.rng = random.Random(seed)
         self.heap: list[tuple[int, int, int, object]] = []
         self.push_seq = itertools.count()
@@ -267,8 +270,8 @@ class _Sim:
         self.ticks = 0
         self.wake_times: set[tuple[str, int]] = set()
 
-        for wf in workflows:
-            self.push(wf.arrival_s, _ARRIVAL, wf.id)
+        for graph in graphs.values():
+            self.push(graph.spec.arrival_s, _ARRIVAL, graph)
         self.push(0, _TICK, None)
 
     # -- plumbing ------------------------------------------------------------
@@ -293,11 +296,10 @@ class _Sim:
 
     # -- event handlers --------------------------------------------------------
 
-    def on_arrival(self, now: int, wf_id: str) -> None:
-        spec = self.specs[wf_id]
-        self.state.arrive(spec, self.graphs[wf_id])
+    def on_arrival(self, now: int, graph: WorkflowGraph) -> None:
+        spec = self.state.arrive(graph).spec
         self.arrivals_left -= 1
-        self.row(now, "arrive", spec.user, workflow=wf_id,
+        self.row(now, "arrive", spec.user, workflow=spec.id,
                  detail=f"priority={spec.priority};tasks={len(spec.tasks)}")
         self.dispatch(spec.user, now)
 
@@ -445,12 +447,12 @@ class _Sim:
         resources, trace = self.state.resources, self.trace
         for h, rid in assignments:
             run = self.task_runs[h]
-            task_id = run.graph.topo_order[h - run.base]
+            i = h - run.base
             rtype_id = resources[rid].rtype.id
-            runtime = run.graph.tasks[task_id].runtime_by_type[rtype_id]
+            runtime = run.graph.tasks[i].runtime_by_type[rtype_id]
             self.push(now + runtime, _FINISH, h)
-            trace.append((now, "start", uid, run.spec.id, task_id, rid, rtype_id,
-                          f"runtime={runtime}"))
+            trace.append((now, "start", uid, run.spec.id, run.graph.topo_order[i], rid,
+                          rtype_id, f"runtime={runtime}"))
 
     # -- main loop ---------------------------------------------------------------
 

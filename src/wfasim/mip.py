@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dagops import WorkflowGraph, critical_path_length, ideal_makespan, validate_workflow
+from .dagops import WorkflowGraph, critical_path_length, validate_workflow
 from .model import ModelError, WorkflowSpec, WorkloadInvalid, workflow_to_dict, workflow_from_dict
 
 
@@ -65,6 +65,7 @@ class MipWorkflow:
     critical_path_slots: int
     earliest_completion: int  # arrival_slot + critical_path_slots - 1
     task_indices: tuple[int, ...]
+    ideal_s: int  # the workflow's ideal makespan in seconds, off the grid
 
 
 @dataclass(frozen=True)
@@ -186,24 +187,18 @@ def build_instance(
     )
     tasks: list[MipTask] = []
     wf_rows: list[MipWorkflow] = []
-    index_of: dict[tuple[str, str], int] = {}
     specs = tuple(workflows)
     for w, (wf, graph) in enumerate(zip(specs, graphs.values()), start=1):
         arrival_slot = wf.arrival_s // slot_s + 1
-        slot_runtime = {
-            tid: tuple(_slots(graph.tasks[tid].runtime_by_type[r.rtype], slot_s) for r in res)
-            for tid in graph.topo_order
-        }
-        indices = []
-        for tid in graph.topo_order:
-            j = len(tasks) + 1
-            index_of[(wf.id, tid)] = j
-            parents = tuple(sorted(index_of[(wf.id, p)] for p in graph.parents[tid]))
-            tasks.append(MipTask(j, w, wf.id, tid, slot_runtime[tid], parents))
-            indices.append(j)
-        cp = critical_path_length(graph, weight=lambda task: min(slot_runtime[task.id]))
+        first = len(tasks) + 1  # the index of the workflow's topological index 0
+        for i, (task, ps) in enumerate(zip(graph.tasks, graph.parents)):
+            runtimes = tuple(_slots(task.runtime_by_type[r.rtype], slot_s) for r in res)
+            parents = tuple(sorted(first + p for p in ps))
+            tasks.append(MipTask(first + i, w, wf.id, task.id, runtimes, parents))
+        cp = critical_path_length(graph, [min(t.runtimes) for t in tasks[first - 1:]])
+        indices = tuple(range(first, len(tasks) + 1))
         wf_rows.append(
-            MipWorkflow(w, wf.id, arrival_slot, cp, arrival_slot + cp - 1, tuple(indices))
+            MipWorkflow(w, wf.id, arrival_slot, cp, arrival_slot + cp - 1, indices, graph.ideal_s)
         )
 
     bound = trivial_horizon(list(specs), slot_s, budget, resources)
@@ -391,34 +386,6 @@ def export_lp(instance: MipInstance) -> str:
         lines.append(" " + " ".join(binaries[i : i + 8]))
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def lp_counts(text: str) -> dict[str, int]:
-    """Variable and constraint counts recovered from LP text."""
-    section = None
-    constraints = 0
-    generals: set[str] = set()
-    binaries: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        lowered = line.lower()
-        if lowered in ("maximize", "minimize", "subject to", "bounds", "generals", "binaries", "end"):
-            section = lowered
-            continue
-        if section == "subject to" and ":" in line:
-            constraints += 1
-        elif section == "generals":
-            generals.update(line.split())
-        elif section == "binaries":
-            binaries.update(line.split())
-    return {
-        "constraints": constraints,
-        "binaries": len(binaries),
-        "generals": len(generals),
-        "variables": len(binaries) + len(generals),
-    }
 
 
 # -- solution assembly and checking ------------------------------------------
@@ -729,13 +696,12 @@ def compare(
     completion = solution.completions()
     rows = []
     for wf, spec in zip(instance.workflows, instance.specs):
-        ideal = ideal_makespan(spec)
         opt_end_s = completion[wf.index] * instance.slot_s
         rows.append(
             {
                 "workflow": wf.wf_id,
-                "optimal_slowdown": (opt_end_s - spec.arrival_s) / ideal,
-                "heuristic_slowdown": (finishes[wf.wf_id] - spec.arrival_s) / ideal,
+                "optimal_slowdown": (opt_end_s - spec.arrival_s) / wf.ideal_s,
+                "heuristic_slowdown": (finishes[wf.wf_id] - spec.arrival_s) / wf.ideal_s,
             }
         )
     return rows
@@ -808,7 +774,6 @@ __all__ = [
     "check_solution",
     "compare",
     "export_lp",
-    "lp_counts",
     "load_instance",
     "realized_profit",
     "run_finishes",

@@ -97,10 +97,9 @@ def build_plan(
             h = r.running
             run = runs[h]
             i = h - run.base
-            task_id = run.graph.topo_order[i]
             start = run.task_start_s[i]
-            end = start + oracle(run.graph.tasks[task_id], r.rtype.id)
-            plan.add(PlanEntry(r.id, run.spec.id, task_id, start, end, pinned=True))
+            end = start + oracle(run.graph.tasks[i], r.rtype.id)
+            plan.add(PlanEntry(r.id, run.spec.id, run.graph.topo_order[i], start, end, pinned=True))
             planned[h] = end
             slots.append((r.id, r.rtype.id, end))
         elif r.state is _BOOTING:
@@ -139,9 +138,9 @@ def build_plan(
         else:
             pos = by_type[rtype_id][0][i]
         run = runs[h]
-        task_id = run.graph.topo_order[h - run.base]
-        end = start + oracle(run.graph.tasks[task_id], rtype_id)
-        plan.add(PlanEntry(slot_ids[pos], run.spec.id, task_id, start, end))
+        i = h - run.base
+        end = start + oracle(run.graph.tasks[i], rtype_id)
+        plan.add(PlanEntry(slot_ids[pos], run.spec.id, run.graph.topo_order[i], start, end))
         planned[h] = end
         available[pos] = end
         by_type[rtype_id][1][local[pos]] = end
@@ -281,7 +280,7 @@ class PlfPolicy(Policy):
         for h in state.eligible_tasks(user):
             run = state.task_runs[h]
             wf_id = run.spec.id
-            task = run.graph.tasks[run.graph.topo_order[h - run.base]]
+            task = run.graph.tasks[h - run.base]
             rt = fastest_type(task, view.config.types, view.oracle)
             if shares[wf_id] >= rt.cost:
                 shares[wf_id] -= rt.cost
@@ -328,11 +327,11 @@ class ScfPolicy(Policy):
         active = list(unfinished)
         for wf_id, handles in unfinished.items():
             run = state.runs[wf_id]
-            tasks, order = run.graph.tasks, run.graph.topo_order
+            tasks = run.graph.tasks
             sums: dict[str, int] = {}
             for h in handles:
                 i = h - run.base
-                task = tasks[order[i]]
+                task = tasks[i]
                 if run.status[i] is _RUNNING:
                     rtype_id = state.resources[run.task_resource[i]].rtype.id
                     left = run.task_start_s[i] + view.oracle(task, rtype_id) - now

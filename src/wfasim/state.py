@@ -54,7 +54,6 @@ from .model import (
     SystemConfig,
     TaskStatus,
     UserConfig,
-    WorkflowSpec,
 )
 
 TaskRef = tuple[str, str]  # (workflow id, task id)
@@ -92,15 +91,14 @@ class WorkflowRun:
         "task_start_s", "task_resource", "unfinished", "last_finish_s",
     )
 
-    def __init__(self, spec: WorkflowSpec, graph: WorkflowGraph, base: int,
-                 user_index: UserIndex):
-        n = len(graph.topo_order)
-        self.spec = spec
+    def __init__(self, graph: WorkflowGraph, base: int, user_index: UserIndex):
+        n = len(graph.tasks)
+        self.spec = graph.spec
         self.graph = graph
         self.base = base  # first handle; ascends in arrival order
         self.user_index = user_index
         self.status = [TaskStatus.PENDING] * n
-        self.blocked_parents = [len(graph.parents[t]) for t in graph.topo_order]
+        self.blocked_parents = list(map(len, graph.parents))
         self.task_start_s = [0] * n
         self.task_resource = [-1] * n
         self.unfinished = n
@@ -171,20 +169,21 @@ class SystemState:
         rec.frontier[h] = None
         heapq.heappush(rec.heap, (-run.spec.priority, run.spec.arrival_s, h))
 
-    def arrive(self, spec: WorkflowSpec, graph: WorkflowGraph | None = None) -> WorkflowRun:
+    def arrive(self, graph: WorkflowGraph) -> WorkflowRun:
+        """Add a validated workflow by its compiled graph. Its task ``i`` gets
+        the handle ``base + i``; the tasks without parents become eligible."""
+        spec = graph.spec
         if spec.id in self.runs:
             raise ValueError(f"workflow {spec.id!r} already arrived")
         if spec.user not in self.users:
             raise KeyError(f"unknown user {spec.user!r}")
-        graph = graph or WorkflowGraph(spec)
         rec = self._index[spec.user]
         base = len(self.task_runs)
-        run = WorkflowRun(spec, graph, base, rec)
-        order, index = graph.topo_order, graph.topo_index
-        self.task_runs.extend(repeat(run, len(order)))
-        for i, tid in enumerate(order):
-            rec.unfinished[base + i] = tuple(base + index[c] for c in graph.children[tid])
-            if run.blocked_parents[i] == 0:
+        run = WorkflowRun(graph, base, rec)
+        self.task_runs.extend(repeat(run, len(graph.tasks)))
+        for i, cs in enumerate(graph.children):
+            rec.unfinished[base + i] = tuple([base + c for c in cs])
+            if not graph.parents[i]:
                 self._make_eligible(run, rec, base + i)
         self.runs[spec.id] = run
         return run

@@ -48,6 +48,30 @@ def diamond_wf(wf_id, entry, left, right, exit_, **kw) -> WorkflowSpec:
     return wf(wf_id, tasks, edges, **kw)
 
 
+def edge_maps(spec: WorkflowSpec) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """(parents, children) of every task id, each list in edge order, read
+    from ``spec.edges`` alone: the reference side of graph and state tests."""
+    parents: dict[str, list[str]] = {t.id: [] for t in spec.tasks}
+    children: dict[str, list[str]] = {t.id: [] for t in spec.tasks}
+    for p, c in spec.edges:
+        parents[c].append(p)
+        children[p].append(c)
+    return parents, children
+
+
+def reference_order(spec: WorkflowSpec) -> tuple[str, ...]:
+    """Topological order by repeated scan: next comes the smallest task id
+    not yet placed whose parents all are. Acyclic specs only."""
+    parents, _ = edge_maps(spec)
+    order: list[str] = []
+    placed: set[str] = set()
+    while len(order) < len(parents):
+        tid = min(t for t, ps in parents.items() if t not in placed and placed.issuperset(ps))
+        order.append(tid)
+        placed.add(tid)
+    return tuple(order)
+
+
 def users(*pairs) -> list[UserConfig]:
     return [UserConfig(uid, budget) for uid, budget in pairs]
 

@@ -97,6 +97,17 @@ def test_gen_requires_sets_or_count(tmp_path, capsys):
     assert "sets or count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arrivals,message", [
+    ({"utilization": 0, "capacity": 8}, "utilization must be"),
+    ({"utilization": 0.3}, "capacity must be"),  # gen has no system to default to
+])
+def test_gen_rejects_arrivals_without_a_positive_rate(tmp_path, capsys, arrivals, message):
+    spec = write_json(tmp_path / "spec.json", genspec(count=2, arrivals=arrivals))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 # -- run ----------------------------------------------------------------------
 
 
@@ -373,3 +384,15 @@ def test_run_rejects_duplicate_workflow_ids(tmp_path, capsys):
     config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "DuplicateWorkflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arrivals,message", [
+    ({"utilization": 0}, "utilization must be"),
+    ({"utilization": -0.2}, "utilization must be"),
+    ({"utilization": float("nan")}, "utilization must be"),
+    ({"utilization": 0.3, "capacity": 0}, "capacity must be"),
+])
+def test_run_rejects_arrivals_without_a_positive_rate(tmp_path, capsys, arrivals, message):
+    config = run_config(tmp_path, workload={"genspec": genspec(count=2), "arrivals": arrivals})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err

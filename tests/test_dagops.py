@@ -1,8 +1,10 @@
 """DAG validation, topology, and critical-path oracles."""
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import chain_wf, diamond_wf, wf
+from conftest import chain_wf, diamond_wf, edge_maps, reference_order, wf
+from test_plan import random_dags
 from wfasim.dagops import (
     WorkflowGraph,
     critical_path_length,
@@ -73,8 +75,8 @@ def test_topological_order_is_smallest_id_first():
     g = WorkflowGraph(w)
     assert g.topo_order == ("a", "b", "c", "d")
     assert g.topo_index == {"a": 0, "b": 1, "c": 2, "d": 3}
-    assert list(g.entries()) == ["a"]
-    assert list(g.exits()) == ["d"]
+    assert g.parents == ((), (0,), (0,), (1, 2))
+    assert g.children == ((1, 2), (3,), (3,), ())
 
 
 def test_topological_order_breaks_ties_by_id():
@@ -91,10 +93,37 @@ def test_topological_order_breaks_ties_by_id():
 def test_parents_children_maps():
     w = chain_wf("w", [{"small": 1}, {"small": 1}, {"small": 1}])
     g = WorkflowGraph(w)
-    assert g.parents["t0"] == ()
-    assert g.parents["t2"] == ("t1",)
-    assert g.children["t0"] == ("t1",)
-    assert g.children["t2"] == ()
+    assert [t.id for t in g.tasks] == ["t0", "t1", "t2"]
+    assert g.parents == ((), (0,), (1,))
+    assert g.children == ((1,), (2,), ())
+
+
+def test_cyclic_spec_compiles_only_its_order():
+    w = wf("w", [("a", {"small": 1}), ("b", {"small": 1}), ("c", {"small": 1})],
+           edges=[("a", "b"), ("b", "c"), ("c", "b")])
+    g = WorkflowGraph(w)
+    assert g.topo_order == ("a",)
+    assert (g.tasks, g.parents, g.children, g.ideal_s) == ((), (), (), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=random_dags())
+def test_compiled_graph_matches_the_spec(specs):
+    """On random DAGs whose ids are shuffled against creation order, the
+    compiled graph agrees with references read from the spec alone."""
+    for spec in specs:
+        g = WorkflowGraph(spec)
+        order = reference_order(spec)
+        assert g.topo_order == order
+        assert g.topo_index == {tid: i for i, tid in enumerate(order)}
+        by_id = {t.id: t for t in spec.tasks}
+        assert all(task is by_id[tid] for task, tid in zip(g.tasks, order, strict=True))
+        parents, children = edge_maps(spec)
+        assert [[order[p] for p in ps] for ps in g.parents] == [parents[t] for t in order]
+        assert [[order[c] for c in cs] for cs in g.children] == [children[t] for t in order]
+        assert g.ideal_s == oracle_longest_path(
+            by_id, spec.edges, lambda tid: min_runtime(by_id[tid])
+        )
 
 
 def test_critical_path_of_chain():
@@ -104,7 +133,7 @@ def test_critical_path_of_chain():
         [{"small": 2, "large": 4}, {"small": 6, "large": 3}, {"small": 5, "large": 7}],
     )
     g = WorkflowGraph(w)
-    got = critical_path_length(g, weight=min_runtime)
+    got = critical_path_length(g, [min_runtime(t) for t in g.tasks])
     tasks = {t.id: t for t in w.tasks}
     expect = oracle_longest_path(
         tasks, w.edges, lambda tid: min_runtime(tasks[tid])
@@ -142,4 +171,4 @@ def test_ideal_makespan_uses_fastest_type_per_task_independently():
 def test_critical_path_with_custom_weight():
     w = chain_wf("w", [{"small": 2, "large": 9}, {"small": 9, "large": 3}])
     g = WorkflowGraph(w)
-    assert critical_path_length(g, weight=lambda t: t.runtime_by_type["small"]) == 11
+    assert critical_path_length(g, [t.runtime_by_type["small"] for t in g.tasks]) == 11

@@ -217,6 +217,15 @@ def test_poisson_arrivals_deterministic_and_ordered():
     assert [w.arrival_s for w in c] != times
 
 
+@pytest.mark.parametrize("utilization,capacity", [
+    (0, 16), (-0.2, 16), (float("nan"), 16), (float("inf"), 16), (0.2, 0),
+])
+def test_poisson_arrivals_reject_a_rate_that_is_not_positive(utilization, capacity):
+    wfs = generate_workload(2, users=["u1"], rule=WL1, seed=1)
+    with pytest.raises(ValueError, match="arrivals: "):
+        engine.poisson_arrivals(wfs, utilization, capacity, seed=7)
+
+
 def test_poisson_higher_utilization_packs_arrivals_tighter():
     wfs = generate_workload(40, users=["u1"], rule=WL1, seed=1)
     slow = engine.poisson_arrivals(wfs, utilization=0.1, capacity=16, seed=7)

@@ -24,7 +24,6 @@ from wfasim.mip import (
     compare,
     export_lp,
     load_instance,
-    lp_counts,
     realized_profit,
     run_finishes,
     save_instance,
@@ -242,6 +241,34 @@ def test_build_rejects_task_without_runtime_on_a_listed_type():
 
 
 # -- LP text ------------------------------------------------------------------
+
+
+def lp_counts(text: str) -> dict[str, int]:
+    """Variable and constraint counts recovered from LP text."""
+    section = None
+    constraints = 0
+    generals: set[str] = set()
+    binaries: set[str] = set()
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("\\"):
+            continue
+        lowered = line.lower()
+        if lowered in ("maximize", "minimize", "subject to", "bounds", "generals", "binaries", "end"):
+            section = lowered
+            continue
+        if section == "subject to" and ":" in line:
+            constraints += 1
+        elif section == "generals":
+            generals.update(line.split())
+        elif section == "binaries":
+            binaries.update(line.split())
+    return {
+        "constraints": constraints,
+        "binaries": len(binaries),
+        "generals": len(generals),
+        "variables": len(binaries) + len(generals),
+    }
 
 
 def test_lp_counts_for_one_task_two_slots():

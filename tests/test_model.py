@@ -136,8 +136,8 @@ def test_task_lifecycle_and_eligibility_order():
     w1 = chain_wf("w1", [{"small": 5, "large": 2}, {"small": 5, "large": 2}],
                   priority=3, arrival_s=0)
     w2 = wf("w2", [("a", {"small": 4, "large": 4})], priority=9, arrival_s=10)
-    state.arrive(w1)
-    state.arrive(w2)
+    state.arrive(WorkflowGraph(w1))
+    state.arrive(WorkflowGraph(w2))
 
     def eligible():
         return [state.ref(h) for h in state.eligible_tasks("u1")]
@@ -164,7 +164,7 @@ def test_task_lifecycle_and_eligibility_order():
 
 def test_finish_unblocks_children():
     state = SystemState(two_type_system(), users(("u1", 100)))
-    state.arrive(chain_wf("w1", [{"small": 5}, {"small": 5}]))
+    state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5}, {"small": 5}])))
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
     state.start_task(state.handle("w1", "t0"), r, now=0)
@@ -174,8 +174,8 @@ def test_finish_unblocks_children():
 
 def test_joint_dag_spans_unfinished_tasks_of_all_workflows():
     state = SystemState(two_type_system(), users(("u1", 100)))
-    state.arrive(chain_wf("w1", [{"small": 5}, {"small": 5}]))
-    state.arrive(wf("w2", [("a", {"small": 4})]))
+    state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5}, {"small": 5}])))
+    state.arrive(WorkflowGraph(wf("w2", [("a", {"small": 4})])))
     t0, t1, a = state.handle("w1", "t0"), state.handle("w1", "t1"), state.handle("w2", "a")
     assert [state.ref(h) for h in (t0, t1, a)] == [("w1", "t0"), ("w1", "t1"), ("w2", "a")]
     nodes, edges = state.joint_dag("u1")
@@ -195,8 +195,8 @@ def test_joint_dag_spans_unfinished_tasks_of_all_workflows():
 
 def test_user_isolation():
     state = SystemState(two_type_system(), users(("u1", 100), ("u2", 100)))
-    state.arrive(wf("w1", [("a", {"small": 5})], user="u1"))
-    state.arrive(wf("w2", [("a", {"small": 5})], user="u2"))
+    state.arrive(WorkflowGraph(wf("w1", [("a", {"small": 5})], user="u1")))
+    state.arrive(WorkflowGraph(wf("w2", [("a", {"small": 5})], user="u2")))
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
     assert state.idle_resources("u2") == []
@@ -206,7 +206,7 @@ def test_user_isolation():
 
 def test_counts_by_type_buckets():
     state = SystemState(two_type_system(small=2, large=1), users(("u1", 100)))
-    state.arrive(wf("w1", [("a", {"small": 5, "large": 5})]))
+    state.arrive(WorkflowGraph(wf("w1", [("a", {"small": 5, "large": 5})])))
     s0, s1 = state.resources[0], state.resources[1]
     state.reserve(s0, "u1", now=0)
     state.reserve(s1, "u1", now=0)
@@ -222,7 +222,7 @@ def test_counts_by_type_buckets():
 def test_all_done_vacuous_and_after_work():
     state = SystemState(two_type_system(), users(("u1", 100)))
     assert state.all_done
-    state.arrive(wf("w1", [("a", {"small": 1})]))
+    state.arrive(WorkflowGraph(wf("w1", [("a", {"small": 1})])))
     assert not state.all_done
 
 
@@ -244,8 +244,8 @@ def test_graph_reuse_on_arrival():
     state = SystemState(two_type_system(), users(("u1", 100)))
     spec = wf("w1", [("a", {"small": 1})])
     graph = WorkflowGraph(spec)
-    run = state.arrive(spec, graph)
-    assert run.graph is graph
+    run = state.arrive(graph)
+    assert run.graph is graph and run.spec is spec
 
 
 def test_resource_reserved_property():

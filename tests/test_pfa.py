@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_wf, two_type_system, users
+from wfasim.dagops import WorkflowGraph
 from wfasim.model import BudgetTooSmall
 from wfasim.policies.base import PolicyView
 from wfasim.policies.pfa import (
@@ -456,7 +457,7 @@ def test_user_facade_exposes_only_runtime_free_queries():
     assert not hasattr(UserFacade(None, "u1"), "__dict__")
 
     state = SystemState(two_type_system(small=2, large=1), users(("u1", 12)))
-    state.arrive(chain_wf("w1", [{"small": 5, "large": 2}] * 3))
+    state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5, "large": 2}] * 3)))
     state.reserve(state.resources[0], "u1", now=0)
     t0, t1, t2 = (state.handle("w1", t) for t in ("t0", "t1", "t2"))
     state.start_task(t0, state.resources[0], now=0)
@@ -494,7 +495,7 @@ def facade_view(state, tick, now):
 
 def test_policy_records_finished_delta_against_current_allocation():
     state = SystemState(two_type_system(), users(("u1", 12)))
-    state.arrive(chain_wf("w1", [{"small": 5, "large": 2}] * 3))
+    state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5, "large": 2}] * 3)))
     policy = PfaPolicy()
     first = policy.decide(facade_view(state, tick=0, now=0))
     assert "observe" in first.step_seconds

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_wf, two_type_system, users, wf
+from conftest import chain_wf, edge_maps, reference_order, two_type_system, users, wf
+from wfasim.dagops import WorkflowGraph
 from wfasim.model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus, UserConfig
 from wfasim.policies.base import ExecutionPlan, PlanEntry, PolicyView, perfect_oracle
 from wfasim.policies.plan import (
@@ -26,7 +27,7 @@ SYS = two_type_system(small=8, large=4, interval_s=60)
 def make_state(workflows, system=SYS, budgets=(("u1", 100),)):
     state = SystemState(system, users(*budgets))
     for w in workflows:
-        state.arrive(w)
+        state.arrive(WorkflowGraph(w))
     return state
 
 
@@ -198,15 +199,22 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
     """The planner before its frontier walk, kept as the reference: the same
     slots and phase 1, then a phase 2 that scans every unfinished task of
     each workflow in topological order and places those whose parents are
-    all finished or planned."""
+    all finished or planned. Tasks, parents and order come from the specs,
+    and a task's status from its handle."""
     plan = ExecutionPlan()
+    task_of = {(w.spec.id, t.id): t for w in state.runs.values() for t in w.spec.tasks}
+
+    def status(wf_id, task_id):
+        run = state.runs[wf_id]
+        return run.status[state.handle(wf_id, task_id) - run.base]
+
     slots = []
     for r in state.user_resources(user):
         if r.state is ResourceState.BUSY:
             wf_id, task_id = state.ref(r.running)
             run = state.runs[wf_id]
-            start = run.task_start_s[run.graph.topo_index[task_id]]
-            end = start + oracle(run.graph.tasks[task_id], r.rtype.id)
+            start = run.task_start_s[state.handle(wf_id, task_id) - run.base]
+            end = start + oracle(task_of[(wf_id, task_id)], r.rtype.id)
             plan.add(PlanEntry(r.id, wf_id, task_id, start, end, pinned=True))
             slots.append((r.id, r.rtype.id, end))
         elif r.state is ResourceState.BOOTING:
@@ -224,7 +232,7 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
         found = earliest_slot([available[s[0]] for s in candidates], ready_s, horizon_s)
         if found is not None:
             rid, slot_type, _free = candidates[found[0]]
-            end = found[1] + oracle(state.runs[wf_id].graph.tasks[task_id], slot_type)
+            end = found[1] + oracle(task_of[(wf_id, task_id)], slot_type)
             plan.add(PlanEntry(rid, wf_id, task_id, found[1], end))
             available[rid] = end
 
@@ -236,14 +244,14 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
     for wf_id in workflow_order:
         if min(available.values()) >= horizon_s:
             break
-        run = state.runs[wf_id]
-        for task_id in run.graph.topo_order:
-            i = run.graph.topo_index[task_id]
-            if run.status[i] is TaskStatus.FINISHED or (wf_id, task_id) in plan.by_task:
+        spec = state.runs[wf_id].spec
+        parents, _ = edge_maps(spec)
+        for task_id in reference_order(spec):
+            if status(wf_id, task_id) is TaskStatus.FINISHED or (wf_id, task_id) in plan.by_task:
                 continue
             ready = now
-            for parent in run.graph.parents[task_id]:
-                if run.status[run.graph.topo_index[parent]] is TaskStatus.FINISHED:
+            for parent in parents[task_id]:
+                if status(wf_id, parent) is TaskStatus.FINISHED:
                     continue
                 entry = plan.by_task.get((wf_id, parent))
                 if entry is None:

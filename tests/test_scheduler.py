@@ -1,6 +1,7 @@
 """Dispatch mechanics: dynamic pairing and plan following."""
 
 from conftest import chain_wf, two_type_system, users, wf
+from wfasim.dagops import WorkflowGraph
 from wfasim.policies.base import ExecutionPlan, PlanEntry
 from wfasim.scheduler import PlanRunner, dispatch_dynamic
 from wfasim.state import SystemState
@@ -9,7 +10,7 @@ from wfasim.state import SystemState
 def make_state(workflows, budgets=(("u1", 100),)):
     state = SystemState(two_type_system(), users(*budgets))
     for w in workflows:
-        state.arrive(w)
+        state.arrive(WorkflowGraph(w))
     return state
 
 

@@ -12,7 +12,17 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_wf, diamond_wf, small_only_system, two_type_system, users, wf
+from conftest import (
+    chain_wf,
+    diamond_wf,
+    edge_maps,
+    reference_order,
+    small_only_system,
+    two_type_system,
+    users,
+    wf,
+)
+from wfasim.dagops import WorkflowGraph
 from wfasim.model import ResourceState, TaskStatus
 from wfasim.policies.pfa import tba_propagate, tba_walk
 from wfasim.scheduler import dispatch_dynamic
@@ -50,18 +60,20 @@ def held(state, user, states=(ResourceState.BOOTING, ResourceState.IDLE, Resourc
 
 
 def brute_status(state, finished, running):
-    """Every arrived task's status from first principles: finished or
-    running where the test made it so, otherwise eligible once all its
-    parents have finished."""
+    """Every arrived task's status from first principles, in arrival, then
+    topological, order: finished or running where the test made it so,
+    otherwise eligible once all its parents have finished. Parents and
+    order come from the specs, not from the graphs under test."""
     out = {}
     for wf_id, run in state.runs.items():
-        for tid in run.graph.topo_order:
+        parents, _ = edge_maps(run.spec)
+        for tid in reference_order(run.spec):
             ref = (wf_id, tid)
             if ref in finished:
                 out[ref] = TaskStatus.FINISHED
             elif ref in running:
                 out[ref] = TaskStatus.RUNNING
-            elif all((wf_id, p) in finished for p in run.graph.parents[tid]):
+            elif all((wf_id, p) in finished for p in parents[tid]):
                 out[ref] = TaskStatus.ELIGIBLE
             else:
                 out[ref] = TaskStatus.PENDING
@@ -80,17 +92,17 @@ def of_user(state, user, status, wanted):
 def brute_eligible(state, user, status):
     def key(ref):
         run = state.runs[ref[0]]
-        return (-run.spec.priority, run.spec.arrival_s, run.base,
-                run.graph.topo_index[ref[1]])
+        return (-run.spec.priority, run.spec.arrival_s, run.base)
 
+    # the sort is stable, so a workflow's tasks keep their topological order
     return sorted(of_user(state, user, status, (TaskStatus.ELIGIBLE,)), key=key)
 
 
 def brute_joint_dag(state, user, status):
     nodes = of_user(state, user, status,
                     (TaskStatus.PENDING, TaskStatus.ELIGIBLE, TaskStatus.RUNNING))
-    edges = [(ref, (ref[0], c)) for ref in nodes
-             for c in state.runs[ref[0]].graph.children[ref[1]]]
+    children = {wf_id: edge_maps(run.spec)[1] for wf_id, run in state.runs.items()}
+    edges = [(ref, (ref[0], c)) for ref in nodes for c in children[ref[0]][ref[1]]]
     return nodes, edges
 
 
@@ -107,12 +119,13 @@ def check_handles(state):
     base = 0
     for wf_id, run in state.runs.items():  # insertion order is arrival order
         assert run.base == base
-        for i, tid in enumerate(run.graph.topo_order):
+        order = reference_order(run.spec)
+        for i, tid in enumerate(order):
             h = base + i
             assert state.task_runs[h] is run
             assert state.handle(wf_id, tid) == h
             assert state.ref(h) == (wf_id, tid)
-        base += len(run.graph.topo_order)
+        base += len(order)
     assert len(state.task_runs) == base
 
 
@@ -123,16 +136,17 @@ def check_queries(state, finished, running):
     refs = lambda hs: [state.ref(h) for h in hs]  # noqa: E731
     status = brute_status(state, finished, running)
     for wf_id, run in state.runs.items():
-        for i, tid in enumerate(run.graph.topo_order):
+        parents, _ = edge_maps(run.spec)
+        for i, tid in enumerate(reference_order(run.spec)):
             ref = (wf_id, tid)
             assert run.status[i] is status[ref]
             assert run.blocked_parents[i] == sum(
-                (wf_id, p) not in finished for p in run.graph.parents[tid]
+                (wf_id, p) not in finished for p in parents[tid]
             )
             if ref in finished or ref in running:
                 assert run.task_resource[i] == finished.get(ref, running.get(ref))
-        assert run.unfinished == sum(status[(wf_id, t)] is not TaskStatus.FINISHED
-                                     for t in run.graph.topo_order)
+        assert run.unfinished == sum(status[(wf_id, t.id)] is not TaskStatus.FINISHED
+                                     for t in run.spec.tasks)
     for ref, rid in running.items():
         assert state.resources[rid].running == state.handle(*ref)
         assert state.resources[rid].state is ResourceState.BUSY
@@ -162,10 +176,10 @@ def check_queries(state, finished, running):
         n_running = len(of_user(state, u, status, (TaskStatus.RUNNING,)))
         assert state.momentary_demand(u) == n_running + len(eligible)
         nodes, edges = state.joint_dag(u)
-        assert (refs(nodes), [(state.ref(a), state.ref(b)) for a, b in edges]) == \
-            brute_joint_dag(state, u, status)
+        joint = brute_joint_dag(state, u, status)
+        assert (refs(nodes), [(state.ref(a), state.ref(b)) for a, b in edges]) == joint
         unfinished = {}
-        for ref in brute_joint_dag(state, u, status)[0]:
+        for ref in joint[0]:
             unfinished.setdefault(ref[0], []).append(ref[1])
         assert {w: [state.ref(h)[1] for h in hs]
                 for w, hs in state.unfinished_tasks(u).items()} == unfinished
@@ -178,10 +192,10 @@ def check_queries(state, finished, running):
         assert len(rec.frontier) == n_running + len(eligible)
         assert rec.eligible == len(eligible)
         assert rec.finished == brute_finished(state, u, status, finished)
-        assert refs(rec.unfinished) == brute_joint_dag(state, u, status)[0]
-        for h, children in rec.unfinished.items():
-            wf_id, tid = state.ref(h)
-            assert refs(children) == [(wf_id, c) for c in state.runs[wf_id].graph.children[tid]]
+        assert refs(rec.unfinished) == joint[0]
+        assert [refs(cs) for cs in rec.unfinished.values()] == [
+            [b for a, b in joint[1] if a == ref] for ref in joint[0]
+        ]
         assert sorted(refs(rec.frontier)) == sorted(frontier)
         for rs in (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY):
             for t in TYPES:
@@ -226,7 +240,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
         res = state.resources
         status = brute_status(state, finished, running)
         if op == "arrive" and pending:
-            state.arrive(pending.pop(0))
+            state.arrive(WorkflowGraph(pending.pop(0)))
         elif op == "reserve":
             free = [r for r in res if r.state is ResourceState.DOWN]
             if free:
@@ -282,7 +296,7 @@ def test_out_of_order_starts_keep_dispatch_order(priorities, started):
     # does, must leave the rest to dispatch by priority
     state = SystemState(small_only_system(count=10), users(("u1", 100)))
     for i, priority in enumerate(priorities):
-        state.arrive(wf(f"w{i}", [("a", {"small": 5})], priority=priority))
+        state.arrive(WorkflowGraph(wf(f"w{i}", [("a", {"small": 5})], priority=priority)))
     for r in state.resources:
         state.reserve(r, "u1", 0)
     idle = state.idle_resources("u1")
