@@ -24,7 +24,7 @@ class WorkflowGraph:
     ``topo_order`` that no cycle blocks.
     """
 
-    __slots__ = ("spec", "tasks", "parents", "children", "topo_order", "topo_index", "ideal_s")
+    __slots__ = ("spec", "tasks", "parents", "children", "topo_order", "ideal_s")
 
     def __init__(self, spec: WorkflowSpec):
         self.spec = spec
@@ -45,11 +45,11 @@ class WorkflowGraph:
                 if not indeg[c]:
                     heapq.heappush(ready, c)
         self.topo_order = tuple(order)
-        self.topo_index = index = {tid: i for i, tid in enumerate(order)}
         self.tasks = self.parents = self.children = ()
         self.ideal_s = 0
         if len(order) < len(by_id):
             return  # a cycle blocks the rest
+        index = {tid: i for i, tid in enumerate(order)}
         parents: list[list[int]] = [[] for _ in order]
         children: list[list[int]] = [[] for _ in order]
         for p, c in spec.edges:

@@ -422,7 +422,7 @@ class _Sim:
                 if self.system.boot_delay_s > 0:
                     self.push(now + self.system.boot_delay_s, _BOOT, rid)
         if decision.plan is not None and self.plan_runner is not None:
-            wake_times = self.plan_runner.install(self.state, uid, decision.plan)
+            wake_times = self.plan_runner.install(uid, decision.plan)
             for when in wake_times:
                 if when > now and (uid, when) not in self.wake_times:
                     self.wake_times.add((uid, when))
@@ -433,7 +433,7 @@ class _Sim:
                         {
                             "t": tick,
                             "resource": e.resource_id,
-                            "task": f"{e.wf_id}/{e.task_id}",
+                            "task": "/".join(self.state.ref(e.task)),
                             "start": e.start_s,
                             "end": e.end_s,
                         }

@@ -583,25 +583,27 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
     busy = [0] * (V + 1)  # bitmask per resource, bit t-1 = slot t
     busy_in_interval = [[0] * (M + 1) for _ in range(V + 1)]
     interval_cost = [0] * (M + 1)
-    ends = [0] * (S + 1)
     chosen: dict[int, tuple[int, int]] = {}
     used = [False] * (V + 1)
     best_profit = None
     best_starts: dict[int, tuple[int, int]] = {}
 
+    # Earliest finish of every task: the placed end of each task before the
+    # one branched on next (dfs sets it when it places the task), and the
+    # contention-free estimate from there on (bound recomputes only those).
+    est = [0] * (S + 1)
+    parents = [()] + [task.parents for task in instance.tasks]
+
     def bound(next_task: int) -> int:
-        est = [0] * (S + 1)
-        for j in range(1, S + 1):
-            if j < next_task:
-                est[j] = ends[j]
-            else:
-                start = arrival[j - 1]
-                for p in instance.tasks[j - 1].parents:
-                    start = max(start, est[p] + 1)
-                est[j] = start + min_rt[j - 1] - 1
+        for j in range(next_task, S + 1):
+            start = arrival[j - 1]
+            for p in parents[j]:
+                if est[p] >= start:
+                    start = est[p] + 1
+            est[j] = start + min_rt[j - 1] - 1
         total = 0
         for deadline, indices in wf_tasks:
-            finish = max(est[j] for j in indices)
+            finish = max([est[j] for j in indices])
             total += 1 if finish <= deadline else deadline - finish  # value_function
         return total
 
@@ -616,7 +618,7 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
         task = instance.tasks[j - 1]
         ready = arrival[j - 1]
         for p in task.parents:
-            ready = max(ready, ends[p] + 1)
+            ready = max(ready, est[p] + 1)
         for r in order:
             k = r.index
             prev = same_as_prev[k]
@@ -641,7 +643,7 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
                     if busy_in_interval[k][m] == 0:
                         interval_cost[m] += r.cost
                     busy_in_interval[k][m] += 1
-                ends[j] = t + runtime - 1
+                est[j] = t + runtime - 1
                 chosen[j] = (k, t)
                 was_used = used[k]
                 used[k] = True
@@ -650,7 +652,6 @@ def solve_exact(instance: MipInstance, limits: SolveLimits | None = None) -> Mip
                     dfs(j + 1)
                 used[k] = was_used
                 del chosen[j]
-                ends[j] = 0
                 for slot in range(t, t + runtime):
                     m = interval[slot]
                     busy_in_interval[k][m] -= 1

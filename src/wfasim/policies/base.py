@@ -52,8 +52,7 @@ class PlanEntry(NamedTuple):
     every tick, and a tuple is built several times faster."""
 
     resource_id: int
-    wf_id: str
-    task_id: str
+    task: int  # handle; ``SystemState.ref`` gives its (workflow id, task id)
     start_s: int
     end_s: int
     pinned: bool = False  # already running when the plan was built
@@ -64,17 +63,16 @@ class ExecutionPlan:
 
     def __init__(self) -> None:
         self.by_resource: dict[int, list[PlanEntry]] = {}
-        self.by_task: dict[tuple[str, str], PlanEntry] = {}
+        self.by_task: dict[int, PlanEntry] = {}  # task handle -> its entry
 
     def add(self, entry: PlanEntry) -> None:
-        ref = (entry.wf_id, entry.task_id)
-        if ref in self.by_task:
-            raise ValueError(f"task {ref} planned twice")
+        if entry.task in self.by_task:
+            raise ValueError(f"task {entry.task} planned twice")
         timeline = self.by_resource.setdefault(entry.resource_id, [])
         if timeline and entry.start_s < timeline[-1].end_s:
             raise ValueError(f"overlap on resource {entry.resource_id}")
         timeline.append(entry)
-        self.by_task[ref] = entry
+        self.by_task[entry.task] = entry
 
     def has_tasks(self, resource_id: int) -> bool:
         return bool(self.by_resource.get(resource_id))

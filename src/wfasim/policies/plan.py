@@ -21,6 +21,9 @@ from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, Runtim
 # module constants: reading a member off the Enum class is several times slower
 _BOOTING, _IDLE, _BUSY = ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY
 _RUNNING = TaskStatus.RUNNING
+# Builds a PlanEntry from a tuple of its fields in C: the named tuple's own
+# __new__ is a Python function, and a planner builds one entry per placement.
+_new_entry = tuple.__new__
 
 
 def fastest_type(
@@ -53,8 +56,9 @@ def earliest_slot(
     if earliest >= ready_s:
         start, i = earliest, available.index(earliest)
     else:  # some slot is free by ready_s: the lowest such position wins
-        start = ready_s
-        i = next(i for i, free_s in enumerate(available) if free_s <= ready_s)
+        start, i = ready_s, 0
+        while available[i] > ready_s:  # a plain loop: no generator to build
+            i += 1
     return None if start >= horizon_s else (i, start)
 
 
@@ -89,8 +93,8 @@ def build_plan(
     type's, with C-level ``min`` and ``index`` (see :func:`earliest_slot`).
     """
     plan = ExecutionPlan()
+    add, planned = plan.add, plan.by_task
     runs = state.task_runs
-    planned: dict[int, int] = {}  # task handle -> planned end
     slots: list[tuple[int, str, int]] = []  # (id, type id, next free time)
     for r in state.user_resources(user):
         if r.state is _BUSY and r.running is not None:
@@ -99,8 +103,7 @@ def build_plan(
             i = h - run.base
             start = run.task_start_s[i]
             end = start + oracle(run.graph.tasks[i], r.rtype.id)
-            plan.add(PlanEntry(r.id, run.spec.id, run.graph.topo_order[i], start, end, pinned=True))
-            planned[h] = end
+            add(PlanEntry(r.id, h, start, end, True))
             slots.append((r.id, r.rtype.id, end))
         elif r.state is _BOOTING:
             slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s or now)))
@@ -128,20 +131,21 @@ def build_plan(
         """Put a task on the candidate with the earliest start before the
         horizon, if any: all slots, or the slots of one type. Returns the
         planned end, or None when nothing starts before the horizon."""
-        times = available if rtype_id is None else by_type[rtype_id][1]
-        found = earliest_slot(times, ready_s, horizon_s)
-        if found is None:
-            return None
-        i, start = found
         if rtype_id is None:
-            pos, rtype_id = i, slot_types[i]
+            found = earliest_slot(available, ready_s, horizon_s)
+            if found is None:
+                return None
+            pos, start = found
+            rtype_id = slot_types[pos]
         else:
-            pos = by_type[rtype_id][0][i]
+            positions, times = by_type[rtype_id]
+            found = earliest_slot(times, ready_s, horizon_s)
+            if found is None:
+                return None
+            pos, start = positions[found[0]], found[1]
         run = runs[h]
-        i = h - run.base
-        end = start + oracle(run.graph.tasks[i], rtype_id)
-        plan.add(PlanEntry(slot_ids[pos], run.spec.id, run.graph.topo_order[i], start, end))
-        planned[h] = end
+        end = start + oracle(run.graph.tasks[h - run.base], rtype_id)
+        add(_new_entry(PlanEntry, (slot_ids[pos], h, start, end, False)))
         available[pos] = end
         by_type[rtype_id][1][local[pos]] = end
         return end
@@ -179,11 +183,13 @@ def build_plan(
         ready: dict[int, int] = {}  # children's latest planned parent end
         while heap:
             h = heapq.heappop(heap)
-            end = planned.get(h)
-            if end is None:
+            entry = planned.get(h)
+            if entry is None:
                 end = place(h, ready.get(h, now), None)
                 if end is None:
                     continue
+            else:
+                end = entry.end_s
             for c in state.children(h):
                 if end > ready.get(c, now):
                     ready[c] = end
@@ -243,7 +249,41 @@ def _plan_decision(
                     plan=plan, diagnostics=diagnostics, step_seconds=steps)
 
 
-class PlfPolicy(Policy):
+class _Planner(Policy):
+    """What PLF and SCF share: plan-following dispatch, and a table of each
+    task's fastest type and its runtime there, by handle.
+
+    The table holds one state's tasks under one oracle. It grows by the
+    tasks that arrived since the last decision, so :func:`fastest_type` runs
+    once per task, and it starts over when the view brings another state (a
+    new run) or another oracle."""
+
+    mode = "plan"
+
+    def __init__(self) -> None:
+        self._fastest_for: tuple[object, object] = (None, None)
+        self._fastest: tuple[list[ResourceType], list[int]] = ([], [])
+
+    def fastest(self, view: PolicyView) -> tuple[list[ResourceType], list[int]]:
+        """(fastest type, runtime there) of every arrived task, each a list
+        indexed by handle."""
+        state, oracle = view.state, view.oracle
+        seen_state, seen_oracle = self._fastest_for
+        if state is not seen_state or oracle is not seen_oracle:
+            self._fastest_for = (state, oracle)
+            self._fastest = ([], [])
+        fast, fast_s = self._fastest
+        runs, types = state.task_runs, view.config.types
+        for h in range(len(fast), len(runs)):
+            run = runs[h]
+            task = run.graph.tasks[h - run.base]
+            rt = fastest_type(task, types, oracle)
+            fast.append(rt)
+            fast_s.append(oracle(task, rt.id))
+        return fast, fast_s
+
+
+class PlfPolicy(_Planner):
     """Budget-per-workflow autoscaler.
 
     Splits the budget left after current reservations across workflows by
@@ -254,7 +294,6 @@ class PlfPolicy(Policy):
     """
 
     name = "plf"
-    mode = "plan"
 
     def decide(self, view: PolicyView) -> Decision:
         state, user = view.state, view.user.id
@@ -277,11 +316,11 @@ class PlfPolicy(Policy):
         t0 = time.perf_counter()
         typed: dict[int, str] = {}
         skipped: list[tuple[int, ResourceType]] = []
+        fast = self.fastest(view)[0]
+        runs = state.task_runs
         for h in state.eligible_tasks(user):
-            run = state.task_runs[h]
-            wf_id = run.spec.id
-            task = run.graph.tasks[h - run.base]
-            rt = fastest_type(task, view.config.types, view.oracle)
+            wf_id = runs[h].spec.id
+            rt = fast[h]
             if shares[wf_id] >= rt.cost:
                 shares[wf_id] -= rt.cost
                 typed[h] = rt.id
@@ -301,7 +340,7 @@ class PlfPolicy(Policy):
         return _plan_decision(view, wanted, remaining, order, typed, steps, diagnostics)
 
 
-class ScfPolicy(Policy):
+class ScfPolicy(_Planner):
     """Plan-scaling autoscaler.
 
     Sizes an unconstrained per-workflow supply (every task on its fastest
@@ -310,7 +349,6 @@ class ScfPolicy(Policy):
     """
 
     name = "scf"
-    mode = "plan"
 
     def decide(self, view: PolicyView) -> Decision:
         state, user, now = view.state, view.user.id, view.now
@@ -323,22 +361,21 @@ class ScfPolicy(Policy):
         headroom = _headroom(state, user, budget)
 
         supply: dict[str, int] = {t.id: 0 for t in types}
+        fast, fast_s = self.fastest(view)
         unfinished = state.unfinished_tasks(user)
         active = list(unfinished)
         for wf_id, handles in unfinished.items():
             run = state.runs[wf_id]
-            tasks = run.graph.tasks
             sums: dict[str, int] = {}
             for h in handles:
                 i = h - run.base
-                task = tasks[i]
                 if run.status[i] is _RUNNING:
                     rtype_id = state.resources[run.task_resource[i]].rtype.id
-                    left = run.task_start_s[i] + view.oracle(task, rtype_id) - now
+                    left = run.task_start_s[i] + view.oracle(run.graph.tasks[i], rtype_id) - now
                     sums[rtype_id] = sums.get(rtype_id, 0) + max(1, left)
                 else:
-                    rt = fastest_type(task, types, view.oracle)
-                    sums[rt.id] = sums.get(rt.id, 0) + view.oracle(task, rt.id)
+                    rtype_id = fast[h].id
+                    sums[rtype_id] = sums.get(rtype_id, 0) + fast_s[h]
             for rtype_id, total in sums.items():
                 supply[rtype_id] += math.ceil(Fraction(total, interval))
         steps["supply"] = time.perf_counter() - t0

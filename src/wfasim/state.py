@@ -11,9 +11,9 @@ index ``i`` gets the handle ``base + i``. Handles are dense and ascend in
 arrival, then topological, order; ``SystemState.task_runs[h]`` is the run of
 task ``h``. Each run holds its per-task records in lists indexed by
 topological index: status, count of unfinished parents, start time and
-machine id. String ids stay at the edges: the trace, plan entries and the
-outputs name tasks by ``(workflow id, task id)``, and ``handle`` and ``ref``
-convert between the two.
+machine id. Plan entries carry handles too. String ids stay at the edges:
+the trace and the output files name tasks by ``(workflow id, task id)``,
+which ``ref`` reads off a handle.
 
 Queries are served from indexes that the transitions below keep up to date,
 so no query scans every machine or re-sorts every eligible task. Each user
@@ -151,10 +151,6 @@ class SystemState:
         return [self.resources[rid] for rid in ids]
 
     # -- handles ------------------------------------------------------------
-
-    def handle(self, wf_id: str, task_id: str) -> int:
-        run = self.runs[wf_id]
-        return run.base + run.graph.topo_index[task_id]
 
     def ref(self, h: int) -> TaskRef:
         run = self.task_runs[h]

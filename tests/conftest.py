@@ -72,6 +72,13 @@ def reference_order(spec: WorkflowSpec) -> tuple[str, ...]:
     return tuple(order)
 
 
+def handle(state, wf_id, task_id) -> int:
+    """The handle of one task of an arrived workflow: its run's base plus
+    the task's topological index."""
+    run = state.runs[wf_id]
+    return run.base + run.graph.topo_order.index(task_id)
+
+
 def users(*pairs) -> list[UserConfig]:
     return [UserConfig(uid, budget) for uid, budget in pairs]
 

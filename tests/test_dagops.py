@@ -74,7 +74,6 @@ def test_topological_order_is_smallest_id_first():
     )
     g = WorkflowGraph(w)
     assert g.topo_order == ("a", "b", "c", "d")
-    assert g.topo_index == {"a": 0, "b": 1, "c": 2, "d": 3}
     assert g.parents == ((), (0,), (0,), (1, 2))
     assert g.children == ((1, 2), (3,), (3,), ())
 
@@ -115,7 +114,6 @@ def test_compiled_graph_matches_the_spec(specs):
         g = WorkflowGraph(spec)
         order = reference_order(spec)
         assert g.topo_order == order
-        assert g.topo_index == {tid: i for i, tid in enumerate(order)}
         by_id = {t.id: t for t in spec.tasks}
         assert all(task is by_id[tid] for task, tid in zip(g.tasks, order, strict=True))
         parents, children = edge_maps(spec)

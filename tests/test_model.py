@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import HoldPolicy, chain_wf, small_only_system, two_type_system, users, wf
+from conftest import HoldPolicy, chain_wf, handle, small_only_system, two_type_system, users, wf
 from wfasim.dagops import WorkflowGraph
 from wfasim.model import (
     CapacityExceeded,
@@ -148,13 +148,13 @@ def test_task_lifecycle_and_eligibility_order():
 
     r = state.resources[0]
     state.reserve(r, "u1", now=10)
-    state.start_task(state.handle("w2", "a"), r, now=10)
+    state.start_task(handle(state, "w2", "a"), r, now=10)
     assert r.state is ResourceState.BUSY
-    assert r.running == state.handle("w2", "a")
+    assert r.running == handle(state, "w2", "a")
     assert state.momentary_demand("u1") == 2  # running + eligible
     assert eligible() == [("w1", "t0")]
 
-    state.finish_task(state.handle("w2", "a"), now=14)
+    state.finish_task(handle(state, "w2", "a"), now=14)
     assert eligible() == [("w1", "t0")]  # no children freed
     assert r.state is ResourceState.IDLE
     assert r.idle_since_s == 14
@@ -167,8 +167,8 @@ def test_finish_unblocks_children():
     state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5}, {"small": 5}])))
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
-    state.start_task(state.handle("w1", "t0"), r, now=0)
-    state.finish_task(state.handle("w1", "t0"), now=5)
+    state.start_task(handle(state, "w1", "t0"), r, now=0)
+    state.finish_task(handle(state, "w1", "t0"), now=5)
     assert [state.ref(h) for h in state.eligible_tasks("u1")] == [("w1", "t1")]
 
 
@@ -176,7 +176,7 @@ def test_joint_dag_spans_unfinished_tasks_of_all_workflows():
     state = SystemState(two_type_system(), users(("u1", 100)))
     state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5}, {"small": 5}])))
     state.arrive(WorkflowGraph(wf("w2", [("a", {"small": 4})])))
-    t0, t1, a = state.handle("w1", "t0"), state.handle("w1", "t1"), state.handle("w2", "a")
+    t0, t1, a = handle(state, "w1", "t0"), handle(state, "w1", "t1"), handle(state, "w2", "a")
     assert [state.ref(h) for h in (t0, t1, a)] == [("w1", "t0"), ("w1", "t1"), ("w2", "a")]
     nodes, edges = state.joint_dag("u1")
     assert nodes == [t0, t1, a]  # arrival, then topological, order
@@ -201,7 +201,7 @@ def test_user_isolation():
     state.reserve(r, "u1", now=0)
     assert state.idle_resources("u2") == []
     with pytest.raises(ValueError):
-        state.start_task(state.handle("w2", "a"), r, now=0)
+        state.start_task(handle(state, "w2", "a"), r, now=0)
 
 
 def test_counts_by_type_buckets():
@@ -210,7 +210,7 @@ def test_counts_by_type_buckets():
     s0, s1 = state.resources[0], state.resources[1]
     state.reserve(s0, "u1", now=0)
     state.reserve(s1, "u1", now=0)
-    state.start_task(state.handle("w1", "a"), s0, now=0)
+    state.start_task(handle(state, "w1", "a"), s0, now=0)
     counts = state.counts_by_type("u1")
     assert counts == {"small": 2, "large": 0}
     assert state.idle_resources("u1") == [s1]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_wf, two_type_system, users
+from conftest import chain_wf, handle, two_type_system, users
 from wfasim.dagops import WorkflowGraph
 from wfasim.model import BudgetTooSmall
 from wfasim.policies.base import PolicyView
@@ -459,7 +459,7 @@ def test_user_facade_exposes_only_runtime_free_queries():
     state = SystemState(two_type_system(small=2, large=1), users(("u1", 12)))
     state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5, "large": 2}] * 3)))
     state.reserve(state.resources[0], "u1", now=0)
-    t0, t1, t2 = (state.handle("w1", t) for t in ("t0", "t1", "t2"))
+    t0, t1, t2 = (handle(state, "w1", t) for t in ("t0", "t1", "t2"))
     state.start_task(t0, state.resources[0], now=0)
     state.finish_task(t0, now=5)
     facade = UserFacade(state, "u1")
@@ -504,13 +504,13 @@ def test_policy_records_finished_delta_against_current_allocation():
     small = state.resources[:2]  # machines 0 and 1 are small
     for r in small:
         state.reserve(r, "u1", now=0)
-    state.start_task(state.handle("w1", "t0"), small[0], now=0)
-    state.finish_task(state.handle("w1", "t0"), now=5)
+    state.start_task(handle(state, "w1", "t0"), small[0], now=0)
+    state.finish_task(handle(state, "w1", "t0"), now=5)
     policy.decide(facade_view(state, tick=1, now=60))
     # one task finished on small while two small machines were held
     assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]
-    state.start_task(state.handle("w1", "t1"), small[1], now=60)
-    state.finish_task(state.handle("w1", "t1"), now=65)
+    state.start_task(handle(state, "w1", "t1"), small[1], now=60)
+    state.finish_task(handle(state, "w1", "t1"), now=65)
     policy.decide(facade_view(state, tick=2, now=120))
     assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]
     assert len(policy._carry["u1"].history) == 2

@@ -1,5 +1,6 @@
 """Plan-based policies: planner, budget-per-workflow, and plan scaling."""
 
+import dataclasses
 import heapq
 import random
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_wf, edge_maps, reference_order, two_type_system, users, wf
+from conftest import chain_wf, edge_maps, handle, reference_order, two_type_system, users, wf
+from wfasim import engine
 from wfasim.dagops import WorkflowGraph
 from wfasim.model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus, UserConfig
 from wfasim.policies.base import ExecutionPlan, PlanEntry, PolicyView, perfect_oracle
@@ -20,6 +22,7 @@ from wfasim.policies.plan import (
     scf_scale_supply,
 )
 from wfasim.state import SystemState, UserFacade
+from wfasim.workload import generate_workload
 
 SYS = two_type_system(small=8, large=4, interval_s=60)
 
@@ -70,6 +73,38 @@ def test_fastest_type_skips_types_the_task_has_no_runtime_on():
     assert fastest_type(task, SYS.types, perfect_oracle).id == "small"
 
 
+@pytest.mark.parametrize("make", [PlfPolicy, ScfPolicy])
+def test_planner_reused_across_runs_matches_fresh_ones(make):
+    # the second run's handles name other tasks: a table kept from the first
+    # run would buy the wrong types
+    system = two_type_system(small=4, large=4, interval_s=60)
+    budgets = users(("u1", 12), ("u2", 12))
+    reused = make()
+    for seed in (3, 4):
+        workflows = engine.poisson_arrivals(
+            generate_workload(10, users=["u1", "u2"], seed=seed), 0.3, 8, seed
+        )
+        fresh = engine.run(workflows, system, budgets, make(), seed=seed)
+        again = engine.run(workflows, system, budgets, reused, seed=seed)
+        assert again.trace == fresh.trace
+
+
+def test_scf_supply_follows_a_swapped_oracle():
+    # small is fastest under the true runtimes, large under swapped ones
+    w = chain_wf("w1", [{"small": 30, "large": 40}, {"small": 30, "large": 40}])
+    state = make_state([w])
+    policy = ScfPolicy()
+    assert policy.decide(view_for(state, budget=12)).diagnostics["supply"] == {
+        "small": 1, "large": 0
+    }
+
+    def swapped(task, rtype_id):
+        return task.runtime_by_type["large" if rtype_id == "small" else "small"]
+
+    view = dataclasses.replace(view_for(state, budget=12), oracle=swapped)
+    assert policy.decide(view).diagnostics["supply"] == {"small": 0, "large": 1}
+
+
 # -- placement -------------------------------------------------------------------
 
 
@@ -118,10 +153,10 @@ def test_typed_tasks_chain_on_one_resource():
     plan = build_plan(
         state, "u1", now=0, horizon_s=60, oracle=perfect_oracle,
         workflow_order=["w1"],
-        typed={state.handle("w1", "a"): "small", state.handle("w1", "b"): "small"},
+        typed={handle(state, "w1", "a"): "small", handle(state, "w1", "b"): "small"},
         extra_resources=[],
     )
-    by_task = {(e.wf_id, e.task_id): e for e in plan.entries()}
+    by_task = {state.ref(e.task): e for e in plan.entries()}
     assert by_task[("w1", "a")].start_s == 0
     assert by_task[("w1", "a")].end_s == 20
     assert by_task[("w1", "b")].start_s == 20
@@ -144,7 +179,7 @@ def test_planner_respects_precedence():
     state.reserve(state.resources[0], "u1", now=0)
     state.reserve(state.resources[1], "u1", now=0)
     plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"], {}, [])
-    by_task = {(e.wf_id, e.task_id): e for e in plan.entries()}
+    by_task = {state.ref(e.task): e for e in plan.entries()}
     # the child cannot start before its parent ends, even on the idle twin
     assert by_task[("w1", "t1")].start_s >= by_task[("w1", "t0")].end_s
 
@@ -154,10 +189,10 @@ def test_planner_pins_running_tasks():
     state = make_state([w])
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
-    state.start_task(state.handle("w1", "t0"), r, now=0)
+    state.start_task(handle(state, "w1", "t0"), r, now=0)
     plan = build_plan(state, "u1", now=10, horizon_s=70, oracle=perfect_oracle,
                       workflow_order=["w1"], typed={}, extra_resources=[])
-    by_task = {(e.wf_id, e.task_id): e for e in plan.entries()}
+    by_task = {state.ref(e.task): e for e in plan.entries()}
     pinned = by_task[("w1", "t0")]
     assert pinned.pinned
     assert (pinned.start_s, pinned.end_s) == (0, 25)
@@ -180,7 +215,7 @@ def test_typed_task_with_absent_type_planned_in_second_phase():
     state = make_state([w])
     state.reserve(state.resources[0], "u1", now=0)  # a small machine
     plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"],
-                      typed={state.handle("w1", "a"): "large"}, extra_resources=[])
+                      typed={handle(state, "w1", "a"): "large"}, extra_resources=[])
     entry = plan.entries()[0]
     assert entry.resource_id == 0
     assert entry.end_s - entry.start_s == 10  # ran on small after all
@@ -200,22 +235,22 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
     slots and phase 1, then a phase 2 that scans every unfinished task of
     each workflow in topological order and places those whose parents are
     all finished or planned. Tasks, parents and order come from the specs,
-    and a task's status from its handle."""
+    and a task's status and plan entry from its handle."""
     plan = ExecutionPlan()
     task_of = {(w.spec.id, t.id): t for w in state.runs.values() for t in w.spec.tasks}
 
     def status(wf_id, task_id):
         run = state.runs[wf_id]
-        return run.status[state.handle(wf_id, task_id) - run.base]
+        return run.status[handle(state, wf_id, task_id) - run.base]
 
     slots = []
     for r in state.user_resources(user):
         if r.state is ResourceState.BUSY:
             wf_id, task_id = state.ref(r.running)
             run = state.runs[wf_id]
-            start = run.task_start_s[state.handle(wf_id, task_id) - run.base]
+            start = run.task_start_s[r.running - run.base]
             end = start + oracle(task_of[(wf_id, task_id)], r.rtype.id)
-            plan.add(PlanEntry(r.id, wf_id, task_id, start, end, pinned=True))
+            plan.add(PlanEntry(r.id, r.running, start, end, pinned=True))
             slots.append((r.id, r.rtype.id, end))
         elif r.state is ResourceState.BOOTING:
             slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s)))
@@ -233,13 +268,13 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
         if found is not None:
             rid, slot_type, _free = candidates[found[0]]
             end = found[1] + oracle(task_of[(wf_id, task_id)], slot_type)
-            plan.add(PlanEntry(rid, wf_id, task_id, found[1], end))
+            plan.add(PlanEntry(rid, handle(state, wf_id, task_id), found[1], end))
             available[rid] = end
 
     rank = {wf_id: k for k, wf_id in enumerate(workflow_order)}
     for h in sorted((h for h in typed if state.ref(h)[0] in rank),
                     key=lambda h: (rank[state.ref(h)[0]], h)):
-        if any(s[1] == typed[h] for s in slots) and state.ref(h) not in plan.by_task:
+        if any(s[1] == typed[h] for s in slots) and h not in plan.by_task:
             place(*state.ref(h), now, typed[h])
     for wf_id in workflow_order:
         if min(available.values()) >= horizon_s:
@@ -247,13 +282,14 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
         spec = state.runs[wf_id].spec
         parents, _ = edge_maps(spec)
         for task_id in reference_order(spec):
-            if status(wf_id, task_id) is TaskStatus.FINISHED or (wf_id, task_id) in plan.by_task:
+            if (status(wf_id, task_id) is TaskStatus.FINISHED
+                    or handle(state, wf_id, task_id) in plan.by_task):
                 continue
             ready = now
             for parent in parents[task_id]:
                 if status(wf_id, parent) is TaskStatus.FINISHED:
                     continue
-                entry = plan.by_task.get((wf_id, parent))
+                entry = plan.by_task.get(handle(state, wf_id, parent))
                 if entry is None:
                     break
                 ready = max(ready, entry.end_s)
@@ -458,7 +494,7 @@ def test_running_task_counted_at_actual_type_and_remaining_time():
     state = make_state([w])
     large = next(r for r in state.resources if r.rtype.id == "large")
     state.reserve(large, "u1", now=0)
-    state.start_task(state.handle("w1", "a"), large, now=0)
+    state.start_task(handle(state, "w1", "a"), large, now=0)
     decision = ScfPolicy().decide(view_for(state, budget=12, now=30))
     # 20 s left on the large it actually occupies
     assert decision.diagnostics["supply"] == {"small": 0, "large": 1}
@@ -479,7 +515,7 @@ def test_scf_plan_orders_workflows_by_priority():
     state.reserve(state.resources[0], "u1", now=0)
     decision = ScfPolicy().decide(view_for(state, budget=1))
     entries = sorted(decision.plan.entries(), key=lambda e: e.start_s)
-    assert entries[0].wf_id == "wb"  # higher priority first
+    assert state.ref(entries[0].task)[0] == "wb"  # higher priority first
 
 
 def test_scf_overcommitted_raises():

@@ -16,6 +16,7 @@ from conftest import (
     chain_wf,
     diamond_wf,
     edge_maps,
+    handle,
     reference_order,
     small_only_system,
     two_type_system,
@@ -115,7 +116,7 @@ def brute_finished(state, user, status, finished):
 
 def check_handles(state):
     """Handles are dense, ascend in arrival then topological order, and
-    convert to and from (workflow id, task id) through one lookup each."""
+    ``ref`` names each one's (workflow id, task id)."""
     base = 0
     for wf_id, run in state.runs.items():  # insertion order is arrival order
         assert run.base == base
@@ -123,7 +124,6 @@ def check_handles(state):
         for i, tid in enumerate(order):
             h = base + i
             assert state.task_runs[h] is run
-            assert state.handle(wf_id, tid) == h
             assert state.ref(h) == (wf_id, tid)
         base += len(order)
     assert len(state.task_runs) == base
@@ -148,7 +148,7 @@ def check_queries(state, finished, running):
         assert run.unfinished == sum(status[(wf_id, t.id)] is not TaskStatus.FINISHED
                                      for t in run.spec.tasks)
     for ref, rid in running.items():
-        assert state.resources[rid].running == state.handle(*ref)
+        assert state.resources[rid].running == handle(state, *ref)
         assert state.resources[rid].state is ResourceState.BUSY
     for t in TYPES:
         free = [r for r in state.resources if r.state is ResourceState.DOWN and r.rtype.id == t]
@@ -172,7 +172,7 @@ def check_queries(state, finished, running):
         }
         eligible = brute_eligible(state, u, status)
         assert refs(state.eligible_tasks(u)) == eligible
-        assert state.next_eligible(u) == (state.handle(*eligible[0]) if eligible else None)
+        assert state.next_eligible(u) == (handle(state, *eligible[0]) if eligible else None)
         n_running = len(of_user(state, u, status, (TaskStatus.RUNNING,)))
         assert state.momentary_demand(u) == n_running + len(eligible)
         nodes, edges = state.joint_dag(u)
@@ -261,7 +261,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             ]
             if pairs:
                 ref, r = data.draw(st.sampled_from(pairs))
-                state.start_task(state.handle(*ref), r, now)
+                state.start_task(handle(state, *ref), r, now)
                 running[ref] = r.id
         elif op == "dispatch":
             u = data.draw(st.sampled_from(USERS))
@@ -276,7 +276,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
         elif op == "finish":
             if running:
                 ref = data.draw(st.sampled_from(sorted(running)))
-                state.finish_task(state.handle(*ref), now)
+                state.finish_task(handle(state, *ref), now)
                 finished[ref] = running.pop(ref)
         elif op == "release":
             due = [
@@ -301,7 +301,7 @@ def test_out_of_order_starts_keep_dispatch_order(priorities, started):
         state.reserve(r, "u1", 0)
     idle = state.idle_resources("u1")
     for i in sorted(started):
-        state.start_task(state.handle(f"w{i}", "a"), idle.pop(), 0)
+        state.start_task(handle(state, f"w{i}", "a"), idle.pop(), 0)
     status = brute_status(state, {}, {(f"w{i}", "a") for i in started})
     expected = brute_eligible(state, "u1", status)
     assert [state.ref(h) for h, _ in dispatch_dynamic(state, "u1", 0)] == expected
