@@ -7,7 +7,7 @@ and a small integer-programming baseline for desk-size instances.
 """
 
 from .dagops import WorkflowGraph, ideal_makespan, validate_workflow
-from .engine import RunResult, poisson_arrivals, run
+from .engine import RunResult, poisson_arrivals, run, validate_inputs
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
 from .model import (
     BudgetTooSmall,
@@ -75,5 +75,6 @@ __all__ = [
     "save_workload",
     "slowdown",
     "summarize",
+    "validate_inputs",
     "validate_workflow",
 ]

@@ -269,6 +269,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     users = parse_users(config["users"])
     parse_policy(config["policy"])  # reject a bad policy before any work
     workflows = load_run_workload(config, config_path.parent, system)
+    # invalid input exits before --out is created
+    held = [t for t, count in system.capacity.items() if count > 0]
+    engine.validate_inputs(workflows, [u.id for u in users], [t.id for t in system.types], held)
     seed = config.get("seed", 0) if args.seed is None else args.seed
     reps = int(config.get("replications", 1))
     collect_plans = bool(config.get("collect_plans", False))

@@ -209,6 +209,40 @@ def poisson_arrivals(
     return out
 
 
+def validate_inputs(
+    workflows: list[WorkflowSpec], users: list[str], types: list[str], held: list[str]
+) -> list[WorkflowGraph]:
+    """Check a workload and return its compiled graphs in input order.
+
+    ``users`` are user ids; a runtime may name only ``types`` (another would
+    enter the ideal makespan), and each task needs one on every ``held``
+    type. The first invalid workflow raises :class:`WorkloadInvalid` with
+    the issues of its first failing check.
+    """
+    user_ids: set[str] = set()
+    for u in users:
+        if u in user_ids:
+            raise ValueError(f"duplicate user id {u!r}")
+        user_ids.add(u)
+    type_ids, held_types = set(types), set(held)
+    graphs: dict[str, WorkflowGraph] = {}
+    for wf in workflows:
+        if wf.id in graphs:
+            raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
+        issues = validate_workflow(wf, graphs)
+        if not issues and wf.user not in user_ids:
+            issues = [f"UnknownUser({wf.user})"]
+        if not issues:
+            named = set().union(*(t.runtime_by_type for t in wf.tasks))
+            issues = [f"UnknownType({t})" for t in sorted(named - type_ids)]
+        if not issues:
+            missing = set().union(*(held_types.difference(t.runtime_by_type) for t in wf.tasks))
+            issues = [f"MissingType({t})" for t in sorted(missing)]
+        if issues:
+            raise WorkloadInvalid(wf.id, issues)
+    return list(graphs.values())
+
+
 class _Sim:
     """One simulation in progress."""
 
@@ -221,34 +255,9 @@ class _Sim:
         seed: int,
         collect_plans: bool,
     ):
-        user_ids: set[str] = set()
-        for u in users:
-            if u.id in user_ids:
-                raise ValueError(f"duplicate user id {u.id!r}")
-            user_ids.add(u.id)
-        type_ids = {t.id for t in system.types}
-        held_types = {t for t in type_ids if system.capacity.get(t, 0) > 0}
-        graphs: dict[str, WorkflowGraph] = {}
-        for wf in workflows:
-            if wf.id in graphs:
-                raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
-            issues = validate_workflow(wf, graphs)
-            if not issues and wf.user not in user_ids:
-                issues = [f"UnknownUser({wf.user})"]
-            if not issues:
-                # a runtime on a type the system lacks would enter the ideal
-                # makespan
-                named = set().union(*(task.runtime_by_type for task in wf.tasks))
-                issues = [f"UnknownType({t})" for t in sorted(named - type_ids)]
-            if not issues:
-                # every task needs a runtime on each type it may be placed
-                # on; a type with no machines needs none
-                missing = set().union(
-                    *(held_types.difference(task.runtime_by_type) for task in wf.tasks)
-                )
-                issues = [f"MissingType({t})" for t in sorted(missing)]
-            if issues:
-                raise WorkloadInvalid(wf.id, issues)
+        self.type_ids = [t.id for t in system.types]
+        held = [t for t, count in system.capacity.items() if count > 0]
+        graphs = validate_inputs(workflows, [u.id for u in users], self.type_ids, held)
         self.system = system
         self.users = users
         self.policy = policy
@@ -259,7 +268,6 @@ class _Sim:
         self.rng = random.Random(seed)
         self.heap: list[tuple[int, int, int, object]] = []
         self.push_seq = itertools.count()
-        self.type_ids = [t.id for t in system.types]
         self.plan_runner = PlanRunner() if policy.mode == "plan" else None
         self.trace: list[tuple] = []
         self.snapshots: list[IntervalSnapshot] = []
@@ -270,7 +278,7 @@ class _Sim:
         self.ticks = 0
         self.wake_times: set[tuple[str, int]] = set()
 
-        for graph in graphs.values():
+        for graph in graphs:
             self.push(graph.spec.arrival_s, _ARRIVAL, graph)
         self.push(0, _TICK, None)
 
@@ -508,4 +516,5 @@ __all__ = [
     "TRACE_COLUMNS",
     "poisson_arrivals",
     "run",
+    "validate_inputs",
 ]

@@ -20,8 +20,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dagops import WorkflowGraph, critical_path_length, validate_workflow
-from .model import ModelError, WorkflowSpec, WorkloadInvalid, workflow_to_dict, workflow_from_dict
+from .dagops import critical_path_length
+from .engine import validate_inputs
+from .metrics import slowdown
+from .model import ModelError, WorkflowSpec, workflow_to_dict, workflow_from_dict
 
 
 class HorizonTooShort(ModelError):
@@ -131,18 +133,14 @@ def trivial_horizon(
     budget: int,
     resources: list[tuple[str, int]],
 ) -> int:
-    """Slots needed to run everything back to back on one resource, the
-    cheapest affordable one when any is affordable."""
+    """Slots needed to run everything back to back on one resource of the
+    type needing fewest slots among those the budget affords (all if none)."""
     affordable = [r for r in resources if r[1] <= budget] or list(resources)
     last_arrival = max(wf.arrival_s // slot_s + 1 for wf in workflows)
-    best = None
-    for rtype, _cost in affordable:
-        total = sum(
-            _slots(t.runtime_by_type[rtype], slot_s) for wf in workflows for t in wf.tasks
-        )
-        need = last_arrival - 1 + total
-        best = need if best is None else min(best, need)
-    return best
+    return last_arrival - 1 + min(
+        sum(_slots(t.runtime_by_type[rtype], slot_s) for wf in workflows for t in wf.tasks)
+        for rtype, _cost in affordable
+    )
 
 
 def build_instance(
@@ -168,19 +166,8 @@ def build_instance(
     users = {wf.user for wf in workflows}
     if len(users) > 1:
         raise ValueError("the model covers a single user's workload")
-    listed = {rtype for rtype, _cost in resources}
-    graphs: dict[str, WorkflowGraph] = {}
-    for wf in workflows:
-        if wf.id in graphs:
-            raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
-        issues = validate_workflow(wf, graphs)
-        if not issues:
-            # each task needs a runtime on every listed type; one on an
-            # extra type is ignored
-            missing = set().union(*(listed.difference(t.runtime_by_type) for t in wf.tasks))
-            issues = [f"MissingType({t})" for t in sorted(missing)]
-        if issues:
-            raise WorkloadInvalid(wf.id, issues)
+    listed = [rtype for rtype, _cost in resources]
+    graphs = validate_inputs(workflows, list(users), listed, listed)
 
     res = tuple(
         MipResource(k + 1, rtype, cost) for k, (rtype, cost) in enumerate(resources)
@@ -188,7 +175,7 @@ def build_instance(
     tasks: list[MipTask] = []
     wf_rows: list[MipWorkflow] = []
     specs = tuple(workflows)
-    for w, (wf, graph) in enumerate(zip(specs, graphs.values()), start=1):
+    for w, (wf, graph) in enumerate(zip(specs, graphs), start=1):
         arrival_slot = wf.arrival_s // slot_s + 1
         first = len(tasks) + 1  # the index of the workflow's topological index 0
         for i, (task, ps) in enumerate(zip(graph.tasks, graph.parents)):
@@ -701,8 +688,8 @@ def compare(
         rows.append(
             {
                 "workflow": wf.wf_id,
-                "optimal_slowdown": (opt_end_s - spec.arrival_s) / wf.ideal_s,
-                "heuristic_slowdown": (finishes[wf.wf_id] - spec.arrival_s) / wf.ideal_s,
+                "optimal_slowdown": slowdown(spec.arrival_s, opt_end_s, wf.ideal_s),
+                "heuristic_slowdown": slowdown(spec.arrival_s, finishes[wf.wf_id], wf.ideal_s),
             }
         )
     return rows

@@ -11,6 +11,10 @@ import json
 import sys
 from pathlib import Path
 
+from conftest import chain_wf, small_only_system, users
+from wfasim import engine, mip
+from wfasim.policies import PfaPolicy
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -30,3 +34,24 @@ def test_tracer_installs_every_declared_boundary():
         assert boundaries - tracer.installed == set()
     finally:
         tracer.uninstall()
+
+
+def test_engine_and_mip_validate_each_workflow_at_the_traced_boundary():
+    # dagops.validate_s is measured at engine.validate_workflow; a validator
+    # that stopped calling through that name would read 0 without failing
+    sys.path.insert(0, str(ROOT / "wfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "wfbench"))
+    workflows = [chain_wf("w1", [{"small": 10}] * 2), chain_wf("w2", [{"small": 5}])]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        engine.run(workflows, small_only_system(), users(("u1", 10)), PfaPolicy())
+        in_run = [s[0] for s in tracer.spans].count("dagops.validate")
+        mip.build_instance(workflows[:1], 5, 2, 6, [("small", 1)])
+        in_build = [s[0] for s in tracer.spans].count("dagops.validate") - in_run
+    finally:
+        tracer.uninstall()
+    assert (in_run, in_build) == (2, 1)

@@ -7,7 +7,7 @@ import pytest
 from conftest import chain_wf
 from wfasim import mip
 from wfasim.cli import main, parse_policy
-from wfasim.model import load_workload
+from wfasim.model import load_workload, workflow_to_dict
 
 SIZE_SMALL = {"log_median": 6, "log_sigma": 0.4, "min_tasks": 4, "max_tasks": 12}
 
@@ -314,6 +314,7 @@ def test_run_rejects_workflow_of_unlisted_user(tmp_path, capsys):
     })
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "UnknownUser(ghost)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_runtime_on_unknown_type(tmp_path, capsys):
@@ -325,20 +326,24 @@ def test_run_rejects_runtime_on_unknown_type(tmp_path, capsys):
     config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "UnknownType(huge)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mip_compare_rejects_runtime_on_a_type_the_instance_lacks(tmp_path, capsys):
-    # The instance holds only small machines. Solving ignores the large
-    # runtimes, but compare simulates on a system of the instance's types,
-    # and the engine rejects a runtime on a type that system lacks.
+    # The instance holds only small machines. A large runtime would set the
+    # ideal makespan that compare divides by, so every subcommand rejects it
+    # before writing, as run rejects a runtime on a type the system lacks.
     spec = chain_wf("c2", [{"small": 10, "large": 5}] * 2)
-    inst = mip.build_instance([spec], 5, 2, 6, [("small", 1), ("small", 1)])
-    path = tmp_path / "inst.json"
-    mip.save_instance(inst, path)
-    assert main(["mip", "solve", "--instance", str(path)]) == 0
-    assert main(["mip", "compare", "--instance", str(path)]) == 2
-    assert "UnknownType(large)" in capsys.readouterr().err
-    assert not path.with_suffix(".compare.csv").exists()
+    path = write_json(tmp_path / "inst.json", {
+        "schema": "wfasim-mip-1", "slot_s": 5, "slots_per_billing": 2, "budget": 6,
+        "resources": [{"type": "small", "cost": 1}] * 2,
+        "workflows": [workflow_to_dict(spec)],
+    })
+    for cmd, suffix in (("export", ".lp"), ("solve", ".solution.json"),
+                        ("compare", ".compare.csv")):
+        assert main(["mip", cmd, "--instance", str(path)]) == 2
+        assert "UnknownType(large)" in capsys.readouterr().err
+        assert not path.with_suffix(suffix).exists()
 
 
 def test_mip_rejects_task_without_runtime_on_a_listed_type(instance_path, capsys):
@@ -359,6 +364,7 @@ def test_run_rejects_task_without_runtime_on_a_held_type(tmp_path, capsys):
     config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "MissingType(large)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_that_cannot_progress_exits_2(tmp_path, capsys):
@@ -373,6 +379,7 @@ def test_run_rejects_duplicate_user_ids(tmp_path, capsys):
     config = run_config(tmp_path, users=[{"id": "u1", "budget": 20}, {"id": "u1", "budget": 9}])
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "duplicate user id 'u1'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_duplicate_workflow_ids(tmp_path, capsys):
@@ -384,6 +391,7 @@ def test_run_rejects_duplicate_workflow_ids(tmp_path, capsys):
     config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "DuplicateWorkflow" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("arrivals,message", [

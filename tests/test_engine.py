@@ -10,7 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import HoldPolicy, chain_wf, small_only_system, two_type_system, users, wf
-from wfasim import dagops, engine
+from wfasim import dagops, engine, mip
 from wfasim.model import (
     BudgetTooSmall,
     BudgetViolation,
@@ -325,6 +325,28 @@ def test_duplicate_user_id_rejected_before_the_run():
     w = wf("w1", [("a", {"small": 10})])
     with pytest.raises(ValueError, match="duplicate user id 'u1'"):
         engine.run([w], two_type_system(), users(("u1", 10), ("u1", 20)), PfaPolicy())
+
+
+BOTH = {"small": 10, "large": 5}
+
+
+@pytest.mark.parametrize("invalid,issues", [
+    ([wf("w1", [("a", BOTH)]), wf("w1", [("b", BOTH)])], ["DuplicateWorkflow"]),
+    ([wf("w1", [("a", BOTH), ("b", BOTH)], edges=[("a", "b"), ("b", "a")])], ["CycleDetected"]),
+    ([wf("w1", [("a", BOTH)], edges=[("a", "x")])], ["DanglingEdge(a->x)"]),
+    ([chain_wf("w1", [BOTH, {**BOTH, "huge": 1}])], ["UnknownType(huge)"]),
+    ([chain_wf("w1", [BOTH, {"small": 10}])], ["MissingType(large)"]),
+], ids=["duplicate", "cycle", "dangling", "unknown-type", "missing-type"])
+def test_engine_and_mip_reject_the_same_workload_alike(invalid, issues):
+    # one validator: the simulator and the slot-grid model reject the same
+    # single-user workloads, naming the same workflow and issues
+    workflows = [wf("w0", [("a", BOTH)]), *invalid]
+    with pytest.raises(WorkloadInvalid) as sim_err:
+        run(workflows)
+    with pytest.raises(WorkloadInvalid) as mip_err:
+        mip.build_instance(workflows, 5, 2, 6, [("small", 1), ("large", 5)])
+    assert (sim_err.value.workflow_id, sim_err.value.issues) == ("w1", issues)
+    assert (mip_err.value.workflow_id, mip_err.value.issues) == ("w1", issues)
 
 
 def test_reused_pfa_policy_repeats_its_run():

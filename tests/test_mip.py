@@ -235,9 +235,12 @@ def test_build_rejects_task_without_runtime_on_a_listed_type():
         build_instance([spec], 5, 2, 6, [("small", 1), ("large", 5)])
     assert err.value.workflow_id == "c2"
     assert err.value.issues == ["MissingType(large)"]
-    # a runtime on a type the instance does not list is ignored
-    inst = build_instance([spec], 5, 2, 6, [("small", 1)])
-    assert [t.runtimes for t in inst.tasks] == [(2,), (2,)]
+    # a runtime on a type the instance does not list would enter the ideal
+    # makespan, so it is rejected as the engine rejects it
+    with pytest.raises(WorkloadInvalid) as err:
+        build_instance([spec], 5, 2, 6, [("small", 1)])
+    assert err.value.workflow_id == "c2"
+    assert err.value.issues == ["UnknownType(large)"]
 
 
 # -- LP text ------------------------------------------------------------------
