@@ -265,6 +265,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if config.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"config: schema must be {CONFIG_SCHEMA!r}")
+    seed = config.get("seed", 0)
+    reps = config.get("replications", 1)
+    collect_plans = config.get("collect_plans", False)
+    if type(seed) is not int:  # a bool is an int to isinstance
+        raise ConfigError(f"config: seed must be an int, got {seed!r}")
+    if type(reps) is not int or reps < 1:
+        raise ConfigError(f"config: replications must be an int >= 1, got {reps!r}")
+    if not isinstance(collect_plans, bool):
+        raise ConfigError(f"config: collect_plans must be true or false, got {collect_plans!r}")
     system = parse_system(config["system"])
     users = parse_users(config["users"])
     parse_policy(config["policy"])  # reject a bad policy before any work
@@ -272,9 +281,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     # invalid input exits before --out is created
     held = [t for t, count in system.capacity.items() if count > 0]
     engine.validate_inputs(workflows, [u.id for u in users], [t.id for t in system.types], held)
-    seed = config.get("seed", 0) if args.seed is None else args.seed
-    reps = int(config.get("replications", 1))
-    collect_plans = bool(config.get("collect_plans", False))
+    if args.seed is not None:
+        seed = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -395,6 +403,13 @@ def cmd_mip(args: argparse.Namespace) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfasim", description="budget-constrained autoscaling simulator"
@@ -404,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a workload under a policy")
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel replications")
+    p_run.add_argument("--jobs", type=_positive_int, default=1, help="parallel replications")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -264,7 +264,7 @@ class _Sim:
         self.seed = seed
         self.collect_plans = collect_plans
         self.state = SystemState(system, users)
-        self.task_runs = self.state.task_runs
+        self.task_runs, self.tasks = self.state.task_runs, self.state.tasks
         self.rng = random.Random(seed)
         self.heap: list[tuple[int, int, int, object]] = []
         self.push_seq = itertools.count()
@@ -276,7 +276,6 @@ class _Sim:
         self.plan_rows: list[dict] = []
         self.arrivals_left = len(workflows)
         self.ticks = 0
-        self.wake_times: set[tuple[str, int]] = set()
 
         for graph in graphs:
             self.push(graph.spec.arrival_s, _ARRIVAL, graph)
@@ -313,14 +312,11 @@ class _Sim:
 
     def on_finish(self, now: int, h: int) -> None:
         run = self.task_runs[h]
-        i = h - run.base
-        rid = run.task_resource[i]
+        rid = self.state.machine[h]
         rtype_id = self.state.resources[rid].rtype.id
         self.state.finish_task(h, now)
         spec = run.spec
-        self.trace.append(
-            (now, "finish", spec.user, spec.id, run.graph.topo_order[i], rid, rtype_id, "")
-        )
+        self.trace.append((now, "finish", spec.user, spec.id, self.tasks[h].id, rid, rtype_id, ""))
         if run.done:
             self.trace.append((now, "workflow_done", spec.user, spec.id, "", "", "",
                                f"arrival={spec.arrival_s}"))
@@ -430,10 +426,8 @@ class _Sim:
                 if self.system.boot_delay_s > 0:
                     self.push(now + self.system.boot_delay_s, _BOOT, rid)
         if decision.plan is not None and self.plan_runner is not None:
-            wake_times = self.plan_runner.install(uid, decision.plan)
-            for when in wake_times:
-                if when > now and (uid, when) not in self.wake_times:
-                    self.wake_times.add((uid, when))
+            for when in self.plan_runner.install(uid, decision.plan):
+                if when > now:
                     self.push(when, _WAKE, uid)
             if self.collect_plans:
                 for e in decision.plan.entries():
@@ -452,14 +446,12 @@ class _Sim:
             assignments = self.plan_runner.dispatch(self.state, uid, now)
         else:
             assignments = dispatch_dynamic(self.state, uid, now)
-        resources, trace = self.state.resources, self.trace
+        resources, trace, runs, tasks = self.state.resources, self.trace, self.task_runs, self.tasks
         for h, rid in assignments:
-            run = self.task_runs[h]
-            i = h - run.base
-            rtype_id = resources[rid].rtype.id
-            runtime = run.graph.tasks[i].runtime_by_type[rtype_id]
+            task, rtype_id = tasks[h], resources[rid].rtype.id
+            runtime = task.runtime_by_type[rtype_id]
             self.push(now + runtime, _FINISH, h)
-            trace.append((now, "start", uid, run.spec.id, run.graph.topo_order[i], rid,
+            trace.append((now, "start", uid, runs[h].spec.id, task.id, rid,
                           rtype_id, f"runtime={runtime}"))
 
     # -- main loop ---------------------------------------------------------------
@@ -473,7 +465,6 @@ class _Sim:
             elif rank == _BOOT:
                 self.on_boot(when, data)
             elif rank == _WAKE:
-                self.wake_times.discard((data, when))
                 self.dispatch(data, when)
             elif rank == _ARRIVAL:
                 self.on_arrival(when, data)

@@ -217,19 +217,49 @@ def workflow_to_dict(spec: WorkflowSpec) -> dict:
     }
 
 
+def _as_int(value: object, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: expected an integer, got {value!r}") from None
+
+
 def workflow_from_dict(data: Mapping) -> WorkflowSpec:
-    tasks = tuple(
-        TaskSpec(id=t["id"], runtime_by_type={k: int(v) for k, v in t["runtimes"].items()})
-        for t in data["tasks"]
-    )
-    edges = tuple((p, c) for p, c in data["edges"])
+    """Read one workflow of the interchange format. A missing or mistyped
+    field raises ValueError naming it."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"workflow: expected an object, got {data!r}")
+    where = f"workflow {data.get('id')!r}"
+    missing = [k for k in ("id", "user", "priority", "arrival_s", "tasks", "edges")
+               if k not in data]
+    if missing:
+        raise ValueError(f"{where}: missing fields {missing}")
+    for key in ("id", "user"):
+        if not isinstance(data[key], str):
+            raise ValueError(f"{where}: {key} must be a string")
+    if not isinstance(data["tasks"], (list, tuple)):
+        raise ValueError(f"{where}: tasks must be a list")
+    tasks = []
+    for t in data["tasks"]:
+        if not (isinstance(t, Mapping) and isinstance(t.get("id"), str)
+                and isinstance(t.get("runtimes"), Mapping)):
+            raise ValueError(f"{where}: each task needs a string id and a runtimes object")
+        runtimes = {k: _as_int(v, f"{where}: task {t['id']!r}: runtime on {k!r}")
+                    for k, v in t["runtimes"].items()}
+        tasks.append(TaskSpec(id=t["id"], runtime_by_type=runtimes))
+    edges = data["edges"]
+    if not (isinstance(edges, (list, tuple)) and all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(x, str) for x in e)
+        for e in edges
+    )):
+        raise ValueError(f"{where}: edges must be a list of [parent, child] task ids")
     return WorkflowSpec(
         id=data["id"],
         user=data["user"],
-        priority=int(data["priority"]),
-        arrival_s=int(data["arrival_s"]),
-        tasks=tasks,
-        edges=edges,
+        priority=_as_int(data["priority"], f"{where}: priority"),
+        arrival_s=_as_int(data["arrival_s"], f"{where}: arrival_s"),
+        tasks=tuple(tasks),
+        edges=tuple((p, c) for p, c in edges),
     )
 
 
@@ -240,6 +270,8 @@ def save_workload(workflows: Iterable[WorkflowSpec], path: str | Path) -> None:
 
 def load_workload(path: str | Path) -> list[WorkflowSpec]:
     payload = json.loads(Path(path).read_text())
+    if not (isinstance(payload, dict) and isinstance(payload.get("workflows"), list)):
+        raise ValueError(f"workload {path}: expected an object with a workflows list")
     return [workflow_from_dict(w) for w in payload["workflows"]]
 
 

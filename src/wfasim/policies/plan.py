@@ -94,15 +94,13 @@ def build_plan(
     """
     plan = ExecutionPlan()
     add, planned = plan.add, plan.by_task
-    runs = state.task_runs
+    runs, tasks = state.task_runs, state.tasks
     slots: list[tuple[int, str, int]] = []  # (id, type id, next free time)
     for r in state.user_resources(user):
         if r.state is _BUSY and r.running is not None:
             h = r.running
-            run = runs[h]
-            i = h - run.base
-            start = run.task_start_s[i]
-            end = start + oracle(run.graph.tasks[i], r.rtype.id)
+            start = state.start_s[h]
+            end = start + oracle(tasks[h], r.rtype.id)
             add(PlanEntry(r.id, h, start, end, True))
             slots.append((r.id, r.rtype.id, end))
         elif r.state is _BOOTING:
@@ -143,8 +141,7 @@ def build_plan(
             if found is None:
                 return None
             pos, start = positions[found[0]], found[1]
-        run = runs[h]
-        end = start + oracle(run.graph.tasks[h - run.base], rtype_id)
+        end = start + oracle(tasks[h], rtype_id)
         add(_new_entry(PlanEntry, (slot_ids[pos], h, start, end, False)))
         available[pos] = end
         by_type[rtype_id][1][local[pos]] = end
@@ -169,6 +166,7 @@ def build_plan(
     # topological order, and a task is reached exactly when a scan in
     # topological order would find all its parents finished or planned.
     fronts: dict[str, list[int]] = {}
+    blocked = state.blocked
     for h in state.frontier(user):
         fronts.setdefault(runs[h].spec.id, []).append(h)
     for wf_id in workflow_order:
@@ -178,7 +176,6 @@ def build_plan(
         if not heap:
             continue
         heapq.heapify(heap)
-        blocked, base = runs[heap[0]].blocked_parents, runs[heap[0]].base
         left: dict[int, int] = {}  # children's parents still to be planned
         ready: dict[int, int] = {}  # children's latest planned parent end
         while heap:
@@ -193,7 +190,7 @@ def build_plan(
             for c in state.children(h):
                 if end > ready.get(c, now):
                     ready[c] = end
-                count = left.get(c, blocked[c - base]) - 1
+                count = left.get(c, blocked[c]) - 1
                 if count == 0:
                     heapq.heappush(heap, c)
                 else:
@@ -273,10 +270,8 @@ class _Planner(Policy):
             self._fastest_for = (state, oracle)
             self._fastest = ([], [])
         fast, fast_s = self._fastest
-        runs, types = state.task_runs, view.config.types
-        for h in range(len(fast), len(runs)):
-            run = runs[h]
-            task = run.graph.tasks[h - run.base]
+        tasks, types = state.tasks, view.config.types
+        for task in tasks[len(fast):]:
             rt = fastest_type(task, types, oracle)
             fast.append(rt)
             fast_s.append(oracle(task, rt.id))
@@ -362,16 +357,15 @@ class ScfPolicy(_Planner):
 
         supply: dict[str, int] = {t.id: 0 for t in types}
         fast, fast_s = self.fastest(view)
+        status, machine, start_s, tasks = state.status, state.machine, state.start_s, state.tasks
         unfinished = state.unfinished_tasks(user)
         active = list(unfinished)
-        for wf_id, handles in unfinished.items():
-            run = state.runs[wf_id]
+        for handles in unfinished.values():
             sums: dict[str, int] = {}
             for h in handles:
-                i = h - run.base
-                if run.status[i] is _RUNNING:
-                    rtype_id = state.resources[run.task_resource[i]].rtype.id
-                    left = run.task_start_s[i] + view.oracle(run.graph.tasks[i], rtype_id) - now
+                if status[h] is _RUNNING:
+                    rtype_id = state.resources[machine[h]].rtype.id
+                    left = start_s[h] + view.oracle(tasks[h], rtype_id) - now
                     sums[rtype_id] = sums.get(rtype_id, 0) + max(1, left)
                 else:
                     rtype_id = fast[h].id
@@ -386,13 +380,9 @@ class ScfPolicy(_Planner):
         wanted = {t.id: scaled[t.id] - have[t.id] for t in types}
         steps["scale"] = time.perf_counter() - t0
 
+        # active is in arrival sequence and the sort is stable
         order = sorted(
-            active,
-            key=lambda w: (
-                -state.runs[w].spec.priority,
-                state.runs[w].spec.arrival_s,
-                state.runs[w].base,
-            ),
+            active, key=lambda w: (-state.runs[w].spec.priority, state.runs[w].spec.arrival_s)
         )
         diagnostics = {"supply": supply, "scaled": scaled}
         return _plan_decision(view, wanted, headroom, order, {}, steps, diagnostics)

@@ -8,12 +8,14 @@ the pools below.
 Tasks are addressed by int handles. At arrival a workflow's run gets a base,
 the number of tasks that arrived before it, and its task at topological
 index ``i`` gets the handle ``base + i``. Handles are dense and ascend in
-arrival, then topological, order; ``SystemState.task_runs[h]`` is the run of
-task ``h``. Each run holds its per-task records in lists indexed by
-topological index: status, count of unfinished parents, start time and
-machine id. Plan entries carry handles too. String ids stay at the edges:
-the trace and the output files name tasks by ``(workflow id, task id)``,
-which ``ref`` reads off a handle.
+arrival, then topological, order. The per-task records are flat lists on
+``SystemState``, indexed by handle and extended at each arrival:
+``task_runs`` (the task's run), ``tasks`` (its ``TaskSpec``), ``status``,
+``blocked`` (count of unfinished parents), ``start_s`` and ``machine`` (the
+id of the machine it ran on). Only this module turns a topological index
+into a handle. Plan entries carry handles too. String ids stay at the
+edges: the trace and the output files name tasks by ``(workflow id, task
+id)``, which ``ref`` reads off a handle.
 
 Queries are served from indexes that the transitions below keep up to date,
 so no query scans every machine or re-sorts every eligible task. Each user
@@ -52,6 +54,7 @@ from .model import (
     Resource,
     ResourceState,
     SystemConfig,
+    TaskSpec,
     TaskStatus,
     UserConfig,
 )
@@ -62,8 +65,8 @@ _HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
 # Module constants: reading a member off the Enum class costs several
 # times a global read, and the transitions below run once per event.
 _DOWN, _IDLE, _BUSY = ResourceState.DOWN, ResourceState.IDLE, ResourceState.BUSY
-_ELIGIBLE, _RUNNING = TaskStatus.ELIGIBLE, TaskStatus.RUNNING
-_FINISHED = TaskStatus.FINISHED
+_PENDING, _ELIGIBLE = TaskStatus.PENDING, TaskStatus.ELIGIBLE
+_RUNNING, _FINISHED = TaskStatus.RUNNING, TaskStatus.FINISHED
 
 
 class UserIndex:
@@ -83,25 +86,18 @@ class UserIndex:
 
 
 class WorkflowRun:
-    """Execution record of one arrived workflow. Per-task lists are indexed
-    by topological index, that is by handle minus ``base``."""
+    """Execution record of one arrived workflow. Its tasks' records live in
+    the per-handle lists of ``SystemState``; its task at topological index
+    ``i`` has the handle ``base + i``."""
 
-    __slots__ = (
-        "spec", "graph", "base", "user_index", "status", "blocked_parents",
-        "task_start_s", "task_resource", "unfinished", "last_finish_s",
-    )
+    __slots__ = ("spec", "graph", "base", "user_index", "unfinished", "last_finish_s")
 
     def __init__(self, graph: WorkflowGraph, base: int, user_index: UserIndex):
-        n = len(graph.tasks)
         self.spec = graph.spec
         self.graph = graph
         self.base = base  # first handle; ascends in arrival order
         self.user_index = user_index
-        self.status = [TaskStatus.PENDING] * n
-        self.blocked_parents = list(map(len, graph.parents))
-        self.task_start_s = [0] * n
-        self.task_resource = [-1] * n
-        self.unfinished = n
+        self.unfinished = len(graph.tasks)
         self.last_finish_s: int | None = None
 
     @property
@@ -121,7 +117,13 @@ class SystemState:
             for _ in range(config.capacity.get(rtype.id, 0)):
                 self.resources.append(Resource(id=len(self.resources), rtype=rtype))
         self.runs: dict[str, WorkflowRun] = {}
-        self.task_runs: list[WorkflowRun] = []  # handle -> its run
+        # per-task records, indexed by handle (see the module docstring)
+        self.task_runs: list[WorkflowRun] = []
+        self.tasks: list[TaskSpec] = []
+        self.status: list[TaskStatus] = []
+        self.blocked: list[int] = []
+        self.start_s: list[int] = []
+        self.machine: list[int] = []
         self._type_ids = tuple(t.id for t in config.types)
         self._index = {u.id: UserIndex(self._type_ids) for u in users}
         self._free: dict[str, set[int]] = {t: set() for t in self._type_ids}
@@ -153,14 +155,12 @@ class SystemState:
     # -- handles ------------------------------------------------------------
 
     def ref(self, h: int) -> TaskRef:
-        run = self.task_runs[h]
-        return run.spec.id, run.graph.topo_order[h - run.base]
+        return self.task_runs[h].spec.id, self.tasks[h].id
 
     # -- workflow lifecycle -------------------------------------------------
 
-    @staticmethod
-    def _make_eligible(run: WorkflowRun, rec: UserIndex, h: int) -> None:
-        run.status[h - run.base] = _ELIGIBLE
+    def _make_eligible(self, run: WorkflowRun, rec: UserIndex, h: int) -> None:
+        self.status[h] = _ELIGIBLE
         rec.eligible += 1
         rec.frontier[h] = None
         heapq.heappush(rec.heap, (-run.spec.priority, run.spec.arrival_s, h))
@@ -174,9 +174,14 @@ class SystemState:
         if spec.user not in self.users:
             raise KeyError(f"unknown user {spec.user!r}")
         rec = self._index[spec.user]
-        base = len(self.task_runs)
+        base, n = len(self.tasks), len(graph.tasks)
         run = WorkflowRun(graph, base, rec)
-        self.task_runs.extend(repeat(run, len(graph.tasks)))
+        self.task_runs.extend(repeat(run, n))
+        self.tasks.extend(graph.tasks)
+        self.status.extend(repeat(_PENDING, n))
+        self.blocked.extend(map(len, graph.parents))
+        self.start_s.extend(repeat(0, n))
+        self.machine.extend(repeat(-1, n))
         for i, cs in enumerate(graph.children):
             rec.unfinished[base + i] = tuple([base + c for c in cs])
             if not graph.parents[i]:
@@ -185,15 +190,14 @@ class SystemState:
         return run
 
     def start_task(self, h: int, resource: Resource, now: int) -> None:
-        run = self.task_runs[h]
-        i = h - run.base
-        if run.status[i] is not _ELIGIBLE:
+        run, status = self.task_runs[h], self.status
+        if status[h] is not _ELIGIBLE:
             raise ValueError(f"task {'/'.join(self.ref(h))} not eligible")
         if resource.state is not _IDLE or resource.user != run.spec.user:
             raise ValueError(f"resource {resource.id} not idle for {run.spec.user}")
-        run.status[i] = _RUNNING
-        run.task_start_s[i] = now
-        run.task_resource[i] = resource.id
+        status[h] = _RUNNING
+        self.start_s[h] = now
+        self.machine[h] = resource.id
         rec = run.user_index
         rec.eligible -= 1
         self._move(resource, _BUSY)
@@ -204,52 +208,50 @@ class SystemState:
         # live ones; the heap then stays within twice the eligible count.
         heap = rec.heap
         if len(heap) > 2 * rec.eligible:
-            heap[:] = [e for e in heap if self.is_eligible(e[2])]
+            heap[:] = [e for e in heap if status[e[2]] is _ELIGIBLE]
             heapq.heapify(heap)
 
     def finish_task(self, h: int, now: int) -> None:
         """Complete a running task; its children whose last unfinished
         parent it was become eligible."""
         run = self.task_runs[h]
-        i = h - run.base
-        if run.status[i] is not _RUNNING:
+        if self.status[h] is not _RUNNING:
             raise ValueError(f"task {'/'.join(self.ref(h))} not running")
-        run.status[i] = _FINISHED
+        self.status[h] = _FINISHED
         run.unfinished -= 1
         if run.unfinished == 0:
             run.last_finish_s = now
         rec = run.user_index
         children = rec.unfinished.pop(h)
         del rec.frontier[h]
-        resource = self.resources[run.task_resource[i]]
+        resource = self.resources[self.machine[h]]
         rec.finished[resource.rtype.id] += 1
         self._move(resource, _IDLE)
         resource.running = None
         resource.idle_since_s = now
-        blocked, base = run.blocked_parents, run.base
+        blocked = self.blocked
         for c in children:
-            blocked[c - base] -= 1
-            if blocked[c - base] == 0:
+            blocked[c] -= 1
+            if blocked[c] == 0:
                 self._make_eligible(run, rec, c)
 
     # -- queries ------------------------------------------------------------
 
     def is_eligible(self, h: int) -> bool:
-        run = self.task_runs[h]
-        return run.status[h - run.base] is _ELIGIBLE
+        return self.status[h] is _ELIGIBLE
 
     def eligible_tasks(self, user: str) -> list[int]:
         """Eligible tasks of a user in deterministic dispatch order."""
         # handles are unique, so sorting the entries compares ints only
-        return [e[2] for e in sorted(self._index[user].heap) if self.is_eligible(e[2])]
+        status = self.status
+        return [e[2] for e in sorted(self._index[user].heap) if status[e[2]] is _ELIGIBLE]
 
     def next_eligible(self, user: str) -> int | None:
         """The user's first eligible task in dispatch order, or None."""
-        heap, runs = self._index[user].heap, self.task_runs
+        heap, status = self._index[user].heap, self.status
         while heap:
             h = heap[0][2]
-            run = runs[h]
-            if run.status[h - run.base] is _ELIGIBLE:
+            if status[h] is _ELIGIBLE:
                 return h
             heapq.heappop(heap)
         return None
@@ -325,8 +327,7 @@ class SystemState:
 
     def unfinished_parents(self, h: int) -> int:
         """How many parents of one unfinished task are unfinished."""
-        run = self.task_runs[h]
-        return run.blocked_parents[h - run.base]
+        return self.blocked[h]
 
     def joint_dag(self, user: str) -> tuple[list[int], list[tuple[int, int]]]:
         """Unfinished tasks of the user's arrived workflows, with the

@@ -404,3 +404,80 @@ def test_run_rejects_arrivals_without_a_positive_rate(tmp_path, capsys, arrivals
     config = run_config(tmp_path, workload={"genspec": genspec(count=2), "arrivals": arrivals})
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replications", 0), ("replications", -2), ("replications", True),
+    ("seed", "3"), ("seed", 3.5), ("seed", True),
+    ("collect_plans", "no"),
+])
+def test_run_rejects_bad_config_scalar_before_writing(tmp_path, capsys, key, value):
+    config = run_config(tmp_path, **{key: value})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {key} must be")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    config = run_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+DROP = object()  # parametrize value: delete the field
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("edges", DROP, "missing fields ['edges']"),
+    ("tasks", 5, "tasks must be a list"),
+    ("priority", None, "priority: expected an integer"),
+    ("edges", [["t0"]], "edges must be a list of [parent, child]"),
+    ("runtimes", DROP, "runtimes object"),
+    ("runtimes", {"small": None}, "runtime on 'small': expected an integer"),
+])
+def test_run_rejects_malformed_workload_file_naming_the_field(
+    tmp_path, capsys, field, value, named
+):
+    spec = write_json(tmp_path / "spec.json", genspec(count=2))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "wl.json")]) == 0
+    doc = json.loads((tmp_path / "wl.json").read_text())
+    target = doc["workflows"][1]
+    if field == "runtimes":
+        target = target["tasks"][0]
+    if value is DROP:
+        del target[field]
+    else:
+        target[field] = value
+    write_json(tmp_path / "wl.json", doc)
+    config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: workflow {doc['workflows'][1]['id']!r}:")
+    assert named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_workload_file_without_workflows(tmp_path, capsys):
+    write_json(tmp_path / "wl.json", {"flows": []})
+    config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "workflows list" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("slot_s", "5"), ("budget", "6"), ("slots", "8"), ("slots_per_billing", 2.0),
+    ("resources", [{"type": "small"}, {"type": "large", "cost": 5}]),
+    ("workflows", {}),
+])
+def test_mip_rejects_malformed_instance_naming_the_field(instance_path, capsys, field, value):
+    doc = json.loads(instance_path.read_text())
+    doc[field] = value
+    instance_path.write_text(json.dumps(doc))
+    assert main(["mip", "export", "--instance", str(instance_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: instance: {field} must be")
+    assert not instance_path.with_suffix(".lp").exists()

@@ -164,6 +164,31 @@ def test_trace_charges_match_snapshots(policy):
     assert charged == {}
 
 
+@pytest.mark.parametrize("policy", [PlfPolicy, ScfPolicy], ids=["plf", "scf"])
+def test_plan_wakes_fall_inside_the_interval_that_installed_them(policy):
+    # a plan places starts only before its horizon, the next tick, so every
+    # wake is popped before its user's next plan is installed and no wake
+    # is scheduled twice
+    wfs = generate_workload(8, users=["u1", "u2"], rule=WL1, seed=3)
+    system = two_type_system(boot_delay_s=7)
+    sim = engine._Sim(wfs, system, users(("u1", 12), ("u2", 20)), policy(), 5, False)
+    pushed = []
+    push = sim.push
+
+    def record(when, rank, data):
+        pushed.append((sim.state.clock, when, rank, data))
+        push(when, rank, data)
+
+    sim.push = record
+    sim.run()
+    wakes = [(now, when, uid) for now, when, rank, uid in pushed if rank == engine._WAKE]
+    assert len({uid for _now, _when, uid in wakes}) == 2
+    interval = system.interval_s
+    for now, when, _uid in wakes:
+        assert now % interval == 0 and now < when < now + interval
+    assert len({(uid, when) for _now, when, uid in wakes}) == len(wakes)
+
+
 def test_decision_log_counts_ticks_per_user():
     wfs = generate_workload(4, users=["u1"], rule=WL1, seed=9)
     result = run(wfs, budget=20)

@@ -240,15 +240,13 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
     task_of = {(w.spec.id, t.id): t for w in state.runs.values() for t in w.spec.tasks}
 
     def status(wf_id, task_id):
-        run = state.runs[wf_id]
-        return run.status[handle(state, wf_id, task_id) - run.base]
+        return state.status[handle(state, wf_id, task_id)]
 
     slots = []
     for r in state.user_resources(user):
         if r.state is ResourceState.BUSY:
             wf_id, task_id = state.ref(r.running)
-            run = state.runs[wf_id]
-            start = run.task_start_s[r.running - run.base]
+            start = state.start_s[r.running]
             end = start + oracle(task_of[(wf_id, task_id)], r.rtype.id)
             plan.add(PlanEntry(r.id, r.running, start, end, pinned=True))
             slots.append((r.id, r.rtype.id, end))

@@ -1,13 +1,14 @@
 """Indexed state: every index-backed query agrees with a full scan.
 
 Random sequences of state transitions run over small systems; after every
-step each query, the handle tables, the per-run lists and the per-user
-records are compared with a brute-force scan of ``state.resources``, of the
-arrived workflows and of the test's own record of what it started and
-finished.
+step each query, the per-handle task lists and the per-user records are
+compared with a brute-force scan of ``state.resources``, of the arrived
+workflows and of the test's own record of what it started and finished.
 """
 
+import ast
 import heapq
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from conftest import (
     users,
     wf,
 )
+from wfasim import state as state_module
 from wfasim.dagops import WorkflowGraph
 from wfasim.model import ResourceState, TaskStatus
 from wfasim.policies.pfa import tba_propagate, tba_walk
@@ -115,8 +117,9 @@ def brute_finished(state, user, status, finished):
 
 
 def check_handles(state):
-    """Handles are dense, ascend in arrival then topological order, and
-    ``ref`` names each one's (workflow id, task id)."""
+    """Handles are dense, ascend in arrival then topological order, ``ref``
+    names each one's (workflow id, task id), and every per-task list has one
+    entry per handle."""
     base = 0
     for wf_id, run in state.runs.items():  # insertion order is arrival order
         assert run.base == base
@@ -124,9 +127,12 @@ def check_handles(state):
         for i, tid in enumerate(order):
             h = base + i
             assert state.task_runs[h] is run
+            assert state.tasks[h] is run.graph.tasks[i]
             assert state.ref(h) == (wf_id, tid)
         base += len(order)
-    assert len(state.task_runs) == base
+    for per_task in (state.task_runs, state.tasks, state.status, state.blocked,
+                     state.start_s, state.machine):
+        assert len(per_task) == base
 
 
 def check_queries(state, finished, running):
@@ -137,14 +143,13 @@ def check_queries(state, finished, running):
     status = brute_status(state, finished, running)
     for wf_id, run in state.runs.items():
         parents, _ = edge_maps(run.spec)
-        for i, tid in enumerate(reference_order(run.spec)):
+        for tid in reference_order(run.spec):
             ref = (wf_id, tid)
-            assert run.status[i] is status[ref]
-            assert run.blocked_parents[i] == sum(
-                (wf_id, p) not in finished for p in parents[tid]
-            )
+            h = handle(state, *ref)
+            assert state.status[h] is status[ref]
+            assert state.blocked[h] == sum((wf_id, p) not in finished for p in parents[tid])
             if ref in finished or ref in running:
-                assert run.task_resource[i] == finished.get(ref, running.get(ref))
+                assert state.machine[h] == finished.get(ref, running.get(ref))
         assert run.unfinished == sum(status[(wf_id, t.id)] is not TaskStatus.FINISHED
                                      for t in run.spec.tasks)
     for ref, rid in running.items():
@@ -307,3 +312,15 @@ def test_out_of_order_starts_keep_dispatch_order(priorities, started):
     assert [state.ref(h) for h, _ in dispatch_dynamic(state, "u1", 0)] == expected
     assert [f"w{i}" for i in sorted(range(10), key=lambda i: -priorities[i])
             if i not in started] == [w for w, _ in expected]
+
+
+def test_only_state_turns_a_topological_index_into_a_handle():
+    # every other module indexes the per-task lists by handle, so none reads
+    # a run's base
+    package = Path(state_module.__file__).parent
+    modules = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "base":
+                modules.add(path.relative_to(package).as_posix())
+    assert modules == {"state.py"}
