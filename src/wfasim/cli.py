@@ -56,25 +56,41 @@ def _check_keys(obj: dict, where: str, required: set[str], optional: set[str] = 
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _as_int(value: object, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+
+
+def _expect(value: object, kind: type, where: str) -> None:
+    if not isinstance(value, kind):
+        what = "a list" if kind is list else "an object"
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+
+
 def parse_system(doc: dict) -> SystemConfig:
     _check_keys(doc, "system", {"types", "capacity", "interval_s"}, {"boot_delay_s"})
+    _expect(doc["types"], list, "system.types")
+    _expect(doc["capacity"], dict, "system.capacity")
     types = []
     for row in doc["types"]:
         _check_keys(row, "system.types[]", {"id", "cost"})
-        types.append(ResourceType(str(row["id"]), int(row["cost"])))
+        types.append(ResourceType(str(row["id"]), _as_int(row["cost"], "system.types[].cost")))
     return SystemConfig(
         types=tuple(types),
-        capacity={str(k): int(v) for k, v in doc["capacity"].items()},
-        interval_s=int(doc["interval_s"]),
-        boot_delay_s=int(doc.get("boot_delay_s", 0)),
+        capacity={str(k): _as_int(v, f"system.capacity.{k}") for k, v in doc["capacity"].items()},
+        interval_s=_as_int(doc["interval_s"], "system.interval_s"),
+        boot_delay_s=_as_int(doc.get("boot_delay_s", 0), "system.boot_delay_s"),
     )
 
 
 def parse_users(rows: list) -> list[UserConfig]:
+    _expect(rows, list, "users")
     users = []
     for row in rows:
         _check_keys(row, "users[]", {"id", "budget"})
-        users.append(UserConfig(str(row["id"]), int(row["budget"])))
+        users.append(UserConfig(str(row["id"]), _as_int(row["budget"], "users[].budget")))
     if not users:
         raise ConfigError("users: at least one user required")
     return users

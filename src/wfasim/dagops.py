@@ -1,7 +1,23 @@
-"""Workflow DAGs, compiled once per run into int-indexed graphs.
+"""Workflow DAGs, checked and compiled in one pass into int-indexed graphs.
 
 Topological order breaks ties by task id, so every derived ordering
 (eligibility, planning, token waves) is stable across runs and platforms.
+
+:class:`WorkflowGraph` runs the structural checks while it compiles, so each
+workflow is read once on its way into a run:
+
+- one id -> position dict; it is shorter than the task list exactly when an
+  id repeats (``DuplicateTask``);
+- each edge is resolved once to a pair of positions, and a miss is a
+  ``DanglingEdge``;
+- when the ids ascend in listed order and every edge points forward, the
+  listed order is the smallest-id-first Kahn order (each task is ready once
+  the ones before it are placed, and every other ready task has a larger
+  id), so no heap is walked. Otherwise Kahn's algorithm runs on a heap of
+  ids, and a cycle stops it early (``CycleDetected``);
+- the runtime type sets that the engine's input check reads for
+  ``UnknownType`` and ``MissingType``: ``named_types``, the types some task
+  has a runtime on, and ``shared_types``, those every task has one on.
 """
 
 from __future__ import annotations
@@ -13,55 +29,108 @@ from .model import WorkflowSpec, ZeroIdealMakespan
 
 
 class WorkflowGraph:
-    """A workflow spec compiled by topological index: task ``i`` is the
-    ``i``-th of ``topo_order`` (Kahn's algorithm, smallest id first among the
-    ready tasks). ``tasks[i]`` is its spec, ``parents[i]`` and ``children[i]``
-    are tuples of indexes in edge order, and ``ideal_s`` is the critical path
-    with every task on its fastest type.
+    """A workflow spec checked and compiled by topological index: task ``i``
+    is the ``i``-th of ``topo_order`` (Kahn's algorithm, smallest id first
+    among the ready tasks). ``tasks[i]`` is its spec, ``parents[i]`` and
+    ``children[i]`` are tuples of indexes in edge order, and ``ideal_s`` is
+    the critical path with every task on its fastest type.
 
-    Construction does not validate; call :func:`validate_workflow` first when
-    the spec comes from outside. A cyclic spec gets only the part of
-    ``topo_order`` that no cycle blocks.
+    ``issues`` lists what makes the spec invalid, in the order
+    :func:`validate_workflow` reports it; it is empty for a valid spec. A
+    spec with several entries or exits still compiles in full. An empty
+    spec, a repeated id or a dangling edge leaves every field empty, and a
+    cyclic spec keeps only the part of ``topo_order`` that no cycle blocks.
     """
 
-    __slots__ = ("spec", "tasks", "parents", "children", "topo_order", "ideal_s")
+    __slots__ = ("spec", "issues", "tasks", "parents", "children", "topo_order",
+                 "ideal_s", "named_types", "shared_types")
 
     def __init__(self, spec: WorkflowSpec):
         self.spec = spec
-        by_id = {t.id: t for t in spec.tasks}
-        succ: dict[str, list[str]] = {tid: [] for tid in by_id}
-        indeg = dict.fromkeys(by_id, 0)
-        for p, c in spec.edges:
-            succ[p].append(c)
-            indeg[c] += 1
-        ready = [tid for tid, d in indeg.items() if not d]
-        heapq.heapify(ready)
-        order: list[str] = []
-        while ready:
-            tid = heapq.heappop(ready)
-            order.append(tid)
-            for c in succ[tid]:
-                indeg[c] -= 1
-                if not indeg[c]:
-                    heapq.heappush(ready, c)
-        self.topo_order = tuple(order)
-        self.tasks = self.parents = self.children = ()
+        self.issues: tuple[str, ...] = ()
+        self.tasks = self.parents = self.children = self.topo_order = ()
         self.ideal_s = 0
-        if len(order) < len(by_id):
-            return  # a cycle blocks the rest
-        index = {tid: i for i, tid in enumerate(order)}
-        parents: list[list[int]] = [[] for _ in order]
-        children: list[list[int]] = [[] for _ in order]
-        for p, c in spec.edges:
-            i, j = index[p], index[c]
-            children[i].append(j)
-            parents[j].append(i)
-        self.tasks = tuple([by_id[tid] for tid in order])
-        self.parents = tuple(map(tuple, parents))
-        self.children = tuple(map(tuple, children))
-        self.ideal_s = critical_path_length(
-            self, [min(t.runtime_by_type.values()) for t in self.tasks]
-        )
+        self.named_types = self.shared_types = frozenset()
+        tasks = spec.tasks
+        n = len(tasks)
+        if not n:
+            self.issues = ("EmptyWorkflow",)
+            return
+        ids = [t.id for t in tasks]
+        pos = dict(zip(ids, range(n)))
+        parents: list[list[int]] = [[] for _ in ids]
+        children: list[list[int]] = [[] for _ in ids]
+        resolved = forward = len(pos) == n
+        if resolved:
+            try:
+                for p, c in spec.edges:
+                    i = pos[p]
+                    j = pos[c]
+                    children[i].append(j)
+                    parents[j].append(i)
+                    if i >= j:
+                        forward = False
+            except KeyError:
+                resolved = False
+        if not resolved:
+            self.issues = tuple(_id_issues(ids, spec.edges))
+            return
+        if forward and ids == sorted(ids):
+            self.topo_order = tuple(ids)
+            self.tasks = tuple(tasks)
+            self.parents = tuple(map(tuple, parents))
+            self.children = tuple(map(tuple, children))
+        else:
+            blocked = list(map(len, parents))
+            ready = [tid for tid, ps in zip(ids, parents) if not ps]
+            heapq.heapify(ready)
+            order: list[int] = []
+            while ready:
+                i = pos[heapq.heappop(ready)]
+                order.append(i)
+                for c in children[i]:
+                    blocked[c] -= 1
+                    if not blocked[c]:
+                        heapq.heappush(ready, ids[c])
+            self.topo_order = tuple([ids[i] for i in order])
+            if len(order) < n:
+                self.issues = ("CycleDetected",)
+                return
+            rank = [0] * n
+            for k, i in enumerate(order):
+                rank[i] = k
+            self.tasks = tuple([tasks[i] for i in order])
+            self.parents = tuple([tuple([rank[p] for p in parents[i]]) for i in order])
+            self.children = tuple([tuple([rank[c] for c in children[i]]) for i in order])
+        runtimes = [t.runtime_by_type for t in self.tasks]
+        self.named_types = named = frozenset().union(*runtimes)
+        # a task has every named type exactly when it has as many types
+        self.shared_types = (named if min(map(len, runtimes)) == len(named)
+                             else named.intersection(*runtimes))
+        self.ideal_s = critical_path_length(self, [min(r.values()) for r in runtimes])
+        issues = []
+        if self.parents.count(()) > 1:
+            entries = [tid for tid, ps in zip(self.topo_order, self.parents) if not ps]
+            issues.append("MultipleEntries(" + ",".join(sorted(entries)) + ")")
+        if self.children.count(()) > 1:
+            exits = [tid for tid, cs in zip(self.topo_order, self.children) if not cs]
+            issues.append("MultipleExits(" + ",".join(sorted(exits)) + ")")
+        self.issues = tuple(issues)
+
+
+def _id_issues(ids: list[str], edges: Sequence[tuple[str, str]]) -> list[str]:
+    """Every repeated task id, then every edge naming an unknown task, each
+    in listed order."""
+    issues: list[str] = []
+    seen: set[str] = set()
+    for tid in ids:
+        if tid in seen:
+            issues.append(f"DuplicateTask({tid})")
+        seen.add(tid)
+    for p, c in edges:
+        if p not in seen or c not in seen:
+            issues.append(f"DanglingEdge({p}->{c})")
+    return issues
 
 
 def validate_workflow(
@@ -70,39 +139,14 @@ def validate_workflow(
     """Check a workflow spec, returning a list of issues (empty when valid).
 
     A valid workflow is a non-empty acyclic graph with exactly one entry task
-    and one exit task and no edge referencing an unknown task. When
-    ``graphs`` is given, the graph compiled for a valid spec is stored there
+    and one exit task and no edge referencing an unknown task. The checks
+    run in the graph build, which this reads. When ``graphs`` is given, the graph compiled for a valid spec is stored there
     under the workflow id, so the caller need not build it again.
     """
-    issues: list[str] = []
-    ids = [t.id for t in spec.tasks]
-    if not ids:
-        return ["EmptyWorkflow"]
-    seen: set[str] = set()
-    for tid in ids:
-        if tid in seen:
-            issues.append(f"DuplicateTask({tid})")
-        seen.add(tid)
-    known = set(ids)
-    for p, c in spec.edges:
-        if p not in known or c not in known:
-            issues.append(f"DanglingEdge({p}->{c})")
-    if issues:
-        return issues
-
     graph = WorkflowGraph(spec)
-    if len(graph.topo_order) != len(known):
-        issues.append("CycleDetected")
-        return issues
-    entries = [graph.topo_order[i] for i, ps in enumerate(graph.parents) if not ps]
-    exits = [graph.topo_order[i] for i, cs in enumerate(graph.children) if not cs]
-    if len(entries) > 1:
-        issues.append("MultipleEntries(" + ",".join(sorted(entries)) + ")")
-    if len(exits) > 1:
-        issues.append("MultipleExits(" + ",".join(sorted(exits)) + ")")
-    if graphs is not None and not issues:
+    if graphs is not None and not graph.issues:
         graphs[spec.id] = graph
-    return issues
+    return list(graph.issues)
 
 
 def critical_path_length(graph: WorkflowGraph, weights: Sequence[int]) -> int:
@@ -122,7 +166,8 @@ def ideal_makespan(spec: WorkflowSpec | WorkflowGraph) -> int:
 
     The baseline for slowdown: the shortest possible makespan on unlimited
     resources with zero waiting. Raises :class:`ZeroIdealMakespan` when the
-    workflow has no tasks or a cycle.
+    workflow does not compile: no tasks, a repeated id, a dangling edge or a
+    cycle.
     """
     graph = spec if isinstance(spec, WorkflowGraph) else WorkflowGraph(spec)
     if graph.ideal_s <= 0:

@@ -19,6 +19,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .dagops import WorkflowGraph, validate_workflow
@@ -50,6 +51,10 @@ TRACE_COLUMNS = (
     "rtype",
     "detail",
 )
+# one trace row as csv.writer writes it when no field needs quoting
+_TRACE_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\r\n"
+# the characters that make csv.writer quote a field
+_CSV_QUOTED = (",", '"', "\r", "\n")
 
 
 @dataclass
@@ -142,10 +147,23 @@ class RunResult:
     # -- output files --------------------------------------------------------
 
     def write_trace_csv(self, path: str | Path) -> None:
+        """Write the trace as ``csv.writer`` would. Every field is an int or
+        a string, and only an id can hold a character that ``csv`` quotes,
+        so a run whose ids hold none is written by a plain template."""
+        ids = "".join(itertools.chain(
+            [u.id for u in self.users],
+            [t.id for t in self.system.types],
+            self.state.runs,
+            map(attrgetter("id"), self.state.tasks),
+        ))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            writer.writerows(self.trace)
+            if any(ch in ids for ch in _CSV_QUOTED):
+                writer = csv.writer(fh)
+                writer.writerow(TRACE_COLUMNS)
+                writer.writerows(self.trace)
+            else:
+                fh.write(_TRACE_ROW % TRACE_COLUMNS)
+                fh.writelines(map(_TRACE_ROW.__mod__, self.trace))
 
     def write_snapshots_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -233,10 +251,10 @@ def validate_inputs(
         if not issues and wf.user not in user_ids:
             issues = [f"UnknownUser({wf.user})"]
         if not issues:
-            named = set().union(*(t.runtime_by_type for t in wf.tasks))
-            issues = [f"UnknownType({t})" for t in sorted(named - type_ids)]
+            unknown = graphs[wf.id].named_types - type_ids
+            issues = [f"UnknownType({t})" for t in sorted(unknown)]
         if not issues:
-            missing = set().union(*(held_types.difference(t.runtime_by_type) for t in wf.tasks))
+            missing = held_types - graphs[wf.id].shared_types
             issues = [f"MissingType({t})" for t in sorted(missing)]
         if issues:
             raise WorkloadInvalid(wf.id, issues)

@@ -220,7 +220,7 @@ def workflow_to_dict(spec: WorkflowSpec) -> dict:
 def _as_int(value: object, where: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: expected an integer, got {value!r}") from None
 
 

@@ -183,7 +183,7 @@ class SystemState:
         self.start_s.extend(repeat(0, n))
         self.machine.extend(repeat(-1, n))
         for i, cs in enumerate(graph.children):
-            rec.unfinished[base + i] = tuple([base + c for c in cs])
+            rec.unfinished[base + i] = tuple(map(base.__add__, cs))
             if not graph.parents[i]:
                 self._make_eligible(run, rec, base + i)
         self.runs[spec.id] = run

@@ -61,12 +61,12 @@ def edge_maps(spec: WorkflowSpec) -> tuple[dict[str, list[str]], dict[str, list[
 
 def reference_order(spec: WorkflowSpec) -> tuple[str, ...]:
     """Topological order by repeated scan: next comes the smallest task id
-    not yet placed whose parents all are. Acyclic specs only."""
+    not yet placed whose parents all are. A cycle ends the order early."""
     parents, _ = edge_maps(spec)
     order: list[str] = []
     placed: set[str] = set()
-    while len(order) < len(parents):
-        tid = min(t for t, ps in parents.items() if t not in placed and placed.issuperset(ps))
+    while ready := [t for t, ps in parents.items() if t not in placed and placed.issuperset(ps)]:
+        tid = min(ready)
         order.append(tid)
         placed.add(tid)
     return tuple(order)

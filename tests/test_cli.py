@@ -418,6 +418,25 @@ def test_run_rejects_bad_config_scalar_before_writing(tmp_path, capsys, key, val
     assert not (tmp_path / "o").exists()
 
 
+def _null_budget(doc):
+    doc["users"][0]["budget"] = None
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc["system"].update(interval_s=None), "system.interval_s: expected an integer"),
+    (_null_budget, "users[].budget: expected an integer"),
+    (lambda doc: doc["system"].update(capacity=5), "system.capacity: expected an object"),
+    (lambda doc: doc["system"].update(types=3), "system.types: expected a list"),
+], ids=["interval_s-null", "budget-null", "capacity-int", "types-int"])
+def test_run_rejects_mistyped_system_or_user_field_before_writing(tmp_path, capsys, edit, named):
+    doc = json.loads(run_config(tmp_path).read_text())
+    edit(doc)
+    config = write_json(tmp_path / "config.json", doc)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
     config = run_config(tmp_path)
@@ -438,6 +457,7 @@ DROP = object()  # parametrize value: delete the field
     ("edges", [["t0"]], "edges must be a list of [parent, child]"),
     ("runtimes", DROP, "runtimes object"),
     ("runtimes", {"small": None}, "runtime on 'small': expected an integer"),
+    ("priority", float("inf"), "priority: expected an integer"),
 ])
 def test_run_rejects_malformed_workload_file_naming_the_field(
     tmp_path, capsys, field, value, named

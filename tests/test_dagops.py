@@ -1,17 +1,23 @@
 """DAG validation, topology, and critical-path oracles."""
 
+import heapq
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_wf, diamond_wf, edge_maps, reference_order, wf
 from test_plan import random_dags
+from wfasim import dagops
 from wfasim.dagops import (
     WorkflowGraph,
     critical_path_length,
     ideal_makespan,
     validate_workflow,
 )
-from wfasim.model import min_runtime
+from wfasim.model import TaskSpec, min_runtime
 
 
 # longest path through a DAG by exhaustive path enumeration; independent of
@@ -105,13 +111,29 @@ def test_cyclic_spec_compiles_only_its_order():
     assert (g.tasks, g.parents, g.children, g.ideal_s) == ((), (), (), 0)
 
 
+def listed_in_order(spec):
+    """The spec with its tasks listed in reference order and renamed so that
+    their ids ascend in that order: every edge then points forward."""
+    order = reference_order(spec)
+    name = {tid: f"n{k:02d}" for k, tid in enumerate(order)}
+    by_id = {t.id: t for t in spec.tasks}
+    tasks = tuple(TaskSpec(name[tid], by_id[tid].runtime_by_type) for tid in order)
+    return replace(spec, tasks=tasks, edges=tuple((name[p], name[c]) for p, c in spec.edges))
+
+
 @settings(max_examples=200, deadline=None)
 @given(specs=random_dags())
 def test_compiled_graph_matches_the_spec(specs):
-    """On random DAGs whose ids are shuffled against creation order, the
-    compiled graph agrees with references read from the spec alone."""
-    for spec in specs:
-        g = WorkflowGraph(spec)
+    """On random DAGs, compiled graphs agree with references read from the
+    spec alone: with ids shuffled against creation order (Kahn's algorithm
+    on a heap), and listed in reference order with ascending ids (the listed
+    order is taken as it is, and no heap is built)."""
+    listed = [listed_in_order(s) for s in specs]
+    for spec in [*specs, *listed]:
+        with mock.patch.object(dagops.heapq, "heapify", wraps=heapq.heapify) as heapify:
+            g = WorkflowGraph(spec)
+        if spec in listed:
+            assert not heapify.called
         order = reference_order(spec)
         assert g.topo_order == order
         by_id = {t.id: t for t in spec.tasks}
@@ -122,6 +144,74 @@ def test_compiled_graph_matches_the_spec(specs):
         assert g.ideal_s == oracle_longest_path(
             by_id, spec.edges, lambda tid: min_runtime(by_id[tid])
         )
+
+
+def reference_issues(spec):
+    """``validate_workflow`` as it was before the checks moved into the
+    graph build: a scan for repeated ids, one for dangling edges, then a
+    topological sort over id-keyed maps."""
+    ids = [t.id for t in spec.tasks]
+    if not ids:
+        return ["EmptyWorkflow"]
+    issues = []
+    seen = set()
+    for tid in ids:
+        if tid in seen:
+            issues.append(f"DuplicateTask({tid})")
+        seen.add(tid)
+    for p, c in spec.edges:
+        if p not in seen or c not in seen:
+            issues.append(f"DanglingEdge({p}->{c})")
+    if issues:
+        return issues
+    if len(reference_order(spec)) < len(ids):
+        return ["CycleDetected"]
+    parents, children = edge_maps(spec)
+    entries = sorted(t for t, ps in parents.items() if not ps)
+    exits = sorted(t for t, cs in children.items() if not cs)
+    if len(entries) > 1:
+        issues.append("MultipleEntries(" + ",".join(entries) + ")")
+    if len(exits) > 1:
+        issues.append("MultipleExits(" + ",".join(exits) + ")")
+    return issues
+
+
+@st.composite
+def random_specs(draw):
+    """Workflow specs of up to 7 tasks, mostly invalid: ids may repeat, an
+    edge may name an unknown task, point backward (so cycles form) or leave
+    several entries and exits. About half list their ids in ascending order."""
+    n = draw(st.integers(0, 7))
+    ids = draw(st.lists(st.sampled_from([f"t{i}" for i in range(n + 1)]), min_size=n,
+                        max_size=n, unique=draw(st.integers(0, 3)) > 0))
+    if draw(st.booleans()):
+        ids.sort()
+    names = ids + ["ghost"] if draw(st.integers(0, 4)) == 0 else ids
+    edges = []
+    if names:
+        ends = st.integers(0, len(names) - 1)
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+        if draw(st.integers(0, 3)) > 0:  # forward edges only: acyclic
+            pairs = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
+        edges = [(names[a], names[b]) for a, b in pairs]
+    return wf("w", [(tid, {"small": 1}) for tid in ids], edges)
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=random_specs())
+def test_issue_lists_match_the_reference_validator(spec):
+    issues = reference_issues(spec)
+    assert validate_workflow(spec) == issues
+    g = WorkflowGraph(spec)
+    assert list(g.issues) == issues
+    if not any(i.startswith(("Empty", "Duplicate", "Dangling")) for i in issues):
+        assert g.topo_order == reference_order(spec)
+
+
+def test_type_sets_are_the_union_and_intersection_of_runtime_types():
+    w = chain_wf("w", [{"small": 2, "large": 1}, {"small": 3}, {"small": 1, "large": 2}])
+    g = WorkflowGraph(w)
+    assert (g.named_types, g.shared_types) == ({"small", "large"}, {"small"})
 
 
 def test_critical_path_of_chain():

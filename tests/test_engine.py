@@ -118,6 +118,33 @@ def test_identical_seeds_give_identical_traces(tmp_path, policy):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize("user, wf_id, task_ids, type_id, quoted", [
+    ("u1", "w1", ("a", "b"), "large", False),
+    ("u,1", "w1", ("a", "b"), "large", True),
+    ("u1", 'w"1', ("a", "b"), "large", True),
+    ("u1", "w1", ("a\nb", "b"), "large", True),
+    ("u1", "w1", ("a", "b\r\nc"), "large", True),
+    ("u1", "w1", ("a", "b"), "la,rge", True),
+], ids=["plain", "comma-user", "quote-workflow", "lf-task", "crlf-task", "comma-type"])
+def test_trace_csv_bytes_are_csv_writer_bytes(tmp_path, monkeypatch, user, wf_id, task_ids,
+                                              type_id, quoted):
+    system = SystemConfig(types=(ResourceType("small", 1), ResourceType(type_id, 5)),
+                          capacity={"small": 1, type_id: 1}, interval_s=60)
+    spec = wf(wf_id, [(tid, {"small": 20, type_id: 10}) for tid in task_ids],
+              edges=[task_ids], user=user)
+    result = engine.run([spec], system, users((user, 6)), HoldPolicy({"small": 1, type_id: 1}))
+    assert any(row[6] == type_id for row in result.trace)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        engine.csv.writer(fh).writerows([engine.TRACE_COLUMNS, *result.trace])
+    writers = []
+    real_writer = engine.csv.writer
+    monkeypatch.setattr(engine.csv, "writer", lambda fh: writers.append(fh) or real_writer(fh))
+    result.write_trace_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == expected.read_bytes()
+    assert bool(writers) == quoted  # csv.writer only where a field needs quoting
+
+
 def test_different_seeds_may_reorder_users_but_still_finish():
     wfs = generate_workload(6, users=["u1", "u2"], rule=WL1, seed=3)
     sysc = two_type_system()
