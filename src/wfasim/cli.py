@@ -5,7 +5,7 @@ Subcommands:
   gen      generate a synthetic workload file from a generator spec
   mip      export, solve, or compare a slot-grid scheduling instance
 
-Config and spec files are strict JSON with a versioned "schema" field;
+Config and spec files are strict JSON, checked against :mod:`wfasim.schema`;
 unknown keys are rejected so experiment files stay reproducible.
 
 Exit codes: 0 success, 2 invalid config/spec/input, 3 instance over the
@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import statistics
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -31,192 +33,71 @@ from .model import (
     ResourceType,
     SystemConfig,
     UserConfig,
-    WorkloadInvalid,
     load_workload,
     save_workload,
 )
 from .policies import PfaConfig, PfaPolicy, PlfPolicy, Policy, ScfPolicy
-
-CONFIG_SCHEMA = "wfasim-config-1"
-GENSPEC_SCHEMA = "wfasim-genspec-1"
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _check_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - required - set(optional)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _as_int(value: object, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
-
-
-def _expect(value: object, kind: type, where: str) -> None:
-    if not isinstance(value, kind):
-        what = "a list" if kind is list else "an object"
-        raise ConfigError(f"{where}: expected {what}, got {value!r}")
-
-
-def parse_system(doc: dict) -> SystemConfig:
-    _check_keys(doc, "system", {"types", "capacity", "interval_s"}, {"boot_delay_s"})
-    _expect(doc["types"], list, "system.types")
-    _expect(doc["capacity"], dict, "system.capacity")
-    types = []
-    for row in doc["types"]:
-        _check_keys(row, "system.types[]", {"id", "cost"})
-        types.append(ResourceType(str(row["id"]), _as_int(row["cost"], "system.types[].cost")))
-    return SystemConfig(
-        types=tuple(types),
-        capacity={str(k): _as_int(v, f"system.capacity.{k}") for k, v in doc["capacity"].items()},
-        interval_s=_as_int(doc["interval_s"], "system.interval_s"),
-        boot_delay_s=_as_int(doc.get("boot_delay_s", 0), "system.boot_delay_s"),
-    )
-
-
-def parse_users(rows: list) -> list[UserConfig]:
-    _expect(rows, list, "users")
-    users = []
-    for row in rows:
-        _check_keys(row, "users[]", {"id", "budget"})
-        users.append(UserConfig(str(row["id"]), _as_int(row["budget"], "users[].budget")))
-    if not users:
-        raise ConfigError("users: at least one user required")
-    return users
+from .schema import GENSPEC, RUN, ConfigError, check
 
 
 def parse_policy(doc: dict) -> Policy:
-    _check_keys(doc, "policy", {"name"}, {"smoothing", "ma_depth", "alpha"})
+    """A fresh policy from a checked policy object."""
+    knobs = {k: doc[k] for k in ("smoothing", "ma_depth", "alpha") if k in doc}
     name = doc["name"]
     if name == "pfa":
-        # PfaConfig owns the bounds; this only turns its errors into ConfigError
+        # PfaConfig owns the bounds; this only names the object in its errors
         try:
-            config = PfaConfig(
-                smoothing=doc.get("smoothing", "ma"),
-                ma_depth=doc.get("ma_depth", 10),
-                alpha=str(doc.get("alpha", "0.7")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"policy: {exc}") from exc
-        return PfaPolicy(config)
-    extras = {"smoothing", "ma_depth", "alpha"} & set(doc)
-    if extras:
-        raise ConfigError(f"policy: keys {sorted(extras)} only apply to pfa")
+            return PfaPolicy(PfaConfig(**knobs))
+        except ValueError as exc:
+            raise ConfigError(f"config.policy: {exc}") from exc
+    if knobs:
+        raise ConfigError(f"config.policy: keys {sorted(knobs)} only apply to pfa")
     if name == "plf":
         return PlfPolicy()
     if name == "scf":
         return ScfPolicy()
-    raise ConfigError(f"policy: unknown name {name!r}")
+    raise ConfigError(f"config.policy.name: unknown name {name!r}")
 
 
-def parse_genspec(doc: dict) -> dict:
-    """Validate a generator spec; returns it with defaults filled in."""
-    _check_keys(
-        doc,
-        "genspec",
-        {"schema"},
-        {"seed", "count", "rule", "users", "types", "families", "sets", "arrivals",
-         "runtime_model", "size_model"},
-    )
-    if doc.get("schema") != GENSPEC_SCHEMA:
-        raise ConfigError(f"genspec: schema must be {GENSPEC_SCHEMA!r}")
-    out = {
-        "seed": int(doc.get("seed", 0)),
-        "rule": doc.get("rule", "wl1"),
-        "users": [str(u) for u in doc.get("users", ["u1"])],
-        "types": tuple(doc.get("types", ["small", "large"])),
-        "arrivals": None,
-        "runtime_model": None,
-        "size_model": None,
-        "sets": None,
-        "count": None,
-        "families": tuple(doc.get("families", workload.FAMILIES)),
-    }
-    workload.second_type_rule(out["rule"])
-    for fam in out["families"]:
+def generate_from_spec(spec: dict, where: str) -> tuple[list, dict[str, list]]:
+    """Workflows for a checked genspec: the combined interleaved workload
+    plus each named set separately. ``where`` names the spec in errors."""
+    if "sets" not in spec and "count" not in spec:
+        raise ConfigError(f"{where}: either sets or count is required")
+    families = spec.get("families", workload.FAMILIES)
+    for fam in families:  # checked even where sets name the families
         workload.DagRecipe(fam)
-    if "runtime_model" in doc:
-        _check_keys(doc["runtime_model"], "genspec.runtime_model", set(),
-                    {"log_median", "log_sigma", "scale_divisor"})
-        out["runtime_model"] = workload.RuntimeModel(**doc["runtime_model"])
-    if "size_model" in doc:
-        _check_keys(doc["size_model"], "genspec.size_model", set(),
-                    {"log_median", "log_sigma", "min_tasks", "max_tasks"})
-        out["size_model"] = workload.SizeModel(**doc["size_model"])
-    if "arrivals" in doc:
-        _check_keys(doc["arrivals"], "genspec.arrivals", {"utilization"}, {"capacity", "seed"})
-        out["arrivals"] = {
-            "utilization": float(doc["arrivals"]["utilization"]),
-            "capacity": int(doc["arrivals"].get("capacity", 0)),
-            "seed": int(doc["arrivals"].get("seed", out["seed"])),
-        }
-    if "sets" in doc:
-        sets = []
-        for row in doc["sets"]:
-            _check_keys(row, "genspec.sets[]", {"name", "family", "count"})
-            workload.DagRecipe(row["family"])
-            sets.append({"name": str(row["name"]), "family": row["family"],
-                         "count": int(row["count"])})
-        if not sets:
-            raise ConfigError("genspec: sets must not be empty")
-        out["sets"] = sets
-    elif "count" in doc:
-        out["count"] = int(doc["count"])
-        if out["count"] < 1:
-            raise ConfigError("genspec: count must be >= 1")
-    else:
-        raise ConfigError("genspec: either sets or count is required")
-    return out
-
-
-def generate_from_spec(spec: dict) -> tuple[list, dict[str, list]]:
-    """Workflows for a parsed genspec: the combined interleaved workload
-    plus each named set separately."""
     common = dict(
-        users=spec["users"],
-        rule=spec["rule"],
-        types=spec["types"],
-        runtime_model=spec["runtime_model"],
-        size_model=spec["size_model"],
+        users=list(spec["users"]),
+        runtime_model=workload.RuntimeModel(**spec.get("runtime_model", {})),
+        size_model=workload.SizeModel(**spec.get("size_model", {})),
+        **{k: spec[k] for k in ("rule", "types") if k in spec},
     )
-    per_set: dict[str, list] = {}
-    if spec["sets"] is None:
-        combined = workload.generate_workload(
-            spec["count"], families=spec["families"], seed=spec["seed"], **common
+    per_set = {
+        s["name"]: workload.generate_workload(
+            s["count"], families=(s["family"],), seed=[spec["seed"], idx],
+            id_prefix=f"{s['name']}-", **common,
         )
+        for idx, s in enumerate(spec.get("sets", ()))
+    }
+    if per_set:
+        rounds = itertools.zip_longest(*per_set.values())
+        combined = [wf for row in rounds for wf in row if wf is not None]
     else:
-        for idx, s in enumerate(spec["sets"]):
-            per_set[s["name"]] = workload.generate_workload(
-                s["count"],
-                families=(s["family"],),
-                seed=[spec["seed"], idx],
-                id_prefix=f"{s['name']}-",
-                **common,
-            )
-        combined = []
-        lists = list(per_set.values())
-        longest = max(len(v) for v in lists)
-        for i in range(longest):
-            for v in lists:
-                if i < len(v):
-                    combined.append(v[i])
-    if spec["arrivals"]:
-        arr = spec["arrivals"]
-        combined = engine.poisson_arrivals(
-            combined, arr["utilization"], arr["capacity"], arr["seed"]
+        combined = workload.generate_workload(
+            spec["count"], families=tuple(families), seed=spec["seed"], **common
         )
+    if "arrivals" in spec:  # gen has no system, so no default capacity
+        combined = stamp_arrivals(combined, spec["arrivals"], 0, spec["seed"])
     return combined, per_set
+
+
+def stamp_arrivals(workflows: list, arrivals: dict, capacity: int, seed: int) -> list:
+    """Poisson arrival times from a checked arrivals object; ``capacity``
+    and ``seed`` apply where it gives none."""
+    return engine.poisson_arrivals(workflows, float(arrivals["utilization"]),
+                                   arrivals.get("capacity", capacity),
+                                   arrivals.get("seed", seed))
 
 
 # -- run ------------------------------------------------------------------------
@@ -244,61 +125,49 @@ def _replication(args: tuple) -> dict:
 
 
 def load_run_workload(config: dict, base: Path, system: SystemConfig) -> list:
+    """The workflows of a checked run config, with their arrivals stamped."""
     wl = config["workload"]
-    _check_keys(wl, "workload", set(), {"file", "genspec", "arrivals"})
     if ("file" in wl) == ("genspec" in wl):
-        raise ConfigError("workload: exactly one of file or genspec required")
+        raise ConfigError("config.workload: exactly one of file or genspec required")
     if "file" in wl:
-        path = Path(wl["file"])
-        if not path.is_absolute():
-            path = base / path
+        path = base / wl["file"]  # an absolute file replaces the base
         if not path.exists():
-            raise ConfigError(f"workload: file not found: {path}")
+            raise ConfigError(f"config.workload.file: file not found: {path}")
         workflows = load_workload(path)
     else:
-        spec = parse_genspec(wl["genspec"])
-        workflows, _ = generate_from_spec(spec)
+        workflows, _ = generate_from_spec(wl["genspec"], "config.workload.genspec")
     if "arrivals" in wl:
-        _check_keys(wl["arrivals"], "workload.arrivals", {"utilization"}, {"capacity", "seed"})
-        capacity = int(wl["arrivals"].get("capacity", system.total_capacity()))
-        workflows = engine.poisson_arrivals(
-            workflows,
-            float(wl["arrivals"]["utilization"]),
-            capacity,
-            int(wl["arrivals"].get("seed", config.get("seed", 0))),
-        )
+        workflows = stamp_arrivals(workflows, wl["arrivals"], system.total_capacity(),
+                                   config["seed"])
     return workflows
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text())
-    _check_keys(
-        config,
-        "config",
-        {"schema", "system", "users", "policy", "workload"},
-        {"seed", "replications", "collect_plans"},
+    config = check(json.loads(config_path.read_text()), RUN, "config")
+    doc = config["system"]
+    system = SystemConfig(
+        types=tuple(ResourceType(t["id"], t["cost"]) for t in doc["types"]),
+        capacity=doc["capacity"],
+        interval_s=doc["interval_s"],
+        boot_delay_s=doc["boot_delay_s"],
     )
-    if config.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(f"config: schema must be {CONFIG_SCHEMA!r}")
-    seed = config.get("seed", 0)
-    reps = config.get("replications", 1)
-    collect_plans = config.get("collect_plans", False)
-    if type(seed) is not int:  # a bool is an int to isinstance
-        raise ConfigError(f"config: seed must be an int, got {seed!r}")
-    if type(reps) is not int or reps < 1:
-        raise ConfigError(f"config: replications must be an int >= 1, got {reps!r}")
-    if not isinstance(collect_plans, bool):
-        raise ConfigError(f"config: collect_plans must be true or false, got {collect_plans!r}")
-    system = parse_system(config["system"])
-    users = parse_users(config["users"])
+    held = [t for t, count in system.capacity.items() if count > 0]
+    if not held:
+        raise ConfigError(f"config.system.capacity: expected at least one machine, "
+                          f"got {doc['capacity']!r}")
+    users = [UserConfig(u["id"], u["budget"]) for u in config["users"]]
     parse_policy(config["policy"])  # reject a bad policy before any work
     workflows = load_run_workload(config, config_path.parent, system)
     # invalid input exits before --out is created
-    held = [t for t, count in system.capacity.items() if count > 0]
     engine.validate_inputs(workflows, [u.id for u in users], [t.id for t in system.types], held)
-    if args.seed is not None:
-        seed = args.seed
+    cheapest = min(system.type_by_id(t).cost for t in held)
+    for u in users:  # a budget that buys no machine can never run the user's work
+        if u.budget < cheapest and any(wf.user == u.id for wf in workflows):
+            raise ConfigError(f"config.users[{u.id!r}].budget: {u.budget} buys no machine; "
+                              f"the cheapest type with machines costs {cheapest}")
+    seed = config["seed"] if args.seed is None else args.seed
+    reps, collect_plans = config["replications"], config["collect_plans"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -327,8 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = parse_genspec(json.loads(Path(args.spec).read_text()))
-    combined, per_set = generate_from_spec(spec)
+    spec = check(json.loads(Path(args.spec).read_text()), GENSPEC, "genspec")
+    combined, per_set = generate_from_spec(spec, "genspec")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_workload(combined, out)
@@ -349,15 +218,13 @@ def _mip_system(instance: mip.MipInstance) -> tuple[SystemConfig, list[UserConfi
     """Simulation setup equivalent to an instance: same machines, the
     billing interval spanning one slot group, the single user's budget."""
     costs: dict[str, int] = {}
-    counts: dict[str, int] = {}
     for r in instance.resources:
-        if r.rtype in costs and costs[r.rtype] != r.cost:
-            raise ConfigError(f"instance: type {r.rtype} has inconsistent costs")
-        costs[r.rtype] = r.cost
-        counts[r.rtype] = counts.get(r.rtype, 0) + 1
+        if costs.setdefault(r.rtype, r.cost) != r.cost:
+            raise ConfigError(f"instance.resources: expected one cost per type, "
+                              f"got {costs[r.rtype]} and {r.cost} for {r.rtype!r}")
     system = SystemConfig(
         types=tuple(ResourceType(t, costs[t]) for t in sorted(costs)),
-        capacity=counts,
+        capacity=dict(Counter(r.rtype for r in instance.resources)),
         interval_s=instance.slot_s * instance.slots_per_billing,
     )
     user = instance.specs[0].user
@@ -458,17 +325,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WorkloadInvalid, mip.WorkloadMismatch, mip.HorizonTooShort,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except mip.LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (BudgetViolation, CapacityExceeded, AssertionError) as exc:
         print(f"engine invariant violated: {exc}", file=sys.stderr)
         return 4
-    except ModelError as exc:
+    except (ValueError, FileNotFoundError, ModelError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,8 @@ from pathlib import Path
 from .dagops import critical_path_length
 from .engine import validate_inputs
 from .metrics import slowdown
-from .model import ModelError, WorkflowSpec, workflow_to_dict, workflow_from_dict
+from .model import ModelError, WorkflowSpec, workflow_from_row, workflow_to_dict
+from .schema import INSTANCE, check
 
 
 class HorizonTooShort(ModelError):
@@ -722,28 +723,10 @@ def save_instance(instance: MipInstance, path: str | Path) -> None:
 
 def load_instance(path: str | Path) -> MipInstance:
     """Read an instance saved by :func:`save_instance`. A missing or
-    mistyped field raises ValueError naming it."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("instance: expected an object")
-    if doc.get("schema") != "wfasim-mip-1":
-        raise ValueError(f"unsupported instance schema {doc.get('schema')!r}")
-    for key in ("slot_s", "slots_per_billing", "budget", "slots"):
-        value = doc.get(key)
-        if type(value) is not int and not (key == "slots" and value is None):
-            raise ValueError(f"instance: {key} must be an int, got {value!r}")
-    resources = doc.get("resources")
-    if not (isinstance(resources, list) and all(
-        isinstance(r, dict) and isinstance(r.get("type"), str) and type(r.get("cost")) is int
-        for r in resources
-    )):
-        raise ValueError("instance: resources must be a list of {type, cost} objects, "
-                         "each cost an int")
-    if not isinstance(doc.get("workflows"), list):
-        raise ValueError("instance: workflows must be a list")
-    workflows = [workflow_from_dict(d) for d in doc["workflows"]]
+    mistyped field raises ConfigError naming its path."""
+    doc = check(json.loads(Path(path).read_text()), INSTANCE, "instance")
     return build_instance(
-        workflows,
+        [workflow_from_row(w) for w in doc["workflows"]],
         slot_s=doc["slot_s"],
         slots_per_billing=doc["slots_per_billing"],
         budget=doc["budget"],

@@ -13,6 +13,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .schema import WORKFLOW, WORKLOAD, check
+
 
 class ModelError(Exception):
     """Base class for model-level errors."""
@@ -217,49 +219,17 @@ def workflow_to_dict(spec: WorkflowSpec) -> dict:
     }
 
 
-def _as_int(value: object, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: expected an integer, got {value!r}") from None
-
-
 def workflow_from_dict(data: Mapping) -> WorkflowSpec:
-    """Read one workflow of the interchange format. A missing or mistyped
-    field raises ValueError naming it."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"workflow: expected an object, got {data!r}")
-    where = f"workflow {data.get('id')!r}"
-    missing = [k for k in ("id", "user", "priority", "arrival_s", "tasks", "edges")
-               if k not in data]
-    if missing:
-        raise ValueError(f"{where}: missing fields {missing}")
-    for key in ("id", "user"):
-        if not isinstance(data[key], str):
-            raise ValueError(f"{where}: {key} must be a string")
-    if not isinstance(data["tasks"], (list, tuple)):
-        raise ValueError(f"{where}: tasks must be a list")
-    tasks = []
-    for t in data["tasks"]:
-        if not (isinstance(t, Mapping) and isinstance(t.get("id"), str)
-                and isinstance(t.get("runtimes"), Mapping)):
-            raise ValueError(f"{where}: each task needs a string id and a runtimes object")
-        runtimes = {k: _as_int(v, f"{where}: task {t['id']!r}: runtime on {k!r}")
-                    for k, v in t["runtimes"].items()}
-        tasks.append(TaskSpec(id=t["id"], runtime_by_type=runtimes))
-    edges = data["edges"]
-    if not (isinstance(edges, (list, tuple)) and all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(x, str) for x in e)
-        for e in edges
-    )):
-        raise ValueError(f"{where}: edges must be a list of [parent, child] task ids")
+    """Read one workflow object; a bad field raises ConfigError naming its path."""
+    return workflow_from_row(check(data, WORKFLOW, "workflow"))
+
+
+def workflow_from_row(row: dict) -> WorkflowSpec:
+    """The spec of a workflow object checked against ``schema.WORKFLOW``."""
     return WorkflowSpec(
-        id=data["id"],
-        user=data["user"],
-        priority=_as_int(data["priority"], f"{where}: priority"),
-        arrival_s=_as_int(data["arrival_s"], f"{where}: arrival_s"),
-        tasks=tuple(tasks),
-        edges=tuple((p, c) for p, c in edges),
+        row["id"], row["user"], row["priority"], row["arrival_s"],
+        tuple(TaskSpec(t["id"], t["runtimes"]) for t in row["tasks"]),
+        tuple((p, c) for p, c in row["edges"]),
     )
 
 
@@ -269,10 +239,8 @@ def save_workload(workflows: Iterable[WorkflowSpec], path: str | Path) -> None:
 
 
 def load_workload(path: str | Path) -> list[WorkflowSpec]:
-    payload = json.loads(Path(path).read_text())
-    if not (isinstance(payload, dict) and isinstance(payload.get("workflows"), list)):
-        raise ValueError(f"workload {path}: expected an object with a workflows list")
-    return [workflow_from_dict(w) for w in payload["workflows"]]
+    doc = check(json.loads(Path(path).read_text()), WORKLOAD, "workload")
+    return [workflow_from_row(w) for w in doc["workflows"]]
 
 
 __all__ = [
@@ -295,5 +263,6 @@ __all__ = [
     "min_runtime",
     "save_workload",
     "workflow_from_dict",
+    "workflow_from_row",
     "workflow_to_dict",
 ]

@@ -493,6 +493,8 @@ class PfaPolicy(Policy):
         t0 = time.perf_counter()
         obs, carry = self.observe(view)
         observe_s = time.perf_counter() - t0
+        if not obs.types:  # no machine to reserve, so nothing to decide
+            return Decision(step_seconds={"observe": observe_s})
         decision = pfa_decide(obs, self.config, carry)
         decision.step_seconds = {"observe": observe_s, **decision.step_seconds}
         return decision
@@ -503,9 +505,11 @@ class PfaPolicy(Policy):
         The carry starts fresh at tick 0. Later decisions record the tasks
         finished since the previous one against the machines allocated now:
         only applied decisions change allocations, so these were held
-        through the whole interval."""
+        through the whole interval. Only types with machines are listed."""
         facade = view.observation
-        type_ids = tuple(t.id for t in view.config.types)
+        capacity = view.config.capacity
+        types = tuple((t.id, t.cost) for t in view.config.types if capacity.get(t.id, 0) > 0)
+        type_ids = tuple(t for t, _ in types)
         allocated = facade.counts_by_type()
         finished = facade.finished_by_type()
         carry = self._carry.get(facade.user_id)
@@ -522,7 +526,7 @@ class PfaPolicy(Policy):
             tick=view.tick,
             user_id=facade.user_id,
             budget=view.user.budget,
-            types=tuple((t.id, t.cost) for t in view.config.types),
+            types=types,
             allocated=allocated,
             idle=facade.idle,
             free_ids=facade.free_ids,

@@ -43,11 +43,23 @@ def scale_runtimes(raw_seconds: float, divisor: int = SCALE_DIVISOR) -> int:
     return max(1, math.floor(raw_seconds / divisor + 0.5))
 
 
+def _check_log_normal(model: object) -> None:
+    if not 0 < model.log_median < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"log_median must be a finite number > 0, got {model.log_median}")
+    if not 0 <= model.log_sigma < math.inf:
+        raise ValueError(f"log_sigma must be a finite number >= 0, got {model.log_sigma}")
+
+
 @dataclass(frozen=True)
 class RuntimeModel:
     log_median: float = RAW_RUNTIME_LOG_MEDIAN
     log_sigma: float = RAW_RUNTIME_LOG_SIGMA
     scale_divisor: int = SCALE_DIVISOR
+
+    def __post_init__(self) -> None:
+        _check_log_normal(self)
+        if self.scale_divisor < 1:
+            raise ValueError(f"scale_divisor must be >= 1, got {self.scale_divisor}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,12 @@ class SizeModel:
     log_sigma: float = SIZE_LOG_SIGMA
     min_tasks: int = SIZE_MIN
     max_tasks: int = SIZE_MAX
+
+    def __post_init__(self) -> None:
+        _check_log_normal(self)
+        if not 1 <= self.min_tasks <= self.max_tasks:
+            raise ValueError(f"need 1 <= min_tasks <= max_tasks, "
+                             f"got {self.min_tasks} and {self.max_tasks}")
 
 
 @dataclass(frozen=True)
@@ -257,8 +275,8 @@ def generate_workload(
         raise ValueError("count must be >= 1")
     if not users:
         raise ValueError("at least one user required")
-    if len(types) != 2:
-        raise ValueError("the runtime rules are defined for exactly two types")
+    if len(types) != 2 or types[0] == types[1]:
+        raise ValueError(f"the runtime rules need two distinct types, got {list(types)}")
     if isinstance(rule, str):
         rule = second_type_rule(rule)
     runtime_model = runtime_model or RuntimeModel()

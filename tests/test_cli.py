@@ -209,7 +209,8 @@ def test_run_rejects_pfa_knob_past_its_bound(tmp_path, capsys, knob, value):
     config = run_config(tmp_path, policy={"name": "pfa", knob: value})
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: policy:") and "Traceback" not in err
+    assert err.startswith("error: config.policy") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_unknown_policy_name(tmp_path, capsys):
@@ -368,11 +369,24 @@ def test_run_rejects_task_without_runtime_on_a_held_type(tmp_path, capsys):
 
 
 def test_run_that_cannot_progress_exits_2(tmp_path, capsys):
-    # with budget 0 the planner never reserves a machine, and nothing else
-    # can happen once every workflow has arrived
-    config = run_config(tmp_path, users=[{"id": "u1", "budget": 0}], replications=1)
+    # budget 3 buys a small machine, but plf plans on the fastest type,
+    # large at cost 5, so it never reserves one, and nothing else can
+    # happen once every workflow has arrived
+    doc = {"workflows": [workflow_to_dict(chain_wf("w1", [{"small": 100, "large": 10}]))]}
+    write_json(tmp_path / "wl.json", doc)
+    config = run_config(tmp_path, users=[{"id": "u1", "budget": 3}],
+                        workload={"file": "wl.json"}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "no machine is held and no event is pending" in capsys.readouterr().err
+
+
+def test_run_rejects_a_budget_that_buys_no_machine_before_writing(tmp_path, capsys):
+    config = run_config(tmp_path, users=[{"id": "u1", "budget": 0}], replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config.users['u1'].budget: 0 buys no machine; "
+        "the cheapest type with machines costs 1")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_duplicate_user_ids(tmp_path, capsys):
@@ -397,13 +411,14 @@ def test_run_rejects_duplicate_workflow_ids(tmp_path, capsys):
 @pytest.mark.parametrize("arrivals,message", [
     ({"utilization": 0}, "utilization must be"),
     ({"utilization": -0.2}, "utilization must be"),
-    ({"utilization": float("nan")}, "utilization must be"),
+    ({"utilization": float("nan")}, "utilization: expected a number, got nan"),
     ({"utilization": 0.3, "capacity": 0}, "capacity must be"),
 ])
 def test_run_rejects_arrivals_without_a_positive_rate(tmp_path, capsys, arrivals, message):
     config = run_config(tmp_path, workload={"genspec": genspec(count=2), "arrivals": arrivals})
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -414,7 +429,7 @@ def test_run_rejects_arrivals_without_a_positive_rate(tmp_path, capsys, arrivals
 def test_run_rejects_bad_config_scalar_before_writing(tmp_path, capsys, key, value):
     config = run_config(tmp_path, **{key: value})
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: config: {key} must be")
+    assert capsys.readouterr().err.startswith(f"error: config.{key}: expected ")
     assert not (tmp_path / "o").exists()
 
 
@@ -423,10 +438,11 @@ def _null_budget(doc):
 
 
 @pytest.mark.parametrize("edit, named", [
-    (lambda doc: doc["system"].update(interval_s=None), "system.interval_s: expected an integer"),
-    (_null_budget, "users[].budget: expected an integer"),
-    (lambda doc: doc["system"].update(capacity=5), "system.capacity: expected an object"),
-    (lambda doc: doc["system"].update(types=3), "system.types: expected a list"),
+    (lambda doc: doc["system"].update(interval_s=None),
+     "config.system.interval_s: expected an integer, got None"),
+    (_null_budget, "config.users['u1'].budget: expected an integer, got None"),
+    (lambda doc: doc["system"].update(capacity=5), "config.system.capacity: expected an object"),
+    (lambda doc: doc["system"].update(types=3), "config.system.types: expected a list"),
 ], ids=["interval_s-null", "budget-null", "capacity-int", "types-int"])
 def test_run_rejects_mistyped_system_or_user_field_before_writing(tmp_path, capsys, edit, named):
     doc = json.loads(run_config(tmp_path).read_text())
@@ -434,6 +450,17 @@ def test_run_rejects_mistyped_system_or_user_field_before_writing(tmp_path, caps
     config = write_json(tmp_path / "config.json", doc)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_a_system_without_machines_before_writing(tmp_path, capsys):
+    config = json.loads(run_config(tmp_path).read_text())
+    config["system"]["capacity"] = {}
+    write_json(tmp_path / "config.json", config)
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config.system.capacity: expected at least one machine, got {}")
     assert not (tmp_path / "o").exists()
 
 
@@ -452,11 +479,11 @@ DROP = object()  # parametrize value: delete the field
 
 @pytest.mark.parametrize("field, value, named", [
     ("edges", DROP, "missing fields ['edges']"),
-    ("tasks", 5, "tasks must be a list"),
+    ("tasks", 5, ".tasks: expected a list, got 5"),
     ("priority", None, "priority: expected an integer"),
-    ("edges", [["t0"]], "edges must be a list of [parent, child]"),
-    ("runtimes", DROP, "runtimes object"),
-    ("runtimes", {"small": None}, "runtime on 'small': expected an integer"),
+    ("edges", [["t0"]], ".edges[0]: expected a [parent, child] pair, got ['t0']"),
+    ("runtimes", DROP, ".tasks['t000']: missing fields ['runtimes']"),
+    ("runtimes", {"small": None}, ".tasks['t000'].runtimes.small: expected an integer, got None"),
     ("priority", float("inf"), "priority: expected an integer"),
 ])
 def test_run_rejects_malformed_workload_file_naming_the_field(
@@ -476,7 +503,7 @@ def test_run_rejects_malformed_workload_file_naming_the_field(
     config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: workflow {doc['workflows'][1]['id']!r}:")
+    assert err.startswith(f"error: workload.workflows[{doc['workflows'][1]['id']!r}]")
     assert named in err
     assert not (tmp_path / "o").exists()
 
@@ -485,7 +512,7 @@ def test_run_rejects_workload_file_without_workflows(tmp_path, capsys):
     write_json(tmp_path / "wl.json", {"flows": []})
     config = run_config(tmp_path, workload={"file": "wl.json"}, replications=1)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert "workflows list" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: workload: unknown fields ['flows']")
     assert not (tmp_path / "o").exists()
 
 
@@ -499,5 +526,5 @@ def test_mip_rejects_malformed_instance_naming_the_field(instance_path, capsys, 
     doc[field] = value
     instance_path.write_text(json.dumps(doc))
     assert main(["mip", "export", "--instance", str(instance_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: instance: {field} must be")
+    assert capsys.readouterr().err.startswith(f"error: instance.{field}")
     assert not instance_path.with_suffix(".lp").exists()

@@ -512,6 +512,22 @@ def test_run_that_cannot_progress_stops_with_a_typed_error(policy, budget, machi
             policy=POLICIES[policy]())
 
 
+@pytest.mark.parametrize("policy", ["pfa-ma", "pfa-ewma"])
+def test_pfa_profiles_only_the_types_with_machines(policy):
+    # Each task runs twice as fast on large, but small, the cheaper type,
+    # has no machines. A profile share on small used to swap every large
+    # machine for small ones that do not exist, and the run stalled.
+    rt = {"small": 20, "large": 10}
+    tasks = [("entry", rt), *((f"m{i:02d}", rt) for i in range(20)), ("exit", rt)]
+    edges = [*(("entry", t) for t, _ in tasks[1:-1]), *((t, "exit") for t, _ in tasks[1:-1])]
+    system = two_type_system(small=0, large=2)
+    with time_limit(3):
+        result = run([wf("fj", tasks, edges)], system=system, budget=20,
+                     policy=POLICIES[policy]())
+    assert result.state.all_done
+    assert {row[6] for row in result.trace if row[1] == "allocate"} == {"large"}
+
+
 def test_stall_guard_gives_a_machine_released_mid_tick_another_tick():
     # u1 holds the only machine and finishes at 10 s; u2's work arrives at
     # 30 s. At tick 1, u1 releases the machine at its billing end. When u2

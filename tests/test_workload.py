@@ -9,6 +9,8 @@ from wfasim.workload import (
     WL1,
     WL2,
     DagRecipe,
+    RuntimeModel,
+    SizeModel,
     generate_workflow,
     generate_workload,
     scale_runtimes,
@@ -136,6 +138,28 @@ def test_statistics_fields():
     }
     total = sum(min_runtime(t) for w in wfs for t in w.tasks) / len(wfs)
     assert stats["mean_total_fastest_runtime"] == pytest.approx(total)
+
+
+@pytest.mark.parametrize("model, fields, named", [
+    (SizeModel, {"min_tasks": 12, "max_tasks": 4}, "min_tasks <= max_tasks"),
+    (SizeModel, {"min_tasks": 0}, "1 <= min_tasks"),
+    (SizeModel, {"log_median": 0}, "log_median"),
+    (SizeModel, {"log_sigma": -0.1}, "log_sigma"),
+    (SizeModel, {"log_median": float("inf")}, "log_median"),
+    (RuntimeModel, {"scale_divisor": 0}, "scale_divisor"),
+    (RuntimeModel, {"log_median": -1}, "log_median"),
+    (RuntimeModel, {"log_sigma": float("nan")}, "log_sigma"),
+])
+def test_generator_models_own_their_ranges(model, fields, named):
+    # min_tasks above max_tasks used to clamp every workflow to max_tasks
+    with pytest.raises(ValueError, match=named):
+        model(**fields)
+
+
+def test_generator_rejects_a_type_named_twice():
+    # the second runtime used to overwrite the first, leaving one type
+    with pytest.raises(ValueError, match="two distinct types"):
+        generate_workload(2, users=["u1"], types=("small", "small"))
 
 
 def test_size_bounds_respected():
