@@ -64,6 +64,11 @@ def generate_from_spec(spec: dict, where: str) -> tuple[list, dict[str, list]]:
     plus each named set separately. ``where`` names the spec in errors."""
     if "sets" not in spec and "count" not in spec:
         raise ConfigError(f"{where}: either sets or count is required")
+    names = [s["name"] for s in spec.get("sets", ())]
+    for idx, name in enumerate(names):  # each set writes its own file, named by it
+        if name in names[:idx]:
+            raise ConfigError(f"{where}.sets[{idx}].name: expected a name no earlier set "
+                              f"uses, got {name!r}")
     families = spec.get("families", workload.FAMILIES)
     for fam in families:  # checked even where sets name the families
         workload.DagRecipe(fam)
@@ -152,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         interval_s=doc["interval_s"],
         boot_delay_s=doc["boot_delay_s"],
     )
-    held = [t for t, count in system.capacity.items() if count > 0]
+    held = system.types_with_machines()
     if not held:
         raise ConfigError(f"config.system.capacity: expected at least one machine, "
                           f"got {doc['capacity']!r}")
@@ -160,8 +165,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     parse_policy(config["policy"])  # reject a bad policy before any work
     workflows = load_run_workload(config, config_path.parent, system)
     # invalid input exits before --out is created
-    engine.validate_inputs(workflows, [u.id for u in users], [t.id for t in system.types], held)
-    cheapest = min(system.type_by_id(t).cost for t in held)
+    engine.validate_inputs(workflows, [u.id for u in users], [t.id for t in system.types],
+                           [t.id for t in held])
+    cheapest = min(t.cost for t in held)
     for u in users:  # a budget that buys no machine can never run the user's work
         if u.budget < cheapest and any(wf.user == u.id for wf in workflows):
             raise ConfigError(f"config.users[{u.id!r}].budget: {u.budget} buys no machine; "
@@ -217,11 +223,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _mip_system(instance: mip.MipInstance) -> tuple[SystemConfig, list[UserConfig]]:
     """Simulation setup equivalent to an instance: same machines, the
     billing interval spanning one slot group, the single user's budget."""
-    costs: dict[str, int] = {}
-    for r in instance.resources:
-        if costs.setdefault(r.rtype, r.cost) != r.cost:
-            raise ConfigError(f"instance.resources: expected one cost per type, "
-                              f"got {costs[r.rtype]} and {r.cost} for {r.rtype!r}")
+    costs = {r.rtype: r.cost for r in instance.resources}  # build_instance allows one per type
     system = SystemConfig(
         types=tuple(ResourceType(t, costs[t]) for t in sorted(costs)),
         capacity=dict(Counter(r.rtype for r in instance.resources)),

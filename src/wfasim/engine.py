@@ -274,7 +274,7 @@ class _Sim:
         collect_plans: bool,
     ):
         self.type_ids = [t.id for t in system.types]
-        held = [t for t, count in system.capacity.items() if count > 0]
+        held = [t.id for t in system.types_with_machines()]
         graphs = validate_inputs(workflows, [u.id for u in users], self.type_ids, held)
         self.system = system
         self.users = users
@@ -418,10 +418,10 @@ class _Sim:
             tick=tick,
             user=self.state.users[uid],
             config=self.system,
-            state=self.state,
-            oracle=perfect_oracle,
-            rng=self.rng,
             observation=UserFacade(self.state, uid),
+            oracle=perfect_oracle,
+            tasks=self.tasks,
+            rng=self.rng,
         )
 
     def apply_decision(self, uid: str, decision: Decision, now: int, tick: int) -> None:

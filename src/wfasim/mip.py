@@ -162,6 +162,11 @@ def build_instance(
         raise ValueError("instance needs at least one workflow")
     if not resources:
         raise ValueError("instance needs at least one resource")
+    costs: dict[str, int] = {}
+    for rtype, cost in resources:
+        if costs.setdefault(rtype, cost) != cost:
+            raise ValueError(f"instance.resources: expected one cost per type, "
+                             f"got {costs[rtype]} and {cost} for {rtype!r}")
     if slot_s < 1 or slots_per_billing < 1 or budget < 1:
         raise ValueError("slot length, interval length, and budget must be positive")
     users = {wf.user for wf in workflows}

@@ -154,6 +154,10 @@ class SystemConfig:
     def total_capacity(self) -> int:
         return sum(self.capacity.get(t.id, 0) for t in self.types)
 
+    def types_with_machines(self) -> tuple[ResourceType, ...]:
+        """The types the system holds at least one machine of, in config order."""
+        return tuple(t for t in self.types if self.capacity.get(t.id, 0) > 0)
+
 
 class ResourceState(Enum):
     DOWN = "down"

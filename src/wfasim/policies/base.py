@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 from ..model import SystemConfig, TaskSpec, UserConfig
 
 if TYPE_CHECKING:
-    from ..state import SystemState, UserFacade
+    from ..state import UserFacade
 
 # Perfect runtime estimates: the oracle returns the workload's true runtime.
 RuntimeOracle = Callable[[TaskSpec, str], int]
@@ -52,7 +52,7 @@ class PlanEntry(NamedTuple):
     every tick, and a tuple is built several times faster."""
 
     resource_id: int
-    task: int  # handle; ``SystemState.ref`` gives its (workflow id, task id)
+    task: int  # handle; ``UserFacade.workflow_of`` gives its workflow's id
     start_s: int
     end_s: int
     pinned: bool = False  # already running when the plan was built
@@ -105,17 +105,21 @@ class Decision:
 
 @dataclass
 class PolicyView:
-    """Everything the engine exposes to one policy invocation. A feedback
-    policy reads the runtime-free ``observation``, not ``state`` or ``oracle``."""
+    """Everything the engine exposes to one policy invocation.
+
+    Every policy reads the user's machines and unfinished work from the
+    runtime-free ``observation``. Runtimes come only from ``oracle``, asked
+    about the ``TaskSpec`` in ``tasks`` (indexed by task handle): the
+    planners do that, and a feedback policy reads neither."""
 
     now: int
     tick: int
     user: UserConfig
     config: SystemConfig
-    state: "SystemState"
+    observation: "UserFacade"
     oracle: RuntimeOracle
+    tasks: Sequence[TaskSpec]
     rng: random.Random
-    observation: "UserFacade | None" = None
 
     @property
     def horizon_s(self) -> int:

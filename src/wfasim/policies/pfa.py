@@ -507,8 +507,7 @@ class PfaPolicy(Policy):
         only applied decisions change allocations, so these were held
         through the whole interval. Only types with machines are listed."""
         facade = view.observation
-        capacity = view.config.capacity
-        types = tuple((t.id, t.cost) for t in view.config.types if capacity.get(t.id, 0) > 0)
+        types = tuple((t.id, t.cost) for t in view.config.types_with_machines())
         type_ids = tuple(t for t, _ in types)
         allocated = facade.counts_by_type()
         finished = facade.finished_by_type()

@@ -4,6 +4,11 @@ Both policies size the supply with runtime estimates (a perfect oracle
 here), build an execution plan for the next interval on the user's
 resources, and release idle resources the plan leaves empty. They differ in
 how supply is sized and in what order workflows enter the plan.
+
+They read the user's machines, workflows and tasks from the view's
+runtime-free ``observation``, as PFA does. What PFA lacks is the runtime
+knowledge: the view's ``oracle``, asked about the ``TaskSpec`` of a handle
+in the view's ``tasks``.
 """
 
 from __future__ import annotations
@@ -14,13 +19,10 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from ..model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus
-from ..state import SystemState
+from ..model import OverCommitted, ResourceType, TaskSpec
+from ..state import UserFacade
 from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle, pick_free
 
-# module constants: reading a member off the Enum class is several times slower
-_BOOTING, _IDLE, _BUSY = ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY
-_RUNNING = TaskStatus.RUNNING
 # Builds a PlanEntry from a tuple of its fields in C: the named tuple's own
 # __new__ is a Python function, and a planner builds one entry per placement.
 _new_entry = tuple.__new__
@@ -30,14 +32,11 @@ def fastest_type(
     task: TaskSpec, types: tuple[ResourceType, ...], oracle: RuntimeOracle
 ) -> ResourceType:
     """Type with the smallest runtime; ties go to the cheaper type, then to
-    the earlier type in the configured order. A type the task names no
-    runtime on is skipped: the engine accepts that only when the system
-    holds no machines of it."""
+    the earlier type in the given order. The planners pass the types with
+    machines, and the engine requires every task to have a runtime on each."""
     best = None
     best_key = None
     for idx, rt in enumerate(types):
-        if rt.id not in task.runtime_by_type:
-            continue
         key = (oracle(task, rt.id), rt.cost, idx)
         if best_key is None or key < best_key:
             best, best_key = rt, key
@@ -63,11 +62,7 @@ def earliest_slot(
 
 
 def build_plan(
-    state: SystemState,
-    user: str,
-    now: int,
-    horizon_s: int,
-    oracle: RuntimeOracle,
+    view: PolicyView,
     workflow_order: list[str],
     typed: dict[int, str],
     extra_resources: list[tuple[int, str]],
@@ -81,7 +76,7 @@ def build_plan(
     and in topological order within a workflow, on the resource giving the
     earliest start; a task enters the plan only when all its parents are
     finished or already planned. Placement stops contributing entries once a
-    task could not start before the horizon.
+    task could not start before the view's horizon.
 
     ``extra_resources`` lists (id, type) of allocations decided this tick but
     not applied yet; they become available after the boot delay.
@@ -92,22 +87,19 @@ def build_plan(
     Each placement reads a flat list of next-free times, all slots' or one
     type's, with C-level ``min`` and ``index`` (see :func:`earliest_slot`).
     """
+    obs, tasks, oracle, now = view.observation, view.tasks, view.oracle, view.now
+    horizon_s = view.horizon_s
     plan = ExecutionPlan()
     add, planned = plan.add, plan.by_task
-    runs, tasks = state.task_runs, state.tasks
     slots: list[tuple[int, str, int]] = []  # (id, type id, next free time)
-    for r in state.user_resources(user):
-        if r.state is _BUSY and r.running is not None:
-            h = r.running
-            start = state.start_s[h]
-            end = start + oracle(tasks[h], r.rtype.id)
-            add(PlanEntry(r.id, h, start, end, True))
-            slots.append((r.id, r.rtype.id, end))
-        elif r.state is _BOOTING:
-            slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s or now)))
-        elif r.state is _IDLE:
-            slots.append((r.id, r.rtype.id, now))
-    boot_ready = now + state.config.boot_delay_s
+    for rid, rtype_id, h, time_s in obs.held():
+        if h >= 0:  # busy since time_s
+            end = time_s + oracle(tasks[h], rtype_id)
+            add(PlanEntry(rid, h, time_s, end, True))
+            slots.append((rid, rtype_id, end))
+        else:  # booting or idle, free from time_s
+            slots.append((rid, rtype_id, max(now, time_s)))
+    boot_ready = now + view.config.boot_delay_s
     for rid, rtype_id in extra_resources:
         slots.append((rid, rtype_id, boot_ready))
     if not slots:
@@ -149,11 +141,10 @@ def build_plan(
 
     # Phase 1: tasks that bought a specific type go onto that type, in
     # workflow order and topological order within a workflow.
+    wf_of = obs.workflow_of
     if typed:
         rank = {wf_id: k for k, wf_id in enumerate(workflow_order)}
-        for _k, h in sorted(
-            (rank[runs[h].spec.id], h) for h in typed if runs[h].spec.id in rank
-        ):
+        for _k, h in sorted((rank[wf_of(h)], h) for h in typed if wf_of(h) in rank):
             rtype_id = typed[h]
             if rtype_id in by_type and h not in planned:
                 place(h, now, rtype_id)
@@ -166,9 +157,9 @@ def build_plan(
     # topological order, and a task is reached exactly when a scan in
     # topological order would find all its parents finished or planned.
     fronts: dict[str, list[int]] = {}
-    blocked = state.blocked
-    for h in state.frontier(user):
-        fronts.setdefault(runs[h].spec.id, []).append(h)
+    children, blocked = obs.children, obs.unfinished_parents
+    for h in obs.frontier():
+        fronts.setdefault(wf_of(h), []).append(h)
     for wf_id in workflow_order:
         if min(available) >= horizon_s:
             break
@@ -187,10 +178,10 @@ def build_plan(
                     continue
             else:
                 end = entry.end_s
-            for c in state.children(h):
+            for c in children(h):
                 if end > ready.get(c, now):
                     ready[c] = end
-                count = left.get(c, blocked[c]) - 1
+                count = left.get(c, blocked(c)) - 1
                 if count == 0:
                     heapq.heappush(heap, c)
                 else:
@@ -198,20 +189,18 @@ def build_plan(
     return plan
 
 
-def _release_candidates(state: SystemState, user: str, now: int, plan: ExecutionPlan) -> list[int]:
-    """Idle resources at their billing end with nothing planned on them."""
-    out = []
-    for r in state.idle_resources(user):
-        if r.billing_end_s is not None and r.billing_end_s <= now and not plan.has_tasks(r.id):
-            out.append(r.id)
-    return sorted(out)
+def _release_candidates(obs: UserFacade, now: int, plan: ExecutionPlan) -> list[int]:
+    """Idle resources at their billing end with nothing planned on them,
+    lowest id first."""
+    return [rid for rid, end_s, _since in obs.idle() if end_s <= now and not plan.has_tasks(rid)]
 
 
-def _headroom(state: SystemState, user: str, budget: int) -> int:
+def _headroom(view: PolicyView) -> int:
     """Budget left after the user's reservations."""
-    committed = state.allocated_cost(user)
+    counts, budget = view.observation.counts_by_type(), view.user.budget
+    committed = sum(t.cost * counts[t.id] for t in view.config.types)
     if committed > budget:
-        raise OverCommitted(f"user {user}: reserved cost {committed} over budget {budget}")
+        raise OverCommitted(f"user {view.user.id}: reserved cost {committed} over budget {budget}")
     return budget - committed
 
 
@@ -229,7 +218,6 @@ def _plan_decision(
     plan the interval on the user's machines plus these, with workflows in
     the given order; and release the idle machines at their billing end
     that the plan leaves empty."""
-    state, user, now = view.state, view.user.id, view.now
     t0 = time.perf_counter()
     types = [(t.id, t.cost) for t in sorted(view.config.types, key=lambda t: (t.cost, t.id))]
     alloc = pick_free(view.observation.free_ids, types, wanted, headroom)
@@ -237,23 +225,24 @@ def _plan_decision(
 
     t0 = time.perf_counter()
     extra = [(rid, rtype_id) for rtype_id, rids in alloc.items() for rid in rids]
-    plan = build_plan(state, user, now, view.horizon_s, view.oracle, order, typed, extra)
+    plan = build_plan(view, order, typed, extra)
     steps["plan"] = time.perf_counter() - t0
     diagnostics.update(
-        t=view.tick, user=user, alloc={k: len(v) for k, v in alloc.items()}, planned=len(plan)
+        t=view.tick, user=view.user.id, alloc={k: len(v) for k, v in alloc.items()},
+        planned=len(plan),
     )
-    return Decision(alloc=alloc, dealloc=_release_candidates(state, user, now, plan),
+    return Decision(alloc=alloc, dealloc=_release_candidates(view.observation, view.now, plan),
                     plan=plan, diagnostics=diagnostics, step_seconds=steps)
 
 
 class _Planner(Policy):
     """What PLF and SCF share: plan-following dispatch, and a table of each
-    task's fastest type and its runtime there, by handle.
+    task's fastest type with machines and its runtime there, by handle.
 
-    The table holds one state's tasks under one oracle. It grows by the
+    The table holds one task list's tasks under one oracle. It grows by the
     tasks that arrived since the last decision, so :func:`fastest_type` runs
-    once per task, and it starts over when the view brings another state (a
-    new run) or another oracle."""
+    once per task, and it starts over when the view brings another task
+    list (a new run) or another oracle."""
 
     mode = "plan"
 
@@ -264,13 +253,13 @@ class _Planner(Policy):
     def fastest(self, view: PolicyView) -> tuple[list[ResourceType], list[int]]:
         """(fastest type, runtime there) of every arrived task, each a list
         indexed by handle."""
-        state, oracle = view.state, view.oracle
-        seen_state, seen_oracle = self._fastest_for
-        if state is not seen_state or oracle is not seen_oracle:
-            self._fastest_for = (state, oracle)
+        tasks, oracle = view.tasks, view.oracle
+        seen_tasks, seen_oracle = self._fastest_for
+        if tasks is not seen_tasks or oracle is not seen_oracle:
+            self._fastest_for = (tasks, oracle)
             self._fastest = ([], [])
         fast, fast_s = self._fastest
-        tasks, types = state.tasks, view.config.types
+        types = view.config.types_with_machines()
         for task in tasks[len(fast):]:
             rt = fastest_type(task, types, oracle)
             fast.append(rt)
@@ -291,30 +280,31 @@ class PlfPolicy(_Planner):
     name = "plf"
 
     def decide(self, view: PolicyView) -> Decision:
-        state, user = view.state, view.user.id
+        if not view.config.types_with_machines():  # no machine to plan on
+            return Decision()
+        obs = view.observation
         steps: dict[str, float] = {}
 
         t0 = time.perf_counter()
-        remaining = _headroom(state, user, view.user.budget)
-        active = list(state.unfinished_tasks(user))
+        remaining = _headroom(view)
+        workflows = obs.workflows()
+        active = [w for w, *_ in workflows]
         shares: dict[str, Fraction] = {}
-        if active:
-            weights = {w: state.runs[w].spec.priority for w in active}
-            total_w = sum(weights.values())
-            for w in active:
-                if total_w > 0:
-                    shares[w] = Fraction(remaining * weights[w], total_w)
-                else:
-                    shares[w] = Fraction(remaining, len(active))
+        total_w = sum(priority for _w, priority, _a, _hs in workflows)
+        for w, priority, _a, _hs in workflows:
+            if total_w > 0:
+                shares[w] = Fraction(remaining * priority, total_w)
+            else:
+                shares[w] = Fraction(remaining, len(active))
         steps["distribute"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         typed: dict[int, str] = {}
         skipped: list[tuple[int, ResourceType]] = []
         fast = self.fastest(view)[0]
-        runs = state.task_runs
-        for h in state.eligible_tasks(user):
-            wf_id = runs[h].spec.id
+        wf_of = obs.workflow_of
+        for h in obs.eligible():
+            wf_id = wf_of(h)
             rt = fast[h]
             if shares[wf_id] >= rt.cost:
                 shares[wf_id] -= rt.cost
@@ -346,26 +336,28 @@ class ScfPolicy(_Planner):
     name = "scf"
 
     def decide(self, view: PolicyView) -> Decision:
-        state, user, now = view.state, view.user.id, view.now
+        if not view.config.types_with_machines():  # no machine to plan on
+            return Decision()
+        obs, oracle, tasks, now = view.observation, view.oracle, view.tasks, view.now
         budget = view.user.budget
         interval = view.config.interval_s
         types = view.config.types
         steps: dict[str, float] = {}
 
         t0 = time.perf_counter()
-        headroom = _headroom(state, user, budget)
+        headroom = _headroom(view)
 
         supply: dict[str, int] = {t.id: 0 for t in types}
         fast, fast_s = self.fastest(view)
-        status, machine, start_s, tasks = state.status, state.machine, state.start_s, state.tasks
-        unfinished = state.unfinished_tasks(user)
-        active = list(unfinished)
-        for handles in unfinished.values():
+        # running task -> (type id, start) of the machine it runs on
+        running = {h: (rtype_id, start) for _rid, rtype_id, h, start in obs.held() if h >= 0}
+        workflows = obs.workflows()
+        for _w, _priority, _arrival, handles in workflows:
             sums: dict[str, int] = {}
             for h in handles:
-                if status[h] is _RUNNING:
-                    rtype_id = state.resources[machine[h]].rtype.id
-                    left = start_s[h] + view.oracle(tasks[h], rtype_id) - now
+                if h in running:
+                    rtype_id, start = running[h]
+                    left = start + oracle(tasks[h], rtype_id) - now
                     sums[rtype_id] = sums.get(rtype_id, 0) + max(1, left)
                 else:
                     rtype_id = fast[h].id
@@ -376,14 +368,12 @@ class ScfPolicy(_Planner):
 
         t0 = time.perf_counter()
         scaled = scf_scale_supply(supply, types, budget)
-        have = state.counts_by_type(user)
+        have = obs.counts_by_type()
         wanted = {t.id: scaled[t.id] - have[t.id] for t in types}
         steps["scale"] = time.perf_counter() - t0
 
-        # active is in arrival sequence and the sort is stable
-        order = sorted(
-            active, key=lambda w: (-state.runs[w].spec.priority, state.runs[w].spec.arrival_s)
-        )
+        # workflows are in arrival sequence and the sort is stable
+        order = [w for w, *_ in sorted(workflows, key=lambda wf: (-wf[1], wf[2]))]
         diagnostics = {"supply": supply, "scaled": scaled}
         return _plan_decision(view, wanted, headroom, order, {}, steps, diagnostics)
 

@@ -10,12 +10,14 @@ the number of tasks that arrived before it, and its task at topological
 index ``i`` gets the handle ``base + i``. Handles are dense and ascend in
 arrival, then topological, order. The per-task records are flat lists on
 ``SystemState``, indexed by handle and extended at each arrival:
-``task_runs`` (the task's run), ``tasks`` (its ``TaskSpec``), ``status``,
-``blocked`` (count of unfinished parents), ``start_s`` and ``machine`` (the
-id of the machine it ran on). Only this module turns a topological index
-into a handle. Plan entries carry handles too. String ids stay at the
-edges: the trace and the output files name tasks by ``(workflow id, task
-id)``, which ``ref`` reads off a handle.
+``task_runs`` (the task's run), ``workflow`` (its workflow's id), ``tasks``
+(its ``TaskSpec``), ``status``, ``blocked`` (count of unfinished parents),
+``start_s`` and ``machine`` (the id of the machine it ran on). Only this
+module turns a topological index into a handle. Plan entries carry handles
+too. String ids stay at the edges: the trace and the output files name
+tasks by ``(workflow id, task id)``, which ``ref`` reads off a handle.
+Policies read none of this directly: ``UserFacade`` below is their one
+view of the state.
 
 Queries are served from indexes that the transitions below keep up to date,
 so no query scans every machine or re-sorts every eligible task. Each user
@@ -64,7 +66,8 @@ TaskRef = tuple[str, str]  # (workflow id, task id)
 _HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
 # Module constants: reading a member off the Enum class costs several
 # times a global read, and the transitions below run once per event.
-_DOWN, _IDLE, _BUSY = ResourceState.DOWN, ResourceState.IDLE, ResourceState.BUSY
+_DOWN, _BOOTING = ResourceState.DOWN, ResourceState.BOOTING
+_IDLE, _BUSY = ResourceState.IDLE, ResourceState.BUSY
 _PENDING, _ELIGIBLE = TaskStatus.PENDING, TaskStatus.ELIGIBLE
 _RUNNING, _FINISHED = TaskStatus.RUNNING, TaskStatus.FINISHED
 
@@ -119,6 +122,7 @@ class SystemState:
         self.runs: dict[str, WorkflowRun] = {}
         # per-task records, indexed by handle (see the module docstring)
         self.task_runs: list[WorkflowRun] = []
+        self.workflow: list[str] = []
         self.tasks: list[TaskSpec] = []
         self.status: list[TaskStatus] = []
         self.blocked: list[int] = []
@@ -155,7 +159,7 @@ class SystemState:
     # -- handles ------------------------------------------------------------
 
     def ref(self, h: int) -> TaskRef:
-        return self.task_runs[h].spec.id, self.tasks[h].id
+        return self.workflow[h], self.tasks[h].id
 
     # -- workflow lifecycle -------------------------------------------------
 
@@ -177,6 +181,7 @@ class SystemState:
         base, n = len(self.tasks), len(graph.tasks)
         run = WorkflowRun(graph, base, rec)
         self.task_runs.extend(repeat(run, n))
+        self.workflow.extend(repeat(spec.id, n))
         self.tasks.extend(graph.tasks)
         self.status.extend(repeat(_PENDING, n))
         self.blocked.extend(map(len, graph.parents))
@@ -286,10 +291,6 @@ class SystemState:
         """Idle resources of a user, optionally of one type, lowest id first."""
         return self._ids(user, (_IDLE,), rtype_id)
 
-    def user_resources(self, user: str) -> list[Resource]:
-        """Reserved resources of a user, lowest id first."""
-        return self._ids(user, _HELD)
-
     def reserved(self) -> list[Resource]:
         """Every reserved resource, grouped by user, state and type."""
         return [
@@ -308,35 +309,14 @@ class SystemState:
         out.sort()
         return out
 
-    def unfinished_tasks(self, user: str) -> dict[str, list[int]]:
-        """{workflow id: its unfinished tasks in topological order} for the
-        user's active workflows, in arrival order."""
-        return {
-            run.spec.id: list(hs)
-            for run, hs in groupby(self._index[user].unfinished, self.task_runs.__getitem__)
-        }
-
-    def frontier(self, user: str) -> tuple[int, ...]:
-        """The user's unfinished tasks with no unfinished parent: every
-        eligible and every running task."""
-        return tuple(self._index[user].frontier)
-
-    def children(self, h: int) -> tuple[int, ...]:
-        """The children of one unfinished task."""
-        return self.task_runs[h].user_index.unfinished[h]
-
-    def unfinished_parents(self, h: int) -> int:
-        """How many parents of one unfinished task are unfinished."""
-        return self.blocked[h]
-
     def joint_dag(self, user: str) -> tuple[list[int], list[tuple[int, int]]]:
         """Unfinished tasks of the user's arrived workflows, with the
         precedence edges among them, as one combined DAG.
 
         Node and edge order is deterministic (arrival sequence, then
-        topological index). This is the explicit form of what ``frontier``,
-        ``children`` and ``unfinished_parents`` describe; no policy needs it
-        built.
+        topological index). This is the explicit form of what the
+        ``UserFacade`` queries ``frontier``, ``children`` and
+        ``unfinished_parents`` describe; no policy needs it built.
         """
         tasks = self._index[user].unfinished
         return list(tasks), [(h, c) for h, children in tasks.items() for c in children]
@@ -393,21 +373,34 @@ class SystemState:
 
 class UserFacade:
     """Read-only view of one user's machines and unfinished work, in plain
-    ids and counts. Nothing on it leads to the runs, their specs or task
-    runtimes, so a policy that reads only this cannot use runtime knowledge.
-    Tasks are named by their int handles."""
+    ids, times and counts: every policy reads this. Nothing on it leads to
+    the runs, their specs or task runtimes, so a policy that reads only this
+    cannot use runtime knowledge. Tasks are named by their int handles.
 
-    __slots__ = ("_state", "user_id")
+    ``children(h)``, ``unfinished_parents(h)`` and ``workflow_of(h)`` look up
+    one task. They are the bound ``__getitem__`` of the state's own int and
+    str containers, so a planner that visits every task calls no Python
+    function per visit."""
+
+    __slots__ = ("_state", "_rec", "user_id", "children", "unfinished_parents", "workflow_of")
 
     def __init__(self, state: SystemState, user_id: str):
         self._state = state
+        self._rec = rec = state._index[user_id]
         self.user_id = user_id
+        # by handle: an unfinished task's children, its unfinished parent
+        # count, and any task's workflow id
+        self.children = rec.unfinished.__getitem__
+        self.unfinished_parents = state.blocked.__getitem__
+        self.workflow_of = state.workflow.__getitem__
 
     def counts_by_type(self) -> dict[str, int]:
+        """{type id: machines the user holds of that type}, every type."""
         return self._state.counts_by_type(self.user_id)
 
-    def idle(self, rtype_id: str) -> tuple[tuple[int, int, int], ...]:
-        """(id, billing end, idle since) of each idle machine, lowest id first."""
+    def idle(self, rtype_id: str | None = None) -> tuple[tuple[int, int, int], ...]:
+        """(id, billing end, idle since) of each idle machine, of one type or
+        of every type, lowest id first."""
         return tuple(
             (r.id, r.billing_end_s or 0, r.idle_since_s or 0)
             for r in self._state.idle_resources(self.user_id, rtype_id)
@@ -416,21 +409,40 @@ class UserFacade:
     def free_ids(self, rtype_id: str) -> tuple[int, ...]:
         return tuple(r.id for r in self._state.free_resources(rtype_id))
 
+    def held(self) -> tuple[tuple[int, str, int, int], ...]:
+        """(id, type id, running task, time) of each held machine, lowest id
+        first. A busy machine gives its task's handle and start. Any other
+        gives -1 and the time it is free from: its boot end while it boots,
+        else the time it went idle."""
+        start_s = self._state.start_s
+        out = []
+        for r in self._state._ids(self.user_id, _HELD):
+            if r.state is _BUSY:
+                out.append((r.id, r.rtype.id, r.running, start_s[r.running]))
+            else:
+                free_s = r.boot_ready_s if r.state is _BOOTING else r.idle_since_s
+                out.append((r.id, r.rtype.id, -1, free_s))
+        return tuple(out)
+
+    def workflows(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(id, priority, arrival, unfinished tasks) of each workflow with
+        unfinished tasks, in arrival order; its tasks in topological order."""
+        return tuple(
+            (run.spec.id, run.spec.priority, run.spec.arrival_s, tuple(hs))
+            for run, hs in groupby(self._rec.unfinished, self._state.task_runs.__getitem__)
+        )
+
+    def eligible(self) -> list[int]:
+        """Eligible tasks in dispatch order."""
+        return self._state.eligible_tasks(self.user_id)
+
     def frontier(self) -> tuple[int, ...]:
         """Unfinished tasks with no unfinished parent, running ones included."""
-        return self._state.frontier(self.user_id)
-
-    def children(self, h: int) -> tuple[int, ...]:
-        """The children of one unfinished task."""
-        return self._state.children(h)
-
-    def unfinished_parents(self, h: int) -> int:
-        """How many parents of one unfinished task are unfinished."""
-        return self._state.unfinished_parents(h)
+        return tuple(self._rec.frontier)
 
     def finished_by_type(self) -> dict[str, int]:
         """Tasks finished so far, per type of the machine that ran them."""
-        return dict(self._state._index[self.user_id].finished)
+        return dict(self._rec.finished)
 
 
 __all__ = ["SystemState", "TaskRef", "UserFacade", "WorkflowRun"]

@@ -91,6 +91,26 @@ def test_gen_rejects_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+REPEATED_SETS = [{"name": "a", "family": "fan-reduce", "count": 2},
+                 {"name": "a", "family": "wide-join", "count": 3}]
+
+
+@pytest.mark.parametrize("cmd", ["gen", "run"])
+def test_a_genspec_that_repeats_a_set_name_is_rejected_before_writing(tmp_path, capsys, cmd):
+    # each set is written to a file named by it; a repeated name used to
+    # drop the first set's workflows without a word
+    if cmd == "gen":
+        spec = write_json(tmp_path / "spec.json", genspec(sets=REPEATED_SETS))
+        argv, where = ["gen", "--spec", str(spec)], "genspec"
+    else:
+        config = run_config(tmp_path, workload={"genspec": genspec(sets=REPEATED_SETS)})
+        argv, where = ["run", "--config", str(config)], "config.workload.genspec"
+    assert main([*argv, "--out", str(tmp_path / "o" / "wl.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {where}.sets[1].name: expected a name no earlier set uses, got 'a'\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_requires_sets_or_count(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", genspec())
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2
@@ -344,6 +364,23 @@ def test_mip_compare_rejects_runtime_on_a_type_the_instance_lacks(tmp_path, caps
                         ("compare", ".compare.csv")):
         assert main(["mip", cmd, "--instance", str(path)]) == 2
         assert "UnknownType(large)" in capsys.readouterr().err
+        assert not path.with_suffix(suffix).exists()
+
+
+def test_mip_rejects_an_instance_that_gives_one_type_two_costs(tmp_path, capsys):
+    # the instance builder checks the costs, so every subcommand rejects the
+    # file alike, before writing
+    spec = chain_wf("c2", [{"small": 10}] * 2)
+    path = write_json(tmp_path / "inst.json", {
+        "schema": "wfasim-mip-1", "slot_s": 5, "slots_per_billing": 2, "budget": 6,
+        "resources": [{"type": "small", "cost": 1}, {"type": "small", "cost": 2}],
+        "workflows": [workflow_to_dict(spec)],
+    })
+    for cmd, suffix in (("export", ".lp"), ("solve", ".solution.json"),
+                        ("compare", ".compare.csv")):
+        assert main(["mip", cmd, "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: instance.resources: expected one cost per type, got 1 and 2 for 'small'\n")
         assert not path.with_suffix(suffix).exists()
 
 

@@ -239,8 +239,8 @@ def test_budget_violation_from_malicious_policy():
     class Grabber(PfaPolicy):
         def decide(self, view):
             decision = super().decide(view)
-            free = view.state.free_resources("large")
-            decision.alloc.setdefault("large", []).extend(r.id for r in free[:3])
+            free = view.observation.free_ids("large")
+            decision.alloc.setdefault("large", []).extend(free[:3])
             return decision
 
     wfs = generate_workload(4, users=["u1"], rule=WL1, seed=4)
@@ -512,20 +512,26 @@ def test_run_that_cannot_progress_stops_with_a_typed_error(policy, budget, machi
             policy=POLICIES[policy]())
 
 
-@pytest.mark.parametrize("policy", ["pfa-ma", "pfa-ewma"])
-def test_pfa_profiles_only_the_types_with_machines(policy):
-    # Each task runs twice as fast on large, but small, the cheaper type,
-    # has no machines. A profile share on small used to swap every large
-    # machine for small ones that do not exist, and the run stalled.
+@pytest.mark.parametrize("policy, small, large", [
+    pytest.param(policy, small, large, id=policy if large else f"{policy}-small-only")
+    for small, large in ((0, 2), (2, 0)) for policy in POLICIES
+])
+def test_pfa_profiles_only_the_types_with_machines(policy, small, large):
+    # Each task runs twice as fast on large as on small, the cheaper type,
+    # and one of the two has no machines. A PFA profile share on a
+    # machineless small used to swap every large machine for small ones that
+    # do not exist, and PLF and SCF planned every task on a machineless
+    # large: each run stalled. Every policy now buys only the type it can.
     rt = {"small": 20, "large": 10}
     tasks = [("entry", rt), *((f"m{i:02d}", rt) for i in range(20)), ("exit", rt)]
     edges = [*(("entry", t) for t, _ in tasks[1:-1]), *((t, "exit") for t, _ in tasks[1:-1])]
-    system = two_type_system(small=0, large=2)
+    system = two_type_system(small=small, large=large)
     with time_limit(3):
         result = run([wf("fj", tasks, edges)], system=system, budget=20,
                      policy=POLICIES[policy]())
     assert result.state.all_done
-    assert {row[6] for row in result.trace if row[1] == "allocate"} == {"large"}
+    held = {t.id for t in system.types_with_machines()}
+    assert {row[6] for row in result.trace if row[1] == "allocate"} == held
 
 
 def test_stall_guard_gives_a_machine_released_mid_tick_another_tick():

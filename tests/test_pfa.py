@@ -419,8 +419,8 @@ def test_ewma_carry_flows_between_decisions():
 def test_policy_requires_observation():
     policy = PfaPolicy()
     view = PolicyView(
-        now=0, tick=0, user=None, config=None, state=None, oracle=None,
-        rng=None, observation=None,
+        now=0, tick=0, user=None, config=None, observation=None, oracle=None,
+        tasks=None, rng=None,
     )
     with pytest.raises(ValueError):
         policy.decide(view)
@@ -450,23 +450,36 @@ def test_user_facade_exposes_only_runtime_free_queries():
     public = {name for name in dir(UserFacade) if not name.startswith("_")}
     assert public == {
         "user_id", "counts_by_type", "idle", "free_ids", "finished_by_type",
-        "frontier", "children", "unfinished_parents",
+        "frontier", "children", "unfinished_parents", "held", "workflows",
+        "eligible", "workflow_of",
     }
     # slots only: no instance dict to hang a path to runs or runtimes on
-    assert UserFacade.__slots__ == ("_state", "user_id")
-    assert not hasattr(UserFacade(None, "u1"), "__dict__")
+    assert UserFacade.__slots__ == (
+        "_state", "_rec", "user_id", "children", "unfinished_parents", "workflow_of"
+    )
 
     state = SystemState(two_type_system(small=2, large=1), users(("u1", 12)))
     state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5, "large": 2}] * 3)))
+    state.arrive(WorkflowGraph(chain_wf("w2", [{"small": 5, "large": 2}], priority=3,
+                                        arrival_s=4)))
     state.reserve(state.resources[0], "u1", now=0)
+    state.reserve(state.resources[1], "u1", now=0)
     t0, t1, t2 = (handle(state, "w1", t) for t in ("t0", "t1", "t2"))
+    w2 = handle(state, "w2", "t0")
     state.start_task(t0, state.resources[0], now=0)
     state.finish_task(t0, now=5)
+    state.start_task(w2, state.resources[1], now=6)
     facade = UserFacade(state, "u1")
+    assert not hasattr(facade, "__dict__")
+    # each per-handle lookup is a C-level method of a container of ints or strs
+    for lookup in (facade.children, facade.unfinished_parents, facade.workflow_of):
+        assert type(lookup).__name__ == "builtin_function_or_method"
+        assert {type(x) for x in lookup.__self__} <= {int, str}
     answers = [
-        facade.counts_by_type(), facade.idle("small"), facade.free_ids("small"),
+        facade.counts_by_type(), facade.idle("small"), facade.idle(), facade.free_ids("small"),
         facade.finished_by_type(), facade.frontier(), facade.children(t1),
-        facade.unfinished_parents(t2),
+        facade.unfinished_parents(t2), facade.held(), facade.workflows(), facade.eligible(),
+        facade.workflow_of(t1),
     ]
 
     def leaves(x):
@@ -477,19 +490,23 @@ def test_user_facade_exposes_only_runtime_free_queries():
         return [x]
 
     assert {type(leaf) for a in answers for leaf in leaves(a)} == {int, str}
-    assert facade.idle("small") == ((0, 60, 5),)
-    assert facade.free_ids("small") == (1,)
-    assert facade.frontier() == (t1,)
+    assert facade.idle("small") == facade.idle() == ((0, 60, 5),)
+    assert facade.free_ids("small") == ()
+    assert sorted(facade.frontier()) == [t1, w2]  # running ones included
     assert facade.children(t1) == (t2,)
     assert facade.unfinished_parents(t2) == 1
     assert facade.finished_by_type() == {"small": 1, "large": 0}
+    assert facade.held() == ((0, "small", -1, 5), (1, "small", w2, 6))
+    assert facade.workflows() == (("w1", 5, 0, (t1, t2)), ("w2", 3, 4, (w2,)))
+    assert facade.eligible() == [t1]
+    assert facade.workflow_of(t1) == "w1"
 
 
 def facade_view(state, tick, now):
-    # no state, oracle or rng: the policy must decide from the facade alone
+    # no oracle, tasks or rng: the policy must decide from the facade alone
     return PolicyView(
-        now=now, tick=tick, user=state.users["u1"], config=state.config, state=None,
-        oracle=None, rng=None, observation=UserFacade(state, "u1"),
+        now=now, tick=tick, user=state.users["u1"], config=state.config,
+        observation=UserFacade(state, "u1"), oracle=None, tasks=None, rng=None,
     )
 
 

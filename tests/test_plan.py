@@ -34,16 +34,18 @@ def make_state(workflows, system=SYS, budgets=(("u1", 100),)):
     return state
 
 
-def view_for(state, budget, now=0, seed=0, system=SYS):
+def view_for(state, budget=100, now=0, seed=0):
+    """What the engine hands u1's policy at ``now``: the facade, the
+    perfect oracle and the per-handle task list."""
     return PolicyView(
         now=now,
-        tick=now // system.interval_s,
+        tick=now // state.config.interval_s,
         user=UserConfig("u1", budget),
-        config=system,
-        state=state,
-        oracle=perfect_oracle,
-        rng=random.Random(seed),
+        config=state.config,
         observation=UserFacade(state, "u1"),
+        oracle=perfect_oracle,
+        tasks=state.tasks,
+        rng=random.Random(seed),
     )
 
 
@@ -68,9 +70,11 @@ def test_fastest_type_full_tie_goes_to_config_order():
 
 def test_fastest_type_skips_types_the_task_has_no_runtime_on():
     # the engine accepts such a task only when the system has no machines of
-    # the type, and the oracle has no runtime to give for it
+    # the type, and the oracle has no runtime to give for it; the planners
+    # range over the types with machines, so they never ask
     task = TaskSpec("t", {"small": 4})
-    assert fastest_type(task, SYS.types, perfect_oracle).id == "small"
+    types = two_type_system(small=2, large=0).types_with_machines()
+    assert fastest_type(task, types, perfect_oracle).id == "small"
 
 
 @pytest.mark.parametrize("make", [PlfPolicy, ScfPolicy])
@@ -151,7 +155,7 @@ def test_typed_tasks_chain_on_one_resource():
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
     plan = build_plan(
-        state, "u1", now=0, horizon_s=60, oracle=perfect_oracle,
+        view_for(state, now=0),  # horizon 60
         workflow_order=["w1"],
         typed={handle(state, "w1", "a"): "small", handle(state, "w1", "b"): "small"},
         extra_resources=[],
@@ -167,7 +171,7 @@ def test_planner_horizon_cutoff():
     w = wf("w1", [(f"t{i}", {"small": 30, "large": 30}) for i in range(3)])
     state = make_state([w])
     state.reserve(state.resources[0], "u1", now=0)
-    plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"], {}, [])
+    plan = build_plan(view_for(state), ["w1"], {}, [])
     starts = sorted(e.start_s for e in plan.entries())
     # third task would start at 60, the horizon: not planned
     assert starts == [0, 30]
@@ -178,7 +182,7 @@ def test_planner_respects_precedence():
     state = make_state([w])
     state.reserve(state.resources[0], "u1", now=0)
     state.reserve(state.resources[1], "u1", now=0)
-    plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"], {}, [])
+    plan = build_plan(view_for(state), ["w1"], {}, [])
     by_task = {state.ref(e.task): e for e in plan.entries()}
     # the child cannot start before its parent ends, even on the idle twin
     assert by_task[("w1", "t1")].start_s >= by_task[("w1", "t0")].end_s
@@ -190,7 +194,7 @@ def test_planner_pins_running_tasks():
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
     state.start_task(handle(state, "w1", "t0"), r, now=0)
-    plan = build_plan(state, "u1", now=10, horizon_s=70, oracle=perfect_oracle,
+    plan = build_plan(view_for(state, now=10),  # horizon 70
                       workflow_order=["w1"], typed={}, extra_resources=[])
     by_task = {state.ref(e.task): e for e in plan.entries()}
     pinned = by_task[("w1", "t0")]
@@ -203,8 +207,7 @@ def test_planner_uses_extra_resources_after_boot_delay():
     system = two_type_system(boot_delay_s=15)
     w = wf("w1", [("a", {"small": 10, "large": 10})])
     state = make_state([w], system=system)
-    plan = build_plan(state, "u1", now=0, horizon_s=60, oracle=perfect_oracle,
-                      workflow_order=["w1"], typed={},
+    plan = build_plan(view_for(state), workflow_order=["w1"], typed={},
                       extra_resources=[(0, "small")])
     entry = plan.entries()[0]
     assert entry.start_s == 15
@@ -214,7 +217,7 @@ def test_typed_task_with_absent_type_planned_in_second_phase():
     w = wf("w1", [("a", {"small": 10, "large": 4})])
     state = make_state([w])
     state.reserve(state.resources[0], "u1", now=0)  # a small machine
-    plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"],
+    plan = build_plan(view_for(state), ["w1"],
                       typed={handle(state, "w1", "a"): "large"}, extra_resources=[])
     entry = plan.entries()[0]
     assert entry.resource_id == 0
@@ -226,7 +229,7 @@ def test_planner_places_on_earliest_available_lowest_id():
     state = make_state([w])
     state.reserve(state.resources[2], "u1", now=0)
     state.reserve(state.resources[1], "u1", now=0)
-    plan = build_plan(state, "u1", 0, 60, perfect_oracle, ["w1"], {}, [])
+    plan = build_plan(view_for(state), ["w1"], {}, [])
     assert plan.entries()[0].resource_id == 1
 
 
@@ -243,7 +246,7 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
         return state.status[handle(state, wf_id, task_id)]
 
     slots = []
-    for r in state.user_resources(user):
+    for r in (r for r in state.resources if r.reserved and r.user == user):
         if r.state is ResourceState.BUSY:
             wf_id, task_id = state.ref(r.running)
             start = state.start_s[r.running]
@@ -331,7 +334,8 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
             state.start_task(h, data.draw(st.sampled_from(idle)), now)
         elif op == "finish" and (busy := [r for r in res if r.state is ResourceState.BUSY]):
             state.finish_task(data.draw(st.sampled_from(busy)).running, now)
-    order = data.draw(st.permutations(list(state.unfinished_tasks("u1"))), label="order")
+    active = [w for w, *_ in UserFacade(state, "u1").workflows()]
+    order = data.draw(st.permutations(active), label="order")
     typed = {
         h: data.draw(st.sampled_from(("small", "large")))
         for h in data.draw(st.lists(st.sampled_from(state.eligible_tasks("u1") or [None]),
@@ -341,9 +345,13 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
     free = [(r.id, r.rtype.id) for r in state.resources if not r.reserved]
     extra = data.draw(st.lists(st.sampled_from(free or [None]), unique=True, max_size=2))
     extra = [e for e in extra if e is not None]
-    horizon_s = now + data.draw(st.sampled_from((30, 60, 120)), label="horizon")
-    args = (state, "u1", now, horizon_s, perfect_oracle, order, typed, extra)
-    assert build_plan(*args).entries() == scan_build_plan(*args).entries()
+    interval_s = data.draw(st.sampled_from((30, 60, 120)), label="horizon")
+    view = dataclasses.replace(
+        view_for(state, now=now), config=dataclasses.replace(state.config, interval_s=interval_s)
+    )
+    expected = scan_build_plan(state, "u1", now, now + interval_s, perfect_oracle, order, typed,
+                               extra)
+    assert build_plan(view, order, typed, extra).entries() == expected.entries()
 
 
 # -- budget-per-workflow policy ------------------------------------------------------

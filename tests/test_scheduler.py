@@ -12,7 +12,7 @@ from wfasim.dagops import WorkflowGraph
 from wfasim.policies.base import ExecutionPlan, PlanEntry
 from wfasim.scheduler import PlanRunner, dispatch_dynamic
 from wfasim.model import ResourceState
-from wfasim.state import SystemState
+from wfasim.state import SystemState, UserFacade
 
 
 def make_state(workflows, budgets=(("u1", 100),)):
@@ -173,12 +173,13 @@ def random_plan(draw, state, user, now):
     on the machines it holds, mostly idle ones: starts from before now to
     after it, a few pinned."""
     plan = ExecutionPlan()
-    held = [r.id for r in state.user_resources(user)]
+    facade = UserFacade(state, user)
+    held = [rid for rid, *_ in facade.held()]
     if not held:
         return plan
     idle = state.idle_ids(user) or held
     eligible = state.eligible_tasks(user)
-    other = [h for hs in state.unfinished_tasks(user).values() for h in hs if h not in eligible]
+    other = [h for *_, hs in facade.workflows() for h in hs if h not in eligible]
     tasks = draw(st.lists(st.sampled_from(eligible), unique=True), label="eligible") if eligible else []
     tasks += draw(st.lists(st.sampled_from(other), unique=True, max_size=3), label="other") if other else []
     free_at = dict.fromkeys(held, now - 10)

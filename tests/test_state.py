@@ -128,9 +128,10 @@ def check_handles(state):
             h = base + i
             assert state.task_runs[h] is run
             assert state.tasks[h] is run.graph.tasks[i]
+            assert state.workflow[h] == wf_id
             assert state.ref(h) == (wf_id, tid)
         base += len(order)
-    for per_task in (state.task_runs, state.tasks, state.status, state.blocked,
+    for per_task in (state.task_runs, state.workflow, state.tasks, state.status, state.blocked,
                      state.start_s, state.machine):
         assert len(per_task) == base
 
@@ -162,13 +163,22 @@ def check_queries(state, finished, running):
         r.id for r in state.resources if r.reserved
     ]
     for u in USERS:
+        facade = UserFacade(state, u)
         idle = held(state, u, (ResourceState.IDLE,))
         assert state.idle_resources(u) == idle
         for t in TYPES:
             assert state.idle_resources(u, t) == [r for r in idle if r.rtype.id == t]
         assert state.idle_ids(u) == [r.id for r in idle]
+        assert facade.idle() == tuple((r.id, r.billing_end_s, r.idle_since_s) for r in idle)
         mine = held(state, u)
-        assert state.user_resources(u) == mine
+        running_on = {rid: handle(state, *ref) for ref, rid in running.items()}
+        assert facade.held() == tuple(
+            (r.id, r.rtype.id, running_on[r.id], state.start_s[running_on[r.id]])
+            if r.state is ResourceState.BUSY
+            else (r.id, r.rtype.id, -1, r.boot_ready_s if r.state is ResourceState.BOOTING
+                  else r.idle_since_s)
+            for r in mine
+        )
         assert state.supply(u) == len(mine)
         assert state.busy_count(u) == len(held(state, u, (ResourceState.BUSY,)))
         assert state.allocated_cost(u) == sum(r.rtype.cost for r in mine)
@@ -177,6 +187,7 @@ def check_queries(state, finished, running):
         }
         eligible = brute_eligible(state, u, status)
         assert refs(state.eligible_tasks(u)) == eligible
+        assert refs(facade.eligible()) == eligible
         assert state.next_eligible(u) == (handle(state, *eligible[0]) if eligible else None)
         n_running = len(of_user(state, u, status, (TaskStatus.RUNNING,)))
         assert state.momentary_demand(u) == n_running + len(eligible)
@@ -186,12 +197,15 @@ def check_queries(state, finished, running):
         unfinished = {}
         for ref in joint[0]:
             unfinished.setdefault(ref[0], []).append(ref[1])
-        assert {w: [state.ref(h)[1] for h in hs]
-                for w, hs in state.unfinished_tasks(u).items()} == unfinished
-        assert list(state.unfinished_tasks(u)) == list(unfinished)
+        assert [(w, p, a, refs(hs)) for w, p, a, hs in facade.workflows()] == [
+            (w, state.runs[w].spec.priority, state.runs[w].spec.arrival_s,
+             [(w, t) for t in ts])
+            for w, ts in unfinished.items()
+        ]
+        assert all(facade.workflow_of(h) == w for w, *_, hs in facade.workflows() for h in hs)
         frontier = of_user(state, u, status, (TaskStatus.ELIGIBLE, TaskStatus.RUNNING))
-        assert sorted(refs(state.frontier(u))) == sorted(frontier)
-        assert len(state.frontier(u)) == len(frontier)
+        assert sorted(refs(facade.frontier())) == sorted(frontier)
+        assert len(facade.frontier()) == len(frontier)
         # the per-user record agrees with the scans
         rec = state._index[u]
         assert len(rec.frontier) == n_running + len(eligible)
@@ -207,7 +221,6 @@ def check_queries(state, finished, running):
                 assert rec.pools[rs][t] == {r.id for r in held(state, u, (rs,)) if r.rtype.id == t}
         # the frontier walk PFA runs counts the same waves as the explicit
         # walk over the joint DAG, at every depth
-        facade = UserFacade(state, u)
         for depth in (*range(1, 9), None):
             assert tba_walk(
                 facade.frontier(), facade.children, facade.unfinished_parents, depth
@@ -324,3 +337,35 @@ def test_only_state_turns_a_topological_index_into_a_handle():
             if isinstance(node, ast.Attribute) and node.attr == "base":
                 modules.add(path.relative_to(package).as_posix())
     assert modules == {"state.py"}
+
+
+POLICY_BLIND_TO = {"SystemState", "Resource", "ResourceState", "TaskStatus"}
+
+
+def test_policies_read_the_facade_not_the_state():
+    # every policy reads a user's machines and work through UserFacade, so
+    # the state's layout and the machine lifecycle can change under them;
+    # runtimes reach the planners only through the view's oracle
+    package = Path(state_module.__file__).parent / "policies"
+    named, reads_runtimes = {}, []
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                if node.attr == "runtime_by_type" and path.name in ("plan.py", "pfa.py"):
+                    reads_runtimes.append(path.name)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:  # a string annotation
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+        if names & POLICY_BLIND_TO:
+            named[path.name] = sorted(names & POLICY_BLIND_TO)
+    assert named == {}
+    assert reads_runtimes == []
