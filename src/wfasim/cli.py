@@ -162,16 +162,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"config.system.capacity: expected at least one machine, "
                           f"got {doc['capacity']!r}")
     users = [UserConfig(u["id"], u["budget"]) for u in config["users"]]
-    parse_policy(config["policy"])  # reject a bad policy before any work
+    policy = parse_policy(config["policy"])  # reject a bad policy before any work
     workflows = load_run_workload(config, config_path.parent, system)
     # invalid input exits before --out is created
     engine.validate_inputs(workflows, [u.id for u in users], [t.id for t in system.types],
                            [t.id for t in held])
-    cheapest = min(t.cost for t in held)
+    cheapest, dearest = min(t.cost for t in held), max(t.cost for t in held)
     for u in users:  # a budget that buys no machine can never run the user's work
         if u.budget < cheapest and any(wf.user == u.id for wf in workflows):
             raise ConfigError(f"config.users[{u.id!r}].budget: {u.budget} buys no machine; "
                               f"the cheapest type with machines costs {cheapest}")
+        # pfa sizes every user's profile on every tick, with work or without
+        if isinstance(policy, PfaPolicy) and u.budget < dearest:
+            raise ConfigError(f"config.users[{u.id!r}].budget: {u.budget} is below {dearest}; "
+                              f"pfa needs one machine of the dearest type with machines")
     seed = config["seed"] if args.seed is None else args.seed
     reps, collect_plans = config["replications"], config["collect_plans"]
     out = Path(args.out)

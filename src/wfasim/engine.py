@@ -3,10 +3,11 @@
 Event kinds at the same timestamp process in a fixed precedence: task
 finishes release resources first, boots complete, plan wakes and arrivals
 follow, and the autoscaling tick runs last. Billing periods equal the
-autoscaling interval, so every reserved resource reaches its billing end
-exactly at a tick, and the tick itself charges the interval it opens: there
-is no separate billing event. An interval is charged exactly when a next
-tick is scheduled.
+autoscaling interval, and machines are reserved and released only at ticks,
+so every paid interval ends at a tick. The tick itself charges the interval
+it opens for the machines held after its decisions: there is no separate
+billing event, and no per-machine billing window to move. An interval is
+charged exactly when a next tick is scheduled.
 """
 
 from __future__ import annotations
@@ -274,6 +275,7 @@ class _Sim:
         collect_plans: bool,
     ):
         self.type_ids = [t.id for t in system.types]
+        self.cost = {t.id: t.cost for t in system.types}
         held = [t.id for t in system.types_with_machines()]
         graphs = validate_inputs(workflows, [u.id for u in users], self.type_ids, held)
         self.system = system
@@ -352,8 +354,8 @@ class _Sim:
     def on_tick(self, now: int) -> None:
         k = now // self.system.interval_s
         self.row(now, "tick", detail=f"interval={k}")
-        held = self.state.reserved()
-        if self.state.all_done and self.arrivals_left == 0 and not held:
+        held_before = self.state.any_held()
+        if self.state.all_done and self.arrivals_left == 0 and not held_before:
             return
         self.ticks += 1
         before = {
@@ -383,7 +385,7 @@ class _Sim:
         for u in self.users:
             self.dispatch(u.id, now)
         work_left = not (self.state.all_done and self.arrivals_left == 0)
-        held_before, held = held, self.state.reserved()
+        held = self.state.any_held()
         if not (work_left or (acted and held)):
             return  # the run ends here, so this interval is not billed
         if work_left and not held_before and not held and not self.heap:
@@ -394,21 +396,20 @@ class _Sim:
             raise Stalled(f"interval {k}: work remains, but no machine is held "
                           "and no event is pending")
         self.push(now + self.system.interval_s, _TICK, ())
-        for r in held:
-            self.state.prolong(r, now)
+        # every held machine's paid interval ends here: bill the next one
+        counts = {u.id: self.state.counts_by_type(u.id) for u in self.users}
         for u in self.users:
-            charge = self.state.allocated_cost(u.id)
+            charge = sum(self.cost[t] * n for t, n in counts[u.id].items())
             if charge > u.budget:
                 raise BudgetViolation(
                     f"interval {k}: user {u.id} charged {charge} over budget {u.budget}"
                 )
             self.snapshots.append(IntervalSnapshot(k, u.id, *before[u.id], charge))
-        for uid in sorted(before):
-            for rtype_id, count in sorted(self.state.counts_by_type(uid).items()):
+        for uid in sorted(counts):
+            for rtype_id, count in sorted(counts[uid].items()):
                 if count:
-                    cost = self.system.type_by_id(rtype_id).cost * count
                     self.row(now, "charge", uid, rtype=rtype_id,
-                             detail=f"count={count};amount={cost}")
+                             detail=f"count={count};amount={self.cost[rtype_id] * count}")
 
     # -- decision plumbing -----------------------------------------------------
 

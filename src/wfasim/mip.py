@@ -101,9 +101,6 @@ class MipSolution:
     z: dict[tuple[int, int], int]  # (resource, interval) -> busy slots
     profit: int
 
-    def starts(self) -> dict[int, tuple[int, int]]:
-        return {j: (k, t) for j, k, t in self.x}
-
     def completions(self) -> dict[int, int]:
         return {w: t for w, t in self.u}
 

@@ -145,12 +145,6 @@ class SystemConfig:
             if key not in ids:
                 raise ValueError(f"capacity references unknown type {key!r}")
 
-    def type_by_id(self, tid: str) -> ResourceType:
-        for t in self.types:
-            if t.id == tid:
-                return t
-        raise KeyError(tid)
-
     def total_capacity(self) -> int:
         return sum(self.capacity.get(t.id, 0) for t in self.types)
 
@@ -175,9 +169,10 @@ class ResourceState(Enum):
 class Resource:
     """A single reservable machine slot.
 
-    State machine: Down -> Booting -> Idle <-> Busy, and Idle -> Down only at
-    a billing boundary. ``billing_end_s`` is the end of the current paid
-    interval while reserved.
+    State machine: Down -> Booting -> Idle <-> Busy, and Idle -> Down. While
+    reserved, ``billing_end_s`` is the end of the first paid interval: a
+    release before it is refused. The engine bills every later interval at
+    the tick that opens it, and releases only at ticks, so nothing moves it.
     """
 
     id: int
@@ -188,10 +183,6 @@ class Resource:
     boot_ready_s: int | None = None
     idle_since_s: int | None = None
     running: int | None = None  # handle of the running task
-
-    @property
-    def reserved(self) -> bool:
-        return self.state is not ResourceState.DOWN
 
 
 class TaskStatus(Enum):

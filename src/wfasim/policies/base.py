@@ -92,8 +92,9 @@ class Decision:
     """What a policy wants applied at a tick.
 
     ``alloc`` maps resource type id to the exact free resource ids to
-    reserve; ``dealloc`` lists idle resources to release at their billing
-    end. Plan-following policies also ship the next interval's plan.
+    reserve; ``dealloc`` lists idle resources to release. The engine applies
+    both at the tick, where every paid interval ends. Plan-following
+    policies also ship the next interval's plan.
     """
 
     alloc: dict[str, list[int]] = field(default_factory=dict)

@@ -113,13 +113,12 @@ class PfaObservation:
     each task's count of unfinished parents. Idle machines and free ids are
     read per type, and only for the types a decision acts on."""
 
-    now: int
     tick: int
     user_id: str
     budget: int
     types: tuple[tuple[str, int], ...]  # (type id, cost per interval)
     allocated: Mapping[str, int]  # reserved count per type
-    idle: Callable[[str], Iterable[tuple[int, int, int]]]  # (id, billing end, idle since)
+    idle: Callable[[str], Iterable[tuple[int, int]]]  # (id, idle since) of a type's idle machines
     free_ids: Callable[[str], Sequence[int]]  # unreserved ids of a type, lowest first
     frontier: tuple[TaskRef, ...]
     children: Callable[[TaskRef], Sequence[TaskRef]]
@@ -436,10 +435,9 @@ def pfa_decide(
         surplus = have - final[i]
         if surplus <= 0:
             continue
-        chosen = sorted(
-            (end, since, rid) for rid, end, since in obs.idle(tid) if end <= obs.now
-        )[:surplus]
-        dealloc.extend(rid for _end, _since, rid in chosen)
+        # longest idle first, ties to the lower id
+        chosen = sorted((since, rid) for rid, since in obs.idle(tid))[:surplus]
+        dealloc.extend(rid for _since, rid in chosen)
         kept[tid] = have - len(chosen)
 
     # cheapest first; the stable sort keeps equal-cost types in config order
@@ -521,7 +519,6 @@ class PfaPolicy(Policy):
             )
         carry.finished = finished
         obs = PfaObservation(
-            now=view.now,
             tick=view.tick,
             user_id=facade.user_id,
             budget=view.user.budget,

@@ -18,10 +18,13 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ..model import OverCommitted, ResourceType, TaskSpec
-from ..state import UserFacade
 from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle, pick_free
+
+if TYPE_CHECKING:
+    from ..state import UserFacade
 
 # Builds a PlanEntry from a tuple of its fields in C: the named tuple's own
 # __new__ is a Python function, and a planner builds one entry per placement.
@@ -189,10 +192,9 @@ def build_plan(
     return plan
 
 
-def _release_candidates(obs: UserFacade, now: int, plan: ExecutionPlan) -> list[int]:
-    """Idle resources at their billing end with nothing planned on them,
-    lowest id first."""
-    return [rid for rid, end_s, _since in obs.idle() if end_s <= now and not plan.has_tasks(rid)]
+def _release_candidates(obs: UserFacade, plan: ExecutionPlan) -> list[int]:
+    """Idle resources with nothing planned on them, lowest id first."""
+    return [rid for rid, _since in obs.idle() if not plan.has_tasks(rid)]
 
 
 def _headroom(view: PolicyView) -> int:
@@ -216,8 +218,8 @@ def _plan_decision(
     """The tail of a planner's decision: reserve free machines for the
     wanted per-type counts, cheapest type first (ties to the lower type id);
     plan the interval on the user's machines plus these, with workflows in
-    the given order; and release the idle machines at their billing end
-    that the plan leaves empty."""
+    the given order; and release the idle machines that the plan leaves
+    empty."""
     t0 = time.perf_counter()
     types = [(t.id, t.cost) for t in sorted(view.config.types, key=lambda t: (t.cost, t.id))]
     alloc = pick_free(view.observation.free_ids, types, wanted, headroom)
@@ -231,7 +233,7 @@ def _plan_decision(
         t=view.tick, user=view.user.id, alloc={k: len(v) for k, v in alloc.items()},
         planned=len(plan),
     )
-    return Decision(alloc=alloc, dealloc=_release_candidates(view.observation, view.now, plan),
+    return Decision(alloc=alloc, dealloc=_release_candidates(view.observation, plan),
                     plan=plan, diagnostics=diagnostics, step_seconds=steps)
 
 

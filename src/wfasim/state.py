@@ -1,9 +1,9 @@
 """Mutable simulation state: arrived workflows, task lifecycle, reservations.
 
 The state object enforces the local invariants (a task starts only when
-eligible, a resource runs one task, Idle -> Down only at a billing boundary);
-the engine owns event ordering on top of it, and bills each interval from
-the pools below.
+eligible, a resource runs one task, Idle -> Down no earlier than the end of
+the machine's first paid interval); the engine owns event ordering on top of
+it, and bills each interval at its tick from the pools below.
 
 Tasks are addressed by int handles. At arrival a workflow's run gets a base,
 the number of tasks that arrived before it, and its task at topological
@@ -291,15 +291,9 @@ class SystemState:
         """Idle resources of a user, optionally of one type, lowest id first."""
         return self._ids(user, (_IDLE,), rtype_id)
 
-    def reserved(self) -> list[Resource]:
-        """Every reserved resource, grouped by user, state and type."""
-        return [
-            self.resources[rid]
-            for rec in self._index.values()
-            for by_type in rec.pools.values()
-            for ids in by_type.values()
-            for rid in ids
-        ]
+    def any_held(self) -> bool:
+        """Whether any user holds a machine."""
+        return sum(map(len, self._free.values())) < len(self.resources)
 
     def idle_ids(self, user: str) -> list[int]:
         """Ids of the user's idle machines, lowest first."""
@@ -345,7 +339,8 @@ class SystemState:
             resource.idle_since_s = now
 
     def release(self, resource: Resource, now: int) -> None:
-        """Deallocate an idle resource at its billing boundary."""
+        """Deallocate an idle resource, no earlier than the end of its first
+        paid interval."""
         if resource.state is not _IDLE:
             raise ValueError(f"resource {resource.id} not idle")
         if resource.billing_end_s is None or resource.billing_end_s > now:
@@ -358,13 +353,6 @@ class SystemState:
         resource.boot_ready_s = None
         resource.idle_since_s = None
         resource.running = None
-
-    def prolong(self, resource: Resource, now: int) -> None:
-        """Extend a reservation one more billing interval."""
-        if not resource.reserved:
-            raise ValueError(f"resource {resource.id} not reserved")
-        if resource.billing_end_s is not None and resource.billing_end_s <= now:
-            resource.billing_end_s = now + self.config.interval_s
 
     @property
     def all_done(self) -> bool:
@@ -398,12 +386,12 @@ class UserFacade:
         """{type id: machines the user holds of that type}, every type."""
         return self._state.counts_by_type(self.user_id)
 
-    def idle(self, rtype_id: str | None = None) -> tuple[tuple[int, int, int], ...]:
-        """(id, billing end, idle since) of each idle machine, of one type or
-        of every type, lowest id first."""
+    def idle(self, rtype_id: str | None = None) -> tuple[tuple[int, int], ...]:
+        """(id, idle since) of each idle machine, of one type or of every
+        type, lowest id first. Decisions are applied at ticks, where every
+        paid interval ends, so any of these may be released."""
         return tuple(
-            (r.id, r.billing_end_s or 0, r.idle_since_s or 0)
-            for r in self._state.idle_resources(self.user_id, rtype_id)
+            (r.id, r.idle_since_s) for r in self._state.idle_resources(self.user_id, rtype_id)
         )
 
     def free_ids(self, rtype_id: str) -> tuple[int, ...]:

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from conftest import chain_wf
-from wfasim import mip
+from wfasim import engine, mip
 from wfasim.cli import main, parse_policy
-from wfasim.model import load_workload, workflow_to_dict
+from wfasim.model import BudgetViolation, load_workload, workflow_to_dict
 
 SIZE_SMALL = {"log_median": 6, "log_sigma": 0.4, "min_tasks": 4, "max_tasks": 12}
 
@@ -188,12 +188,15 @@ def test_run_parallel_jobs_match_serial(tmp_path):
 
 
 def test_run_seed_flag_overrides_config(tmp_path):
-    config = run_config(tmp_path, replications=1)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--seed", "9", "--out", str(out)]) == 0
-    combined = json.loads((out / "metrics.json").read_text())
-    assert combined["seed"] == 9
-    assert combined["replications"][0]["seed"] == 9
+    for policy in ("pfa", "plf", "scf"):  # every name parse_policy accepts
+        config = run_config(tmp_path, policy={"name": policy}, replications=1)
+        out = tmp_path / policy
+        assert main(["run", "--config", str(config), "--seed", "9", "--out", str(out)]) == 0
+        combined = json.loads((out / "metrics.json").read_text())
+        assert combined["policy"] == policy
+        assert combined["seed"] == 9
+        assert combined["replications"][0]["seed"] == 9
+        assert (out / "plans_r0.jsonl").exists() == (policy != "pfa")
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
@@ -424,6 +427,38 @@ def test_run_rejects_a_budget_that_buys_no_machine_before_writing(tmp_path, caps
         "error: config.users['u1'].budget: 0 buys no machine; "
         "the cheapest type with machines costs 1")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("budgets", [
+    [("u1", 3)],  # the user who owns the work
+    [("u1", 20), ("u2", 3)],  # a user without work: pfa decides for it too
+], ids=["owner", "no-work"])
+def test_run_rejects_a_pfa_budget_below_the_dearest_type_before_writing(
+    tmp_path, capsys, budgets
+):
+    config = run_config(
+        tmp_path, users=[{"id": u, "budget": b} for u, b in budgets], policy={"name": "pfa"},
+        system={"types": [{"id": "small", "cost": 1}, {"id": "large", "cost": 5}],
+                "capacity": {"small": 4, "large": 4}, "interval_s": 60},
+        replications=1,
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    user = budgets[-1][0]
+    assert capsys.readouterr().err.startswith(
+        f"error: config.users['{user}'].budget: 3 is below 5; "
+        "pfa needs one machine of the dearest type with machines")
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_engine_invariant_violation_exits_4(tmp_path, capsys, monkeypatch):
+    def violate(*args, **kwargs):
+        raise BudgetViolation("interval 0: user u1 charged 21 over budget 20")
+
+    monkeypatch.setattr(engine, "run", violate)
+    config = run_config(tmp_path, replications=1)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "engine invariant violated: interval 0: user u1 charged 21 over budget 20")
 
 
 def test_run_rejects_duplicate_user_ids(tmp_path, capsys):

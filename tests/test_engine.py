@@ -436,11 +436,11 @@ def test_engine_imports_nothing_from_pfa():
     assert from_pfa == []
 
 
-def test_only_applied_decisions_reserve_machines():
-    # every reservation passes the budget check in apply_decision; no other
-    # code path in the package reserves a machine
+def callers_of(method):
+    """(module, enclosing class.function) of each ``.method(`` call in the
+    package, in file and source order."""
     package = Path(engine.__file__).parent
-    callers = []  # (module, enclosing class.function) of each .reserve( call
+    callers = []
     for path in sorted(package.rglob("*.py")):
         module = path.relative_to(package).with_suffix("").as_posix()
 
@@ -448,13 +448,26 @@ def test_only_applied_decisions_reserve_machines():
             if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = scope + (node.name,)
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "reserve"):
+                    and node.func.attr == method):
                 callers.append((module, ".".join(scope)))
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
 
         visit(ast.parse(path.read_text()), ())
-    assert callers == [("engine", "_Sim.apply_decision")]
+    return callers
+
+
+def test_only_applied_decisions_reserve_machines():
+    # every reservation passes the budget check in apply_decision; no other
+    # code path in the package reserves a machine
+    assert callers_of("reserve") == [("engine", "_Sim.apply_decision")]
+
+
+def test_only_a_tick_releases_machines():
+    # releases are applied only with a tick's decisions, and every paid
+    # interval ends at a tick, so no policy needs to see a billing end
+    assert callers_of("release") == [("engine", "_Sim.apply_decision")]
+    assert callers_of("apply_decision") == [("engine", "_Sim.on_tick")]
 
 
 # -- termination: every run finishes or stops with a typed error ------------------

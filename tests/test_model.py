@@ -9,7 +9,6 @@ from wfasim.dagops import WorkflowGraph
 from wfasim.model import (
     CapacityExceeded,
     ModelError,
-    Resource,
     ResourceState,
     ResourceType,
     SystemConfig,
@@ -26,7 +25,7 @@ from wfasim.state import SystemState
 
 def test_system_config_helpers():
     sys_cfg = two_type_system(small=3, large=2, interval_s=60)
-    assert sys_cfg.type_by_id("large").cost == 5
+    assert sys_cfg.types_with_machines() == sys_cfg.types
     assert sys_cfg.total_capacity() == 5
 
 
@@ -86,14 +85,18 @@ def test_reserve_release_cycle_and_billing_window():
     assert r.state is ResourceState.IDLE  # no boot delay
     assert r.user == "u1"
     assert r.billing_end_s == 60
-    assert r.reserved
 
-    # early release is a state error: the billing window still runs
+    # early release is a state error: the first paid interval still runs
     with pytest.raises(ValueError):
         state.release(r, now=30)
     state.release(r, now=60)
     assert r.state is ResourceState.DOWN
     assert r.user is None
+
+    # later intervals are billed at their ticks; nothing moves the first end
+    state.reserve(r, "u1", now=60)
+    state.release(r, now=240)
+    assert r.state is ResourceState.DOWN
 
 
 def test_reserve_for_unlisted_user_rejected_without_change():
@@ -113,14 +116,6 @@ def test_reserve_with_boot_delay():
     assert r.boot_ready_s == 10
     state.boot_complete(r, now=10)
     assert r.state is ResourceState.IDLE
-
-
-def test_prolong_extends_expired_window():
-    state = SystemState(small_only_system(count=1, interval_s=60), users(("u1", 10)))
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
-    state.prolong(r, now=60)
-    assert r.billing_end_s == 120
 
 
 def test_reserving_reserved_resource_rejected():
@@ -248,8 +243,14 @@ def test_graph_reuse_on_arrival():
     assert run.graph is graph and run.spec is spec
 
 
-def test_resource_reserved_property():
-    r = Resource(id=0, rtype=ResourceType("small", 1))
-    assert not r.reserved
-    r.state = ResourceState.IDLE
-    assert r.reserved
+def test_any_held_tracks_reservations():
+    state = SystemState(two_type_system(small=1, large=1), users(("u1", 10), ("u2", 10)))
+    small, large = state.resources
+    assert not state.any_held()
+    state.reserve(large, "u2", now=0)
+    assert state.any_held()
+    state.reserve(small, "u1", now=0)
+    state.release(large, now=60)
+    assert state.any_held()
+    state.release(small, now=60)
+    assert not state.any_held()

@@ -56,12 +56,11 @@ def observation(
     idle=(),
     free_small=20,
     free_large=10,
-    now=0,
     tick=0,
 ):
     idle_map = {}
-    for rid, billing_end, idle_since, rtype in idle:
-        idle_map.setdefault(rtype, []).append((rid, billing_end, idle_since))
+    for rid, idle_since, rtype in idle:
+        idle_map.setdefault(rtype, []).append((rid, idle_since))
     free = {
         "small": tuple(range(100, 100 + free_small)),
         "large": tuple(range(300, 300 + free_large)),
@@ -72,7 +71,6 @@ def observation(
         parents[b] += 1
         children[a].append(b)
     return PfaObservation(
-        now=now,
         tick=tick,
         user_id="u1",
         budget=budget,
@@ -381,23 +379,17 @@ def test_decision_allocation_never_exceeds_budget():
 
 def test_release_order_and_billing_gate():
     # no work left: the target profile is empty, surplus 3 smalls; release
-    # order is (billing end, idle since, id)
+    # order is (idle since, id). Decisions apply at ticks, where every paid
+    # interval ends, so no idle machine is held back by its billing.
     idle = (
-        (5, 60, 10, "small"),
-        (3, 60, 5, "small"),
-        (7, 30, 50, "small"),
+        (5, 10, "small"),
+        (3, 10, "small"),
+        (7, 5, "small"),
     )
-    obs = observation(allocated={"small": 3}, idle=idle, now=60, budget=12)
+    obs = observation(allocated={"small": 3}, idle=idle, budget=12)
     decision = pfa_decide(obs, PfaConfig(smoothing="ma"), PfaState())
     assert decision.diagnostics["mu"] == [0, 0]
     assert decision.dealloc == [7, 3, 5]
-
-
-def test_release_skips_resources_inside_billing_window():
-    idle = ((4, 120, 0, "small"),)  # billing end in the future
-    obs = observation(allocated={"small": 1}, idle=idle, now=60, budget=12)
-    decision = pfa_decide(obs, PfaConfig(smoothing="ma"), PfaState())
-    assert decision.dealloc == []
 
 
 def test_ewma_carry_flows_between_decisions():
@@ -441,7 +433,7 @@ def test_policy_names_and_config_validation():
 def test_observation_structurally_excludes_runtimes():
     fields = {f.name for f in dataclasses.fields(PfaObservation)}
     assert fields == {
-        "now", "tick", "user_id", "budget", "types", "allocated", "idle", "free_ids",
+        "tick", "user_id", "budget", "types", "allocated", "idle", "free_ids",
         "frontier", "children", "unfinished_parents", "history",
     }
 
@@ -490,7 +482,7 @@ def test_user_facade_exposes_only_runtime_free_queries():
         return [x]
 
     assert {type(leaf) for a in answers for leaf in leaves(a)} == {int, str}
-    assert facade.idle("small") == facade.idle() == ((0, 60, 5),)
+    assert facade.idle("small") == facade.idle() == ((0, 5),)
     assert facade.free_ids("small") == ()
     assert sorted(facade.frontier()) == [t1, w2]  # running ones included
     assert facade.children(t1) == (t2,)

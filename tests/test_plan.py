@@ -246,7 +246,7 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
         return state.status[handle(state, wf_id, task_id)]
 
     slots = []
-    for r in (r for r in state.resources if r.reserved and r.user == user):
+    for r in (r for r in state.resources if r.user == user):
         if r.state is ResourceState.BUSY:
             wf_id, task_id = state.ref(r.running)
             start = state.start_s[r.running]
@@ -325,7 +325,7 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
         now += data.draw(st.sampled_from((0, 5, 20)), label="advance")
         res = state.resources
         op = data.draw(st.sampled_from(("reserve", "boot", "start", "finish")), label="op")
-        if op == "reserve" and (free := [r for r in res if not r.reserved]):
+        if op == "reserve" and (free := [r for r in res if r.state is ResourceState.DOWN]):
             state.reserve(data.draw(st.sampled_from(free)), "u1", now)
         elif op == "boot" and (booting := [r for r in res if r.state is ResourceState.BOOTING]):
             state.boot_complete(data.draw(st.sampled_from(booting)), now)
@@ -342,7 +342,7 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
                                     unique=True), label="typed")
         if h is not None
     }
-    free = [(r.id, r.rtype.id) for r in state.resources if not r.reserved]
+    free = [(r.id, r.rtype.id) for r in state.resources if r.state is ResourceState.DOWN]
     extra = data.draw(st.lists(st.sampled_from(free or [None]), unique=True, max_size=2))
     extra = [e for e in extra if e is not None]
     interval_s = data.draw(st.sampled_from((30, 60, 120)), label="horizon")

@@ -236,7 +236,7 @@ def test_due_queue_dispatch_matches_the_scan(specs, boot_delay_s, data):
             rid = data.draw(st.sampled_from(booting), label="booted")
             for s in states:
                 s.boot_complete(s.resources[rid], now)
-        elif op == "reserve" and (free := [r.id for r in res if not r.reserved]):
+        elif op == "reserve" and (free := [r.id for r in res if r.state is ResourceState.DOWN]):
             rid = data.draw(st.sampled_from(free), label="reserved")
             for s in states:
                 s.reserve(s.resources[rid], user, now)
