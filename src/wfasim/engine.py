@@ -484,7 +484,12 @@ class _Sim:
             elif rank == _BOOT:
                 self.on_boot(when, data)
             elif rank == _WAKE:
-                self.dispatch(data, when)
+                # Only finishes and boots precede wakes at one instant, and
+                # each dispatches its user after changing that user's state;
+                # plans change only at ticks, which come last. So a wake after
+                # its user's dispatch at this instant would start nothing.
+                if self.plan_runner.dispatched_at(data) != when:
+                    self.dispatch(data, when)
             elif rank == _ARRIVAL:
                 self.on_arrival(when, data)
             elif rank == _TICK:

@@ -66,7 +66,7 @@ class ResourceType:
             raise ValueError(f"resource type {self.id!r}: cost must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
     """One task: an id plus its runtime in seconds on each resource type."""
 
@@ -83,7 +83,7 @@ class TaskSpec:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkflowSpec:
     """A DAG workflow owned by one user.
 

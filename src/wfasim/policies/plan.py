@@ -14,10 +14,8 @@ in the view's ``tasks``.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from collections import Counter
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ..model import OverCommitted, ResourceType, TaskSpec
@@ -291,13 +289,14 @@ class PlfPolicy(_Planner):
         remaining = _headroom(view)
         workflows = obs.workflows()
         active = [w for w, *_ in workflows]
-        shares: dict[str, Fraction] = {}
+        # exact shares: int numerators over one denominator, den
         total_w = sum(priority for _w, priority, _a, _hs in workflows)
-        for w, priority, _a, _hs in workflows:
-            if total_w > 0:
-                shares[w] = Fraction(remaining * priority, total_w)
-            else:
-                shares[w] = Fraction(remaining, len(active))
+        if total_w > 0:
+            den = total_w
+            shares = {w: remaining * priority for w, priority, _a, _hs in workflows}
+        else:
+            den = len(active)
+            shares = dict.fromkeys(active, remaining)
         steps["distribute"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -308,22 +307,25 @@ class PlfPolicy(_Planner):
         for h in obs.eligible():
             wf_id = wf_of(h)
             rt = fast[h]
-            if shares[wf_id] >= rt.cost:
-                shares[wf_id] -= rt.cost
+            cost = rt.cost * den
+            if shares[wf_id] >= cost:
+                shares[wf_id] -= cost
                 typed[h] = rt.id
             else:
                 skipped.append((h, rt))
-        pool = sum(shares.values(), Fraction(0))
+        pool = sum(shares.values())
         for h, rt in skipped:
-            if pool >= rt.cost:
-                pool -= rt.cost
+            cost = rt.cost * den
+            if pool >= cost:
+                pool -= cost
                 typed[h] = rt.id
         wanted = Counter(typed.values())
         steps["supply"] = time.perf_counter() - t0
 
         order = list(active)
         view.rng.shuffle(order)
-        diagnostics = {"typed": len(typed), "pool_left": float(pool) if active else 0.0}
+        # int true division rounds correctly, as float(Fraction) does
+        diagnostics = {"typed": len(typed), "pool_left": pool / den if active else 0.0}
         return _plan_decision(view, wanted, remaining, order, typed, steps, diagnostics)
 
 
@@ -365,7 +367,7 @@ class ScfPolicy(_Planner):
                     rtype_id = fast[h].id
                     sums[rtype_id] = sums.get(rtype_id, 0) + fast_s[h]
             for rtype_id, total in sums.items():
-                supply[rtype_id] += math.ceil(Fraction(total, interval))
+                supply[rtype_id] += -(-total // interval)  # ceiling division
         steps["supply"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -393,8 +395,7 @@ def scf_scale_supply(
     cost = {t.id: t.cost for t in types}
     total_cost = sum(supply[t.id] * cost[t.id] for t in types)
     if total_cost > budget:
-        factor = Fraction(budget, total_cost)
-        scaled = {t.id: int(supply[t.id] * factor) for t in types}
+        scaled = {t.id: supply[t.id] * budget // total_cost for t in types}
     else:
         scaled = dict(supply)
     leftover = budget - sum(scaled[t.id] * cost[t.id] for t in types)

@@ -52,6 +52,10 @@ class PlanRunner:
     back on the heap when its next head lies in the future. Visiting in id
     order fixes the order of starts, and so the trace rows and the order of
     finish events at equal times.
+
+    A dispatch leaves no due entry startable until the user's state
+    changes, so a second dispatch at the same instant with no change in
+    between starts nothing. :meth:`dispatched_at` lets the engine skip one.
     """
 
     def __init__(self) -> None:
@@ -60,6 +64,11 @@ class PlanRunner:
         #          resource ids whose head is due)
         self._plans: dict[str, tuple[dict[int, deque[tuple[int, int]]],
                                      list[tuple[int, int]], set[int]]] = {}
+        self._dispatched: dict[str, int] = {}  # user -> time of the last dispatch
+
+    def dispatched_at(self, user: str) -> int | None:
+        """When the user was last dispatched, if ever."""
+        return self._dispatched.get(user)
 
     def install(self, user: str, plan: ExecutionPlan) -> list[int]:
         """Replace the user's plan; returns future start times needing wakes."""
@@ -77,6 +86,7 @@ class PlanRunner:
         return sorted(wakes)
 
     def dispatch(self, state: SystemState, user: str, now: int) -> list[Assignment]:
+        self._dispatched[user] = now
         plan = self._plans.get(user)
         if plan is None:
             return []

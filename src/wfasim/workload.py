@@ -8,7 +8,19 @@ floor; a second runtime within a bounded deviation of the first covers the
 other resource type.
 
 All sampling is per workflow from a seed-derived stream, so any workflow is
-reproducible from (seed, index) alone.
+reproducible from (seed, index) alone. The draws from that stream, in this
+order, are the reproducibility contract:
+
+1. the size's log-normal;
+2. the family's shape draws (none for a chain of at most 3 tasks);
+3. per task, in id order: the raw runtime's log-normal, then the deviation
+   as ``lo + (hi - lo) * random()`` (one draw, the value numpy's scalar
+   ``uniform(lo, hi)`` gives), then, under a rule with random assignment
+   (WL1), the swap's ``random()``;
+4. the priority, then the user.
+
+A change to any draw, its order or how it becomes a value changes the
+generated bytes; ``tests/test_workload.py`` pins them.
 """
 
 from __future__ import annotations
@@ -198,19 +210,64 @@ class DagRecipe:
 # -- generation -------------------------------------------------------------
 
 
-def _task_runtimes(
-    rng: np.random.Generator,
-    types: tuple[str, str],
-    model: RuntimeModel,
-    rule: SecondTypeRule,
-) -> dict[str, int]:
-    raw = float(rng.lognormal(math.log(model.log_median), model.log_sigma))
-    base = scale_runtimes(raw, model.scale_divisor)
-    dev = float(rng.uniform(-rule.max_deviation, rule.max_deviation))
-    second = max(1, math.floor(base * (1 + dev) + 0.5))
-    if rule.random_assignment and float(rng.random()) < 0.5:
-        return {types[0]: second, types[1]: base}
-    return {types[0]: base, types[1]: second}
+class _Generator:
+    """What the workflows of one generator call share: the models'
+    constants, and one id string per task position, grown as sizes need."""
+
+    def __init__(
+        self,
+        users: list[str],
+        types: tuple[str, str],
+        rule: SecondTypeRule,
+        runtime_model: RuntimeModel,
+        size_model: SizeModel,
+        seed: int | list[int],
+        id_prefix: str,
+    ):
+        self.users, self.types, self.rule = users, types, rule
+        self.runtime_model, self.size_model = runtime_model, size_model
+        self.seed_words = [seed] if isinstance(seed, int) else list(seed)
+        self.id_prefix = id_prefix
+        self.task_ids: list[str] = []
+
+    def workflow(self, index: int, recipe: DagRecipe) -> WorkflowSpec:
+        """Build one workflow, reproducible from (seed, index) alone."""
+        rng = np.random.default_rng([*self.seed_words, index])
+        sizes = self.size_model
+        size = round(rng.lognormal(math.log(sizes.log_median), sizes.log_sigma))
+        size = min(max(size, sizes.min_tasks), sizes.max_tasks)
+        edges_ix = recipe.build(size, rng)
+        ids = self.task_ids
+        if len(ids) < size:
+            ids.extend(f"t{j:03d}" for j in range(len(ids), size))
+
+        lognormal, random, floor = rng.lognormal, rng.random, math.floor
+        model, rule = self.runtime_model, self.rule
+        mu, sigma, divisor = math.log(model.log_median), model.log_sigma, model.scale_divisor
+        # numpy's scalar uniform(lo, hi) is lo + (hi - lo) * random()
+        lo = -rule.max_deviation
+        span = rule.max_deviation - lo
+        swap = rule.random_assignment
+        first, second = self.types
+        tasks = []
+        for task_id in ids[:size]:
+            base = scale_runtimes(lognormal(mu, sigma), divisor)
+            other = max(1, floor(base * (1 + (lo + span * random())) + 0.5))
+            if swap and random() < 0.5:
+                tasks.append(TaskSpec(task_id, {first: other, second: base}))
+            else:
+                tasks.append(TaskSpec(task_id, {first: base, second: other}))
+
+        priority = int(rng.integers(0, 10))
+        user = self.users[int(rng.integers(0, len(self.users)))]
+        return WorkflowSpec(
+            id=f"{self.id_prefix}{index:04d}",
+            user=user,
+            priority=priority,
+            arrival_s=0,
+            tasks=tuple(tasks),
+            edges=tuple([(ids[a], ids[b]) for a, b in edges_ix]),
+        )
 
 
 def generate_workflow(
@@ -225,34 +282,10 @@ def generate_workflow(
     id_prefix: str = "wf",
 ) -> WorkflowSpec:
     """Build one workflow, reproducible from (seed, index) alone."""
-    runtime_model = runtime_model or RuntimeModel()
-    size_model = size_model or SizeModel()
-    seed_words = [seed] if isinstance(seed, int) else list(seed)
-    rng = np.random.default_rng([*seed_words, index])
-    size = int(
-        np.clip(
-            round(float(rng.lognormal(math.log(size_model.log_median), size_model.log_sigma))),
-            size_model.min_tasks,
-            size_model.max_tasks,
-        )
-    )
-    edges_ix = recipe.build(size, rng)
-    task_ids = [f"t{j:03d}" for j in range(size)]
-    tasks = tuple(
-        TaskSpec(task_ids[j], _task_runtimes(rng, types, runtime_model, rule))
-        for j in range(size)
-    )
-    edges = tuple((task_ids[a], task_ids[b]) for a, b in edges_ix)
-    priority = int(rng.integers(0, 10))
-    user = users[int(rng.integers(0, len(users)))]
-    return WorkflowSpec(
-        id=f"{id_prefix}{index:04d}",
-        user=user,
-        priority=priority,
-        arrival_s=0,
-        tasks=tasks,
-        edges=edges,
-    )
+    return _Generator(
+        users, types, rule, runtime_model or RuntimeModel(), size_model or SizeModel(),
+        seed, id_prefix,
+    ).workflow(index, recipe)
 
 
 def generate_workload(
@@ -279,23 +312,12 @@ def generate_workload(
         raise ValueError(f"the runtime rules need two distinct types, got {list(types)}")
     if isinstance(rule, str):
         rule = second_type_rule(rule)
-    runtime_model = runtime_model or RuntimeModel()
-    size_model = size_model or SizeModel()
+    gen = _Generator(
+        users, types, rule, runtime_model or RuntimeModel(), size_model or SizeModel(),
+        seed, id_prefix,
+    )
     recipes = [DagRecipe(f) for f in families]
-    return [
-        generate_workflow(
-            i,
-            recipes[i % len(recipes)],
-            users,
-            types,
-            rule,
-            runtime_model,
-            size_model,
-            seed,
-            id_prefix,
-        )
-        for i in range(count)
-    ]
+    return [gen.workflow(i, recipes[i % len(recipes)]) for i in range(count)]
 
 
 def workload_statistics(workflows: list[WorkflowSpec]) -> dict[str, float]:

@@ -1,6 +1,7 @@
 """Simulation engine: event order, billing, determinism, conservation."""
 
 import ast
+import dataclasses
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import HoldPolicy, chain_wf, small_only_system, two_type_system, users, wf
-from wfasim import dagops, engine, mip
+from wfasim import dagops, engine, mip, scheduler
 from wfasim.model import (
     BudgetTooSmall,
     BudgetViolation,
@@ -611,3 +612,51 @@ def test_every_run_finishes_or_stops_with_a_typed_error(case, seed):
         except (WorkloadInvalid, BudgetTooSmall, Stalled):
             return
     assert result.state.all_done
+
+
+def _tripled(task, rtype_id):
+    return 3 * task.runtime_by_type[rtype_id]
+
+
+@pytest.mark.parametrize("planner", [PlfPolicy, ScfPolicy])
+@pytest.mark.parametrize("boot_delay_s", [0, 7])
+def test_skipping_a_wake_after_a_dispatch_at_its_instant_changes_no_output(
+    planner, boot_delay_s, monkeypatch
+):
+    # With every runtime estimate tripled, tasks finish long before the plan
+    # expects, so the next entries on a machine start at their wakes: wakes do
+    # start tasks here. Skipping the wakes that follow a dispatch of their user
+    # at the same instant must leave every output byte as it was.
+    class Misled(planner):
+        def decide(self, view):
+            return super().decide(dataclasses.replace(view, oracle=_tripled))
+
+    system = two_type_system(small=6, large=6, boot_delay_s=boot_delay_s)
+    workflows = generate_workload(24, users=["u1", "u2"], rule=WL1, seed=5)
+    workflows = engine.poisson_arrivals(workflows, 0.5, 12, 5)
+    budgets = users(("u1", 20), ("u2", 15))
+    dispatches = []
+    plan_dispatch = scheduler.PlanRunner.dispatch
+
+    def counted(self, state, user, now):
+        dispatches.append((now, user))
+        return plan_dispatch(self, state, user, now)
+
+    monkeypatch.setattr(scheduler.PlanRunner, "dispatch", counted)
+    skipping = engine.run(workflows, system, budgets, Misled(), seed=5, collect_plans=True)
+    skipping_calls = len(dispatches)
+    monkeypatch.setattr(scheduler.PlanRunner, "dispatched_at", lambda self, user: None)
+    dispatches.clear()
+    visiting = engine.run(workflows, system, budgets, Misled(), seed=5, collect_plans=True)
+
+    assert skipping.trace == visiting.trace
+    assert skipping.snapshots == visiting.snapshots
+    assert skipping.plan_rows == visiting.plan_rows
+    assert skipping.diagnostics == visiting.diagnostics
+    assert skipping_calls < len(dispatches)  # some wakes were skipped
+    # a start at an instant with no tick and no finish, boot or arrival of
+    # its user can only come from a wake
+    ticks = {row[0] for row in visiting.trace if row[1] == "tick"}
+    causes = {row[:3:2] for row in visiting.trace if row[1] in ("finish", "boot", "arrive")}
+    assert any(row[1] == "start" and row[0] not in ticks and row[:3:2] not in causes
+               for row in visiting.trace)

@@ -1,9 +1,13 @@
 """Synthetic workload generator: scaling, type rules, families, statistics."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from wfasim.dagops import validate_workflow
-from wfasim.model import min_runtime
+from wfasim.model import min_runtime, workflow_to_dict
 from wfasim.workload import (
     FAMILIES,
     WL1,
@@ -167,3 +171,72 @@ def test_size_bounds_respected():
     sizes = [len(w.tasks) for w in wfs]
     assert min(sizes) >= 4
     assert max(sizes) <= 500
+
+
+# -- byte identity of generated workloads ------------------------------------------
+
+_CHAIN_SIZES = SizeModel(log_median=3.0, log_sigma=0.4, min_tasks=1, max_tasks=3)
+_SHORT_RUNTIMES = RuntimeModel(log_median=20.0, log_sigma=2.0, scale_divisor=7)
+
+# case -> generate_workload arguments; each case's digest is pinned below
+GENERATOR_CASES = {
+    "wl1-all-families": dict(count=24, users=["u1", "u2"], rule=WL1, seed=5),
+    "wl2-all-families": dict(count=24, users=["u1", "u2"], rule="wl2", seed=5),
+    "wl1-fan-reduce": dict(count=8, users=["u1"], families=("fan-reduce",), seed=[3, 1]),
+    "wl1-layered-pipelines": dict(count=8, users=["u1"], families=("layered-pipelines",),
+                                  seed=[3, 2]),
+    "wl2-wide-join": dict(count=8, users=["a", "b", "c"], rule=WL2, families=("wide-join",),
+                          seed=[3, 3]),
+    "wl1-chains": dict(count=40, users=["u1"], size_model=_CHAIN_SIZES, seed=2),
+    "wl2-custom-runtimes": dict(count=12, users=["u1"], rule=WL2, types=("cpu", "gpu"),
+                                runtime_model=_SHORT_RUNTIMES,
+                                families=("layered-pipelines", "fan-reduce"), seed=[9]),
+}
+
+# SHA-256 of the sorted-key JSON of each case's workflow_to_dict list
+GOLDEN_WORKLOADS = {
+    "wl1-all-families": "106689ed05f11dc14ce643e3fd3a89da086f1ef38d2eef41fe31ff302de3e24d",
+    "wl1-chains": "b25c4cdfa18db54dcb8ee69a19d60f321184cf5019a64259e385de85fe79acf4",
+    "wl1-fan-reduce": "d72986f22eed2ddd76a8ee3ed47da27b82840f1d2825979eb8bb56e254cb50fb",
+    "wl1-layered-pipelines": "aa38e58bed1bef6465e0a2fe6128fb10fe4d2a27b4b48402d542e5c17d71ab75",
+    "wl2-all-families": "0cd9c508bac8759473f5c1ce2403a5c7cb03c4d9cb6c8b42291316b8fd7bbf3e",
+    "wl2-custom-runtimes": "2a2abdc2e0c34b43a6625db83aab0872643cee4f70ae90269c66d35d69187714",
+    "wl2-wide-join": "e7b429347d05af671496a415c993e3587eb89844c2edb470147eb9e2a757e280",
+}
+# the same digest of one workflow made by generate_workflow on its own
+GOLDEN_SINGLE_WORKFLOW = "f7ccb5934b6c344870fabeaa8bf5ed0333a0e28b42ff35d360ae2406e29dc88e"
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_generated_workload_bytes_match_golden_digest(case):
+    # The per-task draw order is the generator's reproducibility contract:
+    # any change to it, or to how a draw becomes a runtime, changes these.
+    wfs = generate_workload(**GENERATOR_CASES[case])
+    assert _digest([workflow_to_dict(w) for w in wfs]) == GOLDEN_WORKLOADS[case]
+
+
+def test_a_workflow_generated_on_its_own_matches_golden_digest():
+    w = generate_workflow(7, DagRecipe("wide-join"), ["u1", "u2"], ("s", "l"), WL2,
+                          seed=[4, 4], id_prefix="x")
+    assert _digest(workflow_to_dict(w)) == GOLDEN_SINGLE_WORKFLOW
+
+
+@pytest.mark.parametrize("rule", [WL1, WL2], ids=lambda r: r.name)
+def test_the_deviation_draw_equals_numpy_uniform(rule):
+    # The generator draws the deviation as lo + span * random(), numpy's own
+    # formula for a scalar uniform(lo, hi), consuming the same single draw. A
+    # numpy build that computed it otherwise (say, with a fused multiply-add)
+    # would change generated workloads; this fails first.
+    lo = -rule.max_deviation
+    span = rule.max_deviation - lo
+    for seed in (0, [11, 7]):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        uniform, random = a.uniform, b.random
+        draws = 100_000
+        assert [uniform(lo, rule.max_deviation) for _ in range(draws)] == [
+            lo + span * random() for _ in range(draws)
+        ]
