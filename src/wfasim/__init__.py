@@ -14,7 +14,6 @@ from .model import (
     BudgetViolation,
     CapacityExceeded,
     ModelError,
-    OverCommitted,
     Resource,
     ResourceState,
     ResourceType,
@@ -48,7 +47,6 @@ __all__ = [
     "ElasticityReport",
     "IntervalSnapshot",
     "ModelError",
-    "OverCommitted",
     "PfaConfig",
     "PfaPolicy",
     "PlfPolicy",

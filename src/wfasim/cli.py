@@ -186,7 +186,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         for rep in range(reps)
     ]
     if args.jobs > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once: no more than there is work for
+        with ProcessPoolExecutor(max_workers=min(args.jobs, reps)) as pool:
             results = list(pool.map(_replication, jobs))
     else:
         results = [_replication(j) for j in jobs]

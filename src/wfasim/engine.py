@@ -96,8 +96,6 @@ class RunResult:
     def slowdowns(self) -> dict[str, list[float]]:
         out: dict[str, list[float]] = {u.id: [] for u in self.users}
         for run in self.state.runs.values():
-            if run.last_finish_s is None:
-                continue
             out[run.spec.user].append(
                 slowdown(run.spec.arrival_s, run.last_finish_s, run.graph.ideal_s)
             )
@@ -400,10 +398,6 @@ class _Sim:
         counts = {u.id: self.state.counts_by_type(u.id) for u in self.users}
         for u in self.users:
             charge = sum(self.cost[t] * n for t, n in counts[u.id].items())
-            if charge > u.budget:
-                raise BudgetViolation(
-                    f"interval {k}: user {u.id} charged {charge} over budget {u.budget}"
-                )
             self.snapshots.append(IntervalSnapshot(k, u.id, *before[u.id], charge))
         for uid in sorted(counts):
             for rtype_id, count in sorted(counts[uid].items()):
@@ -426,16 +420,27 @@ class _Sim:
         )
 
     def apply_decision(self, uid: str, decision: Decision, now: int, tick: int) -> None:
-        budget = self.state.users[uid].budget
+        """Release, then reserve, the machines a decision names. Every id is
+        checked first: a released one must be held by the user, a reserved
+        one be a machine of the type it is listed under. A reservation over
+        budget is refused, so no interval is charged more than the budget."""
+        resources, budget = self.state.resources, self.state.users[uid].budget
         for rid in decision.dealloc:
-            r = self.state.resources[rid]
-            if r.user != uid:
-                raise ValueError(f"policy released foreign resource {rid}")
+            if not 0 <= rid < len(resources) or resources[rid].user != uid:
+                raise ValueError(f"policy released resource {rid}, which {uid} does not hold")
+        for rtype_id, rids in decision.alloc.items():
+            if rtype_id not in self.cost:
+                raise ValueError(f"policy allocated unknown type {rtype_id!r}")
+            for rid in rids:
+                if not 0 <= rid < len(resources) or resources[rid].rtype.id != rtype_id:
+                    raise ValueError(f"policy allocated resource {rid}, not a {rtype_id!r} machine")
+        for rid in decision.dealloc:
+            r = resources[rid]
             self.state.release(r, now)
             self.row(now, "release", uid, resource=rid, rtype=r.rtype.id)
         for rtype_id in self.type_ids:
             for rid in decision.alloc.get(rtype_id, ()):  # ids picked by the policy
-                r = self.state.resources[rid]
+                r = resources[rid]
                 if self.state.allocated_cost(uid) + r.rtype.cost > budget:
                     raise BudgetViolation(
                         f"tick {tick}: allocation for {uid} would exceed budget"

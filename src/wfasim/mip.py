@@ -23,7 +23,7 @@ from pathlib import Path
 from .dagops import critical_path_length
 from .engine import validate_inputs
 from .metrics import slowdown
-from .model import ModelError, WorkflowSpec, workflow_from_row, workflow_to_dict
+from .model import ModelError, WorkflowSpec, workflow_from_row
 from .schema import INSTANCE, check
 
 
@@ -65,8 +65,7 @@ class MipWorkflow:
     index: int  # 1-based
     wf_id: str
     arrival_slot: int
-    critical_path_slots: int
-    earliest_completion: int  # arrival_slot + critical_path_slots - 1
+    earliest_completion: int  # arrival_slot + critical path slots - 1
     task_indices: tuple[int, ...]
     ideal_s: int  # the workflow's ideal makespan in seconds, off the grid
 
@@ -188,7 +187,7 @@ def build_instance(
         cp = critical_path_length(graph, [min(t.runtimes) for t in tasks[first - 1:]])
         indices = tuple(range(first, len(tasks) + 1))
         wf_rows.append(
-            MipWorkflow(w, wf.id, arrival_slot, cp, arrival_slot + cp - 1, indices, graph.ideal_s)
+            MipWorkflow(w, wf.id, arrival_slot, arrival_slot + cp - 1, indices, graph.ideal_s)
         )
 
     bound = trivial_horizon(list(specs), slot_s, budget, resources)
@@ -246,10 +245,6 @@ def _variable_grid(
                 rows.append((k, t, name))
                 for slot in range(t, t + runtime):
                     by_slot[slot].append(name)
-        if not rows:
-            raise HorizonTooShort(
-                f"task {task.wf_id}/{task.task_id} cannot finish within the horizon"
-            )
     return x_by_task, cover
 
 
@@ -266,8 +261,6 @@ def export_lp(instance: MipInstance) -> str:
     c2 row merges a name's repeats at its first appearance, scanning the
     interval's slots in order. The text depends on that order byte for byte.
     """
-    if not instance.tasks:
-        raise ValueError("empty instance")
     T = instance.slots
     L = instance.slots_per_billing
     M = instance.billing_intervals
@@ -699,33 +692,16 @@ def compare(
 
 
 def run_finishes(result) -> dict[str, int]:
-    """Last finish per completed workflow from a RunResult."""
-    out = {}
-    for wf_id, run in result.state.runs.items():
-        if run.last_finish_s is not None:
-            out[wf_id] = run.last_finish_s
-    return out
+    """Last finish per workflow from a RunResult."""
+    return {wf_id: run.last_finish_s for wf_id, run in result.state.runs.items()}
 
 
 # -- instance and solution files ----------------------------------------------
 
 
-def save_instance(instance: MipInstance, path: str | Path) -> None:
-    doc = {
-        "schema": "wfasim-mip-1",
-        "slot_s": instance.slot_s,
-        "slots": instance.slots,
-        "slots_per_billing": instance.slots_per_billing,
-        "budget": instance.budget,
-        "resources": [{"type": r.rtype, "cost": r.cost} for r in instance.resources],
-        "workflows": [workflow_to_dict(wf) for wf in instance.specs],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
 def load_instance(path: str | Path) -> MipInstance:
-    """Read an instance saved by :func:`save_instance`. A missing or
-    mistyped field raises ConfigError naming its path."""
+    """Read an instance file (``schema.INSTANCE``). A missing or mistyped
+    field raises ConfigError naming its path."""
     doc = check(json.loads(Path(path).read_text()), INSTANCE, "instance")
     return build_instance(
         [workflow_from_row(w) for w in doc["workflows"]],
@@ -767,7 +743,6 @@ __all__ = [
     "load_instance",
     "realized_profit",
     "run_finishes",
-    "save_instance",
     "solution_to_dict",
     "solve_exact",
     "trivial_horizon",

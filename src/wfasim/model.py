@@ -8,12 +8,12 @@ with one runtime per resource type.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .schema import WORKFLOW, WORKLOAD, check
+from .schema import WORKLOAD, check
 
 
 class ModelError(Exception):
@@ -37,12 +37,8 @@ class BudgetTooSmall(ModelError):
     """A per-interval budget cannot reserve even one instance of some type."""
 
 
-class OverCommitted(ModelError):
-    """Reserved cost already exceeds the user's per-interval budget."""
-
-
 class BudgetViolation(ModelError):
-    """Hard invariant failure: charged cost exceeded a user's budget."""
+    """A decision would take a user's reserved cost over its budget."""
 
 
 class CapacityExceeded(ModelError):
@@ -173,6 +169,8 @@ class Resource:
     reserved, ``billing_end_s`` is the end of the first paid interval: a
     release before it is refused. The engine bills every later interval at
     the tick that opens it, and releases only at ticks, so nothing moves it.
+    While held and not busy, ``free_s`` is the time the machine is free
+    from: its boot end while it boots, else the time it went idle.
     """
 
     id: int
@@ -180,8 +178,7 @@ class Resource:
     state: ResourceState = ResourceState.DOWN
     user: str | None = None
     billing_end_s: int | None = None
-    boot_ready_s: int | None = None
-    idle_since_s: int | None = None
+    free_s: int | None = None
     running: int | None = None  # handle of the running task
 
 
@@ -214,11 +211,6 @@ def workflow_to_dict(spec: WorkflowSpec) -> dict:
     }
 
 
-def workflow_from_dict(data: Mapping) -> WorkflowSpec:
-    """Read one workflow object; a bad field raises ConfigError naming its path."""
-    return workflow_from_row(check(data, WORKFLOW, "workflow"))
-
-
 def workflow_from_row(row: dict) -> WorkflowSpec:
     """The spec of a workflow object checked against ``schema.WORKFLOW``."""
     return WorkflowSpec(
@@ -243,7 +235,6 @@ __all__ = [
     "BudgetViolation",
     "CapacityExceeded",
     "ModelError",
-    "OverCommitted",
     "Resource",
     "ResourceState",
     "ResourceType",
@@ -257,7 +248,6 @@ __all__ = [
     "load_workload",
     "min_runtime",
     "save_workload",
-    "workflow_from_dict",
     "workflow_from_row",
     "workflow_to_dict",
 ]

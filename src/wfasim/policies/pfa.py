@@ -150,9 +150,6 @@ class PfaConfig:
     def alpha_fraction(self) -> Fraction:
         return Fraction(str(self.alpha))
 
-    def history_window(self) -> int:
-        return max(self.ma_depth + 1, 50)
-
 
 @dataclass
 class PfaState:
@@ -511,7 +508,8 @@ class PfaPolicy(Policy):
         finished = facade.finished_by_type()
         carry = self._carry.get(facade.user_id)
         if carry is None or view.tick == 0:
-            history = ThroughputHistory(type_ids, self.config.history_window())
+            # MA reads the last ma_depth + 1 intervals, EWMA the last one
+            history = ThroughputHistory(type_ids, self.config.ma_depth + 1)
             carry = self._carry[facade.user_id] = PfaState(history=history)
         else:
             carry.history.record(

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from ..model import OverCommitted, ResourceType, TaskSpec
+from ..model import ResourceType, TaskSpec
 from .base import Decision, ExecutionPlan, PlanEntry, Policy, PolicyView, RuntimeOracle, pick_free
 
 if TYPE_CHECKING:
@@ -196,12 +196,10 @@ def _release_candidates(obs: UserFacade, plan: ExecutionPlan) -> list[int]:
 
 
 def _headroom(view: PolicyView) -> int:
-    """Budget left after the user's reservations."""
-    counts, budget = view.observation.counts_by_type(), view.user.budget
-    committed = sum(t.cost * counts[t.id] for t in view.config.types)
-    if committed > budget:
-        raise OverCommitted(f"user {view.user.id}: reserved cost {committed} over budget {budget}")
-    return budget - committed
+    """Budget left after the user's reservations. The engine refuses any
+    reservation over budget, so in a run this is never negative."""
+    counts = view.observation.counts_by_type()
+    return view.user.budget - sum(t.cost * counts[t.id] for t in view.config.types)
 
 
 def _plan_decision(

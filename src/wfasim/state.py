@@ -175,9 +175,7 @@ class SystemState:
         spec = graph.spec
         if spec.id in self.runs:
             raise ValueError(f"workflow {spec.id!r} already arrived")
-        if spec.user not in self.users:
-            raise KeyError(f"unknown user {spec.user!r}")
-        rec = self._index[spec.user]
+        rec = self._index[spec.user]  # an unknown user raises KeyError here
         base, n = len(self.tasks), len(graph.tasks)
         run = WorkflowRun(graph, base, rec)
         self.task_runs.extend(repeat(run, n))
@@ -207,7 +205,6 @@ class SystemState:
         rec.eligible -= 1
         self._move(resource, _BUSY)
         resource.running = h
-        resource.idle_since_s = None
         # The started task's heap entry is now stale. A task started out of
         # heap order leaves it buried, so compact once stale entries outnumber
         # live ones; the heap then stays within twice the eligible count.
@@ -233,7 +230,7 @@ class SystemState:
         rec.finished[resource.rtype.id] += 1
         self._move(resource, _IDLE)
         resource.running = None
-        resource.idle_since_s = now
+        resource.free_s = now
         blocked = self.blocked
         for c in children:
             blocked[c] -= 1
@@ -324,19 +321,13 @@ class SystemState:
             raise KeyError(f"unknown user {user!r}")
         resource.user = user
         resource.billing_end_s = now + self.config.interval_s
-        if self.config.boot_delay_s > 0:
-            self._move(resource, ResourceState.BOOTING)
-            resource.boot_ready_s = now + self.config.boot_delay_s
-            resource.idle_since_s = None
-        else:
-            self._move(resource, _IDLE)
-            resource.boot_ready_s = now
-            resource.idle_since_s = now
+        resource.free_s = now + self.config.boot_delay_s
+        self._move(resource, _BOOTING if self.config.boot_delay_s > 0 else _IDLE)
 
     def boot_complete(self, resource: Resource, now: int) -> None:
         if resource.state is ResourceState.BOOTING:
             self._move(resource, _IDLE)
-            resource.idle_since_s = now
+            resource.free_s = now
 
     def release(self, resource: Resource, now: int) -> None:
         """Deallocate an idle resource, no earlier than the end of its first
@@ -350,8 +341,7 @@ class SystemState:
         self._move(resource, ResourceState.DOWN)
         resource.user = None
         resource.billing_end_s = None
-        resource.boot_ready_s = None
-        resource.idle_since_s = None
+        resource.free_s = None
         resource.running = None
 
     @property
@@ -391,7 +381,7 @@ class UserFacade:
         type, lowest id first. Decisions are applied at ticks, where every
         paid interval ends, so any of these may be released."""
         return tuple(
-            (r.id, r.idle_since_s) for r in self._state.idle_resources(self.user_id, rtype_id)
+            (r.id, r.free_s) for r in self._state.idle_resources(self.user_id, rtype_id)
         )
 
     def free_ids(self, rtype_id: str) -> tuple[int, ...]:
@@ -408,8 +398,7 @@ class UserFacade:
             if r.state is _BUSY:
                 out.append((r.id, r.rtype.id, r.running, start_s[r.running]))
             else:
-                free_s = r.boot_ready_s if r.state is _BOOTING else r.idle_since_s
-                out.append((r.id, r.rtype.id, -1, free_s))
+                out.append((r.id, r.rtype.id, -1, r.free_s))
         return tuple(out)
 
     def workflows(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:

@@ -123,9 +123,8 @@ def second_type_rule(name: str) -> SecondTypeRule:
 
 def _fan_reduce(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     middle = n - 2
+    # n >= 4, so middle >= 2 and agg <= max(1, round(0.3 * middle)) < middle
     agg = max(1, int(round(middle * float(rng.uniform(0.1, 0.3)))))
-    if agg >= middle:
-        agg = middle - 1
     workers = middle - agg
     edges = []
     first_agg = 1 + workers

@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from wfasim.model import ResourceType, SystemConfig, TaskSpec, UserConfig, WorkflowSpec
+import json
+from pathlib import Path
+
+from wfasim.model import (
+    ResourceType,
+    SystemConfig,
+    TaskSpec,
+    UserConfig,
+    WorkflowSpec,
+    workflow_to_dict,
+)
 from wfasim.policies import Decision, Policy
 
 SMALL = ResourceType("small", 1)
@@ -81,6 +91,20 @@ def handle(state, wf_id, task_id) -> int:
 
 def users(*pairs) -> list[UserConfig]:
     return [UserConfig(uid, budget) for uid, budget in pairs]
+
+
+def save_instance(instance, path) -> None:
+    """Write a ``mip`` instance as the file ``mip.load_instance`` reads."""
+    doc = {
+        "schema": "wfasim-mip-1",
+        "slot_s": instance.slot_s,
+        "slots": instance.slots,
+        "slots_per_billing": instance.slots_per_billing,
+        "budget": instance.budget,
+        "resources": [{"type": r.rtype, "cost": r.cost} for r in instance.resources],
+        "workflows": [workflow_to_dict(wf) for wf in instance.specs],
+    }
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 class HoldPolicy(Policy):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from conftest import chain_wf
-from wfasim import engine, mip
+from conftest import chain_wf, save_instance
+from wfasim import cli, engine, mip
 from wfasim.cli import main, parse_policy
 from wfasim.model import BudgetViolation, load_workload, workflow_to_dict
 
@@ -187,6 +187,34 @@ def test_run_parallel_jobs_match_serial(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs, reps, workers", [(100000, 2, 2), (3, 5, 3)])
+def test_run_starts_no_more_workers_than_replications(tmp_path, monkeypatch, jobs, reps,
+                                                      workers):
+    # the pool forks all its workers at once, so asking for more than there
+    # are replications only starts idle processes; this fake starts none
+    asked = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    config = run_config(tmp_path, replications=reps)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert asked == [workers]
+    assert len(json.loads((out / "metrics.json").read_text())["replications"]) == reps
+
+
 def test_run_seed_flag_overrides_config(tmp_path):
     for policy in ("pfa", "plf", "scf"):  # every name parse_policy accepts
         config = run_config(tmp_path, policy={"name": policy}, replications=1)
@@ -289,7 +317,7 @@ def instance_path(tmp_path):
         resources=[("small", 1), ("large", 5)],
     )
     path = tmp_path / "inst.json"
-    mip.save_instance(inst, path)
+    save_instance(inst, path)
     return path
 
 
@@ -321,7 +349,7 @@ def test_mip_solve_over_limits_is_exit_code_3(tmp_path, capsys):
     spec = chain_wf("long", [{"small": 5}] * 9)
     inst = mip.build_instance([spec], 5, 3, 1, [("small", 1)])
     path = tmp_path / "big.json"
-    mip.save_instance(inst, path)
+    save_instance(inst, path)
     assert main(["mip", "solve", "--instance", str(path)]) == 3
     assert "exceed" in capsys.readouterr().err
 

@@ -17,7 +17,7 @@ from wfasim.dagops import (
     ideal_makespan,
     validate_workflow,
 )
-from wfasim.model import TaskSpec, min_runtime
+from wfasim.model import TaskSpec, ZeroIdealMakespan, min_runtime
 
 
 # longest path through a DAG by exhaustive path enumeration; independent of
@@ -248,6 +248,15 @@ def test_ideal_makespan_accepts_spec_or_graph():
     w = chain_wf("w", [{"small": 2}, {"small": 3}])
     assert ideal_makespan(w) == 5
     assert ideal_makespan(WorkflowGraph(w)) == 5
+
+
+@pytest.mark.parametrize("spec", [
+    wf("empty", []),
+    wf("cycle", [("a", {"small": 2}), ("b", {"small": 3})], [("a", "b"), ("b", "a")]),
+])
+def test_ideal_makespan_of_a_spec_that_does_not_compile_raises(spec):
+    with pytest.raises(ZeroIdealMakespan):
+        ideal_makespan(spec)
 
 
 def test_ideal_makespan_uses_fastest_type_per_task_independently():

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,7 +22,7 @@ from wfasim.model import (
     UserConfig,
     WorkloadInvalid,
 )
-from wfasim.policies import PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
+from wfasim.policies import Decision, PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
 from wfasim.policies import pfa as pfa_module
 from wfasim.workload import WL1, generate_workload
 
@@ -234,6 +235,31 @@ def test_diagnostics_written_for_pfa_only():
     keys = set(with_pfa.diagnostics[0])
     assert keys == {"t", "user", "rho", "nu", "mu_hat", "mu_tilde", "zeta",
                     "theta", "lambda", "sigma", "mu"}
+
+
+# Machines 0 and 1 are small, 2 and 3 large. u1 holds 3, idle and past its
+# first paid interval, so releasing it is valid; u2 holds 0. Each decision
+# pairs that valid release (where it can) with one bad entry.
+@pytest.mark.parametrize("decision, message", [
+    (Decision(dealloc=[3], alloc={"small": [2]}), "resource 2, not a 'small' machine"),
+    (Decision(dealloc=[3], alloc={"small": [-1]}), "resource -1, not a 'small' machine"),
+    (Decision(dealloc=[3], alloc={"small": [99]}), "resource 99, not a 'small' machine"),
+    (Decision(dealloc=[3], alloc={"medium": [1]}), "unknown type 'medium'"),
+    (Decision(dealloc=[-1]), "released resource -1, which u1 does not hold"),
+    (Decision(dealloc=[3, 99]), "released resource 99, which u1 does not hold"),
+    (Decision(dealloc=[3, 0]), "released resource 0, which u1 does not hold"),
+], ids=["large-id-as-small", "negative-id", "id-out-of-range", "unknown-type",
+        "negative-release", "release-out-of-range", "foreign-release"])
+def test_a_decision_naming_a_wrong_machine_is_rejected_before_any_change(decision, message):
+    sim = engine._Sim([], two_type_system(small=2, large=2), users(("u1", 20), ("u2", 20)),
+                      PfaPolicy(), 0, collect_plans=False)
+    sim.state.reserve(sim.state.resources[3], "u1", 0)
+    sim.state.reserve(sim.state.resources[0], "u2", 0)
+    before = [(r.state, r.user) for r in sim.state.resources]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sim.apply_decision("u1", decision, 60, 1)
+    assert [(r.state, r.user) for r in sim.state.resources] == before
+    assert sim.trace == []
 
 
 def test_budget_violation_from_malicious_policy():

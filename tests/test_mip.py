@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from conftest import chain_wf, diamond_wf, users, wf
+from conftest import chain_wf, diamond_wf, save_instance, users, wf
 from wfasim import dagops, engine
 from wfasim.dagops import ideal_makespan
 from wfasim.mip import (
@@ -26,7 +26,6 @@ from wfasim.mip import (
     load_instance,
     realized_profit,
     run_finishes,
-    save_instance,
     solution_to_dict,
     solve_exact,
     trivial_horizon,
@@ -157,7 +156,7 @@ def test_arrival_seconds_map_to_one_based_slots():
 
 def test_chain_deadline_uses_fastest_critical_path():
     inst = chain2_instance(budget=6)
-    assert inst.workflow(1).critical_path_slots == 2
+    # arrival slot 1 plus the 2-slot critical path on the large, minus 1
     assert inst.workflow(1).earliest_completion == 2
 
 
@@ -392,6 +391,19 @@ def test_check_flags_domain_violations():
     inst, sol = fresh_valid()
     sol.x = ((1, 2, 0), (2, 2, 2))
     assert any("domain" in issue for issue in check_solution(inst, sol))
+
+
+@pytest.mark.parametrize("x, u, issue", [
+    (((1, 2, 1), (2, 2, 2), (3, 2, 1)), ((1, 2),), "domain: unknown task 3"),
+    (((1, 2, 1), (2, 3, 2)), ((1, 2),), "domain: unknown resource 3"),
+    (((1, 2, 1), (2, 2, 2)), ((1, 2), (2, 2)), "domain: unknown workflow 2"),
+    (((1, 2, 1), (2, 2, 2)), ((1, 3),), "domain: completion slot 3 outside horizon"),
+    (((1, 2, 1), (2, 2, 2)), ((1, 0),), "domain: completion slot 0 outside horizon"),
+])
+def test_check_names_each_domain_violation(x, u, issue):
+    inst, sol = fresh_valid()  # two slots; tasks 1 and 2 on resource 2
+    sol.x, sol.u = x, u
+    assert issue in check_solution(inst, sol)
 
 
 # -- exact solver --------------------------------------------------------------

@@ -17,9 +17,10 @@ from wfasim.model import (
     load_workload,
     min_runtime,
     save_workload,
-    workflow_from_dict,
+    workflow_from_row,
     workflow_to_dict,
 )
+from wfasim.schema import WORKFLOW, check
 from wfasim.state import SystemState
 
 
@@ -44,7 +45,7 @@ def test_workflow_json_round_trip(tmp_path):
     w = chain_wf("w1", [{"small": 3, "large": 1}, {"small": 2, "large": 2}],
                  user="alice", priority=7, arrival_s=30)
     doc = workflow_to_dict(w)
-    again = workflow_from_dict(doc)
+    again = workflow_from_row(check(doc, WORKFLOW, "workflow"))
     assert workflow_to_dict(again) == doc
 
     path = tmp_path / "wl.json"
@@ -113,9 +114,39 @@ def test_reserve_with_boot_delay():
     r = state.resources[0]
     state.reserve(r, "u1", now=0)
     assert r.state is ResourceState.BOOTING
-    assert r.boot_ready_s == 10
-    state.boot_complete(r, now=10)
+    assert r.free_s == 10  # the boot end
+    state.boot_complete(r, now=12)
     assert r.state is ResourceState.IDLE
+    assert r.free_s == 12  # idle since
+
+
+def two_task_chain_state():
+    """u1's chain t0 -> t1 arrived, and both small machines reserved at 0."""
+    state = SystemState(small_only_system(count=2), users(("u1", 10)))
+    state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5}, {"small": 5}])))
+    for r in state.resources:
+        state.reserve(r, "u1", now=0)
+    return state
+
+
+def test_starting_a_task_that_is_not_eligible_rejected():
+    state = two_task_chain_state()
+    with pytest.raises(ValueError, match="w1/t1 not eligible"):  # t0 has not finished
+        state.start_task(handle(state, "w1", "t1"), state.resources[0], now=0)
+
+
+def test_finishing_a_task_that_is_not_running_rejected():
+    state = two_task_chain_state()
+    with pytest.raises(ValueError, match="w1/t0 not running"):
+        state.finish_task(handle(state, "w1", "t0"), now=0)
+
+
+def test_releasing_a_busy_resource_rejected():
+    state = two_task_chain_state()
+    r = state.resources[0]
+    state.start_task(handle(state, "w1", "t0"), r, now=0)
+    with pytest.raises(ValueError, match="resource 0 not idle"):
+        state.release(r, now=60)  # its paid interval has ended, but it runs t0
 
 
 def test_reserving_reserved_resource_rejected():
@@ -152,7 +183,7 @@ def test_task_lifecycle_and_eligibility_order():
     state.finish_task(handle(state, "w2", "a"), now=14)
     assert eligible() == [("w1", "t0")]  # no children freed
     assert r.state is ResourceState.IDLE
-    assert r.idle_since_s == 14
+    assert r.free_s == 14
     assert state.runs["w2"].done
     assert state.runs["w2"].last_finish_s == 14
 

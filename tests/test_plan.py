@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import chain_wf, edge_maps, handle, reference_order, two_type_system, users, wf
 from wfasim import engine
 from wfasim.dagops import WorkflowGraph
-from wfasim.model import OverCommitted, ResourceState, ResourceType, TaskSpec, TaskStatus, UserConfig
+from wfasim.model import ResourceState, ResourceType, TaskSpec, TaskStatus, UserConfig
 from wfasim.policies.base import ExecutionPlan, PlanEntry, PolicyView, perfect_oracle
 from wfasim.policies.plan import (
     PlfPolicy,
@@ -254,7 +254,7 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
             plan.add(PlanEntry(r.id, r.running, start, end, pinned=True))
             slots.append((r.id, r.rtype.id, end))
         elif r.state is ResourceState.BOOTING:
-            slots.append((r.id, r.rtype.id, max(now, r.boot_ready_s)))
+            slots.append((r.id, r.rtype.id, max(now, r.free_s)))
         else:
             slots.append((r.id, r.rtype.id, now))
     slots += [(rid, rtype_id, now + state.config.boot_delay_s) for rid, rtype_id in extra_resources]
@@ -418,13 +418,33 @@ def test_equal_split_when_all_priorities_zero():
     assert decision.diagnostics["typed"] == 2
 
 
-def test_overcommitted_reservations_raise():
-    w = wf("w1", [("a", {"small": 4, "large": 2})])
-    state = make_state([w])
+def test_plan_rejects_a_task_planned_twice():
+    plan = ExecutionPlan()
+    plan.add(PlanEntry(0, 7, 0, 10))
+    with pytest.raises(ValueError, match="task 7 planned twice"):
+        plan.add(PlanEntry(1, 7, 20, 30))
+
+
+def test_plan_rejects_overlap_on_a_resource():
+    plan = ExecutionPlan()
+    plan.add(PlanEntry(0, 7, 0, 10))
+    plan.add(PlanEntry(0, 8, 10, 20))  # back to back is no overlap
+    with pytest.raises(ValueError, match="overlap on resource 0"):
+        plan.add(PlanEntry(0, 9, 15, 25))
+
+
+@pytest.mark.parametrize("policy", [PlfPolicy, ScfPolicy])
+@pytest.mark.parametrize("budget", [5, 4])  # headroom 0, and -1
+def test_planners_reserve_nothing_without_headroom(policy, budget):
+    # the held large (cost 5) takes the whole budget, or more: neither
+    # planner reserves, though one unit more would buy a small, the fastest
+    wa = wf("wa", [("a", {"small": 2, "large": 4})])
+    wb = wf("wb", [("a", {"small": 2, "large": 4})])
+    state = make_state([wa, wb])
     large = next(r for r in state.resources if r.rtype.id == "large")
     state.reserve(large, "u1", now=0)
-    with pytest.raises(OverCommitted):
-        PlfPolicy().decide(view_for(state, budget=4))
+    assert policy().decide(view_for(state, budget=budget)).alloc == {}
+    assert policy().decide(view_for(state, budget=6)).alloc == {"small": [0]}
 
 
 def test_idle_at_billing_end_released_when_plan_is_empty():
@@ -522,11 +542,3 @@ def test_scf_plan_orders_workflows_by_priority():
     decision = ScfPolicy().decide(view_for(state, budget=1))
     entries = sorted(decision.plan.entries(), key=lambda e: e.start_s)
     assert state.ref(entries[0].task)[0] == "wb"  # higher priority first
-
-
-def test_scf_overcommitted_raises():
-    state = make_state([wf("w1", [("a", {"small": 1, "large": 1})])])
-    large = next(r for r in state.resources if r.rtype.id == "large")
-    state.reserve(large, "u1", now=0)
-    with pytest.raises(OverCommitted):
-        ScfPolicy().decide(view_for(state, budget=4))

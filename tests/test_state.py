@@ -136,9 +136,11 @@ def check_handles(state):
         assert len(per_task) == base
 
 
-def check_queries(state, finished, running):
+def check_queries(state, finished, running, free_from):
     """``finished`` and ``running`` map the refs the test finished, and the
-    ones it started and has not finished, to the machine ids they ran on."""
+    ones it started and has not finished, to the machine ids they ran on.
+    ``free_from`` maps each held machine that is not busy to the time the
+    test made it free: reserved plus the boot delay, booted, or finished."""
     check_handles(state)
     refs = lambda hs: [state.ref(h) for h in hs]  # noqa: E731
     status = brute_status(state, finished, running)
@@ -167,14 +169,13 @@ def check_queries(state, finished, running):
         for t in TYPES:
             assert state.idle_resources(u, t) == [r for r in idle if r.rtype.id == t]
         assert state.idle_ids(u) == [r.id for r in idle]
-        assert facade.idle() == tuple((r.id, r.idle_since_s) for r in idle)
+        assert facade.idle() == tuple((r.id, free_from[r.id]) for r in idle)
         mine = held(state, u)
         running_on = {rid: handle(state, *ref) for ref, rid in running.items()}
         assert facade.held() == tuple(
             (r.id, r.rtype.id, running_on[r.id], state.start_s[running_on[r.id]])
             if r.state is ResourceState.BUSY
-            else (r.id, r.rtype.id, -1, r.boot_ready_s if r.state is ResourceState.BOOTING
-                  else r.idle_since_s)
+            else (r.id, r.rtype.id, -1, free_from[r.id])
             for r in mine
         )
         assert state.supply(u) == len(mine)
@@ -248,8 +249,9 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
     pending = [make_workflow(i, *args) for i, args in enumerate(specs)]
     finished: dict = {}  # ref -> machine id it ran on
     running: dict = {}
+    free_from: dict = {}  # machine id -> time it is free from
     now = 0
-    check_queries(state, finished, running)
+    check_queries(state, finished, running, free_from)
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         now += data.draw(st.sampled_from((0, 0, 30)), label="advance")
         op = data.draw(st.sampled_from(OPS), label="op")
@@ -262,10 +264,13 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             if free:
                 r = data.draw(st.sampled_from(free))
                 state.reserve(r, data.draw(st.sampled_from(USERS)), now)
+                free_from[r.id] = now + boot_delay_s
         elif op == "boot":
             booting = [r for r in res if r.state is ResourceState.BOOTING]
             if booting:
-                state.boot_complete(data.draw(st.sampled_from(booting)), now)
+                r = data.draw(st.sampled_from(booting))
+                state.boot_complete(r, now)
+                free_from[r.id] = now
         elif op == "start":
             # any eligible task, not only the first: plan following starts
             # tasks out of dispatch order
@@ -294,14 +299,17 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
                 ref = data.draw(st.sampled_from(sorted(running)))
                 state.finish_task(handle(state, *ref), now)
                 finished[ref] = running.pop(ref)
+                free_from[finished[ref]] = now
         elif op == "release":
             due = [
                 r for r in res
                 if r.state is ResourceState.IDLE and r.billing_end_s <= now
             ]
             if due:
-                state.release(data.draw(st.sampled_from(due)), now)
-        check_queries(state, finished, running)
+                r = data.draw(st.sampled_from(due))
+                state.release(r, now)
+                del free_from[r.id]
+        check_queries(state, finished, running, free_from)
 
 
 @settings(max_examples=100, deadline=None)
