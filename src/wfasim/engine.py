@@ -27,6 +27,7 @@ from .dagops import WorkflowGraph, validate_workflow
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
 from .model import (
     BudgetViolation,
+    CapacityExceeded,
     ResourceState,
     Stalled,
     SystemConfig,
@@ -272,10 +273,9 @@ class _Sim:
         seed: int,
         collect_plans: bool,
     ):
-        self.type_ids = [t.id for t in system.types]
         self.cost = {t.id: t.cost for t in system.types}
         held = [t.id for t in system.types_with_machines()]
-        graphs = validate_inputs(workflows, [u.id for u in users], self.type_ids, held)
+        graphs = validate_inputs(workflows, [u.id for u in users], list(self.cost), held)
         self.system = system
         self.users = users
         self.policy = policy
@@ -341,13 +341,12 @@ class _Sim:
         self.dispatch(spec.user, now)
 
     def on_boot(self, now: int, rid: int) -> None:
+        # Only a reservation boots a machine, and a release or a start needs
+        # it idle, so its boot event finds it booting and held.
         r = self.state.resources[rid]
-        if r.state is ResourceState.BOOTING:
-            self.state.boot_complete(r, now)
-            user = r.user or ""
-            self.row(now, "boot", user, resource=rid, rtype=r.rtype.id)
-            if user:
-                self.dispatch(user, now)
+        self.state.boot_complete(r, now)
+        self.row(now, "boot", r.user, resource=rid, rtype=r.rtype.id)
+        self.dispatch(r.user, now)
 
     def on_tick(self, now: int) -> None:
         k = now // self.system.interval_s
@@ -420,35 +419,41 @@ class _Sim:
         )
 
     def apply_decision(self, uid: str, decision: Decision, now: int, tick: int) -> None:
-        """Release, then reserve, the machines a decision names. Every id is
-        checked first: a released one must be held by the user, a reserved
-        one be a machine of the type it is listed under. A reservation over
-        budget is refused, so no interval is charged more than the budget."""
-        resources, budget = self.state.resources, self.state.users[uid].budget
+        """Release, then reserve in id order, the machines a decision names.
+        Every id is checked before anything changes: a released one must be
+        an idle machine the user holds, a reserved one a free machine, and no
+        id may appear twice. The budget is checked the same way: a decision
+        whose reservations would take the user's cost over budget changes
+        nothing, so no interval is charged more than the budget."""
+        resources, n = self.state.resources, len(self.state.resources)
+        named: set[int] = set()
         for rid in decision.dealloc:
-            if not 0 <= rid < len(resources) or resources[rid].user != uid:
+            if not 0 <= rid < n or resources[rid].user != uid:
                 raise ValueError(f"policy released resource {rid}, which {uid} does not hold")
-        for rtype_id, rids in decision.alloc.items():
-            if rtype_id not in self.cost:
-                raise ValueError(f"policy allocated unknown type {rtype_id!r}")
-            for rid in rids:
-                if not 0 <= rid < len(resources) or resources[rid].rtype.id != rtype_id:
-                    raise ValueError(f"policy allocated resource {rid}, not a {rtype_id!r} machine")
+            if resources[rid].state is not ResourceState.IDLE or rid in named:
+                raise ValueError(f"resource {rid} not idle")
+            named.add(rid)
+        for rid in decision.alloc:
+            if not 0 <= rid < n:
+                raise ValueError(f"policy allocated resource {rid}, which is not a machine")
+            if resources[rid].state is not ResourceState.DOWN or rid in named:
+                raise CapacityExceeded(f"resource {rid} is not free")
+            named.add(rid)
+        if decision.alloc:  # releases alone cannot take a user over budget
+            change = sum(resources[rid].rtype.cost for rid in decision.alloc)
+            change -= sum(resources[rid].rtype.cost for rid in decision.dealloc)
+            if self.state.allocated_cost(uid) + change > self.state.users[uid].budget:
+                raise BudgetViolation(f"tick {tick}: allocation for {uid} would exceed budget")
         for rid in decision.dealloc:
             r = resources[rid]
             self.state.release(r, now)
             self.row(now, "release", uid, resource=rid, rtype=r.rtype.id)
-        for rtype_id in self.type_ids:
-            for rid in decision.alloc.get(rtype_id, ()):  # ids picked by the policy
-                r = resources[rid]
-                if self.state.allocated_cost(uid) + r.rtype.cost > budget:
-                    raise BudgetViolation(
-                        f"tick {tick}: allocation for {uid} would exceed budget"
-                    )
-                self.state.reserve(r, uid, now)
-                self.row(now, "allocate", uid, resource=rid, rtype=rtype_id)
-                if self.system.boot_delay_s > 0:
-                    self.push(now + self.system.boot_delay_s, _BOOT, rid)
+        for rid in sorted(decision.alloc):
+            r = resources[rid]
+            self.state.reserve(r, uid, now)
+            self.row(now, "allocate", uid, resource=rid, rtype=r.rtype.id)
+            if self.system.boot_delay_s > 0:
+                self.push(now + self.system.boot_delay_s, _BOOT, rid)
         if decision.plan is not None and self.plan_runner is not None:
             for when in self.plan_runner.install(uid, decision.plan):
                 if when > now:

@@ -182,13 +182,6 @@ class Resource:
     running: int | None = None  # handle of the running task
 
 
-class TaskStatus(Enum):
-    PENDING = "pending"
-    ELIGIBLE = "eligible"
-    RUNNING = "running"
-    FINISHED = "finished"
-
-
 def min_runtime(task: TaskSpec) -> int:
     """Fastest runtime of a task across all resource types."""
     return min(task.runtime_by_type.values())
@@ -240,7 +233,6 @@ __all__ = [
     "ResourceType",
     "SystemConfig",
     "TaskSpec",
-    "TaskStatus",
     "UserConfig",
     "WorkflowSpec",
     "WorkloadInvalid",

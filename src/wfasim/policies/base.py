@@ -24,25 +24,24 @@ def pick_free(
     types: Sequence[tuple[str, int]],
     wanted: Mapping[str, int],
     headroom: int,
-) -> dict[str, list[int]]:
-    """The machines a decision reserves: for each (type id, cost) in the
-    given order, the lowest free ids up to the wanted count, while the cost
-    of what is picked stays within the budget headroom."""
-    alloc: dict[str, list[int]] = {}
+) -> list[tuple[int, str]]:
+    """The machines a decision reserves, as (id, type id): for each
+    (type id, cost) in the given order, the lowest free ids up to the wanted
+    count, while the cost of what is picked stays within the budget
+    headroom."""
+    picked: list[tuple[int, str]] = []
     spend = 0
     for tid, cost in types:
         want = wanted.get(tid, 0)
         if want <= 0:
             continue
-        picked: list[int] = []
         for rid in free_ids(tid):
-            if len(picked) >= want or spend + cost > headroom:
+            if want == 0 or spend + cost > headroom:
                 break
-            picked.append(rid)
+            picked.append((rid, tid))
             spend += cost
-        if picked:
-            alloc[tid] = picked
-    return alloc
+            want -= 1
+    return picked
 
 
 class PlanEntry(NamedTuple):
@@ -91,13 +90,13 @@ class ExecutionPlan:
 class Decision:
     """What a policy wants applied at a tick.
 
-    ``alloc`` maps resource type id to the exact free resource ids to
-    reserve; ``dealloc`` lists idle resources to release. The engine applies
-    both at the tick, where every paid interval ends. Plan-following
-    policies also ship the next interval's plan.
+    ``alloc`` lists the free machines to reserve, by id, and ``dealloc``
+    the idle machines to release. The engine applies both at the tick, where
+    every paid interval ends: it releases first, then reserves in id order.
+    Plan-following policies also ship the next interval's plan.
     """
 
-    alloc: dict[str, list[int]] = field(default_factory=dict)
+    alloc: list[int] = field(default_factory=list)
     dealloc: list[int] = field(default_factory=list)
     plan: ExecutionPlan | None = None
     diagnostics: dict | None = None

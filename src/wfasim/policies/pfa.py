@@ -438,7 +438,7 @@ def pfa_decide(
         kept[tid] = have - len(chosen)
 
     # cheapest first; the stable sort keeps equal-cost types in config order
-    alloc = pick_free(
+    picked = pick_free(
         obs.free_ids,
         sorted(obs.types, key=lambda t: t[1]),
         {tid: final[i] - kept[tid] for i, tid in enumerate(type_ids)},
@@ -466,7 +466,7 @@ def pfa_decide(
         "sigma": predicted,
         "mu": final,
     }
-    return Decision(alloc=alloc, dealloc=dealloc, plan=None,
+    return Decision(alloc=[rid for rid, _t in picked], dealloc=dealloc, plan=None,
                     diagnostics=diagnostics, step_seconds=steps)
 
 

@@ -218,18 +218,18 @@ def _plan_decision(
     empty."""
     t0 = time.perf_counter()
     types = [(t.id, t.cost) for t in sorted(view.config.types, key=lambda t: (t.cost, t.id))]
-    alloc = pick_free(view.observation.free_ids, types, wanted, headroom)
+    picked = pick_free(view.observation.free_ids, types, wanted, headroom)
     steps["allocate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    extra = [(rid, rtype_id) for rtype_id, rids in alloc.items() for rid in rids]
-    plan = build_plan(view, order, typed, extra)
+    plan = build_plan(view, order, typed, picked)
     steps["plan"] = time.perf_counter() - t0
     diagnostics.update(
-        t=view.tick, user=view.user.id, alloc={k: len(v) for k, v in alloc.items()},
+        t=view.tick, user=view.user.id, alloc=dict(Counter(t for _, t in picked)),
         planned=len(plan),
     )
-    return Decision(alloc=alloc, dealloc=_release_candidates(view.observation, plan),
+    return Decision(alloc=[rid for rid, _t in picked],
+                    dealloc=_release_candidates(view.observation, plan),
                     plan=plan, diagnostics=diagnostics, step_seconds=steps)
 
 

@@ -11,13 +11,15 @@ index ``i`` gets the handle ``base + i``. Handles are dense and ascend in
 arrival, then topological, order. The per-task records are flat lists on
 ``SystemState``, indexed by handle and extended at each arrival:
 ``task_runs`` (the task's run), ``workflow`` (its workflow's id), ``tasks``
-(its ``TaskSpec``), ``status``, ``blocked`` (count of unfinished parents),
-``start_s`` and ``machine`` (the id of the machine it ran on). Only this
-module turns a topological index into a handle. Plan entries carry handles
-too. String ids stay at the edges: the trace and the output files name
-tasks by ``(workflow id, task id)``, which ``ref`` reads off a handle.
-Policies read none of this directly: ``UserFacade`` below is their one
-view of the state.
+(its ``TaskSpec``), ``blocked`` (count of unfinished parents), ``start_s``
+and ``machine`` (the id of the machine it ran on, -1 before it starts).
+``blocked`` and ``machine`` also give a task's status: it is eligible
+while it has no unfinished parent and no machine, and running while its
+machine runs it. Only this module turns a topological index into a handle.
+Plan entries carry handles too. String ids stay at the edges: the trace and
+the output files name tasks by ``(workflow id, task id)``, which ``ref``
+reads off a handle. Policies read none of this directly: ``UserFacade``
+below is their one view of the state.
 
 Queries are served from indexes that the transitions below keep up to date,
 so no query scans every machine or re-sorts every eligible task. Each user
@@ -57,7 +59,6 @@ from .model import (
     ResourceState,
     SystemConfig,
     TaskSpec,
-    TaskStatus,
     UserConfig,
 )
 
@@ -68,8 +69,6 @@ _HELD = (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY)
 # times a global read, and the transitions below run once per event.
 _DOWN, _BOOTING = ResourceState.DOWN, ResourceState.BOOTING
 _IDLE, _BUSY = ResourceState.IDLE, ResourceState.BUSY
-_PENDING, _ELIGIBLE = TaskStatus.PENDING, TaskStatus.ELIGIBLE
-_RUNNING, _FINISHED = TaskStatus.RUNNING, TaskStatus.FINISHED
 
 
 class UserIndex:
@@ -124,7 +123,6 @@ class SystemState:
         self.task_runs: list[WorkflowRun] = []
         self.workflow: list[str] = []
         self.tasks: list[TaskSpec] = []
-        self.status: list[TaskStatus] = []
         self.blocked: list[int] = []
         self.start_s: list[int] = []
         self.machine: list[int] = []
@@ -164,7 +162,6 @@ class SystemState:
     # -- workflow lifecycle -------------------------------------------------
 
     def _make_eligible(self, run: WorkflowRun, rec: UserIndex, h: int) -> None:
-        self.status[h] = _ELIGIBLE
         rec.eligible += 1
         rec.frontier[h] = None
         heapq.heappush(rec.heap, (-run.spec.priority, run.spec.arrival_s, h))
@@ -181,7 +178,6 @@ class SystemState:
         self.task_runs.extend(repeat(run, n))
         self.workflow.extend(repeat(spec.id, n))
         self.tasks.extend(graph.tasks)
-        self.status.extend(repeat(_PENDING, n))
         self.blocked.extend(map(len, graph.parents))
         self.start_s.extend(repeat(0, n))
         self.machine.extend(repeat(-1, n))
@@ -193,40 +189,38 @@ class SystemState:
         return run
 
     def start_task(self, h: int, resource: Resource, now: int) -> None:
-        run, status = self.task_runs[h], self.status
-        if status[h] is not _ELIGIBLE:
+        run, machine = self.task_runs[h], self.machine
+        if self.blocked[h] or machine[h] >= 0:
             raise ValueError(f"task {'/'.join(self.ref(h))} not eligible")
         if resource.state is not _IDLE or resource.user != run.spec.user:
             raise ValueError(f"resource {resource.id} not idle for {run.spec.user}")
-        status[h] = _RUNNING
         self.start_s[h] = now
-        self.machine[h] = resource.id
+        machine[h] = resource.id
         rec = run.user_index
         rec.eligible -= 1
         self._move(resource, _BUSY)
         resource.running = h
-        # The started task's heap entry is now stale. A task started out of
-        # heap order leaves it buried, so compact once stale entries outnumber
-        # live ones; the heap then stays within twice the eligible count.
+        # The started task's heap entry is now stale: an entry is live while
+        # its task has no machine. A task started out of heap order leaves it
+        # buried, so compact once stale entries outnumber live ones; the heap
+        # then stays within twice the eligible count.
         heap = rec.heap
         if len(heap) > 2 * rec.eligible:
-            heap[:] = [e for e in heap if status[e[2]] is _ELIGIBLE]
+            heap[:] = [e for e in heap if machine[e[2]] < 0]
             heapq.heapify(heap)
 
     def finish_task(self, h: int, now: int) -> None:
         """Complete a running task; its children whose last unfinished
         parent it was become eligible."""
-        run = self.task_runs[h]
-        if self.status[h] is not _RUNNING:
+        run, rid = self.task_runs[h], self.machine[h]
+        if rid < 0 or (resource := self.resources[rid]).running != h:
             raise ValueError(f"task {'/'.join(self.ref(h))} not running")
-        self.status[h] = _FINISHED
         run.unfinished -= 1
         if run.unfinished == 0:
             run.last_finish_s = now
         rec = run.user_index
         children = rec.unfinished.pop(h)
         del rec.frontier[h]
-        resource = self.resources[self.machine[h]]
         rec.finished[resource.rtype.id] += 1
         self._move(resource, _IDLE)
         resource.running = None
@@ -240,20 +234,20 @@ class SystemState:
     # -- queries ------------------------------------------------------------
 
     def is_eligible(self, h: int) -> bool:
-        return self.status[h] is _ELIGIBLE
+        return not self.blocked[h] and self.machine[h] < 0
 
     def eligible_tasks(self, user: str) -> list[int]:
         """Eligible tasks of a user in deterministic dispatch order."""
         # handles are unique, so sorting the entries compares ints only
-        status = self.status
-        return [e[2] for e in sorted(self._index[user].heap) if status[e[2]] is _ELIGIBLE]
+        machine = self.machine
+        return [e[2] for e in sorted(self._index[user].heap) if machine[e[2]] < 0]
 
     def next_eligible(self, user: str) -> int | None:
         """The user's first eligible task in dispatch order, or None."""
-        heap, status = self._index[user].heap, self.status
+        heap, machine = self._index[user].heap, self.machine
         while heap:
             h = heap[0][2]
-            if status[h] is _ELIGIBLE:
+            if machine[h] < 0:
                 return h
             heapq.heappop(heap)
         return None

@@ -121,4 +121,4 @@ class HoldPolicy(Policy):
         if view.tick != 0:
             return Decision()
         free = view.observation.free_ids
-        return Decision(alloc={t: list(free(t)[:n]) for t, n in self.counts.items()})
+        return Decision(alloc=[rid for t, n in self.counts.items() for rid in free(t)[:n]])

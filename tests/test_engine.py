@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import re
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from wfasim import dagops, engine, mip, scheduler
 from wfasim.model import (
     BudgetTooSmall,
     BudgetViolation,
+    CapacityExceeded,
     ResourceType,
     Stalled,
     SystemConfig,
@@ -237,28 +239,41 @@ def test_diagnostics_written_for_pfa_only():
                     "theta", "lambda", "sigma", "mu"}
 
 
-# Machines 0 and 1 are small, 2 and 3 large. u1 holds 3, idle and past its
-# first paid interval, so releasing it is valid; u2 holds 0. Each decision
+# Machines 0 and 1 are small, 2 to 4 large. u1 holds 3, idle and past its
+# first paid interval, so releasing it is valid, and 4, busy; u2 holds 0. So
+# u1 holds 10 of its budget of 15, and only 1 and 2 are free. Each decision
 # pairs that valid release (where it can) with one bad entry.
-@pytest.mark.parametrize("decision, message", [
-    (Decision(dealloc=[3], alloc={"small": [2]}), "resource 2, not a 'small' machine"),
-    (Decision(dealloc=[3], alloc={"small": [-1]}), "resource -1, not a 'small' machine"),
-    (Decision(dealloc=[3], alloc={"small": [99]}), "resource 99, not a 'small' machine"),
-    (Decision(dealloc=[3], alloc={"medium": [1]}), "unknown type 'medium'"),
-    (Decision(dealloc=[-1]), "released resource -1, which u1 does not hold"),
-    (Decision(dealloc=[3, 99]), "released resource 99, which u1 does not hold"),
-    (Decision(dealloc=[3, 0]), "released resource 0, which u1 does not hold"),
-], ids=["large-id-as-small", "negative-id", "id-out-of-range", "unknown-type",
-        "negative-release", "release-out-of-range", "foreign-release"])
-def test_a_decision_naming_a_wrong_machine_is_rejected_before_any_change(decision, message):
-    sim = engine._Sim([], two_type_system(small=2, large=2), users(("u1", 20), ("u2", 20)),
-                      PfaPolicy(), 0, collect_plans=False)
-    sim.state.reserve(sim.state.resources[3], "u1", 0)
-    sim.state.reserve(sim.state.resources[0], "u2", 0)
-    before = [(r.state, r.user) for r in sim.state.resources]
-    with pytest.raises(ValueError, match=re.escape(message)):
+@pytest.mark.parametrize("decision, error, message", [
+    (Decision(dealloc=[3], alloc=[-1]), ValueError, "resource -1, which is not a machine"),
+    (Decision(dealloc=[3], alloc=[99]), ValueError, "resource 99, which is not a machine"),
+    (Decision(dealloc=[-1]), ValueError, "released resource -1, which u1 does not hold"),
+    (Decision(dealloc=[3, 99]), ValueError, "released resource 99, which u1 does not hold"),
+    (Decision(dealloc=[3, 0]), ValueError, "released resource 0, which u1 does not hold"),
+    (Decision(dealloc=[3, 4]), ValueError, "resource 4 not idle"),
+    (Decision(dealloc=[3, 3]), ValueError, "resource 3 not idle"),
+    (Decision(dealloc=[3], alloc=[0]), CapacityExceeded, "resource 0 is not free"),
+    (Decision(dealloc=[3], alloc=[3]), CapacityExceeded, "resource 3 is not free"),
+    (Decision(alloc=[1, 1]), CapacityExceeded, "resource 1 is not free"),
+    (Decision(alloc=[1, 2]), BudgetViolation, "allocation for u1 would exceed budget"),
+], ids=["negative-id", "id-out-of-range", "negative-release", "release-out-of-range",
+        "foreign-release", "busy-release", "release-twice", "foreign-reservation",
+        "release-and-reserve", "reserve-twice", "over-budget"])
+def test_a_decision_naming_a_wrong_machine_is_rejected_before_any_change(
+    decision, error, message
+):
+    system = two_type_system(small=2, large=3)
+    w = wf("w1", [("a", {"small": 90, "large": 90})])
+    sim = engine._Sim([], system, users(("u1", 15), ("u2", 20)), PfaPolicy(), 0,
+                      collect_plans=False)
+    state = sim.state
+    for rid, uid in ((4, "u1"), (3, "u1"), (0, "u2")):
+        state.reserve(state.resources[rid], uid, 0)
+    (graph,) = engine.validate_inputs([w], ["u1", "u2"], ["small", "large"], [])
+    state.start_task(state.arrive(graph).base, state.resources[4], 0)
+    before = [(r.state, r.user) for r in state.resources]
+    with pytest.raises(error, match=re.escape(message)):
         sim.apply_decision("u1", decision, 60, 1)
-    assert [(r.state, r.user) for r in sim.state.resources] == before
+    assert [(r.state, r.user) for r in state.resources] == before
     assert sim.trace == []
 
 
@@ -267,7 +282,7 @@ def test_budget_violation_from_malicious_policy():
         def decide(self, view):
             decision = super().decide(view)
             free = view.observation.free_ids("large")
-            decision.alloc.setdefault("large", []).extend(free[:3])
+            decision.alloc.extend(free[:3])
             return decision
 
     wfs = generate_workload(4, users=["u1"], rule=WL1, seed=4)
@@ -638,6 +653,23 @@ def test_every_run_finishes_or_stops_with_a_typed_error(case, seed):
         except (WorkloadInvalid, BudgetTooSmall, Stalled):
             return
     assert result.state.all_done
+    # From the trace alone: each task starts once and finishes once, on the
+    # machine it started on; no machine runs two tasks at once; and a machine
+    # is released no earlier than one interval after it was reserved.
+    tasks = Counter((w.id, t.id) for w in workflows for t in w.tasks)
+    for event in ("start", "finish"):
+        assert Counter((r[3], r[4]) for r in result.trace if r[1] == event) == tasks
+    started = {(r[3], r[4]): (r[5], r[0]) for r in result.trace if r[1] == "start"}
+    spans = sorted((*started[(r[3], r[4])], r[0], r[5]) for r in result.trace if r[1] == "finish")
+    assert all(rid == finished_on for rid, _start, _end, finished_on in spans)
+    for (rid, _start, end, _), (next_rid, next_start, _end, _) in zip(spans, spans[1:]):
+        assert rid != next_rid or end <= next_start
+    reserved_at = {}
+    for r in result.trace:
+        if r[1] == "allocate":
+            reserved_at[r[5]] = r[0]
+        elif r[1] == "release":
+            assert r[0] - reserved_at.pop(r[5]) >= system.interval_s
 
 
 def _tripled(task, rtype_id):

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import chain_wf, diamond_wf, save_instance, users, wf
 from wfasim import dagops, engine
-from wfasim.dagops import ideal_makespan
 from wfasim.mip import (
     HorizonTooShort,
     Infeasible,

@@ -356,7 +356,7 @@ def test_cold_start_worked_example():
     assert d["zeta"] is None
     assert (d["theta"], d["lambda"], d["sigma"]) == (4, 4, 4)
     assert d["mu"] == [2, 2]
-    assert decision.alloc == {"small": [100, 101], "large": [300, 301]}
+    assert decision.alloc == [100, 101, 300, 301]
     assert decision.dealloc == []
 
 
@@ -371,8 +371,7 @@ def test_decision_allocation_never_exceeds_budget():
     assert d["sigma"] == 6
     assert d["mu"] == [7, 1]
     # only 5 small machines exist; spend stays within budget
-    assert decision.alloc["small"] == [100, 101, 102, 103, 104]
-    assert decision.alloc["large"] == [300]
+    assert decision.alloc == [100, 101, 102, 103, 104, 300]
     spent = 5 * 1 + 1 * 5
     assert spent <= obs.budget
 

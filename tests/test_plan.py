@@ -1,8 +1,8 @@
 """Plan-based policies: planner, budget-per-workflow, and plan scaling."""
 
 import dataclasses
-import heapq
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import chain_wf, edge_maps, handle, reference_order, two_type_system, users, wf
 from wfasim import engine
 from wfasim.dagops import WorkflowGraph
-from wfasim.model import ResourceState, ResourceType, TaskSpec, TaskStatus, UserConfig
+from wfasim.model import ResourceState, ResourceType, TaskSpec, UserConfig
 from wfasim.policies.base import ExecutionPlan, PlanEntry, PolicyView, perfect_oracle
 from wfasim.policies.plan import (
     PlfPolicy,
@@ -47,6 +47,11 @@ def view_for(state, budget=100, now=0, seed=0):
         tasks=state.tasks,
         rng=random.Random(seed),
     )
+
+
+def reserved(state, decision):
+    """{type id: count} of the machines a decision reserves."""
+    return Counter(state.resources[rid].rtype.id for rid in decision.alloc)
 
 
 # -- fastest type ------------------------------------------------------------------
@@ -238,12 +243,14 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
     slots and phase 1, then a phase 2 that scans every unfinished task of
     each workflow in topological order and places those whose parents are
     all finished or planned. Tasks, parents and order come from the specs,
-    and a task's status and plan entry from its handle."""
+    whether a task is finished from the user's unfinished workflows, and its
+    plan entry from its handle."""
     plan = ExecutionPlan()
     task_of = {(w.spec.id, t.id): t for w in state.runs.values() for t in w.spec.tasks}
+    unfinished = {h for *_, hs in UserFacade(state, user).workflows() for h in hs}
 
-    def status(wf_id, task_id):
-        return state.status[handle(state, wf_id, task_id)]
+    def finished(wf_id, task_id):
+        return handle(state, wf_id, task_id) not in unfinished
 
     slots = []
     for r in (r for r in state.resources if r.user == user):
@@ -283,12 +290,11 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
         spec = state.runs[wf_id].spec
         parents, _ = edge_maps(spec)
         for task_id in reference_order(spec):
-            if (status(wf_id, task_id) is TaskStatus.FINISHED
-                    or handle(state, wf_id, task_id) in plan.by_task):
+            if finished(wf_id, task_id) or handle(state, wf_id, task_id) in plan.by_task:
                 continue
             ready = now
             for parent in parents[task_id]:
-                if status(wf_id, parent) is TaskStatus.FINISHED:
+                if finished(wf_id, parent):
                     continue
                 entry = plan.by_task.get(handle(state, wf_id, parent))
                 if entry is None:
@@ -362,8 +368,7 @@ def test_single_task_buys_the_fastest_type():
     w = wf("w1", [("a", {"small": 4, "large": 2})])
     state = make_state([w])
     decision = PlfPolicy().decide(view_for(state, budget=5))
-    assert list(decision.alloc) == ["large"]
-    assert len(decision.alloc["large"]) == 1
+    assert decision.alloc == [8]  # the lowest large
     entry = decision.plan.entries()[0]
     assert entry.end_s - entry.start_s == 2
 
@@ -374,7 +379,7 @@ def test_unaffordable_fastest_type_is_skipped_not_downgraded():
     w = wf("w1", [("a", {"small": 4, "large": 2})])
     state = make_state([w])
     decision = PlfPolicy().decide(view_for(state, budget=4))
-    assert decision.alloc == {}
+    assert decision.alloc == []
     assert len(decision.plan) == 0
     assert decision.diagnostics["typed"] == 0
 
@@ -383,7 +388,7 @@ def test_runtime_tie_buys_the_cheaper_type():
     w = wf("w1", [("a", {"small": 3, "large": 3})])
     state = make_state([w])
     decision = PlfPolicy().decide(view_for(state, budget=5))
-    assert list(decision.alloc) == ["small"]
+    assert decision.alloc == [0]  # the lowest small
 
 
 def test_priority_proportional_shares():
@@ -393,7 +398,7 @@ def test_priority_proportional_shares():
     state = make_state([wa, wb])
     decision = PlfPolicy().decide(view_for(state, budget=9))
     assert decision.diagnostics["typed"] == 1
-    assert len(decision.alloc.get("large", [])) == 1
+    assert reserved(state, decision)["large"] == 1
     # leftovers 1 + 3 = 4 cannot fund the second large
     assert decision.diagnostics["pool_left"] == 4.0
 
@@ -406,8 +411,7 @@ def test_leftover_pool_funds_skipped_tasks():
     state = make_state([wa, wb])
     decision = PlfPolicy().decide(view_for(state, budget=10))
     assert decision.diagnostics["typed"] == 2
-    assert len(decision.alloc.get("small", [])) == 1  # wa's tie goes cheap
-    assert len(decision.alloc.get("large", [])) == 1
+    assert reserved(state, decision) == {"small": 1, "large": 1}  # wa's tie goes cheap
 
 
 def test_equal_split_when_all_priorities_zero():
@@ -443,8 +447,8 @@ def test_planners_reserve_nothing_without_headroom(policy, budget):
     state = make_state([wa, wb])
     large = next(r for r in state.resources if r.rtype.id == "large")
     state.reserve(large, "u1", now=0)
-    assert policy().decide(view_for(state, budget=budget)).alloc == {}
-    assert policy().decide(view_for(state, budget=6)).alloc == {"small": [0]}
+    assert policy().decide(view_for(state, budget=budget)).alloc == []
+    assert policy().decide(view_for(state, budget=6)).alloc == [0]
 
 
 def test_idle_at_billing_end_released_when_plan_is_empty():
@@ -470,7 +474,7 @@ def test_purchases_clamped_by_free_capacity():
     wfs = [wf(f"w{i}", [("a", {"small": 1, "large": 9})]) for i in range(9)]
     state = make_state(wfs)
     decision = PlfPolicy().decide(view_for(state, budget=20))
-    assert len(decision.alloc["small"]) == 8
+    assert decision.alloc == list(range(8))  # every small
 
 
 # -- plan-scaling policy -------------------------------------------------------------
@@ -531,7 +535,7 @@ def test_scf_allocates_only_the_shortfall():
     state = make_state([w])
     state.reserve(state.resources[0], "u1", now=0)  # already one small
     decision = ScfPolicy().decide(view_for(state, budget=1))
-    assert decision.alloc == {}  # scaled (1 small) minus allocated (1) = 0
+    assert decision.alloc == []  # scaled (1 small) minus allocated (1) = 0
 
 
 def test_scf_plan_orders_workflows_by_priority():

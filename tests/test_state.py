@@ -26,7 +26,7 @@ from conftest import (
 )
 from wfasim import state as state_module
 from wfasim.dagops import WorkflowGraph
-from wfasim.model import ResourceState, TaskStatus
+from wfasim.model import ResourceState
 from wfasim.policies.pfa import tba_propagate, tba_walk
 from wfasim.scheduler import dispatch_dynamic
 from wfasim.state import SystemState, UserFacade
@@ -73,13 +73,13 @@ def brute_status(state, finished, running):
         for tid in reference_order(run.spec):
             ref = (wf_id, tid)
             if ref in finished:
-                out[ref] = TaskStatus.FINISHED
+                out[ref] = "finished"
             elif ref in running:
-                out[ref] = TaskStatus.RUNNING
+                out[ref] = "running"
             elif all((wf_id, p) in finished for p in parents[tid]):
-                out[ref] = TaskStatus.ELIGIBLE
+                out[ref] = "eligible"
             else:
-                out[ref] = TaskStatus.PENDING
+                out[ref] = "pending"
     return out
 
 
@@ -98,12 +98,12 @@ def brute_eligible(state, user, status):
         return (-run.spec.priority, run.spec.arrival_s, run.base)
 
     # the sort is stable, so a workflow's tasks keep their topological order
-    return sorted(of_user(state, user, status, (TaskStatus.ELIGIBLE,)), key=key)
+    return sorted(of_user(state, user, status, ("eligible",)), key=key)
 
 
 def brute_joint_dag(state, user, status):
     nodes = of_user(state, user, status,
-                    (TaskStatus.PENDING, TaskStatus.ELIGIBLE, TaskStatus.RUNNING))
+                    ("pending", "eligible", "running"))
     children = {wf_id: edge_maps(run.spec)[1] for wf_id, run in state.runs.items()}
     edges = [(ref, (ref[0], c)) for ref in nodes for c in children[ref[0]][ref[1]]]
     return nodes, edges
@@ -111,7 +111,7 @@ def brute_joint_dag(state, user, status):
 
 def brute_finished(state, user, status, finished):
     counts = dict.fromkeys(TYPES, 0)
-    for ref in of_user(state, user, status, (TaskStatus.FINISHED,)):
+    for ref in of_user(state, user, status, ("finished",)):
         counts[state.resources[finished[ref]].rtype.id] += 1
     return counts
 
@@ -131,8 +131,8 @@ def check_handles(state):
             assert state.workflow[h] == wf_id
             assert state.ref(h) == (wf_id, tid)
         base += len(order)
-    for per_task in (state.task_runs, state.workflow, state.tasks, state.status, state.blocked,
-                     state.start_s, state.machine):
+    for per_task in (state.task_runs, state.workflow, state.tasks, state.blocked, state.start_s,
+                     state.machine):
         assert len(per_task) == base
 
 
@@ -149,11 +149,10 @@ def check_queries(state, finished, running, free_from):
         for tid in reference_order(run.spec):
             ref = (wf_id, tid)
             h = handle(state, *ref)
-            assert state.status[h] is status[ref]
+            assert state.is_eligible(h) == (status[ref] == "eligible")
             assert state.blocked[h] == sum((wf_id, p) not in finished for p in parents[tid])
-            if ref in finished or ref in running:
-                assert state.machine[h] == finished.get(ref, running.get(ref))
-        assert run.unfinished == sum(status[(wf_id, t.id)] is not TaskStatus.FINISHED
+            assert state.machine[h] == finished.get(ref, running.get(ref, -1))
+        assert run.unfinished == sum(status[(wf_id, t.id)] != "finished"
                                      for t in run.spec.tasks)
     for ref, rid in running.items():
         assert state.resources[rid].running == handle(state, *ref)
@@ -188,7 +187,7 @@ def check_queries(state, finished, running, free_from):
         assert refs(state.eligible_tasks(u)) == eligible
         assert refs(facade.eligible()) == eligible
         assert state.next_eligible(u) == (handle(state, *eligible[0]) if eligible else None)
-        n_running = len(of_user(state, u, status, (TaskStatus.RUNNING,)))
+        n_running = len(of_user(state, u, status, ("running",)))
         assert state.momentary_demand(u) == n_running + len(eligible)
         nodes, edges = state.joint_dag(u)
         joint = brute_joint_dag(state, u, status)
@@ -202,7 +201,7 @@ def check_queries(state, finished, running, free_from):
             for w, ts in unfinished.items()
         ]
         assert all(facade.workflow_of(h) == w for w, *_, hs in facade.workflows() for h in hs)
-        frontier = of_user(state, u, status, (TaskStatus.ELIGIBLE, TaskStatus.RUNNING))
+        frontier = of_user(state, u, status, ("eligible", "running"))
         assert sorted(refs(facade.frontier())) == sorted(frontier)
         assert len(facade.frontier()) == len(frontier)
         # the per-user record agrees with the scans
@@ -345,7 +344,7 @@ def test_only_state_turns_a_topological_index_into_a_handle():
     assert modules == {"state.py"}
 
 
-POLICY_BLIND_TO = {"SystemState", "Resource", "ResourceState", "TaskStatus"}
+POLICY_BLIND_TO = {"SystemState", "Resource", "ResourceState"}
 
 
 def test_policies_read_the_facade_not_the_state():
