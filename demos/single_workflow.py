@@ -48,8 +48,9 @@ def main() -> None:
         [workflow], system, [UserConfig("alice", 12)], PfaPolicy(), seed=1
     )
 
+    trace = result.trace  # parsed from the run's CSV text on each read
     print("Event trace (time, event, task, resource type):")
-    for row in result.trace:
+    for row in trace:
         time_s, event, _user, _wf, task, _res, rtype, detail = row
         label = task or detail or ""
         print(f"  {time_s:>5} s  {event:<14} {label:<14} {rtype or ''}")
@@ -60,7 +61,7 @@ def main() -> None:
         rho = ", ".join(f"{v:.2f}" for v in d["rho"])
         print(f"  {d['t']:>4}  ({rho})          {d['sigma']:>8}          {d['mu']}")
 
-    finish = next(row[0] for row in result.trace if row[1] == "workflow_done")
+    finish = next(row[0] for row in trace if row[1] == "workflow_done")
     slowdown = result.mean_slowdown()
     print(f"\nWorkflow finished at {finish} s; slowdown vs ideal = {slowdown:.2f}.")
     total_cost = sum(result.cost_series["alice"])

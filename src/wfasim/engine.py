@@ -7,20 +7,22 @@ autoscaling interval, and machines are reserved and released only at ticks,
 so every paid interval ends at a tick. The tick itself charges the interval
 it opens for the machines held after its decisions: there is no separate
 billing event, and no per-machine billing window to move. An interval is
-charged exactly when a next tick is scheduled.
+charged exactly when a next tick is scheduled. The tick also flushes the
+trace rows of the interval it closes into one chunk of CSV text, so a row is
+held as a tuple only while its interval is open.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import io
 import itertools
 import json
 import random
 import statistics
 import time
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from pathlib import Path
 
 from .dagops import WorkflowGraph, validate_workflow
@@ -77,12 +79,23 @@ class RunResult:
     policy_name: str
     seed: int
     state: SystemState
-    trace: list[tuple]
+    trace_chunks: list[str]  # the trace's CSV text, one chunk per interval
     snapshots: list[IntervalSnapshot]
     decision_log: list[DecisionRecord]
     diagnostics: list[dict]
     plan_rows: list[dict]
     ticks: int
+
+    @property
+    def trace(self) -> list[tuple]:
+        """The trace rows, parsed from the CSV text on each access: ``time_s``
+        and a non-empty ``resource`` are ints, every other field a string."""
+        return [
+            (int(time_s), event, user, wf, task, int(resource) if resource else "", rtype, detail)
+            for time_s, event, user, wf, task, resource, rtype, detail in csv.reader(
+                io.StringIO("".join(self.trace_chunks), newline="")
+            )
+        ]
 
     # -- metric helpers ----------------------------------------------------
 
@@ -147,23 +160,11 @@ class RunResult:
     # -- output files --------------------------------------------------------
 
     def write_trace_csv(self, path: str | Path) -> None:
-        """Write the trace as ``csv.writer`` would. Every field is an int or
-        a string, and only an id can hold a character that ``csv`` quotes,
-        so a run whose ids hold none is written by a plain template."""
-        ids = "".join(itertools.chain(
-            [u.id for u in self.users],
-            [t.id for t in self.system.types],
-            self.state.runs,
-            map(attrgetter("id"), self.state.tasks),
-        ))
+        """Write the trace as ``csv.writer`` would: the header row, then the
+        chunks the run formatted."""
         with open(path, "w", newline="") as fh:
-            if any(ch in ids for ch in _CSV_QUOTED):
-                writer = csv.writer(fh)
-                writer.writerow(TRACE_COLUMNS)
-                writer.writerows(self.trace)
-            else:
-                fh.write(_TRACE_ROW % TRACE_COLUMNS)
-                fh.writelines(map(_TRACE_ROW.__mod__, self.trace))
+            fh.write(_TRACE_ROW % TRACE_COLUMNS)
+            fh.writelines(self.trace_chunks)
 
     def write_snapshots_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -282,12 +283,22 @@ class _Sim:
         self.seed = seed
         self.collect_plans = collect_plans
         self.state = SystemState(system, users)
+        # Every field is an int or a string, and only an id can hold a
+        # character that csv quotes, so a run whose ids hold none formats its
+        # rows by a plain template.
+        ids = "".join(itertools.chain(
+            [u.id for u in users],
+            self.cost,
+            *((g.spec.id, *g.topo_order) for g in graphs),
+        ))
+        self.quoted = any(ch in ids for ch in _CSV_QUOTED)
         self.task_runs, self.tasks = self.state.task_runs, self.state.tasks
         self.rng = random.Random(seed)
         self.heap: list[tuple[int, int, int, object]] = []
         self.push_seq = itertools.count()
         self.plan_runner = PlanRunner() if policy.mode == "plan" else None
-        self.trace: list[tuple] = []
+        self.trace: list[tuple] = []  # the open interval's rows
+        self.trace_chunks: list[str] = []
         self.snapshots: list[IntervalSnapshot] = []
         self.decision_log: list[DecisionRecord] = []
         self.diagnostics: list[dict] = []
@@ -305,6 +316,16 @@ class _Sim:
         if when < self.state.clock:
             raise AssertionError("event scheduled in the past")
         heapq.heappush(self.heap, (when, rank, next(self.push_seq), data))
+
+    def flush_trace(self) -> None:
+        """Format the pending trace rows into one chunk of CSV text."""
+        if self.quoted:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(self.trace)
+            self.trace_chunks.append(buf.getvalue())
+        else:
+            self.trace_chunks.append("".join(map(_TRACE_ROW.__mod__, self.trace)))
+        self.trace.clear()
 
     def row(
         self,
@@ -349,6 +370,7 @@ class _Sim:
         self.dispatch(r.user, now)
 
     def on_tick(self, now: int) -> None:
+        self.flush_trace()
         k = now // self.system.interval_s
         self.row(now, "tick", detail=f"interval={k}")
         held_before = self.state.any_held()
@@ -504,13 +526,14 @@ class _Sim:
                 self.on_arrival(when, data)
             elif rank == _TICK:
                 self.on_tick(when)
+        self.flush_trace()
         return RunResult(
             system=self.system,
             users=self.users,
             policy_name=self.policy.name,
             seed=self.seed,
             state=self.state,
-            trace=self.trace,
+            trace_chunks=self.trace_chunks,
             snapshots=self.snapshots,
             decision_log=self.decision_log,
             diagnostics=self.diagnostics,

@@ -39,10 +39,10 @@ def test_fixed_run_output_bytes_match_golden_digest(make, tmp_path):
     workflows = generate_workload(36, users=["u1", "u2"], rule=WL1, seed=7)
     workflows = engine.poisson_arrivals(workflows, 0.6, 12, 7)
     result = engine.run(workflows, system, users(("u1", 20), ("u2", 20)), make(), seed=7)
-    # the trace writer's template prints each field with %s, which writes
-    # None as "None" where csv.writer writes an empty field
-    assert {type(v) for row in result.trace for v in row} <= {int, str}
-    assert {len(row) for row in result.trace} == {len(engine.TRACE_COLUMNS)}
+    # the trace parses back from its text as ints and strings, one per column
+    trace = result.trace
+    assert {type(v) for row in trace for v in row} <= {int, str}
+    assert {len(row) for row in trace} == {len(engine.TRACE_COLUMNS)}
     result.write_trace_csv(tmp_path / "trace.csv")
     result.write_snapshots_csv(tmp_path / "snapshots.csv")
     blob = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snapshots.csv").read_bytes()
