@@ -18,6 +18,12 @@ workflow is read once on its way into a run:
 - the runtime type sets that the engine's input check reads for
   ``UnknownType`` and ``MissingType``: ``named_types``, the types some task
   has a runtime on, and ``shared_types``, those every task has one on.
+
+A workload repeats a few shapes, so its graphs repeat the same adjacency
+tuples. The graphs compiled together share one table of them: each
+``parents[i]``, ``children[i]`` and ``topo_order`` is stored through it, so
+equal tuples are one object. Tuples are immutable and nothing mutates a
+compiled graph, so the sharing is invisible to every reader.
 """
 
 from __future__ import annotations
@@ -40,12 +46,16 @@ class WorkflowGraph:
     spec with several entries or exits still compiles in full. An empty
     spec, a repeated id or a dangling edge leaves every field empty, and a
     cyclic spec keeps only the part of ``topo_order`` that no cycle blocks.
+
+    ``shared`` maps each tuple to the one object that stands for it; the
+    graphs built with one table share their equal ``parents[i]``,
+    ``children[i]`` and ``topo_order``. A compiled graph is never mutated.
     """
 
     __slots__ = ("spec", "issues", "tasks", "parents", "children", "topo_order",
                  "ideal_s", "named_types", "shared_types")
 
-    def __init__(self, spec: WorkflowSpec):
+    def __init__(self, spec: WorkflowSpec, shared: dict[tuple, tuple] | None = None):
         self.spec = spec
         self.issues: tuple[str, ...] = ()
         self.tasks = self.parents = self.children = self.topo_order = ()
@@ -75,11 +85,13 @@ class WorkflowGraph:
         if not resolved:
             self.issues = tuple(_id_issues(ids, spec.edges))
             return
+        share = ({} if shared is None else shared).setdefault
         if forward and ids == sorted(ids):
-            self.topo_order = tuple(ids)
+            order_ids = tuple(ids)
+            self.topo_order = share(order_ids, order_ids)
             self.tasks = tuple(tasks)
-            self.parents = tuple(map(tuple, parents))
-            self.children = tuple(map(tuple, children))
+            ups = list(map(tuple, parents))
+            downs = list(map(tuple, children))
         else:
             blocked = list(map(len, parents))
             ready = [tid for tid, ps in zip(ids, parents) if not ps]
@@ -92,7 +104,8 @@ class WorkflowGraph:
                     blocked[c] -= 1
                     if not blocked[c]:
                         heapq.heappush(ready, ids[c])
-            self.topo_order = tuple([ids[i] for i in order])
+            order_ids = tuple([ids[i] for i in order])
+            self.topo_order = share(order_ids, order_ids)
             if len(order) < n:
                 self.issues = ("CycleDetected",)
                 return
@@ -100,8 +113,10 @@ class WorkflowGraph:
             for k, i in enumerate(order):
                 rank[i] = k
             self.tasks = tuple([tasks[i] for i in order])
-            self.parents = tuple([tuple([rank[p] for p in parents[i]]) for i in order])
-            self.children = tuple([tuple([rank[c] for c in children[i]]) for i in order])
+            ups = [tuple([rank[p] for p in parents[i]]) for i in order]
+            downs = [tuple([rank[c] for c in children[i]]) for i in order]
+        self.parents = tuple(map(share, ups, ups))
+        self.children = tuple(map(share, downs, downs))
         runtimes = [t.runtime_by_type for t in self.tasks]
         self.named_types = named = frozenset().union(*runtimes)
         # a task has every named type exactly when it has as many types
@@ -134,16 +149,20 @@ def _id_issues(ids: list[str], edges: Sequence[tuple[str, str]]) -> list[str]:
 
 
 def validate_workflow(
-    spec: WorkflowSpec, graphs: dict[str, WorkflowGraph] | None = None
+    spec: WorkflowSpec,
+    graphs: dict[str, WorkflowGraph] | None = None,
+    shared: dict[tuple, tuple] | None = None,
 ) -> list[str]:
     """Check a workflow spec, returning a list of issues (empty when valid).
 
     A valid workflow is a non-empty acyclic graph with exactly one entry task
     and one exit task and no edge referencing an unknown task. The checks
-    run in the graph build, which this reads. When ``graphs`` is given, the graph compiled for a valid spec is stored there
-    under the workflow id, so the caller need not build it again.
+    run in the graph build, which this reads. When ``graphs`` is given, the
+    graph compiled for a valid spec is stored there under the workflow id,
+    so the caller need not build it again; ``shared`` is the graph's tuple
+    table (see :class:`WorkflowGraph`).
     """
-    graph = WorkflowGraph(spec)
+    graph = WorkflowGraph(spec, shared)
     if graphs is not None and not graph.issues:
         graphs[spec.id] = graph
     return list(graph.issues)

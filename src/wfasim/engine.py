@@ -236,7 +236,8 @@ def validate_inputs(
     ``users`` are user ids; a runtime may name only ``types`` (another would
     enter the ideal makespan), and each task needs one on every ``held``
     type. The first invalid workflow raises :class:`WorkloadInvalid` with
-    the issues of its first failing check.
+    the issues of its first failing check. The graphs share one tuple
+    table, so graphs of one shape hold one copy of each adjacency tuple.
     """
     user_ids: set[str] = set()
     for u in users:
@@ -245,10 +246,11 @@ def validate_inputs(
         user_ids.add(u)
     type_ids, held_types = set(types), set(held)
     graphs: dict[str, WorkflowGraph] = {}
+    shared: dict[tuple, tuple] = {}
     for wf in workflows:
         if wf.id in graphs:
             raise WorkloadInvalid(wf.id, ["DuplicateWorkflow"])
-        issues = validate_workflow(wf, graphs)
+        issues = validate_workflow(wf, graphs, shared)
         if not issues and wf.user not in user_ids:
             issues = [f"UnknownUser({wf.user})"]
         if not issues:

@@ -136,7 +136,7 @@ def trivial_horizon(
     last_arrival = max(wf.arrival_s // slot_s + 1 for wf in workflows)
     return last_arrival - 1 + min(
         sum(_slots(t.runtime_by_type[rtype], slot_s) for wf in workflows for t in wf.tasks)
-        for rtype, _cost in affordable
+        for rtype in dict.fromkeys(r[0] for r in affordable)
     )
 
 
@@ -181,7 +181,9 @@ def build_instance(
         arrival_slot = wf.arrival_s // slot_s + 1
         first = len(tasks) + 1  # the index of the workflow's topological index 0
         for i, (task, ps) in enumerate(zip(graph.tasks, graph.parents)):
-            runtimes = tuple(_slots(task.runtime_by_type[r.rtype], slot_s) for r in res)
+            # slotted once per type, then read for each listed machine
+            by_type = {rtype: _slots(task.runtime_by_type[rtype], slot_s) for rtype in costs}
+            runtimes = tuple([by_type[rtype] for rtype in listed])
             parents = tuple(sorted(first + p for p in ps))
             tasks.append(MipTask(first + i, w, wf.id, task.id, runtimes, parents))
         cp = critical_path_length(graph, [min(t.runtimes) for t in tasks[first - 1:]])

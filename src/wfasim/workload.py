@@ -21,6 +21,11 @@ order, are the reproducibility contract:
 
 A change to any draw, its order or how it becomes a value changes the
 generated bytes; ``tests/test_workload.py`` pins them.
+
+The workflows of one :func:`generate_workload` call share their task id
+strings and their ``(parent id, child id)`` edge pairs: equal ids and equal
+edges are one object. Specs are never mutated, so the sharing shows only in
+memory.
 """
 
 from __future__ import annotations
@@ -211,7 +216,9 @@ class DagRecipe:
 
 class _Generator:
     """What the workflows of one generator call share: the models'
-    constants, and one id string per task position, grown as sizes need."""
+    constants, one id string per task position, grown as sizes need, and
+    one ``(parent id, child id)`` pair per pair of positions, made the first
+    time an edge needs it."""
 
     def __init__(
         self,
@@ -228,6 +235,7 @@ class _Generator:
         self.seed_words = [seed] if isinstance(seed, int) else list(seed)
         self.id_prefix = id_prefix
         self.task_ids: list[str] = []
+        self.edge_pairs: list[dict[int, tuple[str, str]]] = []  # by parent position
 
     def workflow(self, index: int, recipe: DagRecipe) -> WorkflowSpec:
         """Build one workflow, reproducible from (seed, index) alone."""
@@ -236,9 +244,17 @@ class _Generator:
         size = round(rng.lognormal(math.log(sizes.log_median), sizes.log_sigma))
         size = min(max(size, sizes.min_tasks), sizes.max_tasks)
         edges_ix = recipe.build(size, rng)
-        ids = self.task_ids
+        ids, pairs = self.task_ids, self.edge_pairs
         if len(ids) < size:
             ids.extend(f"t{j:03d}" for j in range(len(ids), size))
+            pairs.extend({} for _ in range(len(pairs), size))
+        edges = []
+        for a, b in edges_ix:
+            row = pairs[a]
+            pair = row.get(b)
+            if pair is None:
+                pair = row[b] = (ids[a], ids[b])
+            edges.append(pair)
 
         lognormal, random, floor = rng.lognormal, rng.random, math.floor
         model, rule = self.runtime_model, self.rule
@@ -265,7 +281,7 @@ class _Generator:
             priority=priority,
             arrival_s=0,
             tasks=tuple(tasks),
-            edges=tuple([(ids[a], ids[b]) for a, b in edges_ix]),
+            edges=tuple(edges),
         )
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import chain_wf, diamond_wf, edge_maps, reference_order, wf
 from test_plan import random_dags
-from wfasim import dagops
+from wfasim import dagops, engine
 from wfasim.dagops import (
     WorkflowGraph,
     critical_path_length,
@@ -121,17 +121,29 @@ def listed_in_order(spec):
     return replace(spec, tasks=tasks, edges=tuple((name[p], name[c]) for p, c in spec.edges))
 
 
+def compiled_fields(g):
+    return g.parents, g.children, g.topo_order, g.ideal_s, g.named_types, g.shared_types
+
+
 @settings(max_examples=200, deadline=None)
 @given(specs=random_dags())
 def test_compiled_graph_matches_the_spec(specs):
     """On random DAGs, compiled graphs agree with references read from the
     spec alone: with ids shuffled against creation order (Kahn's algorithm
     on a heap), and listed in reference order with ascending ids (the listed
-    order is taken as it is, and no heap is built)."""
+    order is taken as it is, and no heap is built).
+
+    Each spec is also compiled together with the others, through one tuple
+    table as ``validate_inputs`` passes it, and that graph equals the one
+    compiled alone. The table is passed directly because most drawn specs
+    have several entries or exits, which ``validate_inputs`` rejects."""
     listed = [listed_in_order(s) for s in specs]
+    shared = {}
     for spec in [*specs, *listed]:
         with mock.patch.object(dagops.heapq, "heapify", wraps=heapq.heapify) as heapify:
             g = WorkflowGraph(spec)
+            together = WorkflowGraph(spec, shared)
+        assert compiled_fields(together) == compiled_fields(g)
         if spec in listed:
             assert not heapify.called
         order = reference_order(spec)
@@ -144,6 +156,27 @@ def test_compiled_graph_matches_the_spec(specs):
         assert g.ideal_s == oracle_longest_path(
             by_id, spec.edges, lambda tid: min_runtime(by_id[tid])
         )
+
+
+@pytest.mark.parametrize("ids", [("a", "b", "c", "d"), ("d", "c", "b", "a")],
+                         ids=["forward", "kahn"])
+def test_graphs_validated_together_share_equal_tuples(ids):
+    """Two workflows of one shape, validated in one call, hold one copy of
+    each adjacency tuple and of their topological order. Ids that descend in
+    listed order take Kahn's branch."""
+    entry, left, right, exit_ = ids
+
+    def diamond(wf_id):
+        return wf(wf_id, [(tid, {"small": 1}) for tid in ids],
+                  edges=[(entry, left), (entry, right), (left, exit_), (right, exit_)])
+
+    with mock.patch.object(dagops.heapq, "heapify", wraps=heapq.heapify) as heapify:
+        g, h = engine.validate_inputs([diamond("w1"), diamond("w2")], ["u1"], ["small"], [])
+    assert heapify.called == (ids[0] > ids[1])
+    assert g.topo_order is h.topo_order
+    assert all(p is q for p, q in zip(g.parents, h.parents, strict=True))
+    assert all(c is q for c, q in zip(g.children, h.children, strict=True))
+    assert g.children[1] is g.children[2]  # (exit,), within one graph too
 
 
 def reference_issues(spec):

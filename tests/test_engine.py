@@ -447,9 +447,9 @@ def test_each_workflow_graph_built_once(monkeypatch):
     builds = []
     original = dagops.WorkflowGraph.__init__
 
-    def counting(self, spec):
+    def counting(self, spec, shared=None):
         builds.append(spec.id)
-        original(self, spec)
+        original(self, spec, shared)
 
     monkeypatch.setattr(dagops.WorkflowGraph, "__init__", counting)
     wfs = generate_workload(5, users=["u1"], rule=WL1, seed=3)

@@ -190,9 +190,9 @@ def test_build_instance_builds_each_graph_once(monkeypatch):
     builds = []
     original = dagops.WorkflowGraph.__init__
 
-    def counting(self, spec):
+    def counting(self, spec, shared=None):
         builds.append(spec.id)
-        original(self, spec)
+        original(self, spec, shared)
 
     monkeypatch.setattr(dagops.WorkflowGraph, "__init__", counting)
     d = diamond_wf("d", {"small": 5}, {"small": 5}, {"small": 5}, {"small": 5})

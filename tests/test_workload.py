@@ -57,6 +57,11 @@ def test_every_family_yields_valid_single_entry_exit_dags(family):
         assert len(w.tasks) >= 4
 
 
+def test_equal_edges_are_one_object_across_workflows():
+    edges = [e for w in generate_workload(12, users=["u1"], seed=5) for e in w.edges]
+    assert len({id(e) for e in edges}) == len(set(edges)) < len(edges)
+
+
 def test_workflows_are_deterministic_per_seed_and_index():
     a = generate_workload(6, users=["u1"], rule=WL1, seed=42)
     b = generate_workload(6, users=["u1"], rule=WL1, seed=42)

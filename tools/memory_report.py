@@ -1,0 +1,109 @@
+"""Print the memory a benchmark workload holds live, as tracemalloc counts it.
+
+Usage::
+
+    python3 tools/memory_report.py <repo root> <workload> [--seed N]
+
+The script imports ``wfasim`` from ``<repo root>/src`` and the workload from
+``<repo root>/wfbench/workloads.py``, and changes no file in the checkout:
+the operations write into a temporary directory. It prints:
+
+- the live MB after the workload's set-up, with its inputs held;
+- for each operation of one pass, the live MB when its ``engine.run``
+  returns, with the run's result still held (an operation that simulates
+  nothing, such as a MIP instance, is read when it returns), and the peak
+  MB while it ran;
+- the 10 source lines that hold the most memory at the heaviest of those
+  readings, taken by running that operation once more.
+
+Every reading follows a full garbage collection. tracemalloc slows Python
+several times over, so the timings of a traced process mean nothing; run
+``wfbench/run.py`` for those.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+MB = 1e6
+TOP_LINES = 10
+
+
+def live_mb() -> float:
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] / MB
+
+
+def snapshot() -> tracemalloc.Snapshot:
+    gc.collect()
+    return tracemalloc.take_snapshot()
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", help="checkout whose src/ and wfbench/ are read")
+    parser.add_argument("workload", help="a workload of wfbench/workloads.py")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "wfbench")]
+    import wfasim
+    from wfasim import engine
+
+    import workloads
+
+    if not Path(wfasim.__file__).resolve().is_relative_to(root):
+        raise SystemExit(f"wfasim was imported from {wfasim.__file__}, not from {root}")
+    if args.workload not in workloads.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
+    workload = workloads.WORKLOADS[args.workload]
+
+    # engine.run, read as it returns; the operations look it up on each call
+    at_return: list = []
+    read = live_mb
+
+    def run(*a, **kw):
+        result = original(*a, **kw)
+        at_return.append(read())
+        return result
+
+    original, engine.run = engine.run, run
+    tracemalloc.start()
+    try:
+        inputs = workload.setup(args.seed)
+        print(f"{'set-up':<24} {live_mb():8.2f} MB live")
+        with tempfile.TemporaryDirectory() as tmp:
+            ops = workload.operations(inputs, args.seed, Path(tmp))
+            readings = []
+            for op in ops:
+                at_return.clear()
+                tracemalloc.reset_peak()
+                op.run()
+                peak = tracemalloc.get_traced_memory()[1] / MB
+                live = at_return[-1] if at_return else live_mb()
+                readings.append((live, op))
+                print(f"{op.name:<24} {live:8.2f} MB live, {peak:8.2f} MB peak")
+            heaviest = max(readings, key=lambda r: r[0])[1]
+            at_return.clear()
+            read = snapshot
+            heaviest.run()
+            shot = at_return[-1] if at_return else snapshot()
+    finally:
+        tracemalloc.stop()
+        engine.run = original
+    print(f"top {TOP_LINES} lines at {heaviest.name}:")
+    for stat in shot.statistics("lineno")[:TOP_LINES]:
+        frame = stat.traceback[0]
+        path = Path(frame.filename)
+        name = path.relative_to(root) if path.is_relative_to(root) else path
+        print(f"  {stat.size / MB:8.2f} MB {stat.count:8d} blocks  {name}:{frame.lineno}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
