@@ -28,9 +28,6 @@ from pathlib import Path
 from .dagops import WorkflowGraph, validate_workflow
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
 from .model import (
-    BudgetViolation,
-    CapacityExceeded,
-    ResourceState,
     Stalled,
     SystemConfig,
     UserConfig,
@@ -367,7 +364,7 @@ class _Sim:
         # Only a reservation boots a machine, and a release or a start needs
         # it idle, so its boot event finds it booting and held.
         r = self.state.resources[rid]
-        self.state.boot_complete(r, now)
+        self.state.boot_complete(rid, now)
         self.row(now, "boot", r.user, resource=rid, rtype=r.rtype.id)
         self.dispatch(r.user, now)
 
@@ -443,39 +440,15 @@ class _Sim:
         )
 
     def apply_decision(self, uid: str, decision: Decision, now: int, tick: int) -> None:
-        """Release, then reserve in id order, the machines a decision names.
-        Every id is checked before anything changes: a released one must be
-        an idle machine the user holds, a reserved one a free machine, and no
-        id may appear twice. The budget is checked the same way: a decision
-        whose reservations would take the user's cost over budget changes
-        nothing, so no interval is charged more than the budget."""
-        resources, n = self.state.resources, len(self.state.resources)
-        named: set[int] = set()
+        """Apply a decision through ``SystemState.apply``, which checks all of
+        it before changing anything; then trace it, schedule the reserved
+        machines' boots and install its plan."""
+        resources = self.state.resources
+        self.state.apply(uid, decision.dealloc, decision.alloc, now)
         for rid in decision.dealloc:
-            if not 0 <= rid < n or resources[rid].user != uid:
-                raise ValueError(f"policy released resource {rid}, which {uid} does not hold")
-            if resources[rid].state is not ResourceState.IDLE or rid in named:
-                raise ValueError(f"resource {rid} not idle")
-            named.add(rid)
-        for rid in decision.alloc:
-            if not 0 <= rid < n:
-                raise ValueError(f"policy allocated resource {rid}, which is not a machine")
-            if resources[rid].state is not ResourceState.DOWN or rid in named:
-                raise CapacityExceeded(f"resource {rid} is not free")
-            named.add(rid)
-        if decision.alloc:  # releases alone cannot take a user over budget
-            change = sum(resources[rid].rtype.cost for rid in decision.alloc)
-            change -= sum(resources[rid].rtype.cost for rid in decision.dealloc)
-            if self.state.allocated_cost(uid) + change > self.state.users[uid].budget:
-                raise BudgetViolation(f"tick {tick}: allocation for {uid} would exceed budget")
-        for rid in decision.dealloc:
-            r = resources[rid]
-            self.state.release(r, now)
-            self.row(now, "release", uid, resource=rid, rtype=r.rtype.id)
+            self.row(now, "release", uid, resource=rid, rtype=resources[rid].rtype.id)
         for rid in sorted(decision.alloc):
-            r = resources[rid]
-            self.state.reserve(r, uid, now)
-            self.row(now, "allocate", uid, resource=rid, rtype=r.rtype.id)
+            self.row(now, "allocate", uid, resource=rid, rtype=resources[rid].rtype.id)
             if self.system.boot_delay_s > 0:
                 self.push(now + self.system.boot_delay_s, _BOOT, rid)
         if decision.plan is not None and self.plan_runner is not None:
@@ -555,7 +528,7 @@ def run(
     """Simulate a workload to completion under one autoscaling policy.
 
     Machines are reserved only when the engine applies a policy decision,
-    and each reservation is checked against the user's budget there."""
+    and the state checks each decision against the user's budget."""
     sim = _Sim(workflows, system, users, policy, seed, collect_plans)
     return sim.run()
 

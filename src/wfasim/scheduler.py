@@ -23,10 +23,9 @@ def dispatch_dynamic(state: SystemState, user: str, now: int) -> list[Assignment
     h = state.next_eligible(user)
     if h is None:
         return []
-    resources = state.resources
     out: list[Assignment] = []
-    for rid in state.idle_ids(user):
-        state.start_task(h, resources[rid], now)
+    for rid in state.idle_resources(user):
+        state.start_task(h, rid, now)
         out.append((h, rid))
         h = state.next_eligible(user)
         if h is None:
@@ -111,7 +110,7 @@ class PlanRunner:
                 # the next tick replans a dropped task.
                 q.popleft()
                 if state.is_eligible(h):
-                    state.start_task(h, r, now)
+                    state.start_task(h, rid, now)
                     out.append((h, rid))
                     break
             if not q:

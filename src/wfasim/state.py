@@ -1,9 +1,12 @@
 """Mutable simulation state: arrived workflows, task lifecycle, reservations.
 
-The state object enforces the local invariants (a task starts only when
-eligible, a resource runs one task, Idle -> Down no earlier than the end of
-the machine's first paid interval); the engine owns event ordering on top of
-it, and bills each interval at its tick from the pools below.
+The state object checks and makes every machine transition, naming machines
+by id. ``apply`` checks a user's whole decision (each id, no id twice, a
+release only of an idle machine past its first paid interval, the budget)
+before it releases or reserves anything; ``boot_complete``, ``start_task``
+and ``finish_task`` each move one machine, and a task starts only when
+eligible. The engine owns event ordering on top of this, and bills each
+interval at its tick from the pools below.
 
 Tasks are addressed by int handles. At arrival a workflow's run gets a base,
 the number of tasks that arrived before it, and its task at topological
@@ -41,9 +44,9 @@ Free machine ids are kept per type. With the children lists, the frontier
 and the per-run parent counts, a token walk over the user's unfinished DAG
 needs no joint DAG built.
 
-Index invariant: only the ``SystemState`` transitions (``reserve``,
-``boot_complete``, ``start_task``, ``finish_task`` and ``release``) may
-change ``Resource.state`` or ``Resource.user``. A change made anywhere else
+Index invariant: only the ``SystemState`` transitions (``apply``,
+``boot_complete``, ``start_task`` and ``finish_task``) may change
+``Resource.state`` or ``Resource.user``. A change made anywhere else
 leaves the indexes describing a machine that is no longer there.
 """
 
@@ -54,6 +57,7 @@ from itertools import groupby, repeat
 
 from .dagops import WorkflowGraph
 from .model import (
+    BudgetViolation,
     CapacityExceeded,
     Resource,
     ResourceState,
@@ -145,14 +149,12 @@ class SystemState:
             self._index[resource.user].pools[to][rtype_id].add(resource.id)
         resource.state = to
 
-    def _ids(
-        self, user: str, states: tuple[ResourceState, ...], rtype_id: str | None = None
-    ) -> list[Resource]:
+    def _ids(self, user: str, states: tuple[ResourceState, ...]) -> list[int]:
+        """Ids of the user's machines in any of ``states``, lowest first."""
         pools = self._index[user].pools
-        types = self._type_ids if rtype_id is None else (rtype_id,)
-        ids = [rid for s in states for t in types for rid in pools[s].get(t, ())]
+        ids = [rid for s in states for t in self._type_ids for rid in pools[s][t]]
         ids.sort()
-        return [self.resources[rid] for rid in ids]
+        return ids
 
     # -- handles ------------------------------------------------------------
 
@@ -188,14 +190,15 @@ class SystemState:
         self.runs[spec.id] = run
         return run
 
-    def start_task(self, h: int, resource: Resource, now: int) -> None:
-        run, machine = self.task_runs[h], self.machine
+    def start_task(self, h: int, rid: int, now: int) -> None:
+        """Run an eligible task on an idle machine of its user."""
+        run, machine, resource = self.task_runs[h], self.machine, self.resources[rid]
         if self.blocked[h] or machine[h] >= 0:
             raise ValueError(f"task {'/'.join(self.ref(h))} not eligible")
         if resource.state is not _IDLE or resource.user != run.spec.user:
-            raise ValueError(f"resource {resource.id} not idle for {run.spec.user}")
+            raise ValueError(f"resource {rid} not idle for {run.spec.user}")
         self.start_s[h] = now
-        machine[h] = resource.id
+        machine[h] = rid
         rec = run.user_index
         rec.eligible -= 1
         self._move(resource, _BUSY)
@@ -274,25 +277,22 @@ class SystemState:
         pools = self._index[user].pools
         return {t: sum(len(pools[s][t]) for s in _HELD) for t in self._type_ids}
 
-    def free_resources(self, rtype_id: str) -> list[Resource]:
-        """Unreserved resources of one type, lowest id first."""
-        return [self.resources[rid] for rid in sorted(self._free.get(rtype_id, ()))]
+    def free_resources(self, rtype_id: str) -> list[int]:
+        """Ids of the unreserved machines of one type, lowest first."""
+        return sorted(self._free.get(rtype_id, ()))
 
-    def idle_resources(self, user: str, rtype_id: str | None = None) -> list[Resource]:
-        """Idle resources of a user, optionally of one type, lowest id first."""
-        return self._ids(user, (_IDLE,), rtype_id)
+    def idle_resources(self, user: str, rtype_id: str | None = None) -> list[int]:
+        """Ids of a user's idle machines, optionally of one type, lowest first."""
+        idle = self._index[user].pools[_IDLE]
+        out: list[int] = []
+        for ids in idle.values() if rtype_id is None else (idle.get(rtype_id, ()),):
+            out.extend(ids)
+        out.sort()
+        return out
 
     def any_held(self) -> bool:
         """Whether any user holds a machine."""
         return sum(map(len, self._free.values())) < len(self.resources)
-
-    def idle_ids(self, user: str) -> list[int]:
-        """Ids of the user's idle machines, lowest first."""
-        out: list[int] = []
-        for ids in self._index[user].pools[_IDLE].values():
-            out.extend(ids)
-        out.sort()
-        return out
 
     def joint_dag(self, user: str) -> tuple[list[int], list[tuple[int, int]]]:
         """Unfinished tasks of the user's arrived workflows, with the
@@ -308,35 +308,55 @@ class SystemState:
 
     # -- reservations -------------------------------------------------------
 
-    def reserve(self, resource: Resource, user: str, now: int) -> None:
-        if resource.state is not ResourceState.DOWN:
-            raise CapacityExceeded(f"resource {resource.id} is not free")
+    def apply(self, user: str, release: list[int], reserve: list[int], now: int) -> None:
+        """Release machines in listed order, then reserve in id order, for one
+        user. Nothing changes unless the whole decision is valid: a released
+        id names an idle machine the user holds, past its first paid
+        interval; a reserved id names a free machine; no id appears twice;
+        and the user's cost after the decision stays within budget."""
         if user not in self.users:
             raise KeyError(f"unknown user {user!r}")
-        resource.user = user
-        resource.billing_end_s = now + self.config.interval_s
-        resource.free_s = now + self.config.boot_delay_s
-        self._move(resource, _BOOTING if self.config.boot_delay_s > 0 else _IDLE)
+        resources, n = self.resources, len(self.resources)
+        named: set[int] = set()
+        for rid in release:
+            if not 0 <= rid < n or resources[rid].user != user:
+                raise ValueError(f"policy released resource {rid}, which {user} does not hold")
+            r = resources[rid]
+            if r.state is not _IDLE or rid in named:
+                raise ValueError(f"resource {rid} not idle")
+            if r.billing_end_s > now:
+                raise ValueError(f"resource {rid} released before its billing end")
+            named.add(rid)
+        for rid in reserve:
+            if not 0 <= rid < n:
+                raise ValueError(f"policy allocated resource {rid}, which is not a machine")
+            if resources[rid].state is not _DOWN or rid in named:
+                raise CapacityExceeded(f"resource {rid} is not free")
+            named.add(rid)
+        if reserve:  # releases alone cannot take a user over budget
+            change = sum(resources[rid].rtype.cost for rid in reserve)
+            change -= sum(resources[rid].rtype.cost for rid in release)
+            if self.allocated_cost(user) + change > self.users[user].budget:
+                tick = now // self.config.interval_s
+                raise BudgetViolation(f"tick {tick}: allocation for {user} would exceed budget")
+        for rid in release:
+            r = resources[rid]
+            self._move(r, _DOWN)
+            r.user = r.billing_end_s = r.free_s = None
+        booted = _BOOTING if self.config.boot_delay_s > 0 else _IDLE
+        for rid in sorted(reserve):
+            r = resources[rid]
+            r.user = user
+            r.billing_end_s = now + self.config.interval_s
+            r.free_s = now + self.config.boot_delay_s
+            self._move(r, booted)
 
-    def boot_complete(self, resource: Resource, now: int) -> None:
-        if resource.state is ResourceState.BOOTING:
-            self._move(resource, _IDLE)
-            resource.free_s = now
-
-    def release(self, resource: Resource, now: int) -> None:
-        """Deallocate an idle resource, no earlier than the end of its first
-        paid interval."""
-        if resource.state is not _IDLE:
-            raise ValueError(f"resource {resource.id} not idle")
-        if resource.billing_end_s is None or resource.billing_end_s > now:
-            raise ValueError(
-                f"resource {resource.id} released before its billing end"
-            )
-        self._move(resource, ResourceState.DOWN)
-        resource.user = None
-        resource.billing_end_s = None
-        resource.free_s = None
-        resource.running = None
+    def boot_complete(self, rid: int, now: int) -> None:
+        r = self.resources[rid]
+        if r.state is not _BOOTING:
+            raise ValueError(f"resource {rid} not booting")
+        self._move(r, _IDLE)
+        r.free_s = now
 
     @property
     def all_done(self) -> bool:
@@ -374,21 +394,24 @@ class UserFacade:
         """(id, idle since) of each idle machine, of one type or of every
         type, lowest id first. Decisions are applied at ticks, where every
         paid interval ends, so any of these may be released."""
+        resources = self._state.resources
         return tuple(
-            (r.id, r.free_s) for r in self._state.idle_resources(self.user_id, rtype_id)
+            (rid, resources[rid].free_s)
+            for rid in self._state.idle_resources(self.user_id, rtype_id)
         )
 
     def free_ids(self, rtype_id: str) -> tuple[int, ...]:
-        return tuple(r.id for r in self._state.free_resources(rtype_id))
+        return tuple(self._state.free_resources(rtype_id))
 
     def held(self) -> tuple[tuple[int, str, int, int], ...]:
         """(id, type id, running task, time) of each held machine, lowest id
         first. A busy machine gives its task's handle and start. Any other
         gives -1 and the time it is free from: its boot end while it boots,
         else the time it went idle."""
-        start_s = self._state.start_s
+        resources, start_s = self._state.resources, self._state.start_s
         out = []
-        for r in self._state._ids(self.user_id, _HELD):
+        for rid in self._state._ids(self.user_id, _HELD):
+            r = resources[rid]
             if r.state is _BUSY:
                 out.append((r.id, r.rtype.id, r.running, start_s[r.running]))
             else:

@@ -28,6 +28,7 @@ from wfasim.model import (
 )
 from wfasim.policies import Decision, PfaConfig, PfaPolicy, PlfPolicy, ScfPolicy
 from wfasim.policies import pfa as pfa_module
+from wfasim.state import SystemState
 from wfasim.workload import WL1, generate_workload
 
 
@@ -318,10 +319,10 @@ def test_a_decision_naming_a_wrong_machine_is_rejected_before_any_change(
     sim = engine._Sim([], system, users(("u1", 15), ("u2", 20)), PfaPolicy(), 0,
                       collect_plans=False)
     state = sim.state
-    for rid, uid in ((4, "u1"), (3, "u1"), (0, "u2")):
-        state.reserve(state.resources[rid], uid, 0)
+    state.apply("u1", [], [4, 3], 0)
+    state.apply("u2", [], [0], 0)
     (graph,) = engine.validate_inputs([w], ["u1", "u2"], ["small", "large"], [])
-    state.start_task(state.arrive(graph).base, state.resources[4], 0)
+    state.start_task(state.arrive(graph).base, 4, 0)
     before = [(r.state, r.user) for r in state.resources]
     with pytest.raises(error, match=re.escape(message)):
         sim.apply_decision("u1", decision, 60, 1)
@@ -552,16 +553,31 @@ def callers_of(method):
 
 
 def test_only_applied_decisions_reserve_machines():
-    # every reservation passes the budget check in apply_decision; no other
-    # code path in the package reserves a machine
-    assert callers_of("reserve") == [("engine", "_Sim.apply_decision")]
+    # every reservation passes the state's whole-decision check, budget
+    # included, in SystemState.apply; the state has no other way to reserve
+    # a machine, and only the engine's decision step calls it
+    assert not hasattr(SystemState, "reserve")
+    assert callers_of("apply") == [("engine", "_Sim.apply_decision")]
 
 
 def test_only_a_tick_releases_machines():
     # releases are applied only with a tick's decisions, and every paid
     # interval ends at a tick, so no policy needs to see a billing end
-    assert callers_of("release") == [("engine", "_Sim.apply_decision")]
+    assert not hasattr(SystemState, "release")
+    assert callers_of("apply") == [("engine", "_Sim.apply_decision")]
     assert callers_of("apply_decision") == [("engine", "_Sim.on_tick")]
+
+
+def test_engine_leaves_machine_states_to_the_state():
+    # the state checks every machine transition, so the engine names no
+    # machine state and none of the errors a bad decision raises
+    tree = ast.parse(Path(engine.__file__).read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name.rpartition(".")[2] for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert "SystemState" in names  # the walk sees the engine's names
+    assert names & {"ResourceState", "CapacityExceeded", "BudgetViolation"} == set()
 
 
 # -- termination: every run finishes or stops with a typed error ------------------
@@ -617,6 +633,21 @@ def test_run_that_cannot_progress_stops_with_a_typed_error(policy, budget, machi
     with time_limit(3), pytest.raises(error):
         run([chain_wf("w1", ONE_TASK)], system=system, budget=budget,
             policy=POLICIES[policy]())
+
+
+@pytest.mark.parametrize("policy", ["plf", "scf"])
+def test_planners_run_a_task_on_a_slower_held_type(policy):
+    # The child's fastest type, large, costs 5, over the budget of 3. The
+    # planners still finish the chain, both tasks on the small machine they
+    # can afford: so a planner budget floor at the dearest fastest type of
+    # the workload's tasks would reject a run that completes.
+    system = two_type_system(small=4, large=4)
+    chain = chain_wf("w1", [{"small": 10, "large": 20}, {"small": 100, "large": 10}])
+    with time_limit(3):
+        result = run([chain], system=system, budget=3, policy=POLICIES[policy]())
+    assert result.state.runs["w1"].last_finish_s == 110
+    starts = [(row[4], row[5], row[6]) for row in result.trace if row[1] == "start"]
+    assert starts == [("t0", 0, "small"), ("t1", 0, "small")]
 
 
 @pytest.mark.parametrize("policy, small, large", [
@@ -742,6 +773,16 @@ def test_every_run_finishes_or_stops_with_a_typed_error(tmp_path, case, seed):
             reserved_at[r[5]] = r[0]
         elif r[1] == "release":
             assert r[0] - reserved_at.pop(r[5]) >= system.interval_s
+    # Per (interval, user), the charge rows sum to the snapshot's cost, and
+    # no snapshot's cost exceeds its user's budget.
+    charged = Counter()
+    for r in trace:
+        if r[1] == "charge":
+            charged[(r[0] // system.interval_s, r[2])] += int(r[7].rpartition("amount=")[2])
+    billed = {(s.interval, s.user): s.allocated_cost for s in result.snapshots}
+    assert charged == Counter({k: cost for k, cost in billed.items() if cost})
+    budget = {u.id: u.budget for u in budgets}
+    assert all(s.allocated_cost <= budget[s.user] for s in result.snapshots)
 
 
 def _tripled(task, rtype_id):

@@ -82,57 +82,67 @@ def test_resources_built_in_config_order():
 def test_reserve_release_cycle_and_billing_window():
     state = SystemState(small_only_system(count=1, interval_s=60), users(("u1", 10)))
     r = state.resources[0]
-    state.reserve(r, "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     assert r.state is ResourceState.IDLE  # no boot delay
     assert r.user == "u1"
     assert r.billing_end_s == 60
 
     # early release is a state error: the first paid interval still runs
-    with pytest.raises(ValueError):
-        state.release(r, now=30)
-    state.release(r, now=60)
+    with pytest.raises(ValueError, match="resource 0 released before its billing end"):
+        state.apply("u1", [0], [], now=30)
+    state.apply("u1", [0], [], now=60)
     assert r.state is ResourceState.DOWN
     assert r.user is None
 
     # later intervals are billed at their ticks; nothing moves the first end
-    state.reserve(r, "u1", now=60)
-    state.release(r, now=240)
+    state.apply("u1", [], [0], now=60)
+    state.apply("u1", [0], [], now=240)
     assert r.state is ResourceState.DOWN
 
 
 def test_reserve_for_unlisted_user_rejected_without_change():
     state = SystemState(small_only_system(count=1), users(("u1", 10)))
     r = state.resources[0]
-    with pytest.raises(KeyError):
-        state.reserve(r, "ghost", now=0)
+    with pytest.raises(KeyError, match="unknown user 'ghost'"):
+        state.apply("ghost", [], [0], now=0)
     assert r.state is ResourceState.DOWN and r.user is None
-    assert state.free_resources("small") == [r]
+    assert state.free_resources("small") == [0]
 
 
 def test_reserve_with_boot_delay():
     state = SystemState(small_only_system(count=1, boot_delay_s=10), users(("u1", 10)))
     r = state.resources[0]
-    state.reserve(r, "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     assert r.state is ResourceState.BOOTING
     assert r.free_s == 10  # the boot end
-    state.boot_complete(r, now=12)
+    state.boot_complete(0, now=12)
     assert r.state is ResourceState.IDLE
     assert r.free_s == 12  # idle since
+
+
+def test_boot_complete_rejects_a_machine_that_is_not_booting():
+    state = SystemState(small_only_system(count=2), users(("u1", 10)))
+    state.apply("u1", [], [0], now=0)  # no boot delay: idle at once
+    for rid in (0, 1):  # idle, and free
+        with pytest.raises(ValueError, match=f"resource {rid} not booting"):
+            state.boot_complete(rid, now=5)
+    assert [(r.state, r.free_s) for r in state.resources] == [
+        (ResourceState.IDLE, 0), (ResourceState.DOWN, None)
+    ]
 
 
 def two_task_chain_state():
     """u1's chain t0 -> t1 arrived, and both small machines reserved at 0."""
     state = SystemState(small_only_system(count=2), users(("u1", 10)))
     state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5}, {"small": 5}])))
-    for r in state.resources:
-        state.reserve(r, "u1", now=0)
+    state.apply("u1", [], [0, 1], now=0)
     return state
 
 
 def test_starting_a_task_that_is_not_eligible_rejected():
     state = two_task_chain_state()
     with pytest.raises(ValueError, match="w1/t1 not eligible"):  # t0 has not finished
-        state.start_task(handle(state, "w1", "t1"), state.resources[0], now=0)
+        state.start_task(handle(state, "w1", "t1"), 0, now=0)
 
 
 def test_finishing_a_task_that_is_not_running_rejected():
@@ -143,18 +153,16 @@ def test_finishing_a_task_that_is_not_running_rejected():
 
 def test_releasing_a_busy_resource_rejected():
     state = two_task_chain_state()
-    r = state.resources[0]
-    state.start_task(handle(state, "w1", "t0"), r, now=0)
+    state.start_task(handle(state, "w1", "t0"), 0, now=0)
     with pytest.raises(ValueError, match="resource 0 not idle"):
-        state.release(r, now=60)  # its paid interval has ended, but it runs t0
+        state.apply("u1", [0], [], now=60)  # its paid interval has ended, but it runs t0
 
 
 def test_reserving_reserved_resource_rejected():
     state = SystemState(small_only_system(count=1), users(("u1", 10), ("u2", 10)))
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
-    with pytest.raises(CapacityExceeded):
-        state.reserve(r, "u2", now=0)
+    state.apply("u1", [], [0], now=0)
+    with pytest.raises(CapacityExceeded, match="resource 0 is not free"):
+        state.apply("u2", [], [0], now=0)
 
 
 def test_task_lifecycle_and_eligibility_order():
@@ -173,8 +181,8 @@ def test_task_lifecycle_and_eligibility_order():
     assert state.momentary_demand("u1") == 2
 
     r = state.resources[0]
-    state.reserve(r, "u1", now=10)
-    state.start_task(handle(state, "w2", "a"), r, now=10)
+    state.apply("u1", [], [0], now=10)
+    state.start_task(handle(state, "w2", "a"), 0, now=10)
     assert r.state is ResourceState.BUSY
     assert r.running == handle(state, "w2", "a")
     assert state.momentary_demand("u1") == 2  # running + eligible
@@ -191,9 +199,8 @@ def test_task_lifecycle_and_eligibility_order():
 def test_finish_unblocks_children():
     state = SystemState(two_type_system(), users(("u1", 100)))
     state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5}, {"small": 5}])))
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
-    state.start_task(handle(state, "w1", "t0"), r, now=0)
+    state.apply("u1", [], [0], now=0)
+    state.start_task(handle(state, "w1", "t0"), 0, now=0)
     state.finish_task(handle(state, "w1", "t0"), now=5)
     assert [state.ref(h) for h in state.eligible_tasks("u1")] == [("w1", "t1")]
 
@@ -208,9 +215,8 @@ def test_joint_dag_spans_unfinished_tasks_of_all_workflows():
     assert nodes == [t0, t1, a]  # arrival, then topological, order
     assert edges == [(t0, t1)]
 
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
-    state.start_task(t0, r, now=0)
+    state.apply("u1", [], [0], now=0)
+    state.start_task(t0, 0, now=0)
     nodes, _ = state.joint_dag("u1")
     assert t0 in nodes  # running still unfinished
     state.finish_task(t0, now=5)
@@ -223,23 +229,20 @@ def test_user_isolation():
     state = SystemState(two_type_system(), users(("u1", 100), ("u2", 100)))
     state.arrive(WorkflowGraph(wf("w1", [("a", {"small": 5})], user="u1")))
     state.arrive(WorkflowGraph(wf("w2", [("a", {"small": 5})], user="u2")))
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     assert state.idle_resources("u2") == []
-    with pytest.raises(ValueError):
-        state.start_task(handle(state, "w2", "a"), r, now=0)
+    with pytest.raises(ValueError, match="resource 0 not idle for u2"):
+        state.start_task(handle(state, "w2", "a"), 0, now=0)
 
 
 def test_counts_by_type_buckets():
     state = SystemState(two_type_system(small=2, large=1), users(("u1", 100)))
     state.arrive(WorkflowGraph(wf("w1", [("a", {"small": 5, "large": 5})])))
-    s0, s1 = state.resources[0], state.resources[1]
-    state.reserve(s0, "u1", now=0)
-    state.reserve(s1, "u1", now=0)
-    state.start_task(handle(state, "w1", "a"), s0, now=0)
+    state.apply("u1", [], [0, 1], now=0)
+    state.start_task(handle(state, "w1", "a"), 0, now=0)
     counts = state.counts_by_type("u1")
     assert counts == {"small": 2, "large": 0}
-    assert state.idle_resources("u1") == [s1]
+    assert state.idle_resources("u1") == [1]
     assert state.allocated_cost("u1") == 2
     assert state.supply("u1") == 2
     assert state.busy_count("u1") == 1
@@ -276,12 +279,11 @@ def test_graph_reuse_on_arrival():
 
 def test_any_held_tracks_reservations():
     state = SystemState(two_type_system(small=1, large=1), users(("u1", 10), ("u2", 10)))
-    small, large = state.resources
     assert not state.any_held()
-    state.reserve(large, "u2", now=0)
+    state.apply("u2", [], [1], now=0)  # the large machine
     assert state.any_held()
-    state.reserve(small, "u1", now=0)
-    state.release(large, now=60)
+    state.apply("u1", [], [0], now=0)
+    state.apply("u2", [1], [], now=60)
     assert state.any_held()
-    state.release(small, now=60)
+    state.apply("u1", [0], [], now=60)
     assert not state.any_held()

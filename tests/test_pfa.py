@@ -453,13 +453,12 @@ def test_user_facade_exposes_only_runtime_free_queries():
     state.arrive(WorkflowGraph(chain_wf("w1", [{"small": 5, "large": 2}] * 3)))
     state.arrive(WorkflowGraph(chain_wf("w2", [{"small": 5, "large": 2}], priority=3,
                                         arrival_s=4)))
-    state.reserve(state.resources[0], "u1", now=0)
-    state.reserve(state.resources[1], "u1", now=0)
+    state.apply("u1", [], [0, 1], now=0)
     t0, t1, t2 = (handle(state, "w1", t) for t in ("t0", "t1", "t2"))
     w2 = handle(state, "w2", "t0")
-    state.start_task(t0, state.resources[0], now=0)
+    state.start_task(t0, 0, now=0)
     state.finish_task(t0, now=5)
-    state.start_task(w2, state.resources[1], now=6)
+    state.start_task(w2, 1, now=6)
     facade = UserFacade(state, "u1")
     assert not hasattr(facade, "__dict__")
     # each per-handle lookup is a C-level method of a container of ints or strs
@@ -509,15 +508,13 @@ def test_policy_records_finished_delta_against_current_allocation():
     assert "observe" in first.step_seconds
     assert policy._carry["u1"].history is not None
     assert len(policy._carry["u1"].history) == 0  # nothing recorded at tick 0
-    small = state.resources[:2]  # machines 0 and 1 are small
-    for r in small:
-        state.reserve(r, "u1", now=0)
-    state.start_task(handle(state, "w1", "t0"), small[0], now=0)
+    state.apply("u1", [], [0, 1], now=0)  # machines 0 and 1 are small
+    state.start_task(handle(state, "w1", "t0"), 0, now=0)
     state.finish_task(handle(state, "w1", "t0"), now=5)
     policy.decide(facade_view(state, tick=1, now=60))
     # one task finished on small while two small machines were held
     assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]
-    state.start_task(handle(state, "w1", "t1"), small[1], now=60)
+    state.start_task(handle(state, "w1", "t1"), 1, now=60)
     state.finish_task(handle(state, "w1", "t1"), now=65)
     policy.decide(facade_view(state, tick=2, now=120))
     assert policy._carry["u1"].history.throughput(0) == [F(1, 2), F(0)]

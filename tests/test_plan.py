@@ -157,8 +157,7 @@ def test_typed_tasks_chain_on_one_resource():
     w = wf("w1", [("a", {"small": 20, "large": 20}),
                   ("b", {"small": 20, "large": 20})])
     state = make_state([w])
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     plan = build_plan(
         view_for(state, now=0),  # horizon 60
         workflow_order=["w1"],
@@ -169,13 +168,13 @@ def test_typed_tasks_chain_on_one_resource():
     assert by_task[("w1", "a")].start_s == 0
     assert by_task[("w1", "a")].end_s == 20
     assert by_task[("w1", "b")].start_s == 20
-    assert by_task[("w1", "b")].resource_id == r.id
+    assert by_task[("w1", "b")].resource_id == 0
 
 
 def test_planner_horizon_cutoff():
     w = wf("w1", [(f"t{i}", {"small": 30, "large": 30}) for i in range(3)])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     plan = build_plan(view_for(state), ["w1"], {}, [])
     starts = sorted(e.start_s for e in plan.entries())
     # third task would start at 60, the horizon: not planned
@@ -185,8 +184,7 @@ def test_planner_horizon_cutoff():
 def test_planner_respects_precedence():
     w = chain_wf("w1", [{"small": 10, "large": 10}, {"small": 10, "large": 10}])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
-    state.reserve(state.resources[1], "u1", now=0)
+    state.apply("u1", [], [0, 1], now=0)
     plan = build_plan(view_for(state), ["w1"], {}, [])
     by_task = {state.ref(e.task): e for e in plan.entries()}
     # the child cannot start before its parent ends, even on the idle twin
@@ -196,9 +194,8 @@ def test_planner_respects_precedence():
 def test_planner_pins_running_tasks():
     w = chain_wf("w1", [{"small": 25, "large": 25}, {"small": 10, "large": 10}])
     state = make_state([w])
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
-    state.start_task(handle(state, "w1", "t0"), r, now=0)
+    state.apply("u1", [], [0], now=0)
+    state.start_task(handle(state, "w1", "t0"), 0, now=0)
     plan = build_plan(view_for(state, now=10),  # horizon 70
                       workflow_order=["w1"], typed={}, extra_resources=[])
     by_task = {state.ref(e.task): e for e in plan.entries()}
@@ -221,7 +218,7 @@ def test_planner_uses_extra_resources_after_boot_delay():
 def test_typed_task_with_absent_type_planned_in_second_phase():
     w = wf("w1", [("a", {"small": 10, "large": 4})])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)  # a small machine
+    state.apply("u1", [], [0], now=0)  # a small machine
     plan = build_plan(view_for(state), ["w1"],
                       typed={handle(state, "w1", "a"): "large"}, extra_resources=[])
     entry = plan.entries()[0]
@@ -232,8 +229,7 @@ def test_typed_task_with_absent_type_planned_in_second_phase():
 def test_planner_places_on_earliest_available_lowest_id():
     w = wf("w1", [("a", {"small": 10, "large": 10})])
     state = make_state([w])
-    state.reserve(state.resources[2], "u1", now=0)
-    state.reserve(state.resources[1], "u1", now=0)
+    state.apply("u1", [], [2, 1], now=0)
     plan = build_plan(view_for(state), ["w1"], {}, [])
     assert plan.entries()[0].resource_id == 1
 
@@ -331,9 +327,9 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
         now += data.draw(st.sampled_from((0, 5, 20)), label="advance")
         res = state.resources
         op = data.draw(st.sampled_from(("reserve", "boot", "start", "finish")), label="op")
-        if op == "reserve" and (free := [r for r in res if r.state is ResourceState.DOWN]):
-            state.reserve(data.draw(st.sampled_from(free)), "u1", now)
-        elif op == "boot" and (booting := [r for r in res if r.state is ResourceState.BOOTING]):
+        if op == "reserve" and (free := [r.id for r in res if r.state is ResourceState.DOWN]):
+            state.apply("u1", [], [data.draw(st.sampled_from(free))], now)
+        elif op == "boot" and (booting := [r.id for r in res if r.state is ResourceState.BOOTING]):
             state.boot_complete(data.draw(st.sampled_from(booting)), now)
         elif op == "start" and (idle := state.idle_resources("u1")) and state.eligible_tasks("u1"):
             h = data.draw(st.sampled_from(state.eligible_tasks("u1")))
@@ -445,28 +441,26 @@ def test_planners_reserve_nothing_without_headroom(policy, budget):
     wa = wf("wa", [("a", {"small": 2, "large": 4})])
     wb = wf("wb", [("a", {"small": 2, "large": 4})])
     state = make_state([wa, wb])
-    large = next(r for r in state.resources if r.rtype.id == "large")
-    state.reserve(large, "u1", now=0)
+    large = next(r.id for r in state.resources if r.rtype.id == "large")
+    state.apply("u1", [], [large], now=0)
     assert policy().decide(view_for(state, budget=budget)).alloc == []
     assert policy().decide(view_for(state, budget=6)).alloc == [0]
 
 
 def test_idle_at_billing_end_released_when_plan_is_empty():
     state = make_state([])
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     decision = PlfPolicy().decide(view_for(state, budget=10, now=60))
-    assert decision.dealloc == [r.id]
+    assert decision.dealloc == [0]
 
 
 def test_idle_with_planned_work_is_kept():
     w = wf("w1", [("a", {"small": 4, "large": 4})])
     state = make_state([w])
-    r = state.resources[0]
-    state.reserve(r, "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     decision = PlfPolicy().decide(view_for(state, budget=10, now=60))
     assert decision.dealloc == []
-    assert decision.plan.has_tasks(r.id)
+    assert decision.plan.has_tasks(0)
 
 
 def test_purchases_clamped_by_free_capacity():
@@ -522,8 +516,8 @@ def test_supply_rounds_up_per_workflow():
 def test_running_task_counted_at_actual_type_and_remaining_time():
     w = wf("w1", [("a", {"small": 90, "large": 50})])
     state = make_state([w])
-    large = next(r for r in state.resources if r.rtype.id == "large")
-    state.reserve(large, "u1", now=0)
+    large = next(r.id for r in state.resources if r.rtype.id == "large")
+    state.apply("u1", [], [large], now=0)
     state.start_task(handle(state, "w1", "a"), large, now=0)
     decision = ScfPolicy().decide(view_for(state, budget=12, now=30))
     # 20 s left on the large it actually occupies
@@ -533,7 +527,7 @@ def test_running_task_counted_at_actual_type_and_remaining_time():
 def test_scf_allocates_only_the_shortfall():
     w = wf("w1", [("a", {"small": 30, "large": 50})])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)  # already one small
+    state.apply("u1", [], [0], now=0)  # already one small
     decision = ScfPolicy().decide(view_for(state, budget=1))
     assert decision.alloc == []  # scaled (1 small) minus allocated (1) = 0
 
@@ -542,7 +536,7 @@ def test_scf_plan_orders_workflows_by_priority():
     wa = wf("wa", [("a", {"small": 10, "large": 10})], priority=1)
     wb = wf("wb", [("a", {"small": 10, "large": 10})], priority=8)
     state = make_state([wa, wb])
-    state.reserve(state.resources[0], "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     decision = ScfPolicy().decide(view_for(state, budget=1))
     entries = sorted(decision.plan.entries(), key=lambda e: e.start_s)
     assert state.ref(entries[0].task)[0] == "wb"  # higher priority first

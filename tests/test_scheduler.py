@@ -31,12 +31,11 @@ def test_dynamic_pairs_by_order_and_resource_id():
     wa = wf("wa", [("a", {"small": 5, "large": 5})], priority=9)
     wb = wf("wb", [("a", {"small": 5, "large": 5})], priority=1)
     state = make_state([wa, wb])
-    for rid in (7, 2, 5):
-        state.reserve(state.resources[rid], "u1", now=0)
+    state.apply("u1", [], [7, 2, 5], now=0)
     got = dispatch_dynamic(state, "u1", now=0)
     # highest priority task takes the lowest resource id
     assert refs(state, got) == [("wa", "a", 2), ("wb", "a", 5)]
-    assert state.idle_resources("u1")[0].id == 7
+    assert state.idle_resources("u1") == [7]
 
 
 def test_dynamic_with_no_idle_resources():
@@ -46,8 +45,7 @@ def test_dynamic_with_no_idle_resources():
 
 def test_dynamic_with_more_resources_than_tasks():
     state = make_state([wf("wa", [("a", {"small": 5, "large": 5})])])
-    state.reserve(state.resources[0], "u1", now=0)
-    state.reserve(state.resources[1], "u1", now=0)
+    state.apply("u1", [], [0, 1], now=0)
     got = dispatch_dynamic(state, "u1", now=0)
     assert refs(state, got) == [("wa", "a", 0)]
 
@@ -64,7 +62,7 @@ def plan_of(state, *rows):
 def test_plan_dispatch_at_or_after_start():
     w = wf("w1", [("a", {"small": 10, "large": 10})])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     runner = PlanRunner()
     wakes = runner.install("u1", plan_of(state, (0, "w1", "a", 20, 30)))
     assert wakes == [20]
@@ -75,7 +73,7 @@ def test_plan_dispatch_at_or_after_start():
 def test_plan_dispatch_accepts_late_starts():
     w = wf("w1", [("a", {"small": 10, "large": 10})])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     runner = PlanRunner()
     runner.install("u1", plan_of(state, (0, "w1", "a", 5, 15)))
     assert refs(state, runner.dispatch(state, "u1", now=40)) == [("w1", "a", 0)]
@@ -85,7 +83,7 @@ def test_plan_entries_consumed_in_timeline_order():
     w = wf("w1", [("a", {"small": 10, "large": 10}),
                   ("b", {"small": 10, "large": 10})])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     runner = PlanRunner()
     runner.install("u1", plan_of(state, (0, "w1", "a", 0, 10), (0, "w1", "b", 10, 20)))
     assert refs(state, runner.dispatch(state, "u1", now=0)) == [("w1", "a", 0)]
@@ -98,10 +96,8 @@ def test_plan_entries_consumed_in_timeline_order():
 def test_overdue_ineligible_entry_is_dropped():
     w = chain_wf("w1", [{"small": 30, "large": 30}, {"small": 10, "large": 10}])
     state = make_state([w])
-    r0, r1 = state.resources[0], state.resources[1]
-    state.reserve(r0, "u1", now=0)
-    state.reserve(r1, "u1", now=0)
-    state.start_task(handle(state, "w1", "t0"), r0, now=0)  # overruns its planned end
+    state.apply("u1", [], [0, 1], now=0)
+    state.start_task(handle(state, "w1", "t0"), 0, now=0)  # overruns its planned end
     runner = PlanRunner()
     # the child was planned on the idle twin assuming the parent done by 10
     runner.install("u1", plan_of(state, (1, "w1", "t1", 10, 20)))
@@ -114,7 +110,7 @@ def test_overdue_ineligible_entry_is_dropped():
 def test_pinned_entries_are_not_queued():
     w = wf("w1", [("a", {"small": 10, "large": 10})])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     runner = PlanRunner()
     wakes = runner.install("u1", plan_of(state, (0, "w1", "a", 0, 10, True)))
     assert wakes == []
@@ -124,7 +120,7 @@ def test_pinned_entries_are_not_queued():
 def test_install_replaces_previous_plan():
     w = wf("w1", [("a", {"small": 10, "large": 10})])
     state = make_state([w])
-    state.reserve(state.resources[0], "u1", now=0)
+    state.apply("u1", [], [0], now=0)
     runner = PlanRunner()
     runner.install("u1", plan_of(state, (0, "w1", "a", 50, 60)))
     runner.install("u1", plan_of(state, (0, "w1", "a", 0, 10)))
@@ -150,7 +146,7 @@ def scan_dispatch(queues, state, user, now):
     idle machine of the user that has a queue, lowest id first; drop its due
     entries whose task is not eligible, and start the first that is."""
     out = []
-    for rid in state.idle_ids(user):
+    for rid in state.idle_resources(user):
         q = queues.get(rid)
         if q is None:
             continue
@@ -160,7 +156,7 @@ def scan_dispatch(queues, state, user, now):
                 break
             q.popleft()
             if state.is_eligible(h):
-                state.start_task(h, state.resources[rid], now)
+                state.start_task(h, rid, now)
                 out.append((h, rid))
                 break
         if not q:
@@ -177,7 +173,7 @@ def random_plan(draw, state, user, now):
     held = [rid for rid, *_ in facade.held()]
     if not held:
         return plan
-    idle = state.idle_ids(user) or held
+    idle = state.idle_resources(user) or held
     eligible = state.eligible_tasks(user)
     other = [h for *_, hs in facade.workflows() for h in hs if h not in eligible]
     tasks = draw(st.lists(st.sampled_from(eligible), unique=True), label="eligible") if eligible else []
@@ -213,9 +209,9 @@ def test_due_queue_dispatch_matches_the_scan(specs, boot_delay_s, data):
         user = data.draw(st.sampled_from(users_), label="holder")
         booted = data.draw(st.booleans(), label="booted")
         for s in states:
-            s.reserve(s.resources[rid], user, 0)
-            if booted:
-                s.boot_complete(s.resources[rid], 0)
+            s.apply(user, [], [rid], 0)
+            if booted and boot_delay_s:
+                s.boot_complete(rid, 0)
     runner, scan = PlanRunner(), {u: {} for u in users_}
     now = 0
     for _ in range(data.draw(st.integers(1, 30), label="steps")):
@@ -235,17 +231,18 @@ def test_due_queue_dispatch_matches_the_scan(specs, boot_delay_s, data):
         elif op == "boot" and (booting := [r.id for r in res if r.state is ResourceState.BOOTING]):
             rid = data.draw(st.sampled_from(booting), label="booted")
             for s in states:
-                s.boot_complete(s.resources[rid], now)
+                s.boot_complete(rid, now)
         elif op == "reserve" and (free := [r.id for r in res if r.state is ResourceState.DOWN]):
             rid = data.draw(st.sampled_from(free), label="reserved")
             for s in states:
-                s.reserve(s.resources[rid], user, now)
+                s.apply(user, [], [rid], now)
         elif op == "release" and (ended := [
             r.id for r in res if r.state is ResourceState.IDLE and r.billing_end_s <= now
         ]):
             rid = data.draw(st.sampled_from(ended), label="released")
+            holder = res[rid].user
             for s in states:
-                s.release(s.resources[rid], now)
+                s.apply(holder, [rid], [], now)
         elif op == "clock":
             now += data.draw(st.sampled_from((1, 5, 20, 60)), label="advance")
         # the engine dispatches after every event; a skipped dispatch lets

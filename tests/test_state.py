@@ -7,10 +7,12 @@ workflows and of the test's own record of what it started and finished.
 """
 
 import ast
+import dataclasses
 import heapq
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -26,7 +28,7 @@ from conftest import (
 )
 from wfasim import state as state_module
 from wfasim.dagops import WorkflowGraph
-from wfasim.model import ResourceState
+from wfasim.model import BudgetViolation, CapacityExceeded, ResourceState
 from wfasim.policies.pfa import tba_propagate, tba_walk
 from wfasim.scheduler import dispatch_dynamic
 from wfasim.state import SystemState, UserFacade
@@ -159,15 +161,14 @@ def check_queries(state, finished, running, free_from):
         assert state.resources[rid].state is ResourceState.BUSY
     for t in TYPES:
         free = [r for r in state.resources if r.state is ResourceState.DOWN and r.rtype.id == t]
-        assert state.free_resources(t) == free
+        assert state.free_resources(t) == [r.id for r in free]
     assert state.any_held() == any(r.state is not ResourceState.DOWN for r in state.resources)
     for u in USERS:
         facade = UserFacade(state, u)
         idle = held(state, u, (ResourceState.IDLE,))
-        assert state.idle_resources(u) == idle
+        assert state.idle_resources(u) == [r.id for r in idle]
         for t in TYPES:
-            assert state.idle_resources(u, t) == [r for r in idle if r.rtype.id == t]
-        assert state.idle_ids(u) == [r.id for r in idle]
+            assert state.idle_resources(u, t) == [r.id for r in idle if r.rtype.id == t]
         assert facade.idle() == tuple((r.id, free_from[r.id]) for r in idle)
         mine = held(state, u)
         running_on = {rid: handle(state, *ref) for ref, rid in running.items()}
@@ -262,13 +263,13 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             free = [r for r in res if r.state is ResourceState.DOWN]
             if free:
                 r = data.draw(st.sampled_from(free))
-                state.reserve(r, data.draw(st.sampled_from(USERS)), now)
+                state.apply(data.draw(st.sampled_from(USERS)), [], [r.id], now)
                 free_from[r.id] = now + boot_delay_s
         elif op == "boot":
             booting = [r for r in res if r.state is ResourceState.BOOTING]
             if booting:
                 r = data.draw(st.sampled_from(booting))
-                state.boot_complete(r, now)
+                state.boot_complete(r.id, now)
                 free_from[r.id] = now
         elif op == "start":
             # any eligible task, not only the first: plan following starts
@@ -281,7 +282,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             ]
             if pairs:
                 ref, r = data.draw(st.sampled_from(pairs))
-                state.start_task(handle(state, *ref), r, now)
+                state.start_task(handle(state, *ref), r.id, now)
                 running[ref] = r.id
         elif op == "dispatch":
             u = data.draw(st.sampled_from(USERS))
@@ -306,9 +307,139 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             ]
             if due:
                 r = data.draw(st.sampled_from(due))
-                state.release(r, now)
+                state.apply(r.user, [r.id], [], now)
                 del free_from[r.id]
         check_queries(state, finished, running, free_from)
+
+
+# -- a decision applies whole or not at all ---------------------------------------
+
+APPLY_USERS = ("u1", "u2")
+
+
+@st.composite
+def held_state(draw):
+    """0-3 small (cost 1) and 0-3 large (cost 5) machines, at least one, and
+    a boot delay of 0 or 7 s. Each machine is free, or reserved by u1 or u2
+    at 0 or 60 s, then maybe booted, then maybe busy, all through ``apply``,
+    ``boot_complete`` and ``start_task``. Each user's budget is what it
+    holds plus 0-3, so that a decision runs over it often. The state is left
+    at 60 s."""
+    small, large = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if small + large == 0:
+        small = 1
+    system = two_type_system(small=small, large=large, interval_s=60,
+                             boot_delay_s=draw(st.sampled_from((0, 7))))
+    costs = [t.cost for t in system.types for _ in range(system.capacity[t.id])]
+    plan = [
+        (draw(st.sampled_from((None, None, *APPLY_USERS))),
+         draw(st.sampled_from((0, 60))), draw(st.sampled_from((True, True, False))),
+         draw(st.sampled_from((False, False, False, True))))
+        for _ in costs
+    ]
+    budgets = {
+        u: sum(c for c, (holder, *_) in zip(costs, plan) if holder == u)
+        + draw(st.integers(0, 3))
+        for u in APPLY_USERS
+    }
+    state = SystemState(system, users(*budgets.items()))
+    for u in APPLY_USERS:  # one task for each machine the user might run
+        state.arrive(WorkflowGraph(wf(f"w{u}", [(f"t{i}", RT) for i in range(len(plan))], user=u)))
+    for at in (0, 60):
+        for u in APPLY_USERS:
+            state.apply(u, [], [rid for rid, (holder, when, *_) in enumerate(plan)
+                                if holder == u and when == at], at)
+    for rid, (_holder, _when, booted, busy) in enumerate(plan):
+        r = state.resources[rid]
+        if r.state is ResourceState.BOOTING and (booted or busy):
+            state.boot_complete(rid, 60)
+        if r.state is ResourceState.IDLE and busy:
+            state.start_task(state.next_eligible(r.user), rid, 60)
+    return state
+
+
+def apply_outcome(state, user, release, reserve, now):
+    """The exception a decision must raise, or None, by brute force over the
+    machines: the first release in listed order that is not an idle machine
+    of the user past its billing end, or an id named earlier, is a
+    ValueError; then the first reservation that is no machine is a
+    ValueError, and one that is not free or named earlier a
+    CapacityExceeded; then a decision that reserves and leaves the user
+    holding more than its budget is a BudgetViolation."""
+    if user not in state.users:
+        return KeyError
+    res, ids = state.resources, range(len(state.resources))
+    for k, rid in enumerate(release):
+        if not (rid in ids and res[rid].user == user and res[rid].state is ResourceState.IDLE
+                and res[rid].billing_end_s <= now and rid not in release[:k]):
+            return ValueError
+    for k, rid in enumerate(reserve):
+        if rid not in ids:
+            return ValueError
+        if res[rid].state is not ResourceState.DOWN or rid in release + reserve[:k]:
+            return CapacityExceeded
+    held_after = {r.id for r in res if r.user == user} - set(release) | set(reserve)
+    if reserve and sum(res[rid].rtype.cost for rid in held_after) > state.users[user].budget:
+        return BudgetViolation
+    return None
+
+
+def observed(state):
+    """Every field of every machine, and every facade query of every user."""
+    out = [dataclasses.astuple(r) for r in state.resources]
+    for u in APPLY_USERS:
+        f = UserFacade(state, u)
+        out += [f.counts_by_type(), f.idle(), f.held(), f.workflows(), f.eligible(),
+                f.frontier(), f.finished_by_type()]
+        out += [(f.idle(t), f.free_ids(t)) for t in TYPES]
+    return out
+
+
+@settings(max_examples=800, deadline=None)
+@given(state=held_state(), data=st.data())
+def test_apply_changes_all_or_nothing(state, data):
+    # ids the user could release and reserve validly; then, half the time,
+    # one id more: a machine of the user that is idle but in its first paid
+    # interval, or busy or booting, released; an id the decision names
+    # already, again; or any id from -1 to n
+    n = len(state.resources)
+    user = data.draw(st.sampled_from(APPLY_USERS * 5 + ("ghost",)), label="user")
+    due = [r.id for r in state.resources
+           if r.user == user and r.state is ResourceState.IDLE and r.billing_end_s <= 60]
+    free = [r.id for r in state.resources if r.state is ResourceState.DOWN]
+
+    def some_of(ids, most, label):
+        if not ids:
+            return []
+        return data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=most, unique=True),
+                         label=label)
+
+    release, reserve = some_of(due, 2, "release"), some_of(free, 3, "reserve")
+    not_due = [r.id for r in state.resources if r.user == user and r.id not in due]
+    early = [rid for rid in not_due if state.resources[rid].state is ResourceState.IDLE]
+    kind = data.draw(st.sampled_from((None,) * 4 + ("early", "held", "again", "any")),
+                     label="one more")
+    into = release if kind in ("early", "held") else data.draw(
+        st.sampled_from((release, reserve)), label="into")
+    # a repeat comes from the list it goes into, where that list has an id
+    choices = {"early": early, "held": not_due, "again": into or release + reserve}.get(kind)
+    if kind == "any" or choices:
+        rid = data.draw(st.sampled_from(choices) if choices else st.integers(-1, n), label="id")
+        into.insert(data.draw(st.integers(0, len(into)), label="at"), rid)
+    expected = apply_outcome(state, user, release, reserve, 60)
+    event((expected.__name__ if expected else "applied") + (" with releases" if release else ""))
+    before = observed(state)
+    held_before = {r.id for r in state.resources if r.user == user}
+    if expected is not None:
+        with pytest.raises(expected):
+            state.apply(user, release, reserve, 60)
+        assert observed(state) == before
+        return
+    state.apply(user, release, reserve, 60)
+    assert {r.id for r in state.resources if r.user == user} == (
+        held_before - set(release) | set(reserve))
+    for rid in reserve:
+        assert state.resources[rid].billing_end_s == 120
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,8 +451,7 @@ def test_out_of_order_starts_keep_dispatch_order(priorities, started):
     state = SystemState(small_only_system(count=10), users(("u1", 100)))
     for i, priority in enumerate(priorities):
         state.arrive(WorkflowGraph(wf(f"w{i}", [("a", {"small": 5})], priority=priority)))
-    for r in state.resources:
-        state.reserve(r, "u1", 0)
+    state.apply("u1", [], list(range(10)), 0)
     idle = state.idle_resources("u1")
     for i in sorted(started):
         state.start_task(handle(state, f"w{i}", "a"), idle.pop(), 0)
