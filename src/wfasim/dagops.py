@@ -117,12 +117,13 @@ class WorkflowGraph:
             downs = [tuple([rank[c] for c in children[i]]) for i in order]
         self.parents = tuple(map(share, ups, ups))
         self.children = tuple(map(share, downs, downs))
-        runtimes = [t.runtime_by_type for t in self.tasks]
-        self.named_types = named = frozenset().union(*runtimes)
+        # the distinct type tuples: one when the tasks share theirs
+        kinds = {t.types for t in self.tasks}
+        self.named_types = named = frozenset().union(*kinds)
         # a task has every named type exactly when it has as many types
-        self.shared_types = (named if min(map(len, runtimes)) == len(named)
-                             else named.intersection(*runtimes))
-        self.ideal_s = critical_path_length(self, [min(r.values()) for r in runtimes])
+        self.shared_types = (named if min(map(len, kinds)) == len(named)
+                             else named.intersection(*kinds))
+        self.ideal_s = critical_path_length(self, [min(t.runtimes) for t in self.tasks])
         issues = []
         if self.parents.count(()) > 1:
             entries = [tid for tid, ps in zip(self.topo_order, self.parents) if not ps]

@@ -475,7 +475,7 @@ class _Sim:
         resources, trace, runs, tasks = self.state.resources, self.trace, self.task_runs, self.tasks
         for h, rid in assignments:
             task, rtype_id = tasks[h], resources[rid].rtype.id
-            runtime = task.runtime_by_type[rtype_id]
+            runtime = task.runtimes[task.types.index(rtype_id)]
             self.push(now + runtime, _FINISH, h)
             trace.append((now, "start", uid, runs[h].spec.id, task.id, rid,
                           rtype_id, f"runtime={runtime}"))

@@ -135,7 +135,7 @@ def trivial_horizon(
     affordable = [r for r in resources if r[1] <= budget] or list(resources)
     last_arrival = max(wf.arrival_s // slot_s + 1 for wf in workflows)
     return last_arrival - 1 + min(
-        sum(_slots(t.runtime_by_type[rtype], slot_s) for wf in workflows for t in wf.tasks)
+        sum(_slots(t.runtimes[t.types.index(rtype)], slot_s) for wf in workflows for t in wf.tasks)
         for rtype in dict.fromkeys(r[0] for r in affordable)
     )
 
@@ -181,8 +181,9 @@ def build_instance(
         arrival_slot = wf.arrival_s // slot_s + 1
         first = len(tasks) + 1  # the index of the workflow's topological index 0
         for i, (task, ps) in enumerate(zip(graph.tasks, graph.parents)):
-            # slotted once per type, then read for each listed machine
-            by_type = {rtype: _slots(task.runtime_by_type[rtype], slot_s) for rtype in costs}
+            # slotted once per type, then read for each listed machine; the
+            # task's types are the listed ones, as validate_inputs checked
+            by_type = {rtype: _slots(s, slot_s) for rtype, s in zip(task.types, task.runtimes)}
             runtimes = tuple([by_type[rtype] for rtype in listed])
             parents = tuple(sorted(first + p for p in ps))
             tasks.append(MipTask(first + i, w, wf.id, task.id, runtimes, parents))
@@ -705,8 +706,9 @@ def load_instance(path: str | Path) -> MipInstance:
     """Read an instance file (``schema.INSTANCE``). A missing or mistyped
     field raises ConfigError naming its path."""
     doc = check(json.loads(Path(path).read_text()), INSTANCE, "instance")
+    shared: dict[tuple, tuple] = {}
     return build_instance(
-        [workflow_from_row(w) for w in doc["workflows"]],
+        [workflow_from_row(w, shared) for w in doc["workflows"]],
         slot_s=doc["slot_s"],
         slots_per_billing=doc["slots_per_billing"],
         budget=doc["budget"],

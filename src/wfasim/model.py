@@ -3,6 +3,13 @@
 Time is integer seconds throughout. Currency is integer units per billing
 interval. A workload is a list of workflows; each workflow is a DAG of tasks
 with one runtime per resource type.
+
+A task stores its runtimes as two aligned tuples, ``types`` (type ids) and
+``runtimes`` (seconds), and no dict. The tasks generated or loaded together
+share one ``types`` tuple per key order, and generated tasks share equal
+``runtimes`` tuples too. ``TaskSpec.runtime_by_type`` builds a dict on each
+access, for the edges (tests, demos, benchmark checks); no other module of
+the package reads it: the simulator's readers index the tuples.
 """
 
 from __future__ import annotations
@@ -62,21 +69,75 @@ class ResourceType:
             raise ValueError(f"resource type {self.id!r}: cost must be positive")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class TaskSpec:
-    """One task: an id plus its runtime in seconds on each resource type."""
+    """One task: an id plus its runtime in seconds on each resource type.
+
+    ``TaskSpec(id, runtime_by_type)`` checks the mapping and stores it as
+    ``types``, the type ids in the mapping's key order, and ``runtimes``,
+    an int tuple aligned with them: the runtime on ``types[k]`` is
+    ``runtimes[k]``. :meth:`aligned` builds a task from such a pair
+    unchecked, so that the tasks built together can share one ``types``
+    tuple. ``runtime_by_type`` is a new dict on each access, so changing it
+    changes no task.
+
+    Two tasks are equal when their ids and runtime mappings are, whatever
+    the key order; like the mapping, a task is unhashable.
+    """
 
     id: str
-    runtime_by_type: Mapping[str, int]
+    types: tuple[str, ...]
+    runtimes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.runtime_by_type:
-            raise ValueError(f"task {self.id!r}: needs a runtime on at least one type")
-        for rtype, seconds in self.runtime_by_type.items():
+    def __init__(self, id: str, runtime_by_type: Mapping[str, int]):
+        if not runtime_by_type:
+            raise ValueError(f"task {id!r}: needs a runtime on at least one type")
+        for rtype, seconds in runtime_by_type.items():
             if not isinstance(seconds, int) or seconds < 1:
-                raise ValueError(
-                    f"task {self.id!r}: runtime on {rtype!r} must be an int >= 1"
-                )
+                raise ValueError(f"task {id!r}: runtime on {rtype!r} must be an int >= 1")
+        _set_id(self, id)
+        _set_types(self, tuple(runtime_by_type))
+        _set_runtimes(self, tuple(runtime_by_type.values()))
+
+    @staticmethod
+    def aligned(task_id: str, types: tuple[str, ...], runtimes: tuple[int, ...]) -> TaskSpec:
+        """A task from distinct type ids and their runtimes, each an int
+        >= 1, as :class:`TaskSpec` would check them: the caller vouches for
+        both, and the tuples are held as given."""
+        task = _new(TaskSpec)
+        _set_id(task, task_id)
+        _set_types(task, types)
+        _set_runtimes(task, runtimes)
+        return task
+
+    @property
+    def runtime_by_type(self) -> dict[str, int]:
+        types, runtimes = self.types, self.runtimes
+        if len(types) == 2:  # every generated task: a display costs a third of dict(zip())
+            return {types[0]: runtimes[0], types[1]: runtimes[1]}
+        return dict(zip(types, runtimes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TaskSpec:
+            return NotImplemented
+        if self.id != other.id:
+            return False
+        if self.types == other.types:
+            return self.runtimes == other.runtimes
+        return self.runtime_by_type == other.runtime_by_type
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TaskSpec(id={self.id!r}, runtime_by_type={self.runtime_by_type!r})"
+
+
+# A frozen task refuses setattr, so its slots are set through their own
+# descriptors, the cheapest way past that refusal.
+_new = object.__new__
+_set_id = TaskSpec.id.__set__
+_set_types = TaskSpec.types.__set__
+_set_runtimes = TaskSpec.runtimes.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +245,7 @@ class Resource:
 
 def min_runtime(task: TaskSpec) -> int:
     """Fastest runtime of a task across all resource types."""
-    return min(task.runtime_by_type.values())
+    return min(task.runtimes)
 
 
 # --------------------------------------------------------------------------
@@ -198,18 +259,26 @@ def workflow_to_dict(spec: WorkflowSpec) -> dict:
         "priority": spec.priority,
         "arrival_s": spec.arrival_s,
         "tasks": [
-            {"id": t.id, "runtimes": dict(t.runtime_by_type)} for t in spec.tasks
+            {"id": t.id, "runtimes": t.runtime_by_type} for t in spec.tasks
         ],
         "edges": [[p, c] for p, c in spec.edges],
     }
 
 
-def workflow_from_row(row: dict) -> WorkflowSpec:
-    """The spec of a workflow object checked against ``schema.WORKFLOW``."""
+def workflow_from_row(row: dict, shared: dict[tuple, tuple] | None = None) -> WorkflowSpec:
+    """The spec of a workflow object checked against ``schema.WORKFLOW``.
+
+    ``shared`` maps each tuple of type ids to the one object that stands for
+    it, so the tasks read with one table share their ``types``."""
+    share = ({} if shared is None else shared).setdefault
+    tasks = []
+    for t in row["tasks"]:
+        checked = TaskSpec(t["id"], t["runtimes"])
+        types = share(checked.types, checked.types)
+        tasks.append(TaskSpec.aligned(checked.id, types, checked.runtimes))
     return WorkflowSpec(
         row["id"], row["user"], row["priority"], row["arrival_s"],
-        tuple(TaskSpec(t["id"], t["runtimes"]) for t in row["tasks"]),
-        tuple((p, c) for p, c in row["edges"]),
+        tuple(tasks), tuple((p, c) for p, c in row["edges"]),
     )
 
 
@@ -220,7 +289,8 @@ def save_workload(workflows: Iterable[WorkflowSpec], path: str | Path) -> None:
 
 def load_workload(path: str | Path) -> list[WorkflowSpec]:
     doc = check(json.loads(Path(path).read_text()), WORKLOAD, "workload")
-    return [workflow_from_row(w) for w in doc["workflows"]]
+    shared: dict[tuple, tuple] = {}
+    return [workflow_from_row(w, shared) for w in doc["workflows"]]
 
 
 __all__ = [

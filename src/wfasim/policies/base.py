@@ -16,7 +16,9 @@ RuntimeOracle = Callable[[TaskSpec, str], int]
 
 
 def perfect_oracle(task: TaskSpec, rtype_id: str) -> int:
-    return task.runtime_by_type[rtype_id]
+    """The true runtime, read from the task's int tuple at the type's place
+    in its type tuple; no mapping is built."""
+    return task.runtimes[task.types.index(rtype_id)]
 
 
 def pick_free(

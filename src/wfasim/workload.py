@@ -24,8 +24,10 @@ generated bytes; ``tests/test_workload.py`` pins them.
 
 The workflows of one :func:`generate_workload` call share their task id
 strings and their ``(parent id, child id)`` edge pairs: equal ids and equal
-edges are one object. Specs are never mutated, so the sharing shows only in
-memory.
+edges are one object. Their tasks share one ``types`` tuple, the two type
+ids (a WL1 swap reorders the runtimes, not the types), and equal
+``runtimes`` tuples are one object too: no task holds a dict. Specs are
+never mutated, so the sharing shows only in memory.
 """
 
 from __future__ import annotations
@@ -216,9 +218,10 @@ class DagRecipe:
 
 class _Generator:
     """What the workflows of one generator call share: the models'
-    constants, one id string per task position, grown as sizes need, and
-    one ``(parent id, child id)`` pair per pair of positions, made the first
-    time an edge needs it."""
+    constants, one id string per task position, grown as sizes need, one
+    ``(parent id, child id)`` pair per pair of positions, made the first
+    time an edge needs it, the tuple of the two type ids, and one tuple per
+    distinct pair of runtimes."""
 
     def __init__(
         self,
@@ -230,10 +233,13 @@ class _Generator:
         seed: int | list[int],
         id_prefix: str,
     ):
-        self.users, self.types, self.rule = users, types, rule
+        if len(types) != 2 or types[0] == types[1]:
+            raise ValueError(f"the runtime rules need two distinct types, got {list(types)}")
+        self.users, self.types, self.rule = users, tuple(types), rule
         self.runtime_model, self.size_model = runtime_model, size_model
         self.seed_words = [seed] if isinstance(seed, int) else list(seed)
         self.id_prefix = id_prefix
+        self.runtimes: dict[tuple[int, int], tuple[int, int]] = {}
         self.task_ids: list[str] = []
         self.edge_pairs: list[dict[int, tuple[str, str]]] = []  # by parent position
 
@@ -263,15 +269,13 @@ class _Generator:
         lo = -rule.max_deviation
         span = rule.max_deviation - lo
         swap = rule.random_assignment
-        first, second = self.types
+        types, task, share = self.types, TaskSpec.aligned, self.runtimes.setdefault
         tasks = []
         for task_id in ids[:size]:
             base = scale_runtimes(lognormal(mu, sigma), divisor)
             other = max(1, floor(base * (1 + (lo + span * random())) + 0.5))
-            if swap and random() < 0.5:
-                tasks.append(TaskSpec(task_id, {first: other, second: base}))
-            else:
-                tasks.append(TaskSpec(task_id, {first: base, second: other}))
+            pair = (other, base) if swap and random() < 0.5 else (base, other)
+            tasks.append(task(task_id, types, share(pair, pair)))
 
         priority = int(rng.integers(0, 10))
         user = self.users[int(rng.integers(0, len(self.users)))]
@@ -323,8 +327,6 @@ def generate_workload(
         raise ValueError("count must be >= 1")
     if not users:
         raise ValueError("at least one user required")
-    if len(types) != 2 or types[0] == types[1]:
-        raise ValueError(f"the runtime rules need two distinct types, got {list(types)}")
     if isinstance(rule, str):
         rule = second_type_rule(rule)
     gen = _Generator(
@@ -349,9 +351,9 @@ def workload_statistics(workflows: list[WorkflowSpec]) -> dict[str, float]:
     for wf in workflows:
         totals_fastest.append(sum(min_runtime(t) for t in wf.tasks))
         for t in wf.tasks:
-            values = list(t.runtime_by_type.values())
+            values = t.runtimes
             task_avgs.append(sum(values) / len(values))
-            for tid, rt in t.runtime_by_type.items():
+            for tid, rt in zip(t.types, values):
                 per_type_sums[tid] = per_type_sums.get(tid, 0) + rt
                 per_type_counts[tid] = per_type_counts.get(tid, 0) + 1
     return {

@@ -1,10 +1,16 @@
 """Core data model and system state transitions."""
 
+import ast
 import json
+import pickle
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HoldPolicy, chain_wf, handle, small_only_system, two_type_system, users, wf
+import wfasim
 from wfasim.dagops import WorkflowGraph
 from wfasim.model import (
     CapacityExceeded,
@@ -39,6 +45,66 @@ def test_task_without_any_runtime_rejected():
     # such a task could run nowhere, and it has no fastest runtime
     with pytest.raises(ValueError, match="needs a runtime"):
         TaskSpec("t", {})
+
+
+runtime_maps = st.dictionaries(
+    st.text(min_size=1, max_size=4), st.integers(1, 10**6), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(by_type=runtime_maps, task_id=st.text(max_size=4))
+def test_task_stores_aligned_tuples_and_reads_back_its_mapping(by_type, task_id):
+    task = TaskSpec(task_id, by_type)
+    assert task.types == tuple(by_type) and task.runtimes == tuple(by_type.values())
+    assert task.runtime_by_type == by_type
+    assert list(task.runtime_by_type) == list(by_type)  # the same key order
+    again = pickle.loads(pickle.dumps(task))
+    assert again == task and again.types == task.types and again.runtimes == task.runtimes
+    # equality is the mapping's: the key order does not count, a value does
+    assert task == TaskSpec(task_id, dict(reversed(by_type.items())))
+    first = next(iter(by_type))
+    assert task != TaskSpec(task_id, {**by_type, first: by_type[first] + 1})
+    assert task != TaskSpec(task_id + "x", by_type)
+
+
+def test_task_is_immutable_and_unhashable():
+    task = TaskSpec("t", {"small": 3})
+    with pytest.raises(AttributeError):
+        task.runtimes = (4,)
+    task.runtime_by_type["small"] = 4  # a copy: the task keeps its runtime
+    with pytest.raises(TypeError):
+        hash(task)
+    assert task.runtimes == (3,)
+
+
+def test_loaded_tasks_share_one_type_tuple_per_key_order(tmp_path):
+    a = chain_wf("a", [{"small": 3, "large": 1}, {"small": 2, "large": 2}])
+    b = wf("b", [("x", {"large": 4, "small": 5}), ("y", {"small": 1, "large": 1})])
+    path = tmp_path / "wl.json"
+    save_workload([a, b], path)
+    tasks = [t for w in load_workload(path) for t in w.tasks]
+    small_first, large_first = ("small", "large"), ("large", "small")
+    assert [t.types for t in tasks] == [small_first, small_first, large_first, small_first]
+    assert tasks[0].types is tasks[1].types is tasks[3].types
+    assert tasks[2].types is not tasks[0].types
+    assert [w.tasks for w in load_workload(path)] == [a.tasks, b.tasks]
+
+
+def test_only_the_model_names_runtime_by_type():
+    # the simulator reads the runtime tuples; building the mapping on a hot
+    # path would cost a dict per read
+    root = Path(wfasim.__file__).parent
+    readers = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an attribute, a variable, a parameter or a keyword argument
+            names = (getattr(node, field, None) for field in ("attr", "id", "arg"))
+            if "runtime_by_type" in names:
+                readers.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert readers == []
 
 
 def test_workflow_json_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Synthetic workload generator: scaling, type rules, families, statistics."""
 
+import gc
 import hashlib
 import json
 
@@ -60,6 +61,19 @@ def test_every_family_yields_valid_single_entry_exit_dags(family):
 def test_equal_edges_are_one_object_across_workflows():
     edges = [e for w in generate_workload(12, users=["u1"], seed=5) for e in w.edges]
     assert len({id(e) for e in edges}) == len(set(edges)) < len(edges)
+
+
+def test_generated_tasks_hold_tuples_and_no_dict():
+    # a task holds its id, the call's one type tuple and an int tuple of
+    # runtimes, and equal runtime tuples are one object; the WL1 swap
+    # reorders the runtimes, not the types
+    tasks = [t for w in generate_workload(12, users=["u1"], rule=WL1, seed=5) for t in w.tasks]
+    assert not [t for t in tasks if any(isinstance(r, dict) for r in gc.get_referents(t))]
+    assert len({id(t.types) for t in tasks}) == 1
+    assert tasks[0].types == ("small", "large")
+    runtimes = [t.runtimes for t in tasks]
+    assert len({id(r) for r in runtimes}) == len(set(runtimes)) < len(runtimes)
+    assert all(len(r) == 2 and min(r) >= 1 for r in runtimes)
 
 
 def test_workflows_are_deterministic_per_seed_and_index():
