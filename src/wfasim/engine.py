@@ -7,9 +7,14 @@ autoscaling interval, and machines are reserved and released only at ticks,
 so every paid interval ends at a tick. The tick itself charges the interval
 it opens for the machines held after its decisions: there is no separate
 billing event, and no per-machine billing window to move. An interval is
-charged exactly when a next tick is scheduled. The tick also flushes the
-trace rows of the interval it closes into one chunk of CSV text, so a row is
-held as a tuple only while its interval is open.
+charged exactly when a next tick is scheduled.
+
+Each trace row is CSV text when it is made: every distinct id of a run is
+rendered as a CSV field once, before the run starts, and one template per
+row kind places the fields. The tick joins the rows of the interval it
+closes into one chunk. The per-task path is flat: a finish makes one state
+call to finish the task and one to start the user's eligible work, and
+pushes the started tasks' finishes onto the heap directly.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field, replace
+from heapq import heappush
 from pathlib import Path
+from typing import Callable
 
 from .dagops import WorkflowGraph, validate_workflow
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
@@ -36,7 +43,7 @@ from .model import (
     min_runtime,
 )
 from .policies.base import Decision, Policy, PolicyView, perfect_oracle
-from .scheduler import PlanRunner, dispatch_dynamic
+from .scheduler import PlanRunner
 from .state import SystemState, UserFacade
 
 # event precedence at equal timestamps
@@ -52,8 +59,14 @@ TRACE_COLUMNS = (
     "rtype",
     "detail",
 )
-# one trace row as csv.writer writes it when no field needs quoting
+# one trace row as csv.writer writes it, given its fields rendered as CSV
 _TRACE_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\r\n"
+# the per-task and per-workflow kinds, each with its detail in place; the
+# second field is a workflow's "user,workflow" head
+_START_ROW = "%s,start,%s,%s,%s,%s,runtime=%s\r\n"  # time, head, task, machine, type
+_FINISH_ROW = "%s,finish,%s,%s,%s,%s,\r\n"
+_DONE_ROW = "%s,workflow_done,%s,,,,arrival=%s\r\n"
+_ARRIVE_ROW = "%s,arrive,%s,,,,priority=%s;tasks=%s\r\n"
 # the characters that make csv.writer quote a field
 _CSV_QUOTED = (",", '"', "\r", "\n")
 
@@ -225,6 +238,20 @@ def poisson_arrivals(
     return out
 
 
+def _csv_renderer() -> Callable[[str], str]:
+    """A function that renders a string as the field csv.writer writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+
+    def render(s: str) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((s, ""))  # not alone in its row, so "" renders as nothing
+        return buf.getvalue()[:-3]  # without the empty field and the "\r\n"
+
+    return render
+
+
 def validate_inputs(
     workflows: list[WorkflowSpec], users: list[str], types: list[str], held: list[str]
 ) -> list[WorkflowGraph]:
@@ -281,22 +308,31 @@ class _Sim:
         self.policy = policy
         self.seed = seed
         self.collect_plans = collect_plans
-        self.state = SystemState(system, users)
+        self.state = state = SystemState(system, users)
         # Every field is an int or a string, and only an id can hold a
-        # character that csv quotes, so a run whose ids hold none formats its
-        # rows by a plain template.
-        ids = "".join(itertools.chain(
-            [u.id for u in users],
+        # character that csv quotes, so a run whose ids hold none uses each
+        # id as its own field.
+        ids = dict.fromkeys(itertools.chain(
+            ("",),
+            state.users,
             self.cost,
             *((g.spec.id, *g.topo_order) for g in graphs),
         ))
-        self.quoted = any(ch in ids for ch in _CSV_QUOTED)
-        self.task_runs, self.tasks = self.state.task_runs, self.state.tasks
+        joined = "".join(ids)
+        render = _csv_renderer() if any(ch in joined for ch in _CSV_QUOTED) else str
+        # the CSV field of each distinct id, and of no id
+        self.fields = fields = {s: render(s) for s in ids}
+        # by workflow id: its "user,workflow" fields
+        self.heads = {g.spec.id: f"{fields[g.spec.user]},{fields[g.spec.id]}" for g in graphs}
+        # by machine id: its type id and that id's field
+        self.type_ids = [r.rtype.id for r in state.resources]
+        self.type_fields = [fields[t] for t in self.type_ids]
+        self.tasks, self.workflow, self.machine = state.tasks, state.workflow, state.machine
         self.rng = random.Random(seed)
         self.heap: list[tuple[int, int, int, object]] = []
         self.push_seq = itertools.count()
         self.plan_runner = PlanRunner() if policy.mode == "plan" else None
-        self.trace: list[tuple] = []  # the open interval's rows
+        self.trace: list[str] = []  # the open interval's rows
         self.trace_chunks: list[str] = []
         self.snapshots: list[IntervalSnapshot] = []
         self.decision_log: list[DecisionRecord] = []
@@ -317,13 +353,8 @@ class _Sim:
         heapq.heappush(self.heap, (when, rank, next(self.push_seq), data))
 
     def flush_trace(self) -> None:
-        """Format the pending trace rows into one chunk of CSV text."""
-        if self.quoted:
-            buf = io.StringIO()
-            csv.writer(buf).writerows(self.trace)
-            self.trace_chunks.append(buf.getvalue())
-        else:
-            self.trace_chunks.append("".join(map(_TRACE_ROW.__mod__, self.trace)))
+        """Join the pending trace rows into one chunk of CSV text."""
+        self.trace_chunks.append("".join(self.trace))
         self.trace.clear()
 
     def row(
@@ -331,34 +362,34 @@ class _Sim:
         time_s: int,
         event: str,
         user: str = "",
-        workflow: str = "",
-        task: str = "",
         resource: int | str = "",
         rtype: str = "",
         detail: str = "",
     ) -> None:
-        self.trace.append((time_s, event, user, workflow, task, resource, rtype, detail))
+        """Make a row of a kind with no workflow or task: a user's machine
+        event, a tick or a charge."""
+        fields = self.fields
+        self.trace.append(_TRACE_ROW % (time_s, event, fields[user], "", "", resource,
+                                        fields[rtype], detail))
 
     # -- event handlers --------------------------------------------------------
 
     def on_arrival(self, now: int, graph: WorkflowGraph) -> None:
         spec = self.state.arrive(graph).spec
         self.arrivals_left -= 1
-        self.row(now, "arrive", spec.user, workflow=spec.id,
-                 detail=f"priority={spec.priority};tasks={len(spec.tasks)}")
+        self.trace.append(_ARRIVE_ROW % (now, self.heads[spec.id], spec.priority,
+                                         len(spec.tasks)))
         self.dispatch(spec.user, now)
 
     def on_finish(self, now: int, h: int) -> None:
-        run = self.task_runs[h]
-        rid = self.state.machine[h]
-        rtype_id = self.state.resources[rid].rtype.id
-        self.state.finish_task(h, now)
-        spec = run.spec
-        self.trace.append((now, "finish", spec.user, spec.id, self.tasks[h].id, rid, rtype_id, ""))
-        if run.done:
-            self.trace.append((now, "workflow_done", spec.user, spec.id, "", "", "",
-                               f"arrival={spec.arrival_s}"))
-        self.dispatch(spec.user, now)
+        rid = self.machine[h]
+        run = self.state.finish_task(h, now)
+        head = self.heads[run.spec.id]
+        self.trace.append(_FINISH_ROW % (now, head, self.fields[self.tasks[h].id], rid,
+                                         self.type_fields[rid]))
+        if not run.unfinished:
+            self.trace.append(_DONE_ROW % (now, head, run.spec.arrival_s))
+        self.dispatch(run.spec.user, now)
 
     def on_boot(self, now: int, rid: int) -> None:
         # Only a reservation boots a machine, and a release or a start needs
@@ -471,23 +502,27 @@ class _Sim:
         if self.plan_runner is not None:
             assignments = self.plan_runner.dispatch(self.state, uid, now)
         else:
-            assignments = dispatch_dynamic(self.state, uid, now)
-        resources, trace, runs, tasks = self.state.resources, self.trace, self.task_runs, self.tasks
+            assignments = self.state.start_eligible(uid, now)
+        if not assignments:
+            return
+        heap, seq, trace, tasks = self.heap, self.push_seq, self.trace, self.tasks
         for h, rid in assignments:
-            task, rtype_id = tasks[h], resources[rid].rtype.id
-            runtime = task.runtimes[task.types.index(rtype_id)]
-            self.push(now + runtime, _FINISH, h)
-            trace.append((now, "start", uid, runs[h].spec.id, task.id, rid,
-                          rtype_id, f"runtime={runtime}"))
+            task = tasks[h]
+            runtime = task.runtimes[task.types.index(self.type_ids[rid])]
+            # a runtime is at least 1 s, so the finish is never in the past
+            heappush(heap, (now + runtime, _FINISH, next(seq), h))
+            trace.append(_START_ROW % (now, self.heads[self.workflow[h]], self.fields[task.id],
+                                       rid, self.type_fields[rid], runtime))
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RunResult:
-        while self.heap:
-            when, rank, _seq, data = heapq.heappop(self.heap)
-            self.state.clock = when
+        heap, state, on_finish = self.heap, self.state, self.on_finish
+        while heap:
+            when, rank, _seq, data = heapq.heappop(heap)
+            state.clock = when
             if rank == _FINISH:
-                self.on_finish(when, data)
+                on_finish(when, data)
             elif rank == _BOOT:
                 self.on_boot(when, data)
             elif rank == _WAKE:

@@ -222,7 +222,7 @@ class ResourceState(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass
+@dataclass(slots=True)
 class Resource:
     """A single reservable machine slot.
 

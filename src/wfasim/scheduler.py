@@ -1,4 +1,7 @@
-"""Task dispatch: work-conserving dynamic placement and plan following."""
+"""Plan following: starting the tasks of each user's installed plan.
+
+Dynamic placement needs no code here: ``SystemState.start_eligible`` starts a
+user's eligible tasks in dispatch order on its idle machines."""
 
 from __future__ import annotations
 
@@ -12,25 +15,6 @@ from .state import SystemState
 Assignment = tuple[int, int]  # (task handle, resource id)
 
 _IDLE = ResourceState.IDLE
-
-
-def dispatch_dynamic(state: SystemState, user: str, now: int) -> list[Assignment]:
-    """Pair eligible tasks with idle resources of the same user.
-
-    Tasks in dispatch order (priority desc, arrival asc, topological index
-    asc) take the lowest-id idle resource first, regardless of type.
-    """
-    h = state.next_eligible(user)
-    if h is None:
-        return []
-    out: list[Assignment] = []
-    for rid in state.idle_resources(user):
-        state.start_task(h, rid, now)
-        out.append((h, rid))
-        h = state.next_eligible(user)
-        if h is None:
-            break
-    return out
 
 
 class PlanRunner:
@@ -122,4 +106,4 @@ class PlanRunner:
         return out
 
 
-__all__ = ["Assignment", "PlanRunner", "dispatch_dynamic"]
+__all__ = ["Assignment", "PlanRunner"]

@@ -5,7 +5,12 @@ by id. ``apply`` checks a user's whole decision (each id, no id twice, a
 release only of an idle machine past its first paid interval, the budget)
 before it releases or reserves anything; ``boot_complete``, ``start_task``
 and ``finish_task`` each move one machine, and a task starts only when
-eligible. The engine owns event ordering on top of this, and bills each
+eligible. The state also keeps each user's dispatch order, and
+``start_eligible`` starts a user's dynamic work: its eligible tasks in that
+order, on its idle machines lowest id first. The per-task transitions
+(``start_task``, ``start_eligible`` and ``finish_task``) move a machine
+between its idle and busy pools in place; ``_move`` serves only ``apply``
+and boots. The engine owns event ordering on top of this, and bills each
 interval at its tick from the pools below.
 
 Tasks are addressed by int handles. At arrival a workflow's run gets a base,
@@ -45,15 +50,15 @@ and the per-run parent counts, a token walk over the user's unfinished DAG
 needs no joint DAG built.
 
 Index invariant: only the ``SystemState`` transitions (``apply``,
-``boot_complete``, ``start_task`` and ``finish_task``) may change
-``Resource.state`` or ``Resource.user``. A change made anywhere else
-leaves the indexes describing a machine that is no longer there.
+``boot_complete``, ``start_task``, ``start_eligible`` and ``finish_task``)
+may change ``Resource.state`` or ``Resource.user``. A change made anywhere
+else leaves the indexes describing a machine that is no longer there.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 
 from .dagops import WorkflowGraph
 from .model import (
@@ -137,7 +142,8 @@ class SystemState:
             self._free[r.rtype.id].add(r.id)
 
     def _move(self, resource: Resource, to: ResourceState) -> None:
-        """Set a machine's state and move its id to the matching pool."""
+        """Set a machine's state and move its id to the matching pool: the
+        rare transitions of ``apply`` and boots."""
         rtype_id = resource.rtype.id
         if resource.state is _DOWN:
             self._free[rtype_id].remove(resource.id)
@@ -201,7 +207,10 @@ class SystemState:
         machine[h] = rid
         rec = run.user_index
         rec.eligible -= 1
-        self._move(resource, _BUSY)
+        rtype_id, pools = resource.rtype.id, rec.pools
+        pools[_IDLE][rtype_id].remove(rid)
+        pools[_BUSY][rtype_id].add(rid)
+        resource.state = _BUSY
         resource.running = h
         # The started task's heap entry is now stale: an entry is live while
         # its task has no machine. A task started out of heap order leaves it
@@ -212,9 +221,52 @@ class SystemState:
             heap[:] = [e for e in heap if machine[e[2]] < 0]
             heapq.heapify(heap)
 
-    def finish_task(self, h: int, now: int) -> None:
+    def start_eligible(self, user: str, now: int) -> list[tuple[int, int]]:
+        """Start the user's eligible tasks in dispatch order, each on the
+        user's lowest-id idle machine, until either runs out. Returns the
+        (task handle, machine id) pairs in start order."""
+        rec = self._index[user]
+        if not rec.eligible:
+            return []
+        pools = rec.pools
+        idle, busy = pools[_IDLE], pools[_BUSY]
+        rids = sorted(chain.from_iterable(idle.values()))
+        if not rids:
+            return []
+        heap, machine, blocked = rec.heap, self.machine, self.blocked
+        resources, start_s = self.resources, self.start_s
+        out: list[tuple[int, int]] = []
+        for rid in rids:
+            # the first live entry: an entry is stale once its task has a
+            # machine, and eligible tasks remain, so one is live
+            h = heapq.heappop(heap)[2]
+            while machine[h] >= 0:
+                h = heapq.heappop(heap)[2]
+            resource = resources[rid]
+            if blocked[h]:
+                raise ValueError(f"task {'/'.join(self.ref(h))} not eligible")
+            if resource.state is not _IDLE or resource.user != user:
+                raise ValueError(f"resource {rid} not idle for {user}")
+            start_s[h] = now
+            machine[h] = rid
+            rtype_id = resource.rtype.id
+            idle[rtype_id].remove(rid)
+            busy[rtype_id].add(rid)
+            resource.state = _BUSY
+            resource.running = h
+            out.append((h, rid))
+            rec.eligible -= 1
+            if not rec.eligible:
+                break
+        # entries of tasks started by start_task may stay buried (see there)
+        if len(heap) > 2 * rec.eligible:
+            heap[:] = [e for e in heap if machine[e[2]] < 0]
+            heapq.heapify(heap)
+        return out
+
+    def finish_task(self, h: int, now: int) -> WorkflowRun:
         """Complete a running task; its children whose last unfinished
-        parent it was become eligible."""
+        parent it was become eligible. Returns the task's run."""
         run, rid = self.task_runs[h], self.machine[h]
         if rid < 0 or (resource := self.resources[rid]).running != h:
             raise ValueError(f"task {'/'.join(self.ref(h))} not running")
@@ -224,15 +276,21 @@ class SystemState:
         rec = run.user_index
         children = rec.unfinished.pop(h)
         del rec.frontier[h]
-        rec.finished[resource.rtype.id] += 1
-        self._move(resource, _IDLE)
+        rtype_id, pools = resource.rtype.id, rec.pools
+        rec.finished[rtype_id] += 1
+        pools[_BUSY][rtype_id].remove(rid)
+        pools[_IDLE][rtype_id].add(rid)
+        resource.state = _IDLE
         resource.running = None
         resource.free_s = now
         blocked = self.blocked
         for c in children:
             blocked[c] -= 1
-            if blocked[c] == 0:
-                self._make_eligible(run, rec, c)
+            if blocked[c] == 0:  # as _make_eligible, inline on this hot path
+                rec.eligible += 1
+                rec.frontier[c] = None
+                heapq.heappush(rec.heap, (-run.spec.priority, run.spec.arrival_s, c))
+        return run
 
     # -- queries ------------------------------------------------------------
 

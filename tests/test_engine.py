@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import importlib.util
 import io
 import re
 import signal
@@ -158,17 +159,23 @@ def test_trace_csv_bytes_are_csv_writer_bytes(tmp_path, monkeypatch, user, wf_id
 
 
 def test_each_tick_flushes_its_interval_as_csv_text(tmp_path):
-    # Rows are tuples only while their interval is open: each tick formats
+    # Each row is one record of CSV text from when it is made: each tick joins
     # the rows since the last one into one chunk, and the end of the run
-    # formats the last interval's.
+    # joins the last interval's.
     wfs = generate_workload(8, users=["u1", "u2"], rule=WL1, seed=3)
     system = two_type_system(boot_delay_s=7)
     sim = engine._Sim(wfs, system, users(("u1", 12), ("u2", 20)), PfaPolicy(), 5, False)
-    flushed = []  # (clock, pending rows) at each flush
+    flushed = []  # (clock, pending rows parsed) at each flush
     flush = sim.flush_trace
 
     def record():
-        flushed.append((sim.state.clock, list(sim.trace)))
+        rows = []
+        for text in sim.trace:
+            (fields,) = csv.reader(io.StringIO(text, newline=""))
+            time_s, event, user, wf_id, task, resource, rtype, detail = fields
+            rows.append((int(time_s), event, user, wf_id, task,
+                         int(resource) if resource else "", rtype, detail))
+        flushed.append((sim.state.clock, rows))
         flush()
 
     sim.flush_trace = record
@@ -832,3 +839,27 @@ def test_skipping_a_wake_after_a_dispatch_at_its_instant_changes_no_output(
     causes = {row[:3:2] for row in trace if row[1] in ("finish", "boot", "arrive")}
     assert any(row[1] == "start" and row[0] not in ticks and row[:3:2] not in causes
                for row in trace)
+
+
+# -- measurement: opcode counts of a run are deterministic ------------------------
+
+
+@pytest.mark.parametrize("policy", [PfaPolicy, PlfPolicy], ids=["pfa", "plf"])
+def test_opcode_count_of_a_fixed_run_is_equal_across_calls(policy):
+    # tools/ab.py compares two trees by the opcodes one engine.run executes,
+    # a figure that means something only if it repeats exactly
+    path = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", path)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    wfs = generate_workload(6, users=["u1", "u2"], rule=WL1, seed=3)
+    system = two_type_system(boot_delay_s=7)
+
+    def one_run():
+        return engine.run(wfs, system, users(("u1", 12), ("u2", 20)), policy(), seed=5)
+
+    # the first run in a process may also fill the interpreter's ABC caches
+    assert any(row[1] == "finish" for row in one_run().trace)
+    first, _ = ab.count_opcodes(one_run, engine.run.__code__)
+    second, _ = ab.count_opcodes(one_run, engine.run.__code__)
+    assert first == second > 0

@@ -1,8 +1,9 @@
-"""Dispatch mechanics: dynamic pairing and plan following."""
+"""Dispatch mechanics: the state's dynamic pairing and plan following."""
 
 from collections import deque
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from conftest import chain_wf, handle, two_type_system, users, wf
 from test_plan import random_dags
 from wfasim.dagops import WorkflowGraph
 from wfasim.policies.base import ExecutionPlan, PlanEntry
-from wfasim.scheduler import PlanRunner, dispatch_dynamic
+from wfasim.scheduler import PlanRunner
 from wfasim.model import ResourceState
 from wfasim.state import SystemState, UserFacade
 
@@ -32,7 +33,7 @@ def test_dynamic_pairs_by_order_and_resource_id():
     wb = wf("wb", [("a", {"small": 5, "large": 5})], priority=1)
     state = make_state([wa, wb])
     state.apply("u1", [], [7, 2, 5], now=0)
-    got = dispatch_dynamic(state, "u1", now=0)
+    got = state.start_eligible("u1", now=0)
     # highest priority task takes the lowest resource id
     assert refs(state, got) == [("wa", "a", 2), ("wb", "a", 5)]
     assert state.idle_resources("u1") == [7]
@@ -40,14 +41,24 @@ def test_dynamic_pairs_by_order_and_resource_id():
 
 def test_dynamic_with_no_idle_resources():
     state = make_state([wf("wa", [("a", {"small": 5, "large": 5})])])
-    assert dispatch_dynamic(state, "u1", now=0) == []
+    assert state.start_eligible("u1", now=0) == []
 
 
 def test_dynamic_with_more_resources_than_tasks():
     state = make_state([wf("wa", [("a", {"small": 5, "large": 5})])])
     state.apply("u1", [], [0, 1], now=0)
-    got = dispatch_dynamic(state, "u1", now=0)
+    got = state.start_eligible("u1", now=0)
     assert refs(state, got) == [("wa", "a", 0)]
+
+
+def test_dynamic_start_checks_the_machine_it_takes():
+    # start_eligible checks each machine as start_task does: one whose owner
+    # was changed behind the state's back is refused
+    state = make_state([wf("wa", [("a", {"small": 5, "large": 5})])])
+    state.apply("u1", [], [0], now=0)
+    state.resources[0].user = "u2"
+    with pytest.raises(ValueError, match="resource 0 not idle for u1"):
+        state.start_eligible("u1", now=0)
 
 
 def plan_of(state, *rows):

@@ -30,7 +30,6 @@ from wfasim import state as state_module
 from wfasim.dagops import WorkflowGraph
 from wfasim.model import BudgetViolation, CapacityExceeded, ResourceState
 from wfasim.policies.pfa import tba_propagate, tba_walk
-from wfasim.scheduler import dispatch_dynamic
 from wfasim.state import SystemState, UserFacade
 
 USERS = ("u1", "u2")
@@ -291,7 +290,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
                 for ref, r in zip(brute_eligible(state, u, status),
                                   held(state, u, (ResourceState.IDLE,)))
             ]
-            got = [(state.ref(h), rid) for h, rid in dispatch_dynamic(state, u, now)]
+            got = [(state.ref(h), rid) for h, rid in state.start_eligible(u, now)]
             assert got == expected
             running.update(expected)
         elif op == "finish":
@@ -457,7 +456,7 @@ def test_out_of_order_starts_keep_dispatch_order(priorities, started):
         state.start_task(handle(state, f"w{i}", "a"), idle.pop(), 0)
     status = brute_status(state, {}, {(f"w{i}", "a") for i in started})
     expected = brute_eligible(state, "u1", status)
-    assert [state.ref(h) for h, _ in dispatch_dynamic(state, "u1", 0)] == expected
+    assert [state.ref(h) for h, _ in state.start_eligible("u1", 0)] == expected
     assert [f"w{i}" for i in sorted(range(10), key=lambda i: -priorities[i])
             if i not in started] == [w for w, _ in expected]
 
