@@ -303,16 +303,6 @@ class SystemState:
         machine = self.machine
         return [e[2] for e in sorted(self._index[user].heap) if machine[e[2]] < 0]
 
-    def next_eligible(self, user: str) -> int | None:
-        """The user's first eligible task in dispatch order, or None."""
-        heap, machine = self._index[user].heap, self.machine
-        while heap:
-            h = heap[0][2]
-            if machine[h] < 0:
-                return h
-            heapq.heappop(heap)
-        return None
-
     def momentary_demand(self, user: str) -> int:
         """Running plus eligible task count: work the user could use now."""
         return len(self._index[user].frontier)

@@ -8,19 +8,26 @@ floor; a second runtime within a bounded deviation of the first covers the
 other resource type.
 
 All sampling is per workflow from a seed-derived stream, so any workflow is
-reproducible from (seed, index) alone. The draws from that stream, in this
+reproducible from (seed, index) alone. The stream and its draws, in this
 order, are the reproducibility contract:
 
+0. the seed words (each a non-negative int) plus the index go through
+   ``SeedSequence`` into a PCG64 stream, and the draws are those of numpy's
+   ``Generator`` on it, made by :mod:`wfasim._pcg64` in pure Python;
 1. the size's log-normal;
 2. the family's shape draws (none for a chain of at most 3 tasks);
 3. per task, in id order: the raw runtime's log-normal, then the deviation
-   as ``lo + (hi - lo) * random()`` (one draw, the value numpy's scalar
-   ``uniform(lo, hi)`` gives), then, under a rule with random assignment
-   (WL1), the swap's ``random()``;
+   as ``lo + (hi - lo) * random()`` (one draw, the value of
+   ``uniform(lo, hi)``), then, under a rule with random assignment (WL1),
+   the swap's ``random()``; one bulk call makes all of a workflow's task
+   draws;
 4. the priority, then the user.
 
 A change to any draw, its order or how it becomes a value changes the
-generated bytes; ``tests/test_workload.py`` pins them.
+generated bytes; ``tests/test_workload.py`` pins them. The generated bytes
+no longer depend on the installed numpy, or on whether numpy is installed
+at all: they are those numpy 2.4 draws, and ``tests/test_pcg64.py`` checks
+the draws against the installed numpy where there is one.
 
 The workflows of one :func:`generate_workload` call share their task id
 strings and their ``(parent id, child id)`` edge pairs: equal ids and equal
@@ -32,12 +39,12 @@ never mutated, so the sharing shows only in memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._pcg64 import Generator as Rng
 from .model import TaskSpec, WorkflowSpec, min_runtime
 
 FAMILIES = ("fan-reduce", "layered-pipelines", "wide-join")
@@ -128,10 +135,10 @@ def second_type_rule(name: str) -> SecondTypeRule:
 # single entry and node n-1 the single exit, for n >= 4.
 
 
-def _fan_reduce(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _fan_reduce(n: int, rng: Rng) -> list[tuple[int, int]]:
     middle = n - 2
     # n >= 4, so middle >= 2 and agg <= max(1, round(0.3 * middle)) < middle
-    agg = max(1, int(round(middle * float(rng.uniform(0.1, 0.3)))))
+    agg = max(1, int(round(middle * rng.uniform(0.1, 0.3))))
     workers = middle - agg
     edges = []
     first_agg = 1 + workers
@@ -144,9 +151,9 @@ def _fan_reduce(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     return edges
 
 
-def _layered_pipelines(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _layered_pipelines(n: int, rng: Rng) -> list[tuple[int, int]]:
     middle = n - 2
-    width = int(rng.integers(2, max(3, min(12, middle // 2 + 1)) + 1))
+    width = rng.integers(2, max(3, min(12, middle // 2 + 1)) + 1)
     layers: list[list[int]] = []
     nxt = 1
     remaining = middle
@@ -171,13 +178,13 @@ def _layered_pipelines(n: int, rng: np.random.Generator) -> list[tuple[int, int]
     return edges
 
 
-def _wide_join(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _wide_join(n: int, rng: Rng) -> list[tuple[int, int]]:
     middle = n - 2
     edges = []
     nxt = 1
     remaining = middle
     while remaining > 0:
-        length = 2 if remaining >= 2 and float(rng.random()) < 0.4 else 1
+        length = 2 if remaining >= 2 and rng.random() < 0.4 else 1
         head = nxt
         edges.append((0, head))
         for i in range(length - 1):
@@ -205,7 +212,7 @@ class DagRecipe:
                 f"unknown workflow family {self.family!r}; expected one of {FAMILIES}"
             )
 
-    def build(self, n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    def build(self, n: int, rng: Rng) -> list[tuple[int, int]]:
         if n < 1:
             raise ValueError("workflow needs at least one task")
         if n <= 3:  # too small for a family's shape: a chain
@@ -214,6 +221,8 @@ class DagRecipe:
 
 
 # -- generation -------------------------------------------------------------
+
+_NO_SWAP = itertools.repeat(1.0)  # a swap draw that never swaps, for rules without one
 
 
 class _Generator:
@@ -237,7 +246,10 @@ class _Generator:
             raise ValueError(f"the runtime rules need two distinct types, got {list(types)}")
         self.users, self.types, self.rule = users, tuple(types), rule
         self.runtime_model, self.size_model = runtime_model, size_model
-        self.seed_words = [seed] if isinstance(seed, int) else list(seed)
+        self.seed_words = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+        for word in self.seed_words:
+            if not isinstance(word, int) or isinstance(word, bool) or word < 0:
+                raise ValueError(f"seed words must be non-negative ints, got {word!r}")
         self.id_prefix = id_prefix
         self.runtimes: dict[tuple[int, int], tuple[int, int]] = {}
         self.task_ids: list[str] = []
@@ -245,7 +257,7 @@ class _Generator:
 
     def workflow(self, index: int, recipe: DagRecipe) -> WorkflowSpec:
         """Build one workflow, reproducible from (seed, index) alone."""
-        rng = np.random.default_rng([*self.seed_words, index])
+        rng = Rng([*self.seed_words, index])
         sizes = self.size_model
         size = round(rng.lognormal(math.log(sizes.log_median), sizes.log_sigma))
         size = min(max(size, sizes.min_tasks), sizes.max_tasks)
@@ -262,23 +274,24 @@ class _Generator:
                 pair = row[b] = (ids[a], ids[b])
             edges.append(pair)
 
-        lognormal, random, floor = rng.lognormal, rng.random, math.floor
-        model, rule = self.runtime_model, self.rule
+        model, rule, floor = self.runtime_model, self.rule, math.floor
         mu, sigma, divisor = math.log(model.log_median), model.log_sigma, model.scale_divisor
-        # numpy's scalar uniform(lo, hi) is lo + (hi - lo) * random()
+        # the deviation is uniform(lo, hi), that is lo + (hi - lo) * random()
         lo = -rule.max_deviation
         span = rule.max_deviation - lo
         swap = rule.random_assignment
+        draws = iter(rng.task_draws(size, mu, sigma, 2 if swap else 1))
         types, task, share = self.types, TaskSpec.aligned, self.runtimes.setdefault
         tasks = []
-        for task_id in ids[:size]:
-            base = scale_runtimes(lognormal(mu, sigma), divisor)
-            other = max(1, floor(base * (1 + (lo + span * random())) + 0.5))
-            pair = (other, base) if swap and random() < 0.5 else (base, other)
+        for task_id, raw, deviation, flip in zip(ids[:size], draws, draws,
+                                                 draws if swap else _NO_SWAP):
+            base = scale_runtimes(raw, divisor)
+            other = max(1, floor(base * (1 + (lo + span * deviation)) + 0.5))
+            pair = (other, base) if flip < 0.5 else (base, other)
             tasks.append(task(task_id, types, share(pair, pair)))
 
-        priority = int(rng.integers(0, 10))
-        user = self.users[int(rng.integers(0, len(self.users)))]
+        priority = rng.integers(0, 10)
+        user = self.users[rng.integers(0, len(self.users))]
         return WorkflowSpec(
             id=f"{self.id_prefix}{index:04d}",
             user=user,

@@ -111,6 +111,13 @@ def test_a_genspec_that_repeats_a_set_name_is_rejected_before_writing(tmp_path, 
     assert not (tmp_path / "o").exists()
 
 
+def test_gen_rejects_a_negative_seed_by_name(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", genspec(count=2, seed=-1))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == "error: seed words must be non-negative ints, got -1\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_requires_sets_or_count(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", genspec())
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2

@@ -4,7 +4,8 @@ Output bytes must not depend on ``PYTHONHASHSEED``, which changes the
 iteration order of sets and of dicts built from them; a test process has one
 hash seed, so other seeds need their own processes. The benchmark's traced
 run must end in one result line, whatever the program's internals look like
-to the span wrappers.
+to the span wrappers. The program must run without numpy, which a test
+process may already hold.
 """
 
 import json
@@ -56,3 +57,16 @@ def test_traced_benchmark_run_ends_in_a_finite_result(workload):
     values = numbers(result["metrics"])
     assert len(values) == len(result["metrics"])
     assert all(math.isfinite(v) for v in values)
+
+
+def test_the_cli_and_the_generator_import_no_numpy():
+    code = (
+        "import sys, wfasim.cli\n"
+        "from wfasim.workload import generate_workload\n"
+        "generate_workload(6, users=['u1', 'u2'], seed=1)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]

@@ -186,7 +186,9 @@ def check_queries(state, finished, running, free_from):
         eligible = brute_eligible(state, u, status)
         assert refs(state.eligible_tasks(u)) == eligible
         assert refs(facade.eligible()) == eligible
-        assert state.next_eligible(u) == (handle(state, *eligible[0]) if eligible else None)
+        in_order = state.eligible_tasks(u)
+        assert (in_order[0] if in_order else None) == (
+            handle(state, *eligible[0]) if eligible else None)
         n_running = len(of_user(state, u, status, ("running",)))
         assert state.momentary_demand(u) == n_running + len(eligible)
         nodes, edges = state.joint_dag(u)
@@ -353,7 +355,7 @@ def held_state(draw):
         if r.state is ResourceState.BOOTING and (booted or busy):
             state.boot_complete(rid, 60)
         if r.state is ResourceState.IDLE and busy:
-            state.start_task(state.next_eligible(r.user), rid, 60)
+            state.start_task(state.eligible_tasks(r.user)[0], rid, 60)
     return state
 
 

@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from wfasim.dagops import validate_workflow
@@ -185,6 +184,15 @@ def test_generator_rejects_a_type_named_twice():
         generate_workload(2, users=["u1"], types=("small", "small"))
 
 
+@pytest.mark.parametrize("seed, named", [
+    (-1, "-1"), (1.5, "1.5"), ([3, -2], "-2"), ((3, 1.0), "1.0"), (["3"], "'3'"),
+    ([True], "True"),
+])
+def test_generator_rejects_a_seed_word_that_is_not_a_non_negative_int(seed, named):
+    with pytest.raises(ValueError, match=f"non-negative ints, got {named}$"):
+        generate_workload(2, users=["u1"], seed=seed)
+
+
 def test_size_bounds_respected():
     wfs = generate_workload(200, users=["u1"], rule=WL1, seed=11)
     sizes = [len(w.tasks) for w in wfs]
@@ -250,6 +258,7 @@ def test_the_deviation_draw_equals_numpy_uniform(rule):
     # formula for a scalar uniform(lo, hi), consuming the same single draw. A
     # numpy build that computed it otherwise (say, with a fused multiply-add)
     # would change generated workloads; this fails first.
+    np = pytest.importorskip("numpy")
     lo = -rule.max_deviation
     span = rule.max_deviation - lo
     for seed in (0, [11, 7]):
