@@ -8,13 +8,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from .model import ResourceState
 from .policies.base import ExecutionPlan
 from .state import SystemState
 
 Assignment = tuple[int, int]  # (task handle, resource id)
-
-_IDLE = ResourceState.IDLE
 
 
 class PlanRunner:
@@ -28,13 +25,13 @@ class PlanRunner:
     Dispatch visits only due queues. Per user, each machine with a queue is
     either on a heap of ``(head start, machine id)``, while its head lies in
     the future, or in the set of machines whose head is due. A dispatch
-    first moves the heads due by now from the heap to the set, then visits
-    the set in id order and skips a machine that is not idle or not the
-    user's: a busy machine keeps its overdue head until a later dispatch
-    finds it idle. A machine leaves the set when its queue empties, and goes
-    back on the heap when its next head lies in the future. Visiting in id
-    order fixes the order of starts, and so the trace rows and the order of
-    finish events at equal times.
+    first moves the heads due by now from the heap to the set, then visits,
+    in id order, the machines of the set that the state names as the user's
+    idle ones (``SystemState.idle_among``): a busy machine keeps its overdue
+    head until a later dispatch finds it idle. A machine leaves the set when
+    its queue empties, and goes back on the heap when its next head lies in
+    the future. Visiting in id order fixes the order of starts, and so the
+    trace rows and the order of finish events at equal times.
 
     A dispatch leaves no due entry startable until the user's state
     changes, so a second dispatch at the same instant with no change in
@@ -78,12 +75,8 @@ class PlanRunner:
             due.add(heapq.heappop(heads)[1])
         if not due:
             return []
-        resources = state.resources
         out: list[Assignment] = []
-        for rid in sorted(due):
-            r = resources[rid]
-            if r.state is not _IDLE or r.user != user:
-                continue
+        for rid in state.idle_among(user, due):
             q = queues[rid]
             while q:
                 start_s, h = q[0]

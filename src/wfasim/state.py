@@ -8,10 +8,12 @@ and ``finish_task`` each move one machine, and a task starts only when
 eligible. The state also keeps each user's dispatch order, and
 ``start_eligible`` starts a user's dynamic work: its eligible tasks in that
 order, on its idle machines lowest id first. The per-task transitions
-(``start_task``, ``start_eligible`` and ``finish_task``) move a machine
-between its idle and busy pools in place; ``_move`` serves only ``apply``
-and boots. The engine owns event ordering on top of this, and bills each
-interval at its tick from the pools below.
+(``start_task``, ``start_eligible`` and ``finish_task``) move a machine id
+between its user's idle and busy pools in place; ``_move`` serves only
+``apply`` and boots, the only moves into or out of the free pool, so the
+only ones that change a held count. Plan following asks ``idle_among``
+which of its due machines are idle. The engine owns event ordering on top
+of this, and bills each interval at its tick from the held counts.
 
 Tasks are addressed by int handles. At arrival a workflow's run gets a base,
 the number of tasks that arrived before it, and its task at topological
@@ -42,7 +44,8 @@ has one ``UserIndex`` record holding:
 - the unfinished tasks with their unfinished children, in handle order, and
   the frontier: the unfinished tasks with no unfinished parent (eligible or
   running);
-- one set of machine ids per (state, type) for the reserved states;
+- one set of machine ids per held state (booting, idle, busy), and the
+  held machine count per type, which the count queries read;
 - the finished-task count per type.
 
 Free machine ids are kept per type. With the children lists, the frontier
@@ -83,16 +86,15 @@ _IDLE, _BUSY = ResourceState.IDLE, ResourceState.BUSY
 class UserIndex:
     """One user's share of the indexes (see the module docstring)."""
 
-    __slots__ = ("heap", "eligible", "unfinished", "frontier", "pools", "finished")
+    __slots__ = ("heap", "eligible", "unfinished", "frontier", "pools", "held", "finished")
 
     def __init__(self, type_ids: tuple[str, ...]):
         self.heap: list[tuple[int, int, int]] = []
         self.eligible = 0
         self.unfinished: dict[int, tuple[int, ...]] = {}  # task -> its children
         self.frontier: dict[int, None] = {}
-        self.pools: dict[ResourceState, dict[str, set[int]]] = {
-            s: {t: set() for t in type_ids} for s in _HELD
-        }
+        self.pools: dict[ResourceState, set[int]] = {s: set() for s in _HELD}
+        self.held = dict.fromkeys(type_ids, 0)
         self.finished = dict.fromkeys(type_ids, 0)
 
 
@@ -135,32 +137,28 @@ class SystemState:
         self.blocked: list[int] = []
         self.start_s: list[int] = []
         self.machine: list[int] = []
-        self._type_ids = tuple(t.id for t in config.types)
-        self._index = {u.id: UserIndex(self._type_ids) for u in users}
-        self._free: dict[str, set[int]] = {t: set() for t in self._type_ids}
+        type_ids = tuple(t.id for t in config.types)
+        self._index = {u.id: UserIndex(type_ids) for u in users}
+        self._free: dict[str, set[int]] = {t: set() for t in type_ids}
         for r in self.resources:
             self._free[r.rtype.id].add(r.id)
 
     def _move(self, resource: Resource, to: ResourceState) -> None:
         """Set a machine's state and move its id to the matching pool: the
-        rare transitions of ``apply`` and boots."""
-        rtype_id = resource.rtype.id
+        rare transitions of ``apply`` and boots. A machine enters or leaves
+        the free pool only here, so only here does a held count change."""
+        rid, rtype_id, rec = resource.id, resource.rtype.id, self._index[resource.user]
         if resource.state is _DOWN:
-            self._free[rtype_id].remove(resource.id)
+            self._free[rtype_id].remove(rid)
+            rec.held[rtype_id] += 1
         else:
-            self._index[resource.user].pools[resource.state][rtype_id].remove(resource.id)
+            rec.pools[resource.state].remove(rid)
         if to is _DOWN:
-            self._free[rtype_id].add(resource.id)
+            self._free[rtype_id].add(rid)
+            rec.held[rtype_id] -= 1
         else:
-            self._index[resource.user].pools[to][rtype_id].add(resource.id)
+            rec.pools[to].add(rid)
         resource.state = to
-
-    def _ids(self, user: str, states: tuple[ResourceState, ...]) -> list[int]:
-        """Ids of the user's machines in any of ``states``, lowest first."""
-        pools = self._index[user].pools
-        ids = [rid for s in states for t in self._type_ids for rid in pools[s][t]]
-        ids.sort()
-        return ids
 
     # -- handles ------------------------------------------------------------
 
@@ -207,9 +205,8 @@ class SystemState:
         machine[h] = rid
         rec = run.user_index
         rec.eligible -= 1
-        rtype_id, pools = resource.rtype.id, rec.pools
-        pools[_IDLE][rtype_id].remove(rid)
-        pools[_BUSY][rtype_id].add(rid)
+        rec.pools[_IDLE].remove(rid)
+        rec.pools[_BUSY].add(rid)
         resource.state = _BUSY
         resource.running = h
         # The started task's heap entry is now stale: an entry is live while
@@ -228,9 +225,8 @@ class SystemState:
         rec = self._index[user]
         if not rec.eligible:
             return []
-        pools = rec.pools
-        idle, busy = pools[_IDLE], pools[_BUSY]
-        rids = sorted(chain.from_iterable(idle.values()))
+        idle, busy = rec.pools[_IDLE], rec.pools[_BUSY]
+        rids = sorted(idle)
         if not rids:
             return []
         heap, machine, blocked = rec.heap, self.machine, self.blocked
@@ -249,9 +245,8 @@ class SystemState:
                 raise ValueError(f"resource {rid} not idle for {user}")
             start_s[h] = now
             machine[h] = rid
-            rtype_id = resource.rtype.id
-            idle[rtype_id].remove(rid)
-            busy[rtype_id].add(rid)
+            idle.remove(rid)
+            busy.add(rid)
             resource.state = _BUSY
             resource.running = h
             out.append((h, rid))
@@ -276,10 +271,9 @@ class SystemState:
         rec = run.user_index
         children = rec.unfinished.pop(h)
         del rec.frontier[h]
-        rtype_id, pools = resource.rtype.id, rec.pools
-        rec.finished[rtype_id] += 1
-        pools[_BUSY][rtype_id].remove(rid)
-        pools[_IDLE][rtype_id].add(rid)
+        rec.finished[resource.rtype.id] += 1
+        rec.pools[_BUSY].remove(rid)
+        rec.pools[_IDLE].add(rid)
         resource.state = _IDLE
         resource.running = None
         resource.free_s = now
@@ -308,22 +302,18 @@ class SystemState:
         return len(self._index[user].frontier)
 
     def supply(self, user: str) -> int:
-        pools = self._index[user].pools
-        return sum(len(ids) for s in _HELD for ids in pools[s].values())
+        return sum(self._index[user].held.values())
 
     def busy_count(self, user: str) -> int:
-        return sum(len(ids) for ids in self._index[user].pools[_BUSY].values())
+        return len(self._index[user].pools[_BUSY])
 
     def allocated_cost(self, user: str) -> int:
-        pools = self._index[user].pools
-        return sum(
-            t.cost * len(pools[s][t.id]) for t in self.config.types for s in _HELD
-        )
+        held = self._index[user].held
+        return sum(t.cost * held[t.id] for t in self.config.types)
 
     def counts_by_type(self, user: str) -> dict[str, int]:
         """{type id: machines the user holds of that type}, every type."""
-        pools = self._index[user].pools
-        return {t: sum(len(pools[s][t]) for s in _HELD) for t in self._type_ids}
+        return dict(self._index[user].held)
 
     def free_resources(self, rtype_id: str) -> list[int]:
         """Ids of the unreserved machines of one type, lowest first."""
@@ -331,12 +321,16 @@ class SystemState:
 
     def idle_resources(self, user: str, rtype_id: str | None = None) -> list[int]:
         """Ids of a user's idle machines, optionally of one type, lowest first."""
-        idle = self._index[user].pools[_IDLE]
-        out: list[int] = []
-        for ids in idle.values() if rtype_id is None else (idle.get(rtype_id, ()),):
-            out.extend(ids)
-        out.sort()
-        return out
+        ids = sorted(self._index[user].pools[_IDLE])
+        if rtype_id is None:
+            return ids
+        resources = self.resources
+        return [rid for rid in ids if resources[rid].rtype.id == rtype_id]
+
+    def idle_among(self, user: str, ids: set[int]) -> list[int]:
+        """The ids in ``ids`` that name an idle machine of the user, lowest
+        first."""
+        return sorted(self._index[user].pools[_IDLE].intersection(ids))
 
     def any_held(self) -> bool:
         """Whether any user holds a machine."""
@@ -458,7 +452,7 @@ class UserFacade:
         else the time it went idle."""
         resources, start_s = self._state.resources, self._state.start_s
         out = []
-        for rid in self._state._ids(self.user_id, _HELD):
+        for rid in sorted(chain.from_iterable(self._rec.pools.values())):
             r = resources[rid]
             if r.state is _BUSY:
                 out.append((r.id, r.rtype.id, r.running, start_s[r.running]))

@@ -494,6 +494,89 @@ def test_solver_matches_exhaustive_enumeration(seed):
     assert sol.profit == brute_force_optimum(inst)
 
 
+
+# -- the exported LP, read and solved by an independent solver ---------------
+
+
+def read_lp(text):
+    """The model in ``export_lp``'s text, as arguments of
+    ``scipy.optimize.milp``: the cost vector (the negated objective, since
+    milp minimizes), the constraints and the variable bounds and
+    integrality. It reads the LP subset that ``export_lp`` writes: one row
+    per line, each term ``[+|-] [coefficient] name``."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.sparse import coo_array
+
+    index: dict[str, int] = {}
+
+    def linear(tokens):
+        terms, sign, coef = {}, 1, 1
+        for tok in tokens:
+            if tok in ("+", "-"):
+                sign = 1 if tok == "+" else -1
+            elif tok[0].isdigit():
+                coef = int(tok)
+            else:
+                j = index.setdefault(tok, len(index))
+                terms[j] = terms.get(j, 0) + sign * coef
+                sign, coef = 1, 1
+        return terms
+
+    section, objective, rows, bounds, integer = None, {}, [], {}, set()
+    for line in text.splitlines():
+        tokens = line.split()
+        if not line.startswith(" "):
+            section = None if line.startswith("\\") else line
+        elif section == "Maximize":
+            objective = linear(tokens[1:])  # tokens[0] is "obj:"
+        elif section == "Subject To":
+            *lhs, op, rhs = tokens[1:]
+            rows.append((linear(lhs), op, int(rhs)))
+        elif section == "Bounds":
+            lo, _, name, _, hi = tokens
+            bounds[index.setdefault(name, len(index))] = (int(lo), int(hi))
+        elif section in ("Generals", "Binaries"):
+            for name in tokens:
+                integer.add(j := index.setdefault(name, len(index)))
+                if section == "Binaries":
+                    bounds[j] = (0, 1)
+    n = len(index)
+    cost = np.zeros(n)
+    for j, v in objective.items():
+        cost[j] = -v
+    entries = [(i, j, v) for i, (terms, _, _) in enumerate(rows) for j, v in terms.items()]
+    i, j, v = zip(*entries)
+    matrix = coo_array((v, (i, j)), shape=(len(rows), n)).tocsr()
+    lower = [rhs if op in ("=", ">=") else -np.inf for _, op, rhs in rows]
+    upper = [rhs if op in ("=", "<=") else np.inf for _, op, rhs in rows]
+    var_lo, var_hi = zip(*(bounds.get(j, (0, np.inf)) for j in range(n)))
+    return dict(
+        c=cost,
+        constraints=LinearConstraint(matrix, lower, upper),
+        integrality=[int(j in integer) for j in range(n)],
+        bounds=Bounds(var_lo, var_hi),
+    )
+
+
+def test_highs_solves_the_exported_lp_to_the_exact_optimum():
+    # HiGHS reads the model only through the LP text, so a row that export_lp
+    # writes wrong moves its optimum away from the exact search's, which
+    # shares no code with the text.
+    milp = pytest.importorskip("scipy.optimize").milp
+    wrong = []
+    for seed in range(200):
+        inst = random_instance(seed)
+        found = milp(**read_lp(export_lp(inst)))
+        try:
+            profit = solve_exact(inst).profit
+        except Infeasible:
+            profit = None
+        assert found.status in (0, 2), (seed, found.message)  # optimal or infeasible
+        if (None if found.status == 2 else round(-found.fun)) != profit:
+            wrong.append((seed, found.fun, profit))
+    assert wrong == []
+
 def test_infeasible_when_nothing_is_affordable():
     spec = wf("w", [("t", {"large": 5})])
     inst = build_instance([spec], 5, 2, 1, [("large", 5)])

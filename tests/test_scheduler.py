@@ -1,7 +1,9 @@
 """Dispatch mechanics: the state's dynamic pairing and plan following."""
 
+import ast
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from conftest import chain_wf, handle, two_type_system, users, wf
 from test_plan import random_dags
 from wfasim.dagops import WorkflowGraph
 from wfasim.policies.base import ExecutionPlan, PlanEntry
+from wfasim import scheduler
 from wfasim.scheduler import PlanRunner
 from wfasim.model import ResourceState
 from wfasim.state import SystemState, UserFacade
@@ -260,3 +263,16 @@ def test_due_queue_dispatch_matches_the_scan(specs, boot_delay_s, data):
         # due heads pile up
         for u in data.draw(st.lists(st.sampled_from(users_), unique=True), label="dispatched"):
             assert runner.dispatch(state, u, now) == scan_dispatch(scan[u], twin, u, now)
+
+
+def test_scheduler_leaves_machine_states_to_the_state():
+    # plan dispatch asks the state which due machines are idle, so the
+    # scheduler names no machine state and reads no machine's ``state``
+    tree = ast.parse(Path(scheduler.__file__).read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name.rpartition(".")[2] for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert "SystemState" in names and "popleft" in attrs  # the walk sees the scheduler
+    assert "ResourceState" not in names | attrs
+    assert "state" not in attrs

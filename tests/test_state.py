@@ -137,11 +137,12 @@ def check_handles(state):
         assert len(per_task) == base
 
 
-def check_queries(state, finished, running, free_from):
+def check_queries(state, finished, running, free_from, among):
     """``finished`` and ``running`` map the refs the test finished, and the
     ones it started and has not finished, to the machine ids they ran on.
     ``free_from`` maps each held machine that is not busy to the time the
-    test made it free: reserved plus the boot delay, booted, or finished."""
+    test made it free: reserved plus the boot delay, booted, or finished.
+    ``among`` is a set of ids, machine ids or not, to ask ``idle_among``."""
     check_handles(state)
     refs = lambda hs: [state.ref(h) for h in hs]  # noqa: E731
     status = brute_status(state, finished, running)
@@ -168,6 +169,7 @@ def check_queries(state, finished, running, free_from):
         assert state.idle_resources(u) == [r.id for r in idle]
         for t in TYPES:
             assert state.idle_resources(u, t) == [r.id for r in idle if r.rtype.id == t]
+        assert state.idle_among(u, among) == [r.id for r in idle if r.id in among]
         assert facade.idle() == tuple((r.id, free_from[r.id]) for r in idle)
         mine = held(state, u)
         running_on = {rid: handle(state, *ref) for ref, rid in running.items()}
@@ -217,8 +219,8 @@ def check_queries(state, finished, running, free_from):
         ]
         assert sorted(refs(rec.frontier)) == sorted(frontier)
         for rs in (ResourceState.BOOTING, ResourceState.IDLE, ResourceState.BUSY):
-            for t in TYPES:
-                assert rec.pools[rs][t] == {r.id for r in held(state, u, (rs,)) if r.rtype.id == t}
+            assert rec.pools[rs] == {r.id for r in held(state, u, (rs,))}
+        assert rec.held == {t: sum(r.rtype.id == t for r in mine) for t in TYPES}
         # the frontier walk PFA runs counts the same waves as the explicit
         # walk over the joint DAG, at every depth
         for depth in (*range(1, 9), None):
@@ -252,7 +254,8 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
     running: dict = {}
     free_from: dict = {}  # machine id -> time it is free from
     now = 0
-    check_queries(state, finished, running, free_from)
+    ids = st.sets(st.integers(-1, len(state.resources)))  # -1 and n name no machine
+    check_queries(state, finished, running, free_from, data.draw(ids, label="among"))
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         now += data.draw(st.sampled_from((0, 0, 30)), label="advance")
         op = data.draw(st.sampled_from(OPS), label="op")
@@ -310,7 +313,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
                 r = data.draw(st.sampled_from(due))
                 state.apply(r.user, [r.id], [], now)
                 del free_from[r.id]
-        check_queries(state, finished, running, free_from)
+        check_queries(state, finished, running, free_from, data.draw(ids, label="among"))
 
 
 # -- a decision applies whole or not at all ---------------------------------------

@@ -250,21 +250,3 @@ def test_a_workflow_generated_on_its_own_matches_golden_digest():
     w = generate_workflow(7, DagRecipe("wide-join"), ["u1", "u2"], ("s", "l"), WL2,
                           seed=[4, 4], id_prefix="x")
     assert _digest(workflow_to_dict(w)) == GOLDEN_SINGLE_WORKFLOW
-
-
-@pytest.mark.parametrize("rule", [WL1, WL2], ids=lambda r: r.name)
-def test_the_deviation_draw_equals_numpy_uniform(rule):
-    # The generator draws the deviation as lo + span * random(), numpy's own
-    # formula for a scalar uniform(lo, hi), consuming the same single draw. A
-    # numpy build that computed it otherwise (say, with a fused multiply-add)
-    # would change generated workloads; this fails first.
-    np = pytest.importorskip("numpy")
-    lo = -rule.max_deviation
-    span = rule.max_deviation - lo
-    for seed in (0, [11, 7]):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        uniform, random = a.uniform, b.random
-        draws = 100_000
-        assert [uniform(lo, rule.max_deviation) for _ in range(draws)] == [
-            lo + span * random() for _ in range(draws)
-        ]

@@ -7,8 +7,9 @@ Usage::
 The script imports ``wfasim`` from ``<repo root>/src`` and the benchmark's
 inputs from ``<repo root>/wfbench/workloads.py``, and changes no file in
 the checkout. Run on two checkouts, it tells whether they write the same
-bytes: a refactor that claims to change no output must print the same four
-lines on both. The groups are:
+bytes: a refactor that claims to change no output must print the same
+lines on both. It prints one line per group, then one per file kind. The
+groups are:
 
 ``cli``
     12 ``wfasim run`` replications: ``pfa-ma``, ``pfa-ewma``, ``plf`` and
@@ -29,6 +30,12 @@ lines on both. The groups are:
 ``mip``
     The 800 seed-1 ``mip-exact`` instances: each one's LP text, its exact
     solution and the issues ``check_solution`` finds in it.
+
+The kind lines hash the items of the ``cli``, ``sim`` and ``oracle`` groups
+again, split by what they are: ``trace``, ``snapshots``, ``diagnostics``,
+``plans``, and ``metrics`` (the ``metrics_r*.json`` files, the summaries and
+the tick counts). A change that moves a group line on purpose, say by a new
+summary field, shows by them which kinds of output kept their bytes.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ CLI_POLICIES = {
     "scf": {"name": "scf"},
 }
 RUN_FILES = ("trace.csv", "snapshots.csv", "diagnostics.jsonl", "plans.jsonl")
+KINDS = ("trace", "snapshots", "diagnostics", "plans", "metrics")
 
 
 def _feed(h, label: str, data: bytes) -> None:
@@ -57,13 +65,19 @@ def _feed(h, label: str, data: bytes) -> None:
     h.update(data)
 
 
+def _feed_kind(h, kinds: dict, kind: str, label: str, data: bytes) -> None:
+    """Hash one item into its group's hash and into its kind's."""
+    _feed(h, label, data)
+    _feed(kinds[kind], label, data)
+
+
 def _summary_bytes(summary: dict) -> bytes:
     summary = dict(summary)
     summary.pop("per_policy_runtime_stats", None)
     return json.dumps(summary, sort_keys=True).encode()
 
 
-def cli_group(cli, tmp: Path) -> tuple[str, int]:
+def cli_group(cli, tmp: Path, kinds: dict) -> tuple[str, int]:
     config = {
         "schema": "wfasim-config-1",
         "seed": 3,
@@ -92,23 +106,26 @@ def cli_group(cli, tmp: Path) -> tuple[str, int]:
         if code != 0:
             raise SystemExit(f"cli: wfasim run {name} exited with {code}")
         for f in sorted(out.iterdir()):
-            if f.name.startswith(("trace_", "snapshots_", "diagnostics_", "plans_")):
-                _feed(h, f"{name}/{f.name}", f.read_bytes())
+            kind = f.name.partition("_")[0]
+            if kind in ("trace", "snapshots", "diagnostics", "plans"):
+                _feed_kind(h, kinds, kind, f"{name}/{f.name}", f.read_bytes())
                 files += 1
             elif f.name.startswith("metrics_r"):
-                _feed(h, f"{name}/{f.name}", _summary_bytes(json.loads(f.read_text())))
+                _feed_kind(h, kinds, "metrics", f"{name}/{f.name}",
+                           _summary_bytes(json.loads(f.read_text())))
     return h.hexdigest(), files
 
 
-def _feed_run(h, label: str, result, tmp: Path) -> None:
+def _feed_run(h, kinds: dict, label: str, result, tmp: Path) -> None:
     result.write_trace_csv(tmp / "trace.csv")
     result.write_snapshots_csv(tmp / "snapshots.csv")
     result.write_diagnostics_jsonl(tmp / "diagnostics.jsonl")
     result.write_plans_jsonl(tmp / "plans.jsonl")
     for name in RUN_FILES:
-        _feed(h, f"{label}/{name}", (tmp / name).read_bytes())
-    _feed(h, f"{label}/ticks", str(result.ticks).encode())
-    _feed(h, f"{label}/summary", _summary_bytes(result.summary()))
+        _feed_kind(h, kinds, name.partition(".")[0], f"{label}/{name}",
+                   (tmp / name).read_bytes())
+    _feed_kind(h, kinds, "metrics", f"{label}/ticks", str(result.ticks).encode())
+    _feed_kind(h, kinds, "metrics", f"{label}/summary", _summary_bytes(result.summary()))
 
 
 def _system(workloads, cfg, boot_delay_s: int):
@@ -127,7 +144,7 @@ def _inputs(workloads, seed: int) -> dict:
     return workloads.SimWorkload((), workloads.GRID + workloads.SCALED).setup(seed)
 
 
-def sim_group(engine, workloads, tmp: Path) -> tuple[str, int]:
+def sim_group(engine, workloads, tmp: Path, kinds: dict) -> tuple[str, int]:
     from wfasim.model import UserConfig
 
     h = hashlib.sha256()
@@ -141,7 +158,8 @@ def sim_group(engine, workloads, tmp: Path) -> tuple[str, int]:
                 for name, make in workloads.POLICIES.items():
                     result = engine.run(inputs[cfg.label], system, users, make(),
                                         seed=seed, collect_plans=True)
-                    _feed_run(h, f"{name}@{cfg.label}/s{seed}/b{boot_delay_s}", result, tmp)
+                    _feed_run(h, kinds, f"{name}@{cfg.label}/s{seed}/b{boot_delay_s}",
+                              result, tmp)
                     runs += 1
     return h.hexdigest(), runs
 
@@ -162,7 +180,7 @@ def _misled(planner, oracle):
     return Misled()
 
 
-def oracle_group(engine, workloads, tmp: Path) -> tuple[str, int]:
+def oracle_group(engine, workloads, tmp: Path, kinds: dict) -> tuple[str, int]:
     from wfasim.model import UserConfig
     from wfasim.policies import PlfPolicy, ScfPolicy
 
@@ -178,7 +196,7 @@ def oracle_group(engine, workloads, tmp: Path) -> tuple[str, int]:
                     result = engine.run(inputs[cfg.label], system, users,
                                         _misled(planner, oracle), seed=1, collect_plans=True)
                     label = f"{planner.name}@{cfg.label}/{oracle.__name__}/b{boot_delay_s}"
-                    _feed_run(h, label, result, tmp)
+                    _feed_run(h, kinds, label, result, tmp)
                     runs += 1
     return h.hexdigest(), runs
 
@@ -208,12 +226,15 @@ def main(argv: list[str]) -> int:
 
     if not Path(wfasim.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"wfasim was imported from {wfasim.__file__}, not from {root}")
+    kinds = {kind: hashlib.sha256() for kind in KINDS}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        print("cli     %s  (%d files)" % cli_group(cli, tmp))
-        print("sim     %s  (%d runs)" % sim_group(engine, workloads, tmp))
-        print("oracle  %s  (%d runs)" % oracle_group(engine, workloads, tmp))
+        print("cli     %s  (%d files)" % cli_group(cli, tmp, kinds))
+        print("sim     %s  (%d runs)" % sim_group(engine, workloads, tmp, kinds))
+        print("oracle  %s  (%d runs)" % oracle_group(engine, workloads, tmp, kinds))
         print("mip     %s  (%d instances)" % mip_group(mip, workloads))
+    for kind, h in kinds.items():
+        print("%-12s%s" % (kind, h.hexdigest()))
     return 0
 
 
