@@ -48,6 +48,25 @@ ZIG_R = 3.6541528853610088
 ZIG_INV_R = 0.27366123732975828
 
 
+def _powers(init: int, mult: int, count: int) -> list[int]:
+    """``init * mult**k`` modulo 2**32, for k below ``count``."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & M32)
+    return out
+
+
+# SeedSequence hashes words in a fixed order, whatever their values: its
+# k-th hash XORs a word with the k-th constant and multiplies it by the
+# (k+1)-th. The pool's first fill and its cross mix make 4 + 12 hashes,
+# and each entropy word past the fourth makes 4 more, read from a longer
+# sequence made for the call. Expanding the pool makes 8 hashes with the B
+# constants.
+_HASH_A = _powers(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE + 1)
+_HASH_B = _powers(INIT_B, MULT_B, 2 * POOL_SIZE + 1)
+_CROSS = tuple((src, dst) for src in range(POOL_SIZE) for dst in range(POOL_SIZE) if src != dst)
+
+
 def seed_state(words: list[int]) -> tuple[int, int]:
     """The PCG64 state and increment that numpy seeds from ``words``, each
     a non-negative int taken as its little-endian 32-bit digits."""
@@ -57,36 +76,32 @@ def seed_state(words: list[int]) -> tuple[int, int]:
         while word > M32:
             word >>= 32
             entropy.append(word & M32)
+    extra = entropy[POOL_SIZE:]
+    entropy += [0] * (POOL_SIZE - len(entropy))
+    a = _powers(INIT_A, MULT_A, POOL_SIZE * (POOL_SIZE + len(extra)) + 1) if extra else _HASH_A
 
-    hash_const = INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * MULT_A & M32
-        value = value * hash_const & M32
-        return value ^ value >> XSHIFT
-
-    def mix(x: int, y: int) -> int:
-        result = (MIX_MULT_L * x - MIX_MULT_R * y) & M32
-        return result ^ result >> XSHIFT
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(POOL_SIZE)]
-    for src in range(POOL_SIZE):
+    pool = []
+    for k in range(POOL_SIZE):
+        value = (entropy[k] ^ a[k]) * a[k + 1] & M32
+        pool.append(value ^ value >> XSHIFT)
+    k = POOL_SIZE
+    for src, dst in _CROSS:
+        value = (pool[src] ^ a[k]) * a[k + 1] & M32
+        k += 1
+        value = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (value ^ value >> XSHIFT)) & M32
+        pool[dst] = value ^ value >> XSHIFT
+    for word in extra:
         for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[POOL_SIZE:]:
-        for dst in range(POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+            value = (word ^ a[k]) * a[k + 1] & M32
+            k += 1
+            value = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (value ^ value >> XSHIFT)) & M32
+            pool[dst] = value ^ value >> XSHIFT
 
     # generate_state(4, uint64): eight 32-bit words, paired little-endian
-    hash_const = INIT_B
+    b = _HASH_B
     halves = []
-    for i in range(8):
-        value = pool[i % POOL_SIZE] ^ hash_const
-        hash_const = hash_const * MULT_B & M32
-        value = value * hash_const & M32
+    for i in range(2 * POOL_SIZE):
+        value = (pool[i % POOL_SIZE] ^ b[i]) * b[i + 1] & M32
         halves.append(value ^ value >> XSHIFT)
     s0, s1, i0, i1 = (halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2))
     inc = ((i0 << 64 | i1) << 1 | 1) & M128

@@ -231,7 +231,9 @@ class Resource:
     release before it is refused. The engine bills every later interval at
     the tick that opens it, and releases only at ticks, so nothing moves it.
     While held and not busy, ``free_s`` is the time the machine is free
-    from: its boot end while it boots, else the time it went idle.
+    from: its boot end while it boots, else the time it went idle. While
+    busy, ``running`` is the handle of the task it runs and ``start_s`` the
+    time that task started; ``start_s`` is read only while busy.
     """
 
     id: int
@@ -241,6 +243,7 @@ class Resource:
     billing_end_s: int | None = None
     free_s: int | None = None
     running: int | None = None  # handle of the running task
+    start_s: int | None = None  # when the running task started
 
 
 def min_runtime(task: TaskSpec) -> int:

@@ -21,15 +21,16 @@ index ``i`` gets the handle ``base + i``. Handles are dense and ascend in
 arrival, then topological, order. The per-task records are flat lists on
 ``SystemState``, indexed by handle and extended at each arrival:
 ``task_runs`` (the task's run), ``workflow`` (its workflow's id), ``tasks``
-(its ``TaskSpec``), ``blocked`` (count of unfinished parents), ``start_s``
-and ``machine`` (the id of the machine it ran on, -1 before it starts).
+(its ``TaskSpec``), ``blocked`` (count of unfinished parents) and
+``machine`` (the id of the machine it ran on, -1 before it starts).
 ``blocked`` and ``machine`` also give a task's status: it is eligible
 while it has no unfinished parent and no machine, and running while its
-machine runs it. Only this module turns a topological index into a handle.
-Plan entries carry handles too. String ids stay at the edges: the trace and
-the output files name tasks by ``(workflow id, task id)``, which ``ref``
-reads off a handle. Policies read none of this directly: ``UserFacade``
-below is their one view of the state.
+machine runs it. A running task's start is held only by its machine, in
+``Resource.start_s``: no per-task record keeps a start. Only this module
+turns a topological index into a handle. Plan entries carry handles too.
+String ids stay at the edges: the trace and the output files name tasks by
+``(workflow id, task id)``, which ``ref`` reads off a handle. Policies read
+none of this directly: ``UserFacade`` below is their one view of the state.
 
 Queries are served from indexes that the transitions below keep up to date,
 so no query scans every machine or re-sorts every eligible task. Each user
@@ -135,7 +136,6 @@ class SystemState:
         self.workflow: list[str] = []
         self.tasks: list[TaskSpec] = []
         self.blocked: list[int] = []
-        self.start_s: list[int] = []
         self.machine: list[int] = []
         type_ids = tuple(t.id for t in config.types)
         self._index = {u.id: UserIndex(type_ids) for u in users}
@@ -185,7 +185,6 @@ class SystemState:
         self.workflow.extend(repeat(spec.id, n))
         self.tasks.extend(graph.tasks)
         self.blocked.extend(map(len, graph.parents))
-        self.start_s.extend(repeat(0, n))
         self.machine.extend(repeat(-1, n))
         for i, cs in enumerate(graph.children):
             rec.unfinished[base + i] = tuple(map(base.__add__, cs))
@@ -201,7 +200,6 @@ class SystemState:
             raise ValueError(f"task {'/'.join(self.ref(h))} not eligible")
         if resource.state is not _IDLE or resource.user != run.spec.user:
             raise ValueError(f"resource {rid} not idle for {run.spec.user}")
-        self.start_s[h] = now
         machine[h] = rid
         rec = run.user_index
         rec.eligible -= 1
@@ -209,6 +207,7 @@ class SystemState:
         rec.pools[_BUSY].add(rid)
         resource.state = _BUSY
         resource.running = h
+        resource.start_s = now
         # The started task's heap entry is now stale: an entry is live while
         # its task has no machine. A task started out of heap order leaves it
         # buried, so compact once stale entries outnumber live ones; the heap
@@ -229,8 +228,7 @@ class SystemState:
         rids = sorted(idle)
         if not rids:
             return []
-        heap, machine, blocked = rec.heap, self.machine, self.blocked
-        resources, start_s = self.resources, self.start_s
+        heap, machine, blocked, resources = rec.heap, self.machine, self.blocked, self.resources
         out: list[tuple[int, int]] = []
         for rid in rids:
             # the first live entry: an entry is stale once its task has a
@@ -243,12 +241,12 @@ class SystemState:
                 raise ValueError(f"task {'/'.join(self.ref(h))} not eligible")
             if resource.state is not _IDLE or resource.user != user:
                 raise ValueError(f"resource {rid} not idle for {user}")
-            start_s[h] = now
             machine[h] = rid
             idle.remove(rid)
             busy.add(rid)
             resource.state = _BUSY
             resource.running = h
+            resource.start_s = now
             out.append((h, rid))
             rec.eligible -= 1
             if not rec.eligible:
@@ -450,12 +448,12 @@ class UserFacade:
         first. A busy machine gives its task's handle and start. Any other
         gives -1 and the time it is free from: its boot end while it boots,
         else the time it went idle."""
-        resources, start_s = self._state.resources, self._state.start_s
+        resources = self._state.resources
         out = []
         for rid in sorted(chain.from_iterable(self._rec.pools.values())):
             r = resources[rid]
             if r.state is _BUSY:
-                out.append((r.id, r.rtype.id, r.running, start_s[r.running]))
+                out.append((r.id, r.rtype.id, r.running, r.start_s))
             else:
                 out.append((r.id, r.rtype.id, -1, r.free_s))
         return tuple(out)

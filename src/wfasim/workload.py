@@ -33,8 +33,9 @@ The workflows of one :func:`generate_workload` call share their task id
 strings and their ``(parent id, child id)`` edge pairs: equal ids and equal
 edges are one object. Their tasks share one ``types`` tuple, the two type
 ids (a WL1 swap reorders the runtimes, not the types), and equal
-``runtimes`` tuples are one object too: no task holds a dict. Specs are
-never mutated, so the sharing shows only in memory.
+``runtimes`` tuples are one object too: no task holds a dict. Equal tasks,
+the same id with the same runtimes, are one ``TaskSpec``. Specs are never
+mutated, so the sharing shows only in memory.
 """
 
 from __future__ import annotations
@@ -229,8 +230,9 @@ class _Generator:
     """What the workflows of one generator call share: the models'
     constants, one id string per task position, grown as sizes need, one
     ``(parent id, child id)`` pair per pair of positions, made the first
-    time an edge needs it, the tuple of the two type ids, and one tuple per
-    distinct pair of runtimes."""
+    time an edge needs it, the tuple of the two type ids, one tuple per
+    distinct pair of runtimes, and one task per position and pair of
+    runtimes, made the first time a workflow needs it."""
 
     def __init__(
         self,
@@ -254,6 +256,7 @@ class _Generator:
         self.runtimes: dict[tuple[int, int], tuple[int, int]] = {}
         self.task_ids: list[str] = []
         self.edge_pairs: list[dict[int, tuple[str, str]]] = []  # by parent position
+        self.task_specs: list[dict[tuple[int, int], TaskSpec]] = []  # by position
 
     def workflow(self, index: int, recipe: DagRecipe) -> WorkflowSpec:
         """Build one workflow, reproducible from (seed, index) alone."""
@@ -262,10 +265,11 @@ class _Generator:
         size = round(rng.lognormal(math.log(sizes.log_median), sizes.log_sigma))
         size = min(max(size, sizes.min_tasks), sizes.max_tasks)
         edges_ix = recipe.build(size, rng)
-        ids, pairs = self.task_ids, self.edge_pairs
+        ids, pairs, specs = self.task_ids, self.edge_pairs, self.task_specs
         if len(ids) < size:
             ids.extend(f"t{j:03d}" for j in range(len(ids), size))
             pairs.extend({} for _ in range(len(pairs), size))
+            specs.extend({} for _ in range(len(specs), size))
         edges = []
         for a, b in edges_ix:
             row = pairs[a]
@@ -283,12 +287,16 @@ class _Generator:
         draws = iter(rng.task_draws(size, mu, sigma, 2 if swap else 1))
         types, task, share = self.types, TaskSpec.aligned, self.runtimes.setdefault
         tasks = []
-        for task_id, raw, deviation, flip in zip(ids[:size], draws, draws,
-                                                 draws if swap else _NO_SWAP):
+        for task_id, shared, raw, deviation, flip in zip(ids[:size], specs, draws, draws,
+                                                         draws if swap else _NO_SWAP):
             base = scale_runtimes(raw, divisor)
             other = max(1, floor(base * (1 + (lo + span * deviation)) + 0.5))
             pair = (other, base) if flip < 0.5 else (base, other)
-            tasks.append(task(task_id, types, share(pair, pair)))
+            spec = shared.get(pair)
+            if spec is None:
+                pair = share(pair, pair)
+                spec = shared[pair] = task(task_id, types, pair)
+            tasks.append(spec)
 
         priority = rng.integers(0, 10)
         user = self.users[rng.integers(0, len(self.users))]

@@ -234,13 +234,15 @@ def test_planner_places_on_earliest_available_lowest_id():
     assert plan.entries()[0].resource_id == 1
 
 
-def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, extra_resources):
+def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, extra_resources,
+                    started):
     """The planner before its frontier walk, kept as the reference: the same
     slots and phase 1, then a phase 2 that scans every unfinished task of
     each workflow in topological order and places those whose parents are
     all finished or planned. Tasks, parents and order come from the specs,
     whether a task is finished from the user's unfinished workflows, and its
-    plan entry from its handle."""
+    plan entry from its handle. ``started`` maps each running task's handle
+    to the time the caller started it."""
     plan = ExecutionPlan()
     task_of = {(w.spec.id, t.id): t for w in state.runs.values() for t in w.spec.tasks}
     unfinished = {h for *_, hs in UserFacade(state, user).workflows() for h in hs}
@@ -252,7 +254,7 @@ def scan_build_plan(state, user, now, horizon_s, oracle, workflow_order, typed, 
     for r in (r for r in state.resources if r.user == user):
         if r.state is ResourceState.BUSY:
             wf_id, task_id = state.ref(r.running)
-            start = state.start_s[r.running]
+            start = started[r.running]
             end = start + oracle(task_of[(wf_id, task_id)], r.rtype.id)
             plan.add(PlanEntry(r.id, r.running, start, end, pinned=True))
             slots.append((r.id, r.rtype.id, end))
@@ -323,6 +325,7 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
     system = two_type_system(small=3, large=3, interval_s=60, boot_delay_s=boot_delay_s)
     state = make_state(specs, system=system)
     now = 0
+    started = {}  # handle -> time it started
     for _ in range(data.draw(st.integers(0, 25), label="steps")):
         now += data.draw(st.sampled_from((0, 5, 20)), label="advance")
         res = state.resources
@@ -334,6 +337,7 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
         elif op == "start" and (idle := state.idle_resources("u1")) and state.eligible_tasks("u1"):
             h = data.draw(st.sampled_from(state.eligible_tasks("u1")))
             state.start_task(h, data.draw(st.sampled_from(idle)), now)
+            started[h] = now
         elif op == "finish" and (busy := [r for r in res if r.state is ResourceState.BUSY]):
             state.finish_task(data.draw(st.sampled_from(busy)).running, now)
     active = [w for w, *_ in UserFacade(state, "u1").workflows()]
@@ -352,7 +356,7 @@ def test_frontier_walk_plans_what_the_scan_plans(specs, boot_delay_s, data):
         view_for(state, now=now), config=dataclasses.replace(state.config, interval_s=interval_s)
     )
     expected = scan_build_plan(state, "u1", now, now + interval_s, perfect_oracle, order, typed,
-                               extra)
+                               extra, started)
     assert build_plan(view, order, typed, extra).entries() == expected.entries()
 
 

@@ -132,14 +132,14 @@ def check_handles(state):
             assert state.workflow[h] == wf_id
             assert state.ref(h) == (wf_id, tid)
         base += len(order)
-    for per_task in (state.task_runs, state.workflow, state.tasks, state.blocked, state.start_s,
-                     state.machine):
+    for per_task in (state.task_runs, state.workflow, state.tasks, state.blocked, state.machine):
         assert len(per_task) == base
 
 
-def check_queries(state, finished, running, free_from, among):
+def check_queries(state, finished, running, started, free_from, among):
     """``finished`` and ``running`` map the refs the test finished, and the
     ones it started and has not finished, to the machine ids they ran on.
+    ``started`` maps each ref the test started to the time it started it.
     ``free_from`` maps each held machine that is not busy to the time the
     test made it free: reserved plus the boot delay, booted, or finished.
     ``among`` is a set of ids, machine ids or not, to ask ``idle_among``."""
@@ -172,9 +172,9 @@ def check_queries(state, finished, running, free_from, among):
         assert state.idle_among(u, among) == [r.id for r in idle if r.id in among]
         assert facade.idle() == tuple((r.id, free_from[r.id]) for r in idle)
         mine = held(state, u)
-        running_on = {rid: handle(state, *ref) for ref, rid in running.items()}
+        running_on = {rid: ref for ref, rid in running.items()}
         assert facade.held() == tuple(
-            (r.id, r.rtype.id, running_on[r.id], state.start_s[running_on[r.id]])
+            (r.id, r.rtype.id, handle(state, *running_on[r.id]), started[running_on[r.id]])
             if r.state is ResourceState.BUSY
             else (r.id, r.rtype.id, -1, free_from[r.id])
             for r in mine
@@ -252,10 +252,11 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
     pending = [make_workflow(i, *args) for i, args in enumerate(specs)]
     finished: dict = {}  # ref -> machine id it ran on
     running: dict = {}
+    started: dict = {}  # ref -> time it started
     free_from: dict = {}  # machine id -> time it is free from
     now = 0
     ids = st.sets(st.integers(-1, len(state.resources)))  # -1 and n name no machine
-    check_queries(state, finished, running, free_from, data.draw(ids, label="among"))
+    check_queries(state, finished, running, started, free_from, data.draw(ids, label="among"))
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         now += data.draw(st.sampled_from((0, 0, 30)), label="advance")
         op = data.draw(st.sampled_from(OPS), label="op")
@@ -288,6 +289,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
                 ref, r = data.draw(st.sampled_from(pairs))
                 state.start_task(handle(state, *ref), r.id, now)
                 running[ref] = r.id
+                started[ref] = now
         elif op == "dispatch":
             u = data.draw(st.sampled_from(USERS))
             expected = [
@@ -298,6 +300,7 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
             got = [(state.ref(h), rid) for h, rid in state.start_eligible(u, now)]
             assert got == expected
             running.update(expected)
+            started.update((ref, now) for ref, _rid in expected)
         elif op == "finish":
             if running:
                 ref = data.draw(st.sampled_from(sorted(running)))
@@ -313,7 +316,8 @@ def test_indexes_agree_with_full_scans(small, large, boot_delay_s, specs, data):
                 r = data.draw(st.sampled_from(due))
                 state.apply(r.user, [r.id], [], now)
                 del free_from[r.id]
-        check_queries(state, finished, running, free_from, data.draw(ids, label="among"))
+        check_queries(state, finished, running, started, free_from,
+                      data.draw(ids, label="among"))
 
 
 # -- a decision applies whole or not at all ---------------------------------------

@@ -75,6 +75,19 @@ def test_generated_tasks_hold_tuples_and_no_dict():
     assert all(len(r) == 2 and min(r) >= 1 for r in runtimes)
 
 
+@pytest.mark.parametrize("rule", [WL1, WL2], ids=["wl1", "wl2"])
+def test_equal_tasks_are_one_object_within_a_call(rule):
+    # tasks at one position, so with one id, and with equal runtimes are
+    # one TaskSpec; tasks that differ in either are separate objects
+    tasks = [(pos, t) for w in generate_workload(40, users=["u1"], rule=rule, seed=5)
+             for pos, t in enumerate(w.tasks)]
+    first = {}
+    for pos, t in tasks:
+        assert t.id == f"t{pos:03d}"
+        assert first.setdefault((pos, t.runtimes), t) is t
+    assert len({id(t) for _, t in tasks}) == len(first) < len(tasks)
+
+
 def test_workflows_are_deterministic_per_seed_and_index():
     a = generate_workload(6, users=["u1"], rule=WL1, seed=42)
     b = generate_workload(6, users=["u1"], rule=WL1, seed=42)

@@ -1,4 +1,5 @@
-"""Print the memory a benchmark workload holds live, as tracemalloc counts it.
+"""Print the memory a benchmark workload holds live, as tracemalloc counts it,
+and the process's resident peak, as the benchmark reads it.
 
 Usage::
 
@@ -6,7 +7,12 @@ Usage::
 
 The script imports ``wfasim`` from ``<repo root>/src`` and the workload from
 ``<repo root>/wfbench/workloads.py``, and changes no file in the checkout:
-the operations write into a temporary directory. It prints:
+the operations write into a temporary directory. It first runs the set-up
+and one pass untraced, holding each operation's output as the benchmark's
+pass does, and reads the process's peak resident memory (``ru_maxrss``)
+after the set-up and after each operation. The last of these is close to
+what ``wfbench/run.py`` reports as ``peak_mem_mb``, the same peak read after
+its first pass. Then, traced, it prints beside those:
 
 - the live MB after the workload's set-up, with its inputs held;
 - for each operation of one pass, the live MB when its ``engine.run``
@@ -16,15 +22,17 @@ the operations write into a temporary directory. It prints:
 - the 10 source lines that hold the most memory at the heaviest of those
   readings, taken by running that operation once more.
 
-Every reading follows a full garbage collection. tracemalloc slows Python
-several times over, so the timings of a traced process mean nothing; run
-``wfbench/run.py`` for those.
+Every live reading follows a full garbage collection. The resident peak
+can move by about half a MB while live memory does not, even with a change
+only to code the workload never runs. tracemalloc slows Python several times over, so the timings
+of a traced process mean nothing; run ``wfbench/run.py`` for those.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -32,6 +40,27 @@ from pathlib import Path
 
 MB = 1e6
 TOP_LINES = 10
+
+
+def max_rss_mb() -> float:
+    """The process's peak resident memory so far; Linux counts ``ru_maxrss``
+    in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MB
+
+
+def untraced_pass(workload, seed: int) -> dict[str, float]:
+    """The resident peak after the set-up and after each operation of one
+    untraced pass, by operation name."""
+    inputs = workload.setup(seed)
+    rss = {"set-up": max_rss_mb()}
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = workload.operations(inputs, seed, Path(tmp))
+        gc.collect()
+        outputs = []  # held, as the benchmark holds a pass's outputs
+        for op in ops:
+            outputs.append(op.run())
+            rss[op.name] = max_rss_mb()
+    return rss
 
 
 def live_mb() -> float:
@@ -62,6 +91,7 @@ def main(argv: list[str]) -> int:
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
     workload = workloads.WORKLOADS[args.workload]
+    rss = untraced_pass(workload, args.seed)
 
     # engine.run, read as it returns; the operations look it up on each call
     at_return: list = []
@@ -76,7 +106,7 @@ def main(argv: list[str]) -> int:
     tracemalloc.start()
     try:
         inputs = workload.setup(args.seed)
-        print(f"{'set-up':<24} {live_mb():8.2f} MB live")
+        print(f"{'set-up':<24} {live_mb():8.2f} MB live, {'':13} {rss['set-up']:8.2f} MB max RSS")
         with tempfile.TemporaryDirectory() as tmp:
             ops = workload.operations(inputs, args.seed, Path(tmp))
             readings = []
@@ -87,7 +117,8 @@ def main(argv: list[str]) -> int:
                 peak = tracemalloc.get_traced_memory()[1] / MB
                 live = at_return[-1] if at_return else live_mb()
                 readings.append((live, op))
-                print(f"{op.name:<24} {live:8.2f} MB live, {peak:8.2f} MB peak")
+                print(f"{op.name:<24} {live:8.2f} MB live, {peak:8.2f} MB peak, "
+                      f"{rss[op.name]:8.2f} MB max RSS")
             heaviest = max(readings, key=lambda r: r[0])[1]
             at_return.clear()
             read = snapshot
