@@ -48,7 +48,7 @@ def main() -> None:
         [workflow], system, [UserConfig("alice", 12)], PfaPolicy(), seed=1
     )
 
-    trace = result.trace  # parsed from the run's CSV text on each read
+    trace = result.trace  # parsed from the run's trace file on each read
     print("Event trace (time, event, task, resource type):")
     for row in trace:
         time_s, event, _user, _wf, task, _res, rtype, detail = row

@@ -8,9 +8,10 @@ Subcommands:
 Config and spec files are strict JSON, checked against :mod:`wfasim.schema`;
 unknown keys are rejected so experiment files stay reproducible.
 
-Exit codes: 0 success, 2 invalid config/spec/input, 3 instance over the
-exact solver's limits, 4 engine invariant violation (a budget or capacity
-breach, which a correct policy never triggers).
+Exit codes: 0 success, 2 invalid config/spec/input or a file that cannot be
+read or written, 3 instance over the exact solver's limits, 4 engine
+invariant violation (a budget or capacity breach, which a correct policy
+never triggers).
 """
 
 from __future__ import annotations
@@ -338,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetViolation, CapacityExceeded, AssertionError) as exc:
         print(f"engine invariant violated: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, FileNotFoundError, ModelError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, ModelError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

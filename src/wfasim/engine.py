@@ -11,10 +11,12 @@ charged exactly when a next tick is scheduled.
 
 Each trace row is CSV text when it is made: every distinct id of a run is
 rendered as a CSV field once, before the run starts, and one template per
-row kind places the fields. The tick joins the rows of the interval it
-closes into one chunk. The per-task path is flat: a finish makes one state
-call to finish the task and one to start the user's eligible work, and
-pushes the started tasks' finishes onto the heap directly.
+row kind places the fields. The tick writes the rows of the interval it
+closes to the run's unnamed temporary file, so the trace's text is not held
+in memory; the run's result reads it back from there. The per-task path is
+flat: a finish makes one state call to finish the task and one to start the
+user's eligible work, and pushes the started tasks' finishes onto the heap
+directly.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ import io
 import itertools
 import json
 import random
+import shutil
 import statistics
+import tempfile
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from heapq import heappush
 from pathlib import Path
-from typing import Callable
+from typing import IO, Callable
 
 from .dagops import WorkflowGraph, validate_workflow
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
@@ -82,28 +87,37 @@ class DecisionRecord:
 
 @dataclass
 class RunResult:
-    """Everything observable from one simulation run."""
+    """Everything observable from one simulation run.
+
+    The trace's CSV text, without its header, is in ``trace_file``: the
+    run's unnamed temporary file, which is closed once the result is
+    collected."""
 
     system: SystemConfig
     users: list[UserConfig]
     policy_name: str
     seed: int
     state: SystemState
-    trace_chunks: list[str]  # the trace's CSV text, one chunk per interval
+    trace_file: IO[str]
     snapshots: list[IntervalSnapshot]
     decision_log: list[DecisionRecord]
     diagnostics: list[dict]
     plan_rows: list[dict]
     ticks: int
 
+    def __post_init__(self) -> None:
+        weakref.finalize(self, self.trace_file.close)
+
     @property
     def trace(self) -> list[tuple]:
-        """The trace rows, parsed from the CSV text on each access: ``time_s``
-        and a non-empty ``resource`` are ints, every other field a string."""
+        """The trace rows, parsed from the run's file on each access:
+        ``time_s`` and a non-empty ``resource`` are ints, every other field a
+        string."""
+        self.trace_file.seek(0)
         return [
             (int(time_s), event, user, wf, task, int(resource) if resource else "", rtype, detail)
             for time_s, event, user, wf, task, resource, rtype, detail in csv.reader(
-                io.StringIO("".join(self.trace_chunks), newline="")
+                self.trace_file
             )
         ]
 
@@ -171,10 +185,12 @@ class RunResult:
 
     def write_trace_csv(self, path: str | Path) -> None:
         """Write the trace as ``csv.writer`` would: the header row, then the
-        chunks the run formatted."""
+        bytes of the run's file, which has this file's encoding."""
         with open(path, "w", newline="") as fh:
             fh.write(_TRACE_ROW % TRACE_COLUMNS)
-            fh.writelines(self.trace_chunks)
+            fh.flush()
+            self.trace_file.seek(0)
+            shutil.copyfileobj(self.trace_file.buffer, fh.buffer)
 
     def write_snapshots_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -333,7 +349,11 @@ class _Sim:
         self.push_seq = itertools.count()
         self.plan_runner = PlanRunner() if policy.mode == "plan" else None
         self.trace: list[str] = []  # the open interval's rows
-        self.trace_chunks: list[str] = []
+        # the rows of the closed intervals, in the default encoding, as
+        # write_trace_csv's open() has it; closed with this object, or, once
+        # the run returns, with its result
+        self.trace_file = tempfile.TemporaryFile("w+", newline="")
+        self.close_trace = weakref.finalize(self, self.trace_file.close)
         self.snapshots: list[IntervalSnapshot] = []
         self.decision_log: list[DecisionRecord] = []
         self.diagnostics: list[dict] = []
@@ -353,8 +373,8 @@ class _Sim:
         heapq.heappush(self.heap, (when, rank, next(self.push_seq), data))
 
     def flush_trace(self) -> None:
-        """Join the pending trace rows into one chunk of CSV text."""
-        self.trace_chunks.append("".join(self.trace))
+        """Write the pending trace rows to the run's file."""
+        self.trace_file.write("".join(self.trace))
         self.trace.clear()
 
     def row(
@@ -537,13 +557,14 @@ class _Sim:
             elif rank == _TICK:
                 self.on_tick(when)
         self.flush_trace()
+        self.close_trace.detach()  # the result closes the file
         return RunResult(
             system=self.system,
             users=self.users,
             policy_name=self.policy.name,
             seed=self.seed,
             state=self.state,
-            trace_chunks=self.trace_chunks,
+            trace_file=self.trace_file,
             snapshots=self.snapshots,
             decision_log=self.decision_log,
             diagnostics=self.diagnostics,

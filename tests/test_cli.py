@@ -306,6 +306,26 @@ def test_run_missing_workload_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_run_out_under_a_file_exits_2(tmp_path, capsys):
+    config = run_config(tmp_path, replications=1)
+    (tmp_path / "file").write_text("")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "file" / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+
+
+def test_gen_out_under_a_file_exits_2(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", genspec(count=2))
+    (tmp_path / "file").write_text("")
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "file" / "wl.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+
+
+def test_run_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_invalid_json_config(tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text("{not json")

@@ -3,8 +3,10 @@
 import ast
 import csv
 import dataclasses
+import gc
 import importlib.util
 import io
+import os
 import re
 import signal
 from collections import Counter
@@ -158,10 +160,16 @@ def test_trace_csv_bytes_are_csv_writer_bytes(tmp_path, monkeypatch, user, wf_id
     assert (tmp_path / "trace.csv").read_bytes() == expected.read_bytes()
 
 
+def file_bytes(fh):
+    """What a run's trace file holds, read without moving its position."""
+    fh.flush()
+    return os.pread(fh.fileno(), os.fstat(fh.fileno()).st_size, 0)
+
+
 def test_each_tick_flushes_its_interval_as_csv_text(tmp_path):
-    # Each row is one record of CSV text from when it is made: each tick joins
-    # the rows since the last one into one chunk, and the end of the run
-    # joins the last interval's.
+    # Each row is one record of CSV text from when it is made: each tick
+    # writes the rows since the last one to the run's file, and the end of
+    # the run writes the last interval's.
     wfs = generate_workload(8, users=["u1", "u2"], rule=WL1, seed=3)
     system = two_type_system(boot_delay_s=7)
     sim = engine._Sim(wfs, system, users(("u1", 12), ("u2", 20)), PfaPolicy(), 5, False)
@@ -177,6 +185,11 @@ def test_each_tick_flushes_its_interval_as_csv_text(tmp_path):
                          int(resource) if resource else "", rtype, detail))
         flushed.append((sim.state.clock, rows))
         flush()
+        assert sim.trace == []
+        # the file holds csv.writer's text of exactly the rows flushed so far
+        buf = io.StringIO()
+        csv.writer(buf).writerows(row for _clock, rows in flushed for row in rows)
+        assert file_bytes(sim.trace_file) == buf.getvalue().encode(sim.trace_file.encoding)
 
     sim.flush_trace = record
     result = sim.run()
@@ -184,7 +197,8 @@ def test_each_tick_flushes_its_interval_as_csv_text(tmp_path):
     result.write_trace_csv(tmp_path / "trace.csv")
     header, _, body = (tmp_path / "trace.csv").read_bytes().partition(b"\r\n")
     assert header == ",".join(engine.TRACE_COLUMNS).encode()
-    assert "".join(result.trace_chunks).encode() == body
+    assert result.trace_file is sim.trace_file
+    assert file_bytes(result.trace_file) == body
     # The first flush, at tick 0, holds the rows before it. Every later one
     # holds the rows from one tick, its first row, up to the next tick or the
     # end of the run.
@@ -194,18 +208,49 @@ def test_each_tick_flushes_its_interval_as_csv_text(tmp_path):
     for (opened, _), (clock, rows) in zip(flushed, flushed[1:]):
         assert rows[0][:2] == (opened, "tick")
         assert all(row[1] != "tick" and opened <= row[0] <= clock for row in rows[1:])
-    # each chunk is csv.writer's text of exactly one flush's rows
-    assert len(flushed) == len(result.trace_chunks) > 3
-    for (_clock, rows), chunk in zip(flushed, result.trace_chunks):
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        assert buf.getvalue() == chunk
+    # each flush added csv.writer's text of exactly its rows (checked in record)
+    assert len(flushed) > 3
     trace = result.trace
     assert trace == [row for _clock, rows in flushed for row in rows]
     expected = tmp_path / "expected.csv"
     with open(expected, "w", newline="") as fh:
         csv.writer(fh).writerows([engine.TRACE_COLUMNS, *trace])
     assert (tmp_path / "trace.csv").read_bytes() == expected.read_bytes()
+
+
+def test_reading_the_trace_leaves_it_as_it_was(tmp_path):
+    wfs = generate_workload(8, users=["u1", "u2"], rule=WL1, seed=3)
+    result = engine.run(wfs, two_type_system(), users(("u1", 30), ("u2", 30)), PlfPolicy(),
+                        seed=4)
+    trace = result.trace
+    assert len(trace) > 20
+    result.write_trace_csv(tmp_path / "a.csv")
+    assert result.trace == trace
+    result.write_trace_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert result.trace == trace
+
+
+def test_a_runs_trace_file_is_closed_once_its_owner_is_collected(monkeypatch):
+    opened = []
+    temporary_file = engine.tempfile.TemporaryFile
+    monkeypatch.setattr(engine.tempfile, "TemporaryFile",
+                        lambda *a, **kw: opened.append(temporary_file(*a, **kw)) or opened[-1])
+    # a run that returns: its result owns the file
+    result = run([chain_wf("w1", [{"small": 20, "large": 10}] * 2)])
+    assert opened == [result.trace_file] and not opened[0].closed
+    del result
+    gc.collect()
+    assert opened[0].closed
+    # a run that raises: the simulation that opened the file closes it
+    with time_limit(3), pytest.raises(Stalled):
+        run([chain_wf("w2", ONE_TASK)], budget=3, policy=PlfPolicy())
+    gc.collect()
+    assert len(opened) == 2 and opened[1].closed
+    # invalid input is rejected before a file is opened
+    with pytest.raises(WorkloadInvalid):
+        run([chain_wf("w3", [{"small": 20, "large": 10, "tiny": 5}])])
+    assert len(opened) == 2
 
 
 def test_different_seeds_may_reorder_users_but_still_finish():
@@ -334,7 +379,7 @@ def test_a_decision_naming_a_wrong_machine_is_rejected_before_any_change(
     with pytest.raises(error, match=re.escape(message)):
         sim.apply_decision("u1", decision, 60, 1)
     assert [(r.state, r.user) for r in state.resources] == before
-    assert sim.trace == [] and sim.trace_chunks == []
+    assert sim.trace == [] and file_bytes(sim.trace_file) == b""
 
 
 def test_budget_violation_from_malicious_policy():
@@ -827,7 +872,7 @@ def test_skipping_a_wake_after_a_dispatch_at_its_instant_changes_no_output(
     dispatches.clear()
     visiting = engine.run(workflows, system, budgets, Misled(), seed=5, collect_plans=True)
 
-    assert skipping.trace_chunks == visiting.trace_chunks
+    assert skipping.trace == visiting.trace
     assert skipping.snapshots == visiting.snapshots
     assert skipping.plan_rows == visiting.plan_rows
     assert skipping.diagnostics == visiting.diagnostics

@@ -577,6 +577,36 @@ def test_highs_solves_the_exported_lp_to_the_exact_optimum():
             wrong.append((seed, found.fun, profit))
     assert wrong == []
 
+
+def test_highs_solves_the_criterion_3_instances_to_the_exact_optimum():
+    # the slot-aligned instances that criterion 3 compares the heuristics on,
+    # picked as it picks them
+    milp = pytest.importorskip("scipy.optimize").milp
+    from test_acceptance import _slot_aligned_instance
+
+    picked = []
+    for seed in range(400):
+        inst = _slot_aligned_instance(seed)
+        if len(inst.tasks) <= 8 and inst.slots <= 18:
+            picked.append((seed, inst))
+        if len(picked) == 10:
+            break
+    assert len(picked) == 10
+    solved, wrong = 0, []
+    for seed, inst in picked:
+        try:
+            profit = solve_exact(inst).profit
+        except LimitExceeded:
+            continue
+        except Infeasible:
+            profit = None
+        found = milp(**read_lp(export_lp(inst)))
+        assert found.status in (0, 2), (seed, found.message)  # optimal or infeasible
+        solved += 1
+        if (None if found.status == 2 else round(-found.fun)) != profit:
+            wrong.append((seed, found.fun, profit))
+    assert wrong == [] and solved > 0
+
 def test_infeasible_when_nothing_is_affordable():
     spec = wf("w", [("t", {"large": 5})])
     inst = build_instance([spec], 5, 2, 1, [("large", 5)])

@@ -19,6 +19,10 @@ its first pass. Then, traced, it prints beside those:
   returns, with the run's result still held (an operation that simulates
   nothing, such as a MIP instance, is read when it returns), and the peak
   MB while it ran;
+- for each operation that simulates, the MB of its run's trace: the size of
+  the unnamed file that the run wrote it to, which tracemalloc does not
+  see (in a tree that holds the trace in memory, the encoded size of that
+  text, which the live MB includes);
 - the 10 source lines that hold the most memory at the heaviest of those
   readings, taken by running that operation once more.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import resource
 import sys
 import tempfile
@@ -61,6 +66,16 @@ def untraced_pass(workload, seed: int) -> dict[str, float]:
             outputs.append(op.run())
             rss[op.name] = max_rss_mb()
     return rss
+
+
+def trace_mb(result) -> float:
+    """The size of a run's trace text; in the file, or in memory in a tree
+    that holds it there."""
+    fh = getattr(result, "trace_file", None)
+    if fh is None:
+        return sum(len(chunk.encode()) for chunk in result.trace_chunks) / MB
+    fh.flush()
+    return os.fstat(fh.fileno()).st_size / MB
 
 
 def live_mb() -> float:
@@ -95,11 +110,13 @@ def main(argv: list[str]) -> int:
 
     # engine.run, read as it returns; the operations look it up on each call
     at_return: list = []
+    traces: list[float] = []
     read = live_mb
 
     def run(*a, **kw):
         result = original(*a, **kw)
         at_return.append(read())
+        traces.append(trace_mb(result))
         return result
 
     original, engine.run = engine.run, run
@@ -112,13 +129,15 @@ def main(argv: list[str]) -> int:
             readings = []
             for op in ops:
                 at_return.clear()
+                traces.clear()
                 tracemalloc.reset_peak()
                 op.run()
                 peak = tracemalloc.get_traced_memory()[1] / MB
                 live = at_return[-1] if at_return else live_mb()
                 readings.append((live, op))
+                trace = f", {traces[-1]:8.2f} MB trace" if traces else ""
                 print(f"{op.name:<24} {live:8.2f} MB live, {peak:8.2f} MB peak, "
-                      f"{rss[op.name]:8.2f} MB max RSS")
+                      f"{rss[op.name]:8.2f} MB max RSS{trace}")
             heaviest = max(readings, key=lambda r: r[0])[1]
             at_return.clear()
             read = snapshot
