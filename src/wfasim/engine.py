@@ -22,6 +22,7 @@ directly.
 from __future__ import annotations
 
 import csv
+import gc
 import heapq
 import io
 import itertools
@@ -35,7 +36,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from heapq import heappush
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Callable, NamedTuple
 
 from .dagops import WorkflowGraph, validate_workflow
 from .metrics import ElasticityReport, IntervalSnapshot, elasticity, slowdown, summarize
@@ -85,19 +86,28 @@ class DecisionRecord:
     steps: dict[str, float] = field(default_factory=dict)
 
 
+class WorkflowOutcome(NamedTuple):
+    """One workflow's run: its arrival, last finish and ideal makespan."""
+
+    workflow: str
+    user: str
+    arrival_s: int
+    finish_s: int
+    ideal_s: int
+
+
 @dataclass
 class RunResult:
-    """Everything observable from one simulation run.
-
-    The trace's CSV text, without its header, is in ``trace_file``: the
-    run's unnamed temporary file, which is closed once the result is
-    collected."""
+    """Everything observable from one simulation run, and no simulation
+    state: ``outcomes`` holds one record per workflow, in arrival order.
+    The trace's CSV text, without its header, is in ``trace_file``: the run's
+    unnamed temporary file, which is closed once the result is collected."""
 
     system: SystemConfig
     users: list[UserConfig]
     policy_name: str
     seed: int
-    state: SystemState
+    outcomes: tuple[WorkflowOutcome, ...]
     trace_file: IO[str]
     snapshots: list[IntervalSnapshot]
     decision_log: list[DecisionRecord]
@@ -133,10 +143,8 @@ class RunResult:
 
     def slowdowns(self) -> dict[str, list[float]]:
         out: dict[str, list[float]] = {u.id: [] for u in self.users}
-        for run in self.state.runs.values():
-            out[run.spec.user].append(
-                slowdown(run.spec.arrival_s, run.last_finish_s, run.graph.ideal_s)
-            )
+        for o in self.outcomes:
+            out[o.user].append(slowdown(o.arrival_s, o.finish_s, o.ideal_s))
         return out
 
     def demand_supply(self, user: str) -> tuple[list[int], list[int]]:
@@ -358,6 +366,7 @@ class _Sim:
         self.decision_log: list[DecisionRecord] = []
         self.diagnostics: list[dict] = []
         self.plan_rows: list[dict] = []
+        self.finish_s: dict[str, int] = {}  # by workflow id; a returned run has all
         self.arrivals_left = len(workflows)
         self.ticks = 0
 
@@ -409,6 +418,7 @@ class _Sim:
                                          self.type_fields[rid]))
         if not run.unfinished:
             self.trace.append(_DONE_ROW % (now, head, run.spec.arrival_s))
+            self.finish_s[run.spec.id] = now
         self.dispatch(run.spec.user, now)
 
     def on_boot(self, now: int, rid: int) -> None:
@@ -440,9 +450,18 @@ class _Sim:
         acted = False
         for uid in order:
             view = self.build_view(uid, now, k)
-            t0 = time.perf_counter()
-            decision = self.policy.decide(view)
-            seconds = time.perf_counter() - t0
+            # A collection that a decision's allocations trigger runs after
+            # it is timed: one full collection can outlast many decisions.
+            collecting = gc.isenabled()
+            if collecting:
+                gc.disable()
+            try:
+                t0 = time.perf_counter()
+                decision = self.policy.decide(view)
+                seconds = time.perf_counter() - t0
+            finally:
+                if collecting:
+                    gc.enable()
             self.decision_log.append(
                 DecisionRecord(k, uid, self.policy.name, seconds, decision.step_seconds)
             )
@@ -563,7 +582,8 @@ class _Sim:
             users=self.users,
             policy_name=self.policy.name,
             seed=self.seed,
-            state=self.state,
+            outcomes=tuple(WorkflowOutcome(w, r.spec.user, r.spec.arrival_s, self.finish_s[w],
+                                           r.graph.ideal_s) for w, r in self.state.runs.items()),
             trace_file=self.trace_file,
             snapshots=self.snapshots,
             decision_log=self.decision_log,
@@ -593,6 +613,7 @@ __all__ = [
     "DecisionRecord",
     "RunResult",
     "TRACE_COLUMNS",
+    "WorkflowOutcome",
     "poisson_arrivals",
     "run",
     "validate_inputs",

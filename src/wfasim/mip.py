@@ -696,7 +696,7 @@ def compare(
 
 def run_finishes(result) -> dict[str, int]:
     """Last finish per workflow from a RunResult."""
-    return {wf_id: run.last_finish_s for wf_id, run in result.state.runs.items()}
+    return {o.workflow: o.finish_s for o in result.outcomes}
 
 
 # -- instance and solution files ----------------------------------------------

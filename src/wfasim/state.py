@@ -104,7 +104,7 @@ class WorkflowRun:
     the per-handle lists of ``SystemState``; its task at topological index
     ``i`` has the handle ``base + i``."""
 
-    __slots__ = ("spec", "graph", "base", "user_index", "unfinished", "last_finish_s")
+    __slots__ = ("spec", "graph", "base", "user_index", "unfinished")
 
     def __init__(self, graph: WorkflowGraph, base: int, user_index: UserIndex):
         self.spec = graph.spec
@@ -112,11 +112,6 @@ class WorkflowRun:
         self.base = base  # first handle; ascends in arrival order
         self.user_index = user_index
         self.unfinished = len(graph.tasks)
-        self.last_finish_s: int | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.unfinished == 0
 
 
 class SystemState:
@@ -264,8 +259,6 @@ class SystemState:
         if rid < 0 or (resource := self.resources[rid]).running != h:
             raise ValueError(f"task {'/'.join(self.ref(h))} not running")
         run.unfinished -= 1
-        if run.unfinished == 0:
-            run.last_finish_s = now
         rec = run.user_index
         children = rec.unfinished.pop(h)
         del rec.frontier[h]

@@ -9,6 +9,7 @@ import io
 import os
 import re
 import signal
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import HoldPolicy, chain_wf, small_only_system, two_type_system, users, wf
 from wfasim import dagops, engine, mip, scheduler
+from wfasim.dagops import ideal_makespan
 from wfasim.model import (
     BudgetTooSmall,
     BudgetViolation,
@@ -42,9 +44,14 @@ def run(workflows, system=None, budget=100, policy=None, **kw):
     )
 
 
+def finished_all(result, workflows) -> bool:
+    """Whether the run reports a finish time for exactly these workflows."""
+    return sorted(mip.run_finishes(result)) == sorted(w.id for w in workflows)
+
+
 def test_empty_workload_traces_only_ticks_and_charges_nothing():
     result = run([], policy=HoldPolicy({"small": 1}))
-    assert result.state.all_done
+    assert result.outcomes == ()
     assert {row[1] for row in result.trace} == {"tick"}
     assert result.cost_series["u1"] == []
     assert result.snapshots == []
@@ -56,7 +63,7 @@ def test_preallocated_single_task_finishes_at_runtime():
     finis = [row for row in result.trace if row[1] == "finish"]
     assert len(finis) == 1
     assert finis[0][0] == 40  # arrival 0 + runtime 40
-    assert result.state.runs["w1"].last_finish_s == 40
+    assert mip.run_finishes(result) == {"w1": 40}
     assert result.mean_slowdown("u1") == 1.0
 
 
@@ -66,7 +73,7 @@ def test_preallocated_chain_runs_back_to_back_and_stops_charging():
     # the run ends
     w = chain_wf("w1", [{"small": 40}, {"small": 40}, {"small": 30}])
     result = run([w], system=small_only_system(count=1), policy=HoldPolicy({"small": 1}))
-    assert result.state.runs["w1"].last_finish_s == 110
+    assert mip.run_finishes(result) == {"w1": 110}
     assert result.cost_series["u1"] == [1, 1]
 
 
@@ -78,7 +85,7 @@ def test_arrivals_respect_time():
     start = next(row for row in trace if row[1] == "start")
     assert arrive[0] == 90
     assert start[0] == 90
-    assert result.state.runs["w1"].last_finish_s == 100
+    assert mip.run_finishes(result) == {"w1": 100}
 
 
 def test_boot_delay_defers_first_start():
@@ -102,7 +109,7 @@ def test_every_task_starts_and_finishes_exactly_once():
     assert sorted(starts) == sorted(tasks)
     assert sorted(finishes) == sorted(tasks)
     assert len(set(starts)) == len(starts)
-    assert result.state.all_done
+    assert finished_all(result, wfs)
     done_rows = [r for r in trace if r[1] == "workflow_done"]
     assert len(done_rows) == len(wfs)
 
@@ -258,7 +265,7 @@ def test_different_seeds_may_reorder_users_but_still_finish():
     sysc = two_type_system()
     uu = users(("u1", 30), ("u2", 30))
     a = engine.run(wfs, sysc, uu, PfaPolicy(), seed=1)
-    assert a.state.all_done
+    assert finished_all(a, wfs)
 
 
 def test_snapshots_pair_demand_with_interval_charge():
@@ -438,7 +445,7 @@ def test_multi_user_runs_isolate_budgets():
     result = engine.run(wfs, sysc, users(("u1", 8), ("u2", 25)), PfaPolicy(), seed=0)
     assert max(result.cost_series["u1"], default=0) <= 8
     assert max(result.cost_series["u2"], default=0) <= 25
-    assert result.state.all_done
+    assert finished_all(result, wfs)
 
 
 def test_summary_has_external_shape():
@@ -493,7 +500,7 @@ def test_task_without_runtime_on_a_held_type_rejected_before_the_run():
 def test_type_without_machines_needs_no_runtime(policy):
     small_only = chain_wf("w1", [{"small": 10}, {"small": 5}])
     result = run([small_only], system=two_type_system(large=0), budget=10, policy=policy())
-    assert result.state.all_done
+    assert finished_all(result, [small_only])
 
 
 def test_each_workflow_graph_built_once(monkeypatch):
@@ -507,7 +514,7 @@ def test_each_workflow_graph_built_once(monkeypatch):
     monkeypatch.setattr(dagops.WorkflowGraph, "__init__", counting)
     wfs = generate_workload(5, users=["u1"], rule=WL1, seed=3)
     result = run(wfs, budget=20)
-    assert result.state.all_done
+    assert finished_all(result, wfs)
     assert sorted(builds) == sorted(w.id for w in wfs)
 
 
@@ -697,7 +704,7 @@ def test_planners_run_a_task_on_a_slower_held_type(policy):
     chain = chain_wf("w1", [{"small": 10, "large": 20}, {"small": 100, "large": 10}])
     with time_limit(3):
         result = run([chain], system=system, budget=3, policy=POLICIES[policy]())
-    assert result.state.runs["w1"].last_finish_s == 110
+    assert mip.run_finishes(result) == {"w1": 110}
     starts = [(row[4], row[5], row[6]) for row in result.trace if row[1] == "start"]
     assert starts == [("t0", 0, "small"), ("t1", 0, "small")]
 
@@ -717,9 +724,9 @@ def test_pfa_profiles_only_the_types_with_machines(policy, small, large):
     edges = [*(("entry", t) for t, _ in tasks[1:-1]), *((t, "exit") for t, _ in tasks[1:-1])]
     system = two_type_system(small=small, large=large)
     with time_limit(3):
-        result = run([wf("fj", tasks, edges)], system=system, budget=20,
-                     policy=POLICIES[policy]())
-    assert result.state.all_done
+        fj = wf("fj", tasks, edges)
+        result = run([fj], system=system, budget=20, policy=POLICIES[policy]())
+    assert finished_all(result, [fj])
     held = {t.id for t in system.types_with_machines()}
     assert {row[6] for row in result.trace if row[1] == "allocate"} == held
 
@@ -737,7 +744,7 @@ def test_stall_guard_gives_a_machine_released_mid_tick_another_tick():
         with time_limit(3):
             result = engine.run(workflows, system, users(("u1", 1), ("u2", 1)),
                                 PfaPolicy(), seed=seed)
-        assert result.state.all_done
+        assert finished_all(result, workflows)
         allocations = [(row[0], row[2]) for row in result.trace if row[1] == "allocate"]
         if (120, "u2") in allocations:
             late.append(seed)
@@ -800,7 +807,7 @@ def test_every_run_finishes_or_stops_with_a_typed_error(tmp_path, case, seed):
             result = engine.run(workflows, system, budgets, POLICIES[policy](), seed=seed)
         except (WorkloadInvalid, BudgetTooSmall, Stalled):
             return
-    assert result.state.all_done
+    assert finished_all(result, workflows)
     # The trace parsed back from its text, quoted fields and empty resource
     # fields included, is what csv.writer writes as the trace file.
     trace = result.trace
@@ -884,6 +891,94 @@ def test_skipping_a_wake_after_a_dispatch_at_its_instant_changes_no_output(
     causes = {row[:3:2] for row in trace if row[1] in ("finish", "boot", "arrive")}
     assert any(row[1] == "start" and row[0] not in ticks and row[:3:2] not in causes
                for row in trace)
+
+
+# -- what a result holds, and decision timing ------------------------------------
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_a_result_keeps_no_simulation_state_alive(monkeypatch, policy):
+    states = []
+    init = SystemState.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        states.append(weakref.ref(self))
+
+    monkeypatch.setattr(SystemState, "__init__", tracked)
+    wfs = generate_workload(6, users=["u1", "u2"], rule=WL1, seed=3)
+    held = POLICIES[policy]()  # the caller keeps its policy, too
+    result = engine.run(wfs, two_type_system(boot_delay_s=7), users(("u1", 20), ("u2", 20)),
+                        held, seed=1)
+    gc.collect()
+    assert len(states) == 1 and states[0]() is None
+    assert finished_all(result, wfs)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_outcomes_agree_with_the_trace(policy):
+    wfs = generate_workload(8, users=["u1", "u2"], rule=WL1, seed=4)
+    wfs = engine.poisson_arrivals(wfs, 0.3, 16, seed=4)
+    result = engine.run(wfs, two_type_system(boot_delay_s=12), users(("u1", 30), ("u2", 30)),
+                        POLICIES[policy](), seed=2)
+    trace = result.trace
+    arrivals = [row for row in trace if row[1] == "arrive"]  # in arrival order
+    done = {row[3]: row[0] for row in trace if row[1] == "workflow_done"}
+    assert len(done) == len(wfs)
+    # a workflow is done at its last task's finish
+    assert done == {row[3]: row[0] for row in trace if row[1] == "finish"}
+    assert mip.run_finishes(result) == done
+    specs = {w.id: w for w in wfs}
+    assert result.slowdowns() == {
+        u: [(done[row[3]] - row[0]) / ideal_makespan(specs[row[3]])
+            for row in arrivals if row[2] == u]
+        for u in ("u1", "u2")
+    }
+
+
+class CollectorProbe(HoldPolicy):
+    """Holds machines as HoldPolicy does, and records at each decision
+    whether the cyclic garbage collector is enabled."""
+
+    def __init__(self, counts):
+        super().__init__(counts)
+        self.enabled = []
+
+    def decide(self, view):
+        self.enabled.append(gc.isenabled())
+        return super().decide(view)
+
+
+class Raises(HoldPolicy):
+    def decide(self, view):
+        raise RuntimeError("decision failed")
+
+
+def test_decisions_run_with_the_collector_held_off():
+    assert gc.isenabled()
+    probe = CollectorProbe({"small": 1})
+    result = run([chain_wf("w1", [{"small": 40}] * 3)], system=small_only_system(count=1),
+                 policy=probe)
+    assert len(probe.enabled) == len(result.decision_log) > 1
+    assert not any(probe.enabled)
+    assert gc.isenabled()
+    # a decision that raises leaves the collector enabled
+    with pytest.raises(RuntimeError, match="decision failed"):
+        run([chain_wf("w1", [{"small": 40}])], system=small_only_system(count=1),
+            policy=Raises({"small": 1}))
+    assert gc.isenabled()
+
+
+def test_a_run_leaves_a_disabled_collector_disabled():
+    probe = CollectorProbe({"small": 1})
+    gc.disable()
+    try:
+        run([chain_wf("w1", [{"small": 40}] * 3)], system=small_only_system(count=1),
+            policy=probe)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert probe.enabled and not any(probe.enabled)
 
 
 # -- measurement: opcode counts of a run are deterministic ------------------------

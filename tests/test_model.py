@@ -258,8 +258,7 @@ def test_task_lifecycle_and_eligibility_order():
     assert eligible() == [("w1", "t0")]  # no children freed
     assert r.state is ResourceState.IDLE
     assert r.free_s == 14
-    assert state.runs["w2"].done
-    assert state.runs["w2"].last_finish_s == 14
+    assert state.runs["w2"].unfinished == 0
 
 
 def test_finish_unblocks_children():

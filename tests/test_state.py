@@ -234,7 +234,7 @@ def check_queries(state, finished, running, started, free_from, among):
         popped = refs(heapq.heappop(heap)[2] for _ in range(len(heap)))
         assert [ref for ref in popped if ref in eligible] == eligible
         assert len(popped) <= 2 * len(eligible)
-    assert state.all_done == all(run.done for run in state.runs.values())
+    assert state.all_done == all(run.unfinished == 0 for run in state.runs.values())
 
 
 @settings(max_examples=150, deadline=None)
