@@ -31,18 +31,19 @@ _new_entry = tuple.__new__
 
 def fastest_type(
     task: TaskSpec, types: tuple[ResourceType, ...], oracle: RuntimeOracle
-) -> ResourceType:
-    """Type with the smallest runtime; ties go to the cheaper type, then to
-    the earlier type in the given order. The planners pass the types with
-    machines, and the engine requires every task to have a runtime on each."""
+) -> tuple[ResourceType, int]:
+    """The type with the smallest runtime, and that runtime; ties go to the
+    cheaper type, then to the earlier type in the given order. The planners
+    pass the types with machines, and the engine requires every task to have
+    a runtime on each."""
     best = None
     best_key = None
     for idx, rt in enumerate(types):
         key = (oracle(task, rt.id), rt.cost, idx)
         if best_key is None or key < best_key:
             best, best_key = rt, key
-    assert best is not None
-    return best
+    assert best is not None and best_key is not None
+    return best, best_key[0]
 
 
 def earliest_slot(
@@ -85,8 +86,9 @@ def build_plan(
     Neither phase visits a task it cannot plan: the first visits only the
     typed tasks, the second walks each workflow from its frontier and
     reaches a task only once all its unfinished parents are in the plan.
-    Each placement reads a flat list of next-free times, all slots' or one
-    type's, with C-level ``min`` and ``index`` (see :func:`earliest_slot`).
+    Each placement reads a flat list of next-free times with C-level ``min``
+    and ``index`` (see :func:`earliest_slot`): in the first phase the list
+    of the task's type, in the second the list of all slots.
     """
     obs, tasks, oracle, now = view.observation, view.tasks, view.oracle, view.now
     horizon_s = view.horizon_s
@@ -96,7 +98,7 @@ def build_plan(
     for rid, rtype_id, h, time_s in obs.held():
         if h >= 0:  # busy since time_s
             end = time_s + oracle(tasks[h], rtype_id)
-            add(PlanEntry(rid, h, time_s, end, True))
+            add(_new_entry(PlanEntry, (rid, h, time_s, end, True)))
             slots.append((rid, rtype_id, end))
         else:  # booting or idle, free from time_s
             slots.append((rid, rtype_id, max(now, time_s)))
@@ -109,47 +111,33 @@ def build_plan(
     slot_ids = [s[0] for s in slots]
     slot_types = [s[1] for s in slots]
     available = [s[2] for s in slots]
-    # per type: positions in the flat lists, and the same next-free times
-    by_type: dict[str, tuple[list[int], list[int]]] = {}
-    local: list[int] = []  # position of each slot in its type's list
-    for pos, (_rid, rtype_id, free_s) in enumerate(slots):
-        positions, times = by_type.setdefault(rtype_id, ([], []))
-        local.append(len(positions))
-        positions.append(pos)
-        times.append(free_s)
-
-    def place(h: int, ready_s: int, rtype_id: str | None) -> int | None:
-        """Put a task on the candidate with the earliest start before the
-        horizon, if any: all slots, or the slots of one type. Returns the
-        planned end, or None when nothing starts before the horizon."""
-        if rtype_id is None:
-            found = earliest_slot(available, ready_s, horizon_s)
-            if found is None:
-                return None
-            pos, start = found
-            rtype_id = slot_types[pos]
-        else:
-            positions, times = by_type[rtype_id]
-            found = earliest_slot(times, ready_s, horizon_s)
-            if found is None:
-                return None
-            pos, start = positions[found[0]], found[1]
-        end = start + oracle(tasks[h], rtype_id)
-        add(_new_entry(PlanEntry, (slot_ids[pos], h, start, end, False)))
-        available[pos] = end
-        by_type[rtype_id][1][local[pos]] = end
-        return end
 
     # Phase 1: tasks that bought a specific type go onto that type, in
     # workflow order and topological order within a workflow.
     wf_of = obs.workflow_of
     if typed:
+        # per type: positions in the flat lists, and the same next-free times
+        by_type: dict[str, tuple[list[int], list[int]]] = {}
+        for pos, (_rid, rtype_id, free_s) in enumerate(slots):
+            positions, times = by_type.setdefault(rtype_id, ([], []))
+            positions.append(pos)
+            times.append(free_s)
         rank = {wf_id: k for k, wf_id in enumerate(workflow_order)}
         for _k, h in sorted((rank[wf_of(h)], h) for h in typed if wf_of(h) in rank):
             rtype_id = typed[h]
-            if rtype_id in by_type and h not in planned:
-                place(h, now, rtype_id)
-            # a type with no resource falls through to phase 2
+            # a pinned task stays where it runs; a typed task whose type has
+            # no resource, or no slot before the horizon, goes to phase 2
+            if rtype_id not in by_type or h in planned:
+                continue
+            positions, times = by_type[rtype_id]
+            found = earliest_slot(times, now, horizon_s)
+            if found is None:
+                continue
+            i, start = found
+            pos = positions[i]
+            end = start + oracle(tasks[h], rtype_id)
+            add(_new_entry(PlanEntry, (slot_ids[pos], h, start, end, False)))
+            times[i] = available[pos] = end
 
     # Phase 2: everything else, precedence permitting. Each workflow is
     # walked from its frontier in topological order: a min-heap of handles,
@@ -174,9 +162,13 @@ def build_plan(
             h = heapq.heappop(heap)
             entry = planned.get(h)
             if entry is None:
-                end = place(h, ready.get(h, now), None)
-                if end is None:
+                found = earliest_slot(available, ready.get(h, now), horizon_s)
+                if found is None:
                     continue
+                pos, start = found
+                end = start + oracle(tasks[h], slot_types[pos])
+                add(_new_entry(PlanEntry, (slot_ids[pos], h, start, end, False)))
+                available[pos] = end
             else:
                 end = entry.end_s
             for c in children(h):
@@ -239,8 +231,9 @@ class _Planner(Policy):
 
     The table holds one task list's tasks under one oracle. It grows by the
     tasks that arrived since the last decision, so :func:`fastest_type` runs
-    once per task, and it starts over when the view brings another task
-    list (a new run) or another oracle."""
+    once per task, asking the oracle once per type with machines. It starts
+    over when the view brings another task list (a new run) or another
+    oracle."""
 
     mode = "plan"
 
@@ -259,9 +252,9 @@ class _Planner(Policy):
         fast, fast_s = self._fastest
         types = view.config.types_with_machines()
         for task in tasks[len(fast):]:
-            rt = fastest_type(task, types, oracle)
+            rt, runtime = fastest_type(task, types, oracle)
             fast.append(rt)
-            fast_s.append(oracle(task, rt.id))
+            fast_s.append(runtime)
         return fast, fast_s
 
 

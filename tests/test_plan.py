@@ -59,18 +59,18 @@ def reserved(state, decision):
 
 def test_fastest_type_picks_smallest_runtime():
     task = TaskSpec("t", {"small": 4, "large": 2})
-    assert fastest_type(task, SYS.types, perfect_oracle).id == "large"
+    assert fastest_type(task, SYS.types, perfect_oracle)[0].id == "large"
 
 
 def test_fastest_type_tie_goes_to_cheaper():
     task = TaskSpec("t", {"small": 3, "large": 3})
-    assert fastest_type(task, SYS.types, perfect_oracle).id == "small"
+    assert fastest_type(task, SYS.types, perfect_oracle)[0].id == "small"
 
 
 def test_fastest_type_full_tie_goes_to_config_order():
     types = (ResourceType("a", 2), ResourceType("b", 2))
     task = TaskSpec("t", {"a": 3, "b": 3})
-    assert fastest_type(task, types, perfect_oracle).id == "a"
+    assert fastest_type(task, types, perfect_oracle)[0].id == "a"
 
 
 def test_fastest_type_skips_types_the_task_has_no_runtime_on():
@@ -79,7 +79,43 @@ def test_fastest_type_skips_types_the_task_has_no_runtime_on():
     # range over the types with machines, so they never ask
     task = TaskSpec("t", {"small": 4})
     types = two_type_system(small=2, large=0).types_with_machines()
-    assert fastest_type(task, types, perfect_oracle).id == "small"
+    assert fastest_type(task, types, perfect_oracle)[0].id == "small"
+
+
+@pytest.mark.parametrize(
+    "runtimes, types, want",
+    [
+        ({"small": 4, "large": 2}, SYS.types, "large"),  # smaller runtime
+        ({"small": 3, "large": 3}, SYS.types, "small"),  # then cheaper type
+        ({"a": 3, "b": 3}, (ResourceType("a", 2), ResourceType("b", 2)), "a"),  # then order
+        ({"small": 4}, two_type_system(small=2, large=0).types_with_machines(), "small"),
+    ],
+)
+def test_fastest_type_returns_the_oracle_runtime_on_its_type(runtimes, types, want):
+    task = TaskSpec("t", runtimes)
+    rt, runtime = fastest_type(task, types, perfect_oracle)
+    assert rt.id == want and runtime == perfect_oracle(task, want) == runtimes[want]
+
+
+@pytest.mark.parametrize("make", [PlfPolicy, ScfPolicy])
+def test_fastest_table_asks_the_oracle_once_per_task_and_type(make):
+    w1 = chain_wf("w1", [{"small": 30, "large": 40}, {"small": 50, "large": 20}])
+    w2 = chain_wf("w2", [{"small": 10, "large": 10}])
+    state = make_state([w1, w2])
+    asked = Counter()  # type id -> questions about it
+
+    def counting(task, rtype_id):
+        asked[rtype_id] += 1
+        return perfect_oracle(task, rtype_id)
+
+    view = dataclasses.replace(view_for(state), oracle=counting)
+    types = state.config.types_with_machines()
+    assert len(types) == 2
+    fast, fast_s = make().fastest(view)
+    assert [rt.id for rt in fast] == ["small", "large", "small"]
+    assert fast_s == [30, 20, 10]
+    assert sum(asked.values()) == len(state.tasks) * len(types)
+    assert asked == {"small": 3, "large": 3}
 
 
 @pytest.mark.parametrize("make", [PlfPolicy, ScfPolicy])

@@ -18,7 +18,12 @@ For every operation of the workload the script prints:
   operations, ``str.join``), so read it beside the times, never instead;
 - the minimum wall time of the operation on each tree over ``--rounds``
   interleaved rounds, which alternate the tree that runs first, and the
-  rounds that B won.
+  rounds that B won;
+- for an operation that simulates, each decision step's seconds (the keys
+  of ``DecisionRecord.steps``), summed over the run as read from the
+  ``decisions.csv`` the operation writes, with the minimum over rounds on
+  each tree. A step can run fewer opcodes and still take longer, when the
+  work moves into C calls that cost more than the bytecode they replace.
 
 It exits 1 if the trees' outputs differ: the bytes of each simulation's
 ``trace.csv``, ``snapshots.csv``, ``diagnostics.jsonl`` and ``plans.jsonl``,
@@ -28,6 +33,7 @@ or the result of each MIP operation.
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import importlib.util
 import re
@@ -117,6 +123,21 @@ def outputs_of(result, op_dir: Path) -> dict[str, bytes]:
     return {"result": repr(result).encode()}
 
 
+def step_seconds(op_dir: Path) -> dict[str, float]:
+    """Each decision step's seconds summed over a simulation's decisions,
+    from the ``decisions.csv`` in ``op_dir``; empty if there is none."""
+    path = op_dir / "decisions.csv"
+    if not path.exists():
+        return {}
+    sums: dict[str, float] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            for item in filter(None, row["steps"].split(";")):
+                key, value = item.split("=")
+                sums[key] = sums.get(key, 0.0) + float(value)
+    return sums
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a", type=Path)
@@ -151,6 +172,7 @@ def main(argv: list[str]) -> int:
                 counts[tag, name] = count_opcodes(ops[tag][i].run, counted[tag])[0]
 
         best = {(tag, name): float("inf") for tag in trees for name in names}
+        steps: dict[tuple[str, str], dict[str, float]] = {}  # min over rounds
         won = dict.fromkeys(names, 0)
         for r in range(args.rounds):
             for i, name in enumerate(names):
@@ -161,6 +183,9 @@ def main(argv: list[str]) -> int:
                     ops[tag][i].run()
                     seconds[tag] = time.perf_counter() - t0
                     best[tag, name] = min(best[tag, name], seconds[tag])
+                    least = steps.setdefault((tag, name), {})
+                    for key, s in step_seconds(Path(tmp) / tag / name).items():
+                        least[key] = min(least.get(key, s), s)
                 won[name] += seconds["B"] < seconds["A"]
 
     def delta(a: float, b: float) -> str:
@@ -179,6 +204,13 @@ def main(argv: list[str]) -> int:
     tb = sum(best["B", n] for n in names)
     print(f"{'total':<16} {a:>12,} {b:>12,} {delta(a, b):>7} "
           f"{ta:>9.4f} {tb:>9.4f} {delta(ta, tb):>7}")
+    if any(steps.values()):
+        print(f"\n{'operation':<16} {'decision step':<14} {'min A s':>9} {'min B s':>9} {'delta':>7}")
+        for name in names:
+            sa, sb = steps["A", name], steps["B", name]
+            for key in dict.fromkeys([*sa, *sb]):
+                ta, tb = sa.get(key, 0.0), sb.get(key, 0.0)
+                print(f"{name:<16} {key:<14} {ta:>9.4f} {tb:>9.4f} {delta(ta, tb):>7}")
     if differ:
         print(f"outputs differ on {len(differ)} operations: {', '.join(differ)}")
         return 1
